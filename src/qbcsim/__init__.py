@@ -7,6 +7,8 @@ frames), and ``analysis`` (binding/concealment figures and
 discrimination bounds). ``cli`` fronts all of it.
 """
 
+import types as _types
+
 from .analysis import (
     CheatReport,
     EnsembleMixture,
@@ -96,4 +98,5 @@ from .session import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _types.ModuleType)]

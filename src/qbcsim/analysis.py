@@ -1,11 +1,14 @@
 """Binding and concealment, quantified.
 
 Every scenario is computed two ways where feasible: an exact probability
-from Born distributions over the agreed bases, and a seeded Monte Carlo
-estimate of the same experiment. Discrimination bounds (two-hypothesis
-optimum and the square-root measurement) bound what any pre-reveal
-strategy could achieve, so the concealment claim is tested rather than
-assumed. Functions report numbers side by side and do not editorialize.
+and a seeded Monte Carlo estimate of the same experiment. Bob's reveal
+state factors out of every valid-outcome mass, so exact figures are
+overlaps <psi|Q_c|psi> on the (n+1)-qubit register, Q_c = (I + X^{d_c})/2;
+Born distributions over the completed bases only drive the sampling.
+Discrimination bounds (two-hypothesis optimum and the square-root
+measurement) bound what any pre-reveal strategy could achieve, so the
+concealment claim is tested rather than assumed. Functions report
+numbers side by side and do not editorialize.
 
 Priors are uniform over choices and elements wherever a strategy needs
 them; that matches the arbitrary-guess baseline the scheme is judged
@@ -128,6 +131,28 @@ def _acceptance_distribution(
     return dist, valid
 
 
+def _valid_mass(amplitudes: np.ndarray, masks) -> np.ndarray:
+    """Valid-outcome mass <psi|Q_c|psi> / <psi|psi> along the last axis.
+
+    Q_c = (I + X^{d_c})/2 and X^d permutes indices by XOR, so the mass is
+    (|psi|^2 + Re sum_x conj(psi_x) psi_{x^d}) / (2 |psi|^2). ``masks``
+    holds the d_c, with one axis fewer than ``amplitudes``, and broadcasts
+    against its leading axes.
+    """
+    flips = np.bitwise_xor.outer(np.asarray(masks), np.arange(amplitudes.shape[-1]))
+    flipped = np.take_along_axis(amplitudes, flips, axis=-1)
+    norm2 = np.sum(np.abs(amplitudes) ** 2, axis=-1)
+    cross = np.sum((amplitudes.conj() * flipped).real, axis=-1)
+    return (norm2 + cross) / (2.0 * norm2)
+
+
+def _valid_mass_table(agreement: RevealAgreement) -> np.ndarray:
+    """Valid mass of element k of set c under reveal c', indexed [c, k, c']."""
+    elements = np.array([[e.amplitudes for e in s.elements] for s in agreement.sets])
+    masks = np.array(agreement.params.masks)
+    return _valid_mass(elements[:, :, None, :], masks[None, None, :])
+
+
 def alice_cheat_acceptance(
     agreement: RevealAgreement, c_true: int, element: int, c_claimed: int
 ) -> float:
@@ -143,8 +168,7 @@ def alice_cheat_acceptance(
     if not 0 <= element < params.num_choices:
         raise ValueError(f"element index {element} out of range")
     held = agreement.sets[c_true].elements[element]
-    dist, valid = _acceptance_distribution(agreement, held, c_claimed)
-    return float(dist[valid].sum())
+    return float(_valid_mass(held.amplitudes, params.masks[c_claimed]))
 
 
 def alice_cheat_report(
@@ -157,10 +181,8 @@ def alice_cheat_report(
     """Cheat acceptance averaged over a uniform element, exact and sampled."""
     params = agreement.params
     m = params.num_choices
-    per_element = [
-        alice_cheat_acceptance(agreement, c_true, k, c_claimed) for k in range(m)
-    ]
-    exact = float(np.mean(per_element))
+    elements = np.array([e.amplitudes for e in agreement.sets[c_true].elements])
+    exact = float(np.mean(_valid_mass(elements, [params.masks[c_claimed]])))
     hits = 0
     if trials > 0:
         gen = as_generator(rng)
@@ -198,15 +220,10 @@ def _grouped_outcomes(dists, group_index: np.ndarray, rng) -> np.ndarray:
 
 def _cheat_acceptance_common(agreement: RevealAgreement) -> float:
     """The per-block cheat acceptance, verified identical across (c, c', k)."""
-    params = agreement.params
-    values = [
-        alice_cheat_acceptance(agreement, c, k, claim)
-        for c in range(params.num_choices)
-        for claim in range(params.num_choices)
-        if claim != c
-        for k in range(params.num_choices)
-    ]
-    lo, hi = min(values), max(values)
+    table = _valid_mass_table(agreement)
+    c, _, claim = np.indices(table.shape)
+    values = table[c != claim]
+    lo, hi = values.min(), values.max()
     if hi - lo > 1e-12:
         raise ValueError(f"cheat acceptance varies across scenarios: [{lo}, {hi}]")
     return float(np.mean(values))
@@ -279,17 +296,15 @@ class WrongCouplingEntry:
 def bob_wrong_coupling_table(agreement: RevealAgreement) -> tuple[WrongCouplingEntry, ...]:
     """Every (held element, wrong reveal state) product and its valid mass."""
     params = agreement.params
+    table = _valid_mass_table(agreement)
     rows = []
     for c in range(params.num_choices):
         for k, elem in enumerate(agreement.sets[c].elements):
             for claim in range(params.num_choices):
                 if claim == c:
                     continue
-                basis = agreement.bases[claim]
                 product = tensor(elem, agreement.reveal_states[claim].state)
-                dist = born_distribution(product, basis)
-                mass = float(sum(dist[i] for i in sorted(basis.valid_outcomes)))
-                rows.append(WrongCouplingEntry(c, k, claim, product, mass))
+                rows.append(WrongCouplingEntry(c, k, claim, product, float(table[c, k, claim])))
     return tuple(rows)
 
 
@@ -320,16 +335,11 @@ def bob_premature_strategy(
         return _finish_report(strategy, exact, hits, trials, parameters)
 
     # update-on-reject: average over (c, k, guess) of the two branches
-    accept_prob = {}
-    for c in range(m):
-        for k in range(m):
-            for g in range(m):
-                dist, valid = _acceptance_distribution(
-                    agreement, agreement.sets[c].elements[k], g
-                )
-                accept_prob[(c, k, g)] = (float(dist[valid].sum()), dist, valid)
+    table = _valid_mass_table(agreement)
+    combos = [(c, k, g) for c in range(m) for k in range(m) for g in range(m)]
     exact = 0.0
-    for (c, k, g), (p_acc, _, _) in accept_prob.items():
+    for c, k, g in combos:
+        p_acc = float(table[c, k, g])
         correct_on_accept = 1.0 if g == c else 0.0
         correct_on_reject = 0.0 if g == c else 1.0 / (m - 1)
         exact += p_acc * correct_on_accept + (1.0 - p_acc) * correct_on_reject
@@ -337,19 +347,19 @@ def bob_premature_strategy(
     hits = 0
     if trials > 0:
         gen = as_generator(rng)
-        combos = list(accept_prob)
         draw = gen.integers(len(combos), size=trials)
-        dists = [accept_prob[combo][1] for combo in combos]
+        dists = [
+            _acceptance_distribution(agreement, agreement.sets[c].elements[k], g)[0]
+            for c, k, g in combos
+        ]
         outcomes = _grouped_outcomes(dists, draw, gen)
         fallback = gen.integers(m - 1, size=trials)  # index among remaining choices
-        for i in range(trials):
-            c, k, g = combos[draw[i]]
-            _, _, valid = accept_prob[(c, k, g)]
-            if outcomes[i] in valid:
-                hits += g == c
-            else:
-                remaining = [x for x in range(m) if x != g]
-                hits += remaining[fallback[i]] == c
+        valid = np.zeros((m, agreement.bases[0].dimension), dtype=bool)
+        for g, basis in enumerate(agreement.bases):
+            valid[g, sorted(basis.valid_outcomes)] = True
+        cs, gs = draw // m**2, draw % m
+        declared = np.where(valid[gs, outcomes], gs, fallback + (fallback >= gs))
+        hits = int((declared == cs).sum())
     return _finish_report(strategy, exact, hits, trials, parameters)
 
 

@@ -19,6 +19,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +89,10 @@ class StateVector:
                 f"expected {2**self.num_qubits} amplitudes, got shape {arr.shape}"
             )
         norm = np.linalg.norm(arr)
+        # any NaN or inf amplitude makes the norm non-finite, and a NaN
+        # norm would pass the tolerance test below
+        if not math.isfinite(norm):
+            raise ValueError(f"norm is {norm}: amplitudes must be finite")
         if abs(norm - 1.0) > ATOL:
             raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", arr)
@@ -286,7 +291,8 @@ def born_distribution(state: StateVector, basis: MeasurementBasis) -> np.ndarray
     """Exact outcome probabilities |<basis_k|state>|^2."""
     if state.dimension != basis.dimension:
         raise ValueError("state and basis dimensions differ")
-    probs = np.abs(basis.vectors.conj() @ state.amplitudes) ** 2
+    # |<b|s>| = |<s|b>|: conjugate the state, not the (dimension^2) basis
+    probs = np.abs(basis.vectors @ state.amplitudes.conj()) ** 2
     total = probs.sum()
     if abs(total - 1.0) > ATOL:
         raise ValueError(f"probabilities sum to {total}, not 1")

@@ -7,13 +7,16 @@ scipy matrix functions for the square-root measurement, and explicit
 branch enumerations for the strategies.
 """
 
+import collections
 import json
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
+from qbcsim import analysis
 from qbcsim.analysis import (
     STRATEGIES,
     STRATEGY_DECLARE_PRIOR,
@@ -33,7 +36,13 @@ from qbcsim.analysis import (
     s_protocol_analysis,
     s_protocol_sweep,
 )
-from qbcsim.quantum import HermitianMatrix, inner, tensor
+from qbcsim.quantum import (
+    HermitianMatrix,
+    born_distribution,
+    inner,
+    random_state,
+    tensor,
+)
 from qbcsim.scheme import SchemeParams, build_reveal_agreement
 
 
@@ -70,6 +79,70 @@ def acceptance_by_inner_products(agreement, held, claimed):
     return sum(
         abs(inner(v, product)) ** 2 for v in agreement.valid_products[claimed]
     )
+
+
+def acceptance_by_born_distribution(agreement, held, claimed):
+    """Oracle: Born distribution of held (x) G_claimed on the completed
+    (2n+1)-qubit basis of the claimed choice, summed over valid outcomes."""
+    basis = agreement.bases[claimed]
+    product = tensor(held, agreement.reveal_states[claimed].state)
+    return born_distribution(product, basis)[sorted(basis.valid_outcomes)].sum()
+
+
+def test_valid_mass_table_matches_born_oracle(agreements):
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 3, 4):
+        m = 2**n
+        for agreement in (
+            agreements[n],
+            build_reveal_agreement(SchemeParams.random_masks(n, rng)),
+        ):
+            table = analysis._valid_mass_table(agreement)
+            assert table.shape == (m, m, m)
+            for c in range(m):
+                for k, elem in enumerate(agreement.sets[c].elements):
+                    for claim in range(m):
+                        oracle = acceptance_by_born_distribution(agreement, elem, claim)
+                        assert abs(table[c, k, claim] - oracle) < 1e-12
+            # the overlap formula holds for any held state, not only set elements
+            for claim in range(m):
+                held = random_state(n + 1, rng)
+                mass = analysis._valid_mass(held.amplitudes, agreement.params.masks[claim])
+                oracle = acceptance_by_born_distribution(agreement, held, claim)
+                assert abs(mass - oracle) < 1e-12
+
+
+def test_exact_masses_equal_closed_form(agreements):
+    # cheat and wrong-coupling masses are exactly 1/2, not merely close
+    for n in (1, 2, 3, 4):
+        agreement = agreements[n]
+        m = 2**n
+        for c in range(m):
+            for claim in range(m):
+                if claim == c:
+                    continue
+                assert alice_cheat_report(agreement, c, claim).exact == 0.5
+                for k in range(m):
+                    assert alice_cheat_acceptance(agreement, c, k, claim) == 0.5
+        assert all(row.valid_mass == 0.5 for row in bob_wrong_coupling_table(agreement))
+        for blocks in range(1, 9):
+            assert block_cheat_fidelity(agreement, blocks) == 2.0**-blocks
+
+
+def test_exact_analysis_calls_born_only_from_s_protocol(agreements, monkeypatch):
+    callers = collections.Counter()
+    real = analysis.born_distribution
+
+    def counting(state, basis):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return real(state, basis)
+
+    monkeypatch.setattr(analysis, "born_distribution", counting)
+    for n in (1, 2, 3, 4):
+        m = 2**n
+        callers.clear()
+        run_full_analysis(agreements[n], trials=0)
+        assert callers == {"s_protocol_analysis": 11 * (m + m**2)}
 
 
 def test_cheat_report_consistency_logic():

@@ -92,6 +92,16 @@ def test_state_vector_validation():
         StateVector(0, np.array([1.0]))
 
 
+def test_state_vector_rejects_non_finite():
+    # a NaN norm compares False against the tolerance, so finiteness is
+    # checked on its own
+    for amps in ([np.nan, 0.0], [1.0, np.nan], [complex(0.6, np.inf), 0.8]):
+        with pytest.raises(ValueError, match="finite"):
+            StateVector(1, np.array(amps))
+    with pytest.raises(ValueError, match="finite"):
+        state_from_text("qubits=1\nnan 0\n0 0\n")
+
+
 def test_state_vector_is_read_only():
     state = make_basis_state("01")
     with pytest.raises(ValueError):

@@ -70,6 +70,10 @@ def test_decode_rejects_malformed_frames():
     bad_state = '{"v":1,"kind":"commit","scheme_hash":"x","state":"qubits=2\\n1 0\\n0 0\\n"}\n'
     with pytest.raises(AmplitudeCountError):
         decode_message(bad_state.encode())
+    # non-finite amplitudes are a typed wire error, not a later crash in sampling
+    nan_state = '{"v":1,"kind":"commit","scheme_hash":"x","state":"qubits=1\\nnan 0\\n0 0\\n"}\n'
+    with pytest.raises(AmplitudeCountError, match="finite"):
+        decode_message(nan_state.encode())
 
 
 def test_decode_rejects_foreign_scheme():
