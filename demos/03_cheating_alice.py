@@ -3,6 +3,10 @@
 For any committed element and any wrong claim the verification accepts
 with probability exactly 1/2, independent of the scheme size. Committing
 K independent qubit blocks drives a full falsified reveal to 2^-K.
+
+Adversary model: Alice commits a genuine element of one set. An Alice
+free to commit any state is not bound by these figures: |+>^(n+1) lies in
+the valid subspace Q_c of every choice and passes every reveal.
 """
 
 import numpy as np

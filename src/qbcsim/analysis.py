@@ -3,8 +3,10 @@
 Every scenario is computed two ways where feasible: an exact probability
 and a seeded Monte Carlo estimate of the same experiment. Bob's reveal
 state factors out of every valid-outcome mass, so exact figures are
-overlaps <psi|Q_c|psi> on the (n+1)-qubit register, Q_c = (I + X^{d_c})/2;
-Born distributions over the completed bases only drive the sampling.
+overlaps <psi|Q_c|psi> on the (n+1)-qubit register, Q_c = (I + X^{d_c})/2.
+Every sampled verification (cheat, block cheat, update-on-reject) goes
+through one acceptance sampler, the only user of Born distributions over
+the completed bases.
 Discrimination bounds (two-hypothesis optimum and the square-root
 measurement) bound what any pre-reveal strategy could achieve, so the
 concealment claim is tested rather than assumed. Functions report
@@ -24,7 +26,6 @@ import numpy as np
 
 from .quantum import (
     HermitianMatrix,
-    StateVector,
     as_generator,
     born_distribution,
     computational_basis,
@@ -120,17 +121,6 @@ def ensemble_mixture(params: SchemeParams, choice: int) -> EnsembleMixture:
 # --- binding: Alice's cheat acceptance ------------------------------------
 
 
-def _acceptance_distribution(
-    agreement: RevealAgreement, held: StateVector, claimed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Born distribution of held (x) G_claimed in basis claimed, plus valid indices."""
-    basis = agreement.bases[claimed]
-    product = tensor(held, agreement.reveal_states[claimed].state)
-    dist = born_distribution(product, basis)
-    valid = np.fromiter(sorted(basis.valid_outcomes), dtype=np.int64)
-    return dist, valid
-
-
 def _valid_mass(amplitudes: np.ndarray, masks) -> np.ndarray:
     """Valid-outcome mass <psi|Q_c|psi> / <psi|psi> along the last axis.
 
@@ -159,7 +149,10 @@ def alice_cheat_acceptance(
     """Exact acceptance probability when Alice reveals ``c_claimed`` after
     committing the given element of the set bound to ``c_true``.
 
-    Equal choices are allowed as the honest control and return 1.
+    Equal choices are allowed as the honest control and return 1. The
+    wrong-claim value 1/2 holds for an Alice who commits a genuine set
+    element; a state outside every set, such as |+>^(n+1), lies in every
+    Q_c and passes every reveal.
     """
     params = agreement.params
     for label, value in (("c_true", c_true), ("c_claimed", c_claimed)):
@@ -186,19 +179,9 @@ def alice_cheat_report(
     hits = 0
     if trials > 0:
         gen = as_generator(rng)
-        dists = []
-        valid_sets = []
-        for k in range(m):
-            dist, valid = _acceptance_distribution(
-                agreement, agreement.sets[c_true].elements[k], c_claimed
-            )
-            dists.append(dist)
-            valid_sets.append(valid)
         ks = gen.integers(m, size=trials)
-        outcomes = _grouped_outcomes(dists, ks, gen)
-        for k in range(m):
-            sel = ks == k
-            hits += int(np.isin(outcomes[sel], valid_sets[k]).sum())
+        combos = [(c_true, k, c_claimed) for k in range(m)]
+        hits = int(_sampled_acceptance(agreement, combos, ks, gen).sum())
     return _finish_report(
         f"alice-cheat commit {c_true} reveal {c_claimed}",
         exact,
@@ -218,6 +201,23 @@ def _grouped_outcomes(dists, group_index: np.ndarray, rng) -> np.ndarray:
     return out
 
 
+def _sampled_acceptance(agreement: RevealAgreement, combos, draw, rng) -> np.ndarray:
+    """Sampled verification per draw: draw i couples element k of set c with
+    reveal state c' and measures in basis c', (c, k, c') = combos[draw[i]].
+
+    Every reveal basis lists its 2^n valid products first, so a draw is
+    accepted iff its outcome index is below 2^n.
+    """
+    dists = [
+        born_distribution(
+            tensor(agreement.sets[c].elements[k], agreement.reveal_states[claim].state),
+            agreement.bases[claim],
+        )
+        for c, k, claim in combos
+    ]
+    return _grouped_outcomes(dists, draw, rng) < agreement.num_choices
+
+
 def _cheat_acceptance_common(agreement: RevealAgreement) -> float:
     """The per-block cheat acceptance, verified identical across (c, c', k)."""
     table = _valid_mass_table(agreement)
@@ -231,7 +231,11 @@ def _cheat_acceptance_common(agreement: RevealAgreement) -> float:
 
 def block_cheat_fidelity(agreement: RevealAgreement, blocks: int) -> float:
     """Exact probability that a per-block cheat survives ``blocks`` independent
-    verifications (product of per-block acceptances)."""
+    verifications (product of per-block acceptances).
+
+    Like the single-block 1/2, the 2^-K law holds for an Alice who commits
+    genuine set elements; |+>^(n+1) in every block passes every reveal.
+    """
     if blocks < 1:
         raise ValueError("block count must be at least 1")
     return _cheat_acceptance_common(agreement) ** blocks
@@ -246,28 +250,9 @@ def block_cheat_report(
     hits = 0
     if trials > 0:
         gen = as_generator(rng)
-        m = params.num_choices
-        combos = [
-            (c, k, claim)
-            for c in range(m)
-            for k in range(m)
-            for claim in range(m)
-            if claim != c
-        ]
-        dists = []
-        valid_sets = []
-        for c, k, claim in combos:
-            dist, valid = _acceptance_distribution(
-                agreement, agreement.sets[c].elements[k], claim
-            )
-            dists.append(dist)
-            valid_sets.append(valid)
+        combos = [t for t in np.ndindex((params.num_choices,) * 3) if t[0] != t[2]]
         draw = gen.integers(len(combos), size=trials * blocks)
-        outcomes = _grouped_outcomes(dists, draw, gen)
-        accepted = np.zeros(trials * blocks, dtype=bool)
-        for g in range(len(combos)):
-            sel = draw == g
-            accepted[sel] = np.isin(outcomes[sel], valid_sets[g])
+        accepted = _sampled_acceptance(agreement, combos, draw, gen)
         hits = int(accepted.reshape(trials, blocks).all(axis=1).sum())
     return _finish_report(
         f"block-cheat K={blocks}",
@@ -284,28 +269,22 @@ def block_cheat_report(
 @dataclass(frozen=True, eq=False)
 class WrongCouplingEntry:
     """One row of the wrong-coupling table: held element, coupled reveal
-    state, the resulting product, and its mass on the valid outcomes."""
+    state, and the mass of their product on the valid outcomes."""
 
     held_choice: int
     element: int
     coupled_choice: int
-    product: StateVector
     valid_mass: float
 
 
 def bob_wrong_coupling_table(agreement: RevealAgreement) -> tuple[WrongCouplingEntry, ...]:
-    """Every (held element, wrong reveal state) product and its valid mass."""
-    params = agreement.params
+    """Valid mass of every (held element, wrong reveal state) coupling."""
     table = _valid_mass_table(agreement)
-    rows = []
-    for c in range(params.num_choices):
-        for k, elem in enumerate(agreement.sets[c].elements):
-            for claim in range(params.num_choices):
-                if claim == c:
-                    continue
-                product = tensor(elem, agreement.reveal_states[claim].state)
-                rows.append(WrongCouplingEntry(c, k, claim, product, float(table[c, k, claim])))
-    return tuple(rows)
+    return tuple(
+        WrongCouplingEntry(c, k, claim, float(table[c, k, claim]))
+        for c, k, claim in np.ndindex(table.shape)
+        if claim != c
+    )
 
 
 def bob_premature_strategy(
@@ -336,29 +315,19 @@ def bob_premature_strategy(
 
     # update-on-reject: average over (c, k, guess) of the two branches
     table = _valid_mass_table(agreement)
-    combos = [(c, k, g) for c in range(m) for k in range(m) for g in range(m)]
-    exact = 0.0
-    for c, k, g in combos:
-        p_acc = float(table[c, k, g])
-        correct_on_accept = 1.0 if g == c else 0.0
-        correct_on_reject = 0.0 if g == c else 1.0 / (m - 1)
-        exact += p_acc * correct_on_accept + (1.0 - p_acc) * correct_on_reject
-    exact /= m**3
+    c, _, g = np.indices(table.shape)
+    correct_on_reject = np.where(g == c, 0.0, 1.0 / (m - 1))
+    # a running sum keeps the sequential (c, k, guess) order of the branch sum
+    exact = np.cumsum(table * (g == c) + (1.0 - table) * correct_on_reject)[-1] / m**3
     hits = 0
     if trials > 0:
         gen = as_generator(rng)
+        combos = list(np.ndindex(table.shape))
         draw = gen.integers(len(combos), size=trials)
-        dists = [
-            _acceptance_distribution(agreement, agreement.sets[c].elements[k], g)[0]
-            for c, k, g in combos
-        ]
-        outcomes = _grouped_outcomes(dists, draw, gen)
+        accepted = _sampled_acceptance(agreement, combos, draw, gen)
         fallback = gen.integers(m - 1, size=trials)  # index among remaining choices
-        valid = np.zeros((m, agreement.bases[0].dimension), dtype=bool)
-        for g, basis in enumerate(agreement.bases):
-            valid[g, sorted(basis.valid_outcomes)] = True
         cs, gs = draw // m**2, draw % m
-        declared = np.where(valid[gs, outcomes], gs, fallback + (fallback >= gs))
+        declared = np.where(accepted, gs, fallback + (fallback >= gs))
         hits = int((declared == cs).sum())
     return _finish_report(strategy, exact, hits, trials, parameters)
 
@@ -410,48 +379,33 @@ def pgm_success(ensembles, priors) -> float:
 # --- the reduced-qubit variant ---------------------------------------------
 
 
-def _s_strategy_declare(outcome: int, num_choices: int) -> tuple:
-    """Declarations for the assume-parent-S rule: (choice, weight) pairs."""
-    if outcome < num_choices:
-        return ((outcome, 1.0),)
-    return tuple((c, 1.0 / num_choices) for c in range(num_choices))
-
-
 def s_protocol_analysis(
     agreement: RevealAgreement, p_s: float, trials: int = 0, rng=None
 ) -> CheatReport:
     """Bob's identification probability under "assume parent S, measure
     computationally" when Alice commits from S with probability ``p_s``.
 
-    Exact value is enumerated over every (parent, choice, element,
-    outcome) branch; the sampled estimate replays the same experiment.
+    The rule declares outcome o when o < 2^n and guesses uniformly
+    otherwise. The exact value sums every (parent, choice, element, outcome)
+    branch; the sampled estimate replays the same experiment.
     """
     if not 0.0 <= p_s <= 1.0:
         raise ValueError(f"parent-S probability {p_s} out of [0, 1]")
     params = agreement.params
     m = params.num_choices
-    set_s = build_set_s(params)
     comp = computational_basis(2 ** params.num_alice_qubits)
-
-    success_s = 0.0
-    for c in range(m):
-        dist = born_distribution(set_s.elements[set_s.bound_index(c)], comp)
-        for outcome, prob in enumerate(dist):
-            if prob == 0.0:
-                continue
-            for declared, weight in _s_strategy_declare(outcome, m):
-                if declared == c:
-                    success_s += prob * weight / m
-    success_b = 0.0
-    for c in range(m):
-        for elem in agreement.sets[c].elements:
-            dist = born_distribution(elem, comp)
-            for outcome, prob in enumerate(dist):
-                if prob == 0.0:
-                    continue
-                for declared, weight in _s_strategy_declare(outcome, m):
-                    if declared == c:
-                        success_b += prob * weight / m**2
+    # row c < m: the S state bound to choice c; row m + c*m + k: element k of set c
+    states = build_set_s(params).elements[:m] + sum((s.elements for s in agreement.sets), ())
+    dists = []
+    for state in states:
+        dists.append(born_distribution(state, comp))
+    dists = np.array(dists)
+    committed = np.r_[np.arange(m), np.arange(m * m) // m][:, None]
+    outcome = np.arange(dists.shape[1])
+    terms = dists * np.where(outcome < m, outcome == committed, 1.0 / m)
+    # running sums keep the sequential (row, outcome) order of the branch sum
+    success_s = np.cumsum(terms[:m] / m)[-1]
+    success_b = np.cumsum(terms[m:] / m**2)[-1]
     exact = p_s * success_s + (1.0 - p_s) * success_b
 
     hits = 0
@@ -461,16 +415,6 @@ def s_protocol_analysis(
         cs = gen.integers(m, size=trials)
         ks = gen.integers(m, size=trials)
         guesses = gen.integers(m, size=trials)
-        # combo 0..m-1: parent S per choice; combo m..m+m^2-1: (c, k) pairs
-        dists = [
-            born_distribution(set_s.elements[set_s.bound_index(c)], comp)
-            for c in range(m)
-        ]
-        dists += [
-            born_distribution(agreement.sets[c].elements[k], comp)
-            for c in range(m)
-            for k in range(m)
-        ]
         combo = np.where(from_s, cs, m + cs * m + ks)
         outcomes = _grouped_outcomes(dists, combo, gen)
         declared = np.where(outcomes < m, outcomes, guesses)
@@ -535,15 +479,7 @@ def run_full_analysis(agreement: RevealAgreement, trials: int = 0, seed: int = 0
         for blocks in range(1, 9)
     ]
 
-    report["wrong_coupling"] = [
-        {
-            "held_choice": row.held_choice,
-            "element": row.element,
-            "coupled_choice": row.coupled_choice,
-            "valid_mass": row.valid_mass,
-        }
-        for row in bob_wrong_coupling_table(agreement)
-    ]
+    report["wrong_coupling"] = [dict(vars(row)) for row in bob_wrong_coupling_table(agreement)]
 
     report["strategies"] = [
         bob_premature_strategy(agreement, strategy, trials, gen).as_dict()

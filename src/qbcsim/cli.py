@@ -8,7 +8,9 @@ Subcommands:
   exit on any failure.
 * ``analyze``: the full security battery, human-readable to stdout and
   JSON to a file.
-* ``session``: one side of a two-process TCP session.
+* ``session``: one side of a two-process TCP session; exits 0 when the
+  reveal is accepted, 1 when it is rejected, and 2 on a failed handshake
+  or a malformed or out-of-phase frame.
 
 All randomness flows from --seed (default 0); identical invocations
 produce byte-identical output. No environment variables are read.
@@ -42,8 +44,10 @@ from .session import (
     Commit,
     Guess,
     HandshakeError,
+    PhaseError,
     Reveal,
     Verdict,
+    WireError,
     connect_session,
     decode_message,
     run_session,
@@ -336,6 +340,9 @@ def cmd_session(config: RunConfig, out=None) -> int:
             exit_code = 0 if verdict.accepted else 1
     except HandshakeError as exc:
         print(f"handshake failed: {exc}", file=out)
+        return 2
+    except (WireError, PhaseError) as exc:
+        print(f"session aborted: {type(exc).__name__}: {exc}", file=out)
         return 2
     if config.out:
         write_transcript(config.out, frames)

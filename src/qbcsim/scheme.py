@@ -209,9 +209,6 @@ class SetS:
 
     elements: tuple[StateVector, ...]
 
-    def bound_index(self, choice: int) -> int:
-        return choice
-
 
 def build_set_s(params: SchemeParams) -> SetS:
     width = params.num_alice_qubits

@@ -36,12 +36,14 @@ from .quantum import (
     StateVector,
     as_generator,
     computational_basis,
+    index_to_bits,
+    make_basis_state,
     measure,
     state_from_text,
     state_to_text,
     tensor,
 )
-from .scheme import RevealAgreement, SchemeParams, build_set_s, scheme_hash
+from .scheme import RevealAgreement, SchemeParams, scheme_hash
 
 WIRE_VERSION = 1
 
@@ -67,6 +69,10 @@ class AmplitudeCountError(WireError):
 
 class SchemeMismatchError(WireError):
     """Frame belongs to a different initial agreement."""
+
+
+class ChoiceRangeError(WireError):
+    """Frame names a choice outside 0..2^n - 1 of this agreement."""
 
 
 class PhaseError(RuntimeError):
@@ -138,10 +144,20 @@ def encode_message(message: Message, scheme_hash_hex: str) -> bytes:
     return json.dumps(frame, sort_keys=True, separators=(",", ":")).encode() + b"\n"
 
 
+def _typed_field(frame: dict, key: str, kind: type, optional: bool = False):
+    """``frame[key]``, exactly of ``kind`` (or None if ``optional``); no coercion."""
+    value = frame[key]
+    if type(value) is not kind and not (optional and value is None):
+        raise FramingError(f"field {key!r} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 def decode_message(data: bytes, expected_scheme_hash: str | None = None) -> Message:
     """Parse one frame line back into a message.
 
-    Raises FramingError / VersionMismatchError / AmplitudeCountError /
+    The version, choice and recovered fields must be JSON integers, the
+    commit state a JSON string and ``accept`` a JSON bool. Raises
+    FramingError / VersionMismatchError / AmplitudeCountError /
     SchemeMismatchError on malformed, stale, or foreign frames.
     """
     try:
@@ -150,28 +166,29 @@ def decode_message(data: bytes, expected_scheme_hash: str | None = None) -> Mess
         raise FramingError(f"frame is not a JSON line: {exc}") from None
     if not isinstance(frame, dict) or "kind" not in frame or "v" not in frame:
         raise FramingError("frame lacks 'v' or 'kind'")
-    if frame["v"] != WIRE_VERSION:
+    if type(frame["v"]) is not int or frame["v"] != WIRE_VERSION:
         raise VersionMismatchError(f"wire version {frame['v']} != {WIRE_VERSION}")
     if expected_scheme_hash is not None and frame.get("scheme_hash") != expected_scheme_hash:
         raise SchemeMismatchError("frame scheme hash does not match this agreement")
     kind = frame["kind"]
     try:
         if kind == "commit":
+            text = _typed_field(frame, "state", str)
             try:
-                state = state_from_text(frame["state"])
+                state = state_from_text(text)
             except ValueError as exc:
                 raise AmplitudeCountError(str(exc)) from None
             return Commit(state)
         if kind == "guess":
-            return Guess(int(frame["choice"]))
+            return Guess(_typed_field(frame, "choice", int))
         if kind == "reveal":
             parent = frame["parent"]
             if parent not in (PARENT_B, PARENT_S):
                 raise FramingError(f"unknown parent indicator {parent!r}")
-            return Reveal(int(frame["choice"]), parent)
+            return Reveal(_typed_field(frame, "choice", int), parent)
         if kind == "verdict":
-            recovered = frame["recovered"]
-            return Verdict(bool(frame["accept"]), None if recovered is None else int(recovered))
+            recovered = _typed_field(frame, "recovered", int, optional=True)
+            return Verdict(_typed_field(frame, "accept", bool), recovered)
     except KeyError as exc:
         raise FramingError(f"frame missing field {exc}") from None
     raise FramingError(f"unknown frame kind {kind!r}")
@@ -256,9 +273,8 @@ def alice_commit(
             raise ValueError(f"element index {element} out of range")
         payload = agreement.sets[choice].elements[element]
     elif parent == PARENT_S:
-        set_s = build_set_s(params)
-        element = set_s.bound_index(choice)
-        payload = set_s.elements[element]
+        element = choice
+        payload = make_basis_state(index_to_bits(choice, params.num_alice_qubits))
     else:
         raise ValueError(f"unknown parent indicator {parent!r}")
     state = SessionState(agreement)
@@ -323,7 +339,7 @@ def bob_verify(state: SessionState, *, rng) -> tuple[SessionState, Verdict, Veri
     else:
         basis = computational_basis(state.bob_held.dimension)
         outcome = measure(state.bob_held, basis, rng)
-        accepted = outcome == build_set_s(agreement.params).bound_index(reveal.choice)
+        accepted = outcome == reveal.choice
     recovered = outcome if accepted else None
     result = VerificationResult(accepted, outcome, recovered)
     message = Verdict(accepted, recovered)
@@ -350,6 +366,18 @@ class BobScript:
     """Behaviour of the verifying party."""
 
     guess: int | None = None
+
+
+def _receive(endpoint, frame: bytes, kind: type) -> Message:
+    """Decode a frame that must carry a ``kind`` message of this agreement,
+    with any choice it names in range."""
+    message = decode_message(frame, endpoint.scheme_hash)
+    if not isinstance(message, kind):
+        raise FramingError(f"expected a {kind.__name__.lower()} frame")
+    m = endpoint.agreement.params.num_choices
+    if isinstance(message, (Guess, Reveal)) and not 0 <= message.choice < m:
+        raise ChoiceRangeError(f"{kind.__name__.lower()} choice {message.choice} not in 0..{m - 1}")
+    return message
 
 
 class AliceEndpoint:
@@ -380,9 +408,7 @@ class AliceEndpoint:
         return frame
 
     def handle_guess(self, frame: bytes) -> bytes:
-        message = decode_message(frame, self.scheme_hash)
-        if not isinstance(message, Guess):
-            raise FramingError("expected a guess frame")
+        message = _receive(self, frame, Guess)
         self.frames.append(frame)
         bob_guess(self.state, message.choice)
         _, reveal = alice_reveal(self.state, self.script.reveal_choice)
@@ -391,9 +417,7 @@ class AliceEndpoint:
         return out
 
     def handle_verdict(self, frame: bytes) -> Verdict:
-        message = decode_message(frame, self.scheme_hash)
-        if not isinstance(message, Verdict):
-            raise FramingError("expected a verdict frame")
+        message = _receive(self, frame, Verdict)
         self.frames.append(frame)
         self.verdict = message
         self.state.phase = Phase.VERIFIED if message.accepted else Phase.REJECTED
@@ -413,9 +437,7 @@ class BobEndpoint:
         self.result: VerificationResult | None = None
 
     def handle_commit(self, frame: bytes) -> bytes:
-        message = decode_message(frame, self.scheme_hash)
-        if not isinstance(message, Commit):
-            raise FramingError("expected a commit frame")
+        message = _receive(self, frame, Commit)
         expected = self.agreement.params.num_alice_qubits
         if message.state.num_qubits != expected:
             raise AmplitudeCountError(
@@ -435,9 +457,7 @@ class BobEndpoint:
         return out
 
     def handle_reveal(self, frame: bytes) -> bytes:
-        message = decode_message(frame, self.scheme_hash)
-        if not isinstance(message, Reveal):
-            raise FramingError("expected a reveal frame")
+        message = _receive(self, frame, Reveal)
         self.frames.append(frame)
         _require_phase(self.state, Phase.GUESSED)
         self.state.revealed = message

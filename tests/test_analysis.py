@@ -235,8 +235,13 @@ def test_wrong_coupling_table(cointoss_agreement):
         # (|01>+|10>)/sqrt2 (x) |+>  ->  (|010>+|011>+|100>+|101>)/2
         (1, 1, 0): [0, 0, half, half, half, half, 0, 0],
     }
-    for key, amplitudes in expected.items():
-        assert_allclose(by_key[key].product.amplitudes, amplitudes, atol=1e-12)
+    for (c, k, claim), amplitudes in expected.items():
+        assert (c, k, claim) in by_key
+        product = tensor(
+            cointoss_agreement.sets[c].elements[k],
+            cointoss_agreement.reveal_states[claim].state,
+        )
+        assert_allclose(product.amplitudes, amplitudes, atol=1e-12)
 
 
 def test_premature_strategy_validation(cointoss_agreement):

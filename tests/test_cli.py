@@ -5,6 +5,7 @@ import json
 import socket
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +20,10 @@ from qbcsim.cli import (
     parse_moves,
     resolve_params,
 )
-from qbcsim.scheme import PRESET_PAPER_COINTOSS
+from qbcsim.scheme import PRESET_PAPER_COINTOSS, SchemeParams, scheme_hash
+from qbcsim.session import hello_frame
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_config(**kw):
@@ -140,26 +144,34 @@ def test_audit_passes_and_fails():
 
 
 def test_analyze_json_and_determinism(tmp_path):
-    report_path = tmp_path / "report.json"
-    config = run_config(
-        subcommand="analyze",
-        preset=PRESET_PAPER_COINTOSS,
-        trials=2000,
-        seed=13,
-        out=str(report_path),
-        json_out=True,
-    )
-    out = io.StringIO()
-    assert cmd_analyze(config, out) == 0
-    report = json.loads(out.getvalue())
-    assert report["seed"] == 13  # explicit seed persisted
-    assert report["trials"] == 2000
-    first = report_path.read_bytes()
+    # seeded reports, Monte Carlo columns included, byte for byte as recorded
+    goldens = [
+        ({"preset": PRESET_PAPER_COINTOSS}, "analyze_paper_cointoss_trials2000_seed13.json"),
+        ({"n": 2}, "analyze_n2_trials2000_seed13.json"),
+    ]
+    for scheme, golden in goldens:
+        report_path = tmp_path / golden
+        config = run_config(
+            subcommand="analyze",
+            trials=2000,
+            seed=13,
+            out=str(report_path),
+            json_out=True,
+            **scheme,
+        )
+        out = io.StringIO()
+        assert cmd_analyze(config, out) == 0
+        report = json.loads(out.getvalue())
+        assert report["seed"] == 13  # explicit seed persisted
+        assert report["trials"] == 2000
+        first = report_path.read_bytes()
+        assert first == (GOLDEN / golden).read_bytes()
+        assert out.getvalue().encode() == first
 
-    out2 = io.StringIO()
-    assert cmd_analyze(config, out2) == 0
-    assert out2.getvalue() == out.getvalue()
-    assert report_path.read_bytes() == first
+        out2 = io.StringIO()
+        assert cmd_analyze(config, out2) == 0
+        assert out2.getvalue() == out.getvalue()
+        assert report_path.read_bytes() == first
 
 
 def test_analyze_human_table():
@@ -245,3 +257,28 @@ def test_session_subcommand_handshake_mismatch(tmp_path):
     assert bob_proc.returncode == 2
     assert "handshake failed" in alice.stdout
     assert "handshake failed" in bob_out
+
+
+def test_session_subcommand_bad_frame_exits_2():
+    bob_proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "qbcsim.cli", "session",
+            "--role", "bob", "--port", "0", "--seed", "1",
+            "--preset", PRESET_PAPER_COINTOSS,
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    port = int(bob_proc.stdout.readline().split("port=")[1])
+    digest = scheme_hash(SchemeParams.paper_cointoss())
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as conn:
+        reader = conn.makefile("rb")
+        reader.readline()  # bob's hello
+        garbage = '{"v":1,"kind":"commit","scheme_hash":"%s","state":42}\n' % digest
+        conn.sendall(hello_frame(digest) + garbage.encode())
+        bob_out, bob_err = bob_proc.communicate(timeout=30)
+        reader.close()
+    assert bob_proc.returncode == 2
+    assert "Traceback" not in bob_err
+    assert bob_out.splitlines()[-1].startswith("session aborted: FramingError")

@@ -136,10 +136,8 @@ def test_set_s_binding():
     params = SchemeParams.default(2)
     set_s = build_set_s(params)
     assert len(set_s.elements) == 8
-    for c in range(4):
-        idx = set_s.bound_index(c)
-        assert idx == c
-        assert set_s.elements[idx].amplitudes[c] == 1.0
+    for c in range(4):  # choice c is bound to element index c
+        assert set_s.elements[c].amplitudes[c] == 1.0
 
 
 def test_pauli_expectations_against_dense_oracle():

@@ -9,9 +9,12 @@ from qbcsim.quantum import make_basis_state
 from qbcsim.scheme import SchemeParams, build_reveal_agreement, scheme_hash
 from qbcsim.session import (
     PARENT_S,
+    AliceEndpoint,
     AliceScript,
     AmplitudeCountError,
+    BobEndpoint,
     BobScript,
+    ChoiceRangeError,
     Commit,
     FramingError,
     Guess,
@@ -22,6 +25,7 @@ from qbcsim.session import (
     SchemeMismatchError,
     Verdict,
     VersionMismatchError,
+    WireError,
     alice_commit,
     alice_reveal,
     bob_guess,
@@ -74,6 +78,28 @@ def test_decode_rejects_malformed_frames():
     nan_state = '{"v":1,"kind":"commit","scheme_hash":"x","state":"qubits=1\\nnan 0\\n0 0\\n"}\n'
     with pytest.raises(AmplitudeCountError, match="finite"):
         decode_message(nan_state.encode())
+    with pytest.raises(FramingError):
+        decode_message(b'{"v":1,"kind":"commit","state":42}\n')
+    with pytest.raises(VersionMismatchError):
+        decode_message(b'{"v":true,"kind":"guess","choice":0}\n')
+    # choice and recovered must be JSON integers, accept a JSON bool: no coercion
+    for choice in ("true", "1.9", '"1"', "1.0", "null"):
+        with pytest.raises(FramingError):
+            decode_message(b'{"v":1,"kind":"guess","choice":%s}\n' % choice.encode())
+        with pytest.raises(FramingError):
+            decode_message(
+                b'{"v":1,"kind":"reveal","choice":%s,"parent":"B"}\n' % choice.encode()
+            )
+    for recovered in ("true", "1.9", '"1"'):
+        with pytest.raises(FramingError):
+            decode_message(
+                b'{"v":1,"kind":"verdict","accept":true,"recovered":%s}\n' % recovered.encode()
+            )
+    for accept in ("1", "0", '"yes"', "null"):
+        with pytest.raises(FramingError):
+            decode_message(
+                b'{"v":1,"kind":"verdict","accept":%s,"recovered":null}\n' % accept.encode()
+            )
 
 
 def test_decode_rejects_foreign_scheme():
@@ -201,6 +227,23 @@ def test_pre_reveal_frames_hide_private_fields(cointoss_agreement):
     assert guess_frame["choice"] == 0  # bob's guess, not alice's choice
     for key in ("parent", "element"):
         assert key not in commit_frame and key not in guess_frame
+
+
+def test_out_of_range_choice_frames_are_wire_errors(cointoss_agreement):
+    agreement = cointoss_agreement
+    digest = scheme_hash(agreement.params)
+    for choice in (-1, agreement.params.num_choices):
+        alice = AliceEndpoint(agreement, AliceScript(choice=0, element=0), 1)
+        bob = BobEndpoint(agreement, BobScript(guess=0), 2)
+        bob.handle_commit(alice.commit_frame())
+        with pytest.raises(ChoiceRangeError) as raised:
+            bob.handle_reveal(encode_message(Reveal(choice), digest))
+        assert isinstance(raised.value, WireError)
+        assert bob.result is None
+        assert bob.state.phase is Phase.GUESSED
+        with pytest.raises(ChoiceRangeError):
+            alice.handle_guess(encode_message(Guess(choice), digest))
+        assert alice.state.phase is Phase.COMMITTED
 
 
 def test_run_session_transport_equivalence(cointoss_agreement):
