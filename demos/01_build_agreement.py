@@ -35,10 +35,13 @@ def main():
         for k, elem in enumerate(agreement.sets[c].elements):
             print(f"  element {k}: {ket_string(elem)}")
         print(f"  reveal state: {ket_string(agreement.reveal_states[c].state)}")
-        for k, product in enumerate(agreement.valid_products[c]):
-            print(f"  valid product {k}: {ket_string(product)}")
         basis = agreement.bases[c]
-        print(f"  reveal basis: {basis.dimension} vectors, valid outcomes {sorted(basis.valid_outcomes)}")
+        for k in sorted(basis.valid_outcomes):
+            print(f"  valid product {k}: {ket_string(basis.vector(k))}")
+        print(
+            f"  reveal measurement: {len(basis.vectors)} valid products + 1 reject outcome"
+            f" on {basis.dimension} dims, valid outcomes {sorted(basis.valid_outcomes)}"
+        )
         print()
 
     print("structural audit:")

@@ -37,7 +37,6 @@ from .quantum import (
     apply_gate,
     as_generator,
     born_distribution,
-    complete_basis,
     computational_basis,
     equal_superposition_pair,
     hermitian_eig,

@@ -6,7 +6,7 @@ state factors out of every valid-outcome mass, so exact figures are
 overlaps <psi|Q_c|psi> on the (n+1)-qubit register, Q_c = (I + X^{d_c})/2.
 Every sampled verification (cheat, block cheat, update-on-reject) goes
 through one acceptance sampler, the only user of Born distributions over
-the completed bases.
+the reveal measurements (2^n valid products + reject).
 Discrimination bounds (two-hypothesis optimum and the square-root
 measurement) bound what any pre-reveal strategy could achieve, so the
 concealment claim is tested rather than assumed. Functions report
@@ -205,8 +205,8 @@ def _sampled_acceptance(agreement: RevealAgreement, combos, draw, rng) -> np.nda
     """Sampled verification per draw: draw i couples element k of set c with
     reveal state c' and measures in basis c', (c, k, c') = combos[draw[i]].
 
-    Every reveal basis lists its 2^n valid products first, so a draw is
-    accepted iff its outcome index is below 2^n.
+    Outcomes 0..2^n - 1 of a reveal measurement are its valid products and
+    outcome 2^n rejects, so a draw is accepted iff its outcome is below 2^n.
     """
     dists = [
         born_distribution(

@@ -154,9 +154,11 @@ def cmd_cointoss(config: RunConfig, out=None) -> int:
             )
         elif isinstance(message, Verdict):
             outcome = result.verification.outcome_index
-            ket = ket_string(agreement.bases[_revealed(result)].vector(outcome))
             status = "accepted" if message.accepted else "rejected"
-            print(f"Verdict: {status}, outcome {outcome} -> {ket}", file=out)
+            landed = "outside every valid product"  # the reject outcome 2^n
+            if message.accepted:
+                landed = ket_string(agreement.bases[_revealed(result)].vector(outcome))
+            print(f"Verdict: {status}, outcome {outcome} -> {landed}", file=out)
             if message.recovered_element is not None:
                 print(f"recovered element: {message.recovered_element}", file=out)
     revealed = _revealed(result)

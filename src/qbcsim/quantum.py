@@ -2,7 +2,8 @@
 
 Everything in the package runs through this module: basis kets, two-term
 superpositions, tensor products, the {H, X, Z, CNOT} gate set, projective
-measurement in an arbitrary orthonormal basis, and Hermitian
+measurement onto a set of orthonormal vectors (plus one outcome for their
+orthogonal complement when they do not span the space), and Hermitian
 eigendecomposition for the discrimination bounds.
 
 Conventions
@@ -187,10 +188,14 @@ def _flip_axis(control: int, target: int, n: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementBasis:
-    """Complete orthonormal basis with a designated set of valid outcomes.
+    """Projective measurement onto orthonormal rows, plus their complement.
 
-    ``vectors`` holds one basis vector per row. Orthonormality is checked
-    on construction (pairwise overlaps below ``ATOL``).
+    ``vectors`` holds 1..``dimension`` orthonormal rows of length
+    ``dimension``; outcome ``k`` projects onto row ``k``. When the rows do
+    not span the space there is one more outcome, index ``len(vectors)``:
+    the projector onto their orthogonal complement. Orthonormality is
+    checked on construction (pairwise overlaps below ``ATOL``), and
+    ``valid_outcomes`` must index rows.
     """
 
     dimension: int
@@ -199,22 +204,22 @@ class MeasurementBasis:
 
     def __post_init__(self):
         vecs = _frozen_array(self.vectors)
-        if vecs.shape != (self.dimension, self.dimension):
+        if vecs.shape[1:] != (self.dimension,) or not 1 <= len(vecs) <= self.dimension:
             raise ValueError(
-                f"need {self.dimension} vectors of length {self.dimension}, "
+                f"need 1..{self.dimension} vectors of length {self.dimension}, "
                 f"got shape {vecs.shape}"
             )
         gram = vecs @ vecs.conj().T
-        if np.abs(gram - np.eye(self.dimension)).max() > ATOL:
+        if np.abs(gram - np.eye(len(vecs))).max() > ATOL:
             raise ValueError("basis vectors are not orthonormal")
         outcomes = frozenset(self.valid_outcomes)
-        if any(not 0 <= k < self.dimension for k in outcomes):
+        if any(not 0 <= k < len(vecs) for k in outcomes):
             raise ValueError("valid outcome index out of range")
         object.__setattr__(self, "vectors", vecs)
         object.__setattr__(self, "valid_outcomes", outcomes)
 
     def vector(self, k: int) -> StateVector:
-        """Basis vector ``k`` as a StateVector (dimension must be 2^n)."""
+        """Row ``k`` as a StateVector (dimension must be 2^n)."""
         n = self.dimension.bit_length() - 1
         if 2**n != self.dimension:
             raise ValueError("dimension is not a power of two")
@@ -224,58 +229,6 @@ class MeasurementBasis:
 def computational_basis(dimension: int, valid_outcomes=()) -> MeasurementBasis:
     """The standard basis of the given dimension."""
     return MeasurementBasis(dimension, np.eye(dimension, dtype=complex), frozenset(valid_outcomes))
-
-
-def complete_basis(partial, dimension: int, valid_outcomes=None) -> MeasurementBasis:
-    """Extend orthonormal vectors to a full basis of ``dimension``.
-
-    The input vectors come first, in order. Completion is deterministic:
-    Gram-Schmidt against the computational basis vectors taken in
-    ascending index order, discarding residuals with norm below 1e-9.
-    ``valid_outcomes`` defaults to the indices of the input vectors.
-
-    Args:
-        partial: sequence of StateVectors or amplitude rows, pairwise
-            orthonormal to within ``ATOL``.
-        dimension: size of the completed basis.
-        valid_outcomes: outcome indices to mark valid.
-
-    Raises:
-        ValueError: if the input vectors are not orthonormal.
-    """
-    rows = [
-        v.amplitudes if isinstance(v, StateVector) else np.asarray(v, dtype=complex)
-        for v in partial
-    ]
-    m = len(rows)
-    if m > dimension:
-        raise ValueError("more seed vectors than dimension")
-    vecs = np.zeros((dimension, dimension), dtype=complex)
-    if m:
-        seed = np.array(rows)
-        if seed.shape[1] != dimension:
-            raise ValueError("seed vector length does not match dimension")
-        gram = seed @ seed.conj().T
-        if np.abs(gram - np.eye(m)).max() > ATOL:
-            raise ValueError("seed vectors are not orthonormal")
-        vecs[:m] = seed
-    for i in range(dimension):
-        if m == dimension:
-            break
-        # residual of e_i against the rows accumulated so far; since e_i is
-        # a unit computational vector its coefficients are one column slice
-        residual = -(vecs[:m].T @ vecs[:m, i].conj())
-        residual[i] += 1.0
-        norm = np.linalg.norm(residual)
-        if norm < 1e-9:
-            continue
-        vecs[m] = residual / norm
-        m += 1
-    if m < dimension:
-        raise ValueError("completion failed to span the space")
-    if valid_outcomes is None:
-        valid_outcomes = range(len(rows))
-    return MeasurementBasis(dimension, vecs, frozenset(valid_outcomes))
 
 
 def as_generator(rng) -> np.random.Generator:
@@ -288,11 +241,14 @@ def as_generator(rng) -> np.random.Generator:
 
 
 def born_distribution(state: StateVector, basis: MeasurementBasis) -> np.ndarray:
-    """Exact outcome probabilities |<basis_k|state>|^2."""
+    """Exact outcome probabilities |<basis_k|state>|^2, then the complement
+    mass when the rows do not span the space."""
     if state.dimension != basis.dimension:
         raise ValueError("state and basis dimensions differ")
-    # |<b|s>| = |<s|b>|: conjugate the state, not the (dimension^2) basis
+    # |<b|s>| = |<s|b>|: conjugate the state, not the basis
     probs = np.abs(basis.vectors @ state.amplitudes.conj()) ** 2
+    if len(probs) < basis.dimension:
+        probs = np.concatenate((probs, [max(0.0, 1.0 - probs.sum())]))
     total = probs.sum()
     if abs(total - 1.0) > ATOL:
         raise ValueError(f"probabilities sum to {total}, not 1")
@@ -302,7 +258,7 @@ def born_distribution(state: StateVector, basis: MeasurementBasis) -> np.ndarray
 def measure(state: StateVector, basis: MeasurementBasis, rng) -> int:
     """Sample one outcome index with Born probabilities; deterministic per seed."""
     probs = born_distribution(state, basis)
-    return int(as_generator(rng).choice(basis.dimension, p=probs))
+    return int(as_generator(rng).choice(len(probs), p=probs))
 
 
 def random_state(num_qubits: int, rng) -> StateVector:

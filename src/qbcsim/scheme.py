@@ -9,9 +9,10 @@ Choice ``c`` is bound to:
   ordered by the smaller pair member);
 * the receiver's n-qubit reveal state, generated by a Hadamard on
   qubit 1 followed by CNOTs fanning out from qubit 1;
-* a complete (2n+1)-qubit measurement basis whose first ``2^n`` vectors
-  are the products "set element (x) reveal state" -- the valid outcomes
-  that make an honest reveal deterministically verifiable.
+* a (2n+1)-qubit reveal measurement onto the ``2^n`` products
+  "set element (x) reveal state" -- the valid outcomes that make an honest
+  reveal deterministically verifiable -- plus one reject outcome for
+  everything orthogonal to them.
 
 Distinct nonzero masks guarantee the concealment structure: every element
 of one set overlaps exactly two elements of every other set, each with
@@ -35,7 +36,6 @@ from .quantum import (
     MeasurementBasis,
     StateVector,
     apply_gate,
-    complete_basis,
     equal_superposition_pair,
     index_to_bits,
     inner,
@@ -169,15 +169,14 @@ def bob_reveal_state(params: SchemeParams, choice: int) -> RevealState:
 class RevealAgreement:
     """The full initial agreement: sets, reveal states, and reveal bases.
 
-    ``bases[c]`` is the complete (2n+1)-qubit measurement basis for choice
-    ``c``; its first ``2^n`` vectors are ``valid_products[c]`` (element k
-    of set c tensored with reveal state c) and are the valid outcomes.
+    ``bases[c]`` is the (2n+1)-qubit reveal measurement for choice ``c``:
+    2^n valid products + reject. Row ``k`` is element k of set c tensored
+    with reveal state c (valid outcome ``k``); outcome ``2^n`` rejects.
     """
 
     params: SchemeParams
     sets: tuple[CommitmentSet, ...]
     reveal_states: tuple[RevealState, ...]
-    valid_products: tuple[tuple[StateVector, ...], ...]
     bases: tuple[MeasurementBasis, ...]
 
     @property
@@ -186,17 +185,19 @@ class RevealAgreement:
 
 
 def build_reveal_agreement(params: SchemeParams) -> RevealAgreement:
-    """Construct sets, reveal states, valid products, and completed bases."""
+    """Construct sets, reveal states, and the reveal measurements."""
     sets = tuple(build_sets(params))
     reveal_states = tuple(bob_reveal_state(params, c) for c in range(params.num_choices))
     dimension = 2 ** (2 * params.num_bob_qubits + 1)
-    products = []
-    bases = []
-    for c in range(params.num_choices):
-        valid = tuple(tensor(e, reveal_states[c].state) for e in sets[c].elements)
-        products.append(valid)
-        bases.append(complete_basis(valid, dimension))
-    return RevealAgreement(params, sets, reveal_states, tuple(products), tuple(bases))
+    bases = tuple(
+        MeasurementBasis(
+            dimension,
+            np.array([tensor(e, reveal_states[c].state).amplitudes for e in sets[c].elements]),
+            frozenset(range(params.num_choices)),
+        )
+        for c in range(params.num_choices)
+    )
+    return RevealAgreement(params, sets, reveal_states, bases)
 
 
 @dataclass(frozen=True)
@@ -383,16 +384,15 @@ def audit_scheme(params: SchemeParams) -> list[AuditCheck]:
     record("odd-z-masks-not-eigenoperators", odd_ok)
 
     # all valid products across all choices pairwise orthogonal
-    stacked = np.array(
-        [p.amplitudes for per_choice in agreement.valid_products for p in per_choice]
-    )
+    stacked = np.concatenate([b.vectors for b in agreement.bases])
     gram = stacked @ stacked.conj().T
     err = np.abs(gram - np.eye(len(stacked))).max()
     record("valid-products-orthogonal", err <= ATOL, f"max |gram - I| = {err:.2e}")
 
-    # completed bases carry the right valid-outcome sets
+    # each reveal measurement is the 2^n valid products (+ reject)
+    shape = (count, 2 ** (2 * n + 1))
     bases_ok = all(
-        b.valid_outcomes == frozenset(range(count)) and b.dimension == 2 ** (2 * n + 1)
+        b.valid_outcomes == frozenset(range(count)) and b.vectors.shape == shape
         for b in agreement.bases
     )
     record("reveal-bases-complete", bases_ok)

@@ -8,7 +8,8 @@ Alice commits one element of the set bound to her choice (or, in the
 reduced-qubit variant, the computational basis state bound to it); Bob
 records a classical guess; Alice reveals the choice (honestly or not)
 plus the parent-set indicator; Bob couples his reveal state and measures
-in the agreed basis, accepting only valid outcomes.
+onto the 2^n valid products of the revealed choice plus one reject
+outcome, accepting only valid outcomes.
 
 Messages travel as newline-delimited JSON frames. The quantum channel is
 simulated by serializing the full amplitude vector into the commit frame;
@@ -222,6 +223,13 @@ class AlicePrivate:
 
 @dataclass(frozen=True)
 class VerificationResult:
+    """Bob's measurement outcome and what it decided.
+
+    For parent B, ``outcome_index`` k < 2^n is valid product k and
+    ``outcome_index == 2^n`` a rejection outside every valid product; for
+    parent S it is the computational-basis outcome of the held state.
+    """
+
     accepted: bool
     outcome_index: int
     recovered_element: int | None
@@ -322,7 +330,8 @@ def bob_verify(state: SessionState, *, rng) -> tuple[SessionState, Verdict, Veri
     """Couple, measure, and accept iff the outcome is a valid product.
 
     Parent B: Bob generates the reveal state for the revealed choice,
-    tensors it onto the held state, and measures in the agreed basis.
+    tensors it onto the held state, and measures onto the 2^n valid
+    products of that choice plus one reject outcome.
     Parent S: Bob measures the held state in the computational basis and
     accepts only the outcome bound to the revealed choice.
     """
@@ -368,9 +377,18 @@ class BobScript:
     guess: int | None = None
 
 
+#: The phase an endpoint must be in to take a frame of each kind.
+_RECEIVED_IN = {Commit: Phase.INIT, Guess: Phase.COMMITTED,
+                Reveal: Phase.GUESSED, Verdict: Phase.REVEALED}
+
+
 def _receive(endpoint, frame: bytes, kind: type) -> Message:
     """Decode a frame that must carry a ``kind`` message of this agreement,
-    with any choice it names in range."""
+    with any choice it names in range; PhaseError, before anything is
+    decoded or recorded, unless the endpoint is in the phase that takes it."""
+    phase = Phase.INIT if endpoint.state is None else endpoint.state.phase
+    if phase is not _RECEIVED_IN[kind]:
+        raise PhaseError(f"a {kind.__name__.lower()} frame is out of phase in {phase.value}")
     message = decode_message(frame, endpoint.scheme_hash)
     if not isinstance(message, kind):
         raise FramingError(f"expected a {kind.__name__.lower()} frame")
@@ -393,6 +411,8 @@ class AliceEndpoint:
         self.verdict: Verdict | None = None
 
     def commit_frame(self) -> bytes:
+        if self.state is not None:
+            raise PhaseError(f"already committed, session is in {self.state.phase.value}")
         choice = self.script.choice
         if choice is None:
             choice = int(self.rng.integers(self.agreement.params.num_choices))
@@ -459,7 +479,6 @@ class BobEndpoint:
     def handle_reveal(self, frame: bytes) -> bytes:
         message = _receive(self, frame, Reveal)
         self.frames.append(frame)
-        _require_phase(self.state, Phase.GUESSED)
         self.state.revealed = message
         self.state.transcript.append(message)
         self.state.phase = Phase.REVEALED
@@ -545,6 +564,23 @@ def _run_tcp_loopback(alice: AliceEndpoint, bob: BobEndpoint) -> SessionResult:
     return SessionResult(tuple(bob.frames), alice.verdict, bob.result)
 
 
+def frame_limit(params: SchemeParams) -> int:
+    """Longest line, newline included, that an endpoint reads from a socket:
+    128 bytes per commit amplitude (a full-precision one takes at most 51)
+    plus 1024 for the other fields."""
+    return 128 * 2**params.num_alice_qubits + 1024
+
+
+def _read_frame(endpoint, reader) -> bytes:
+    """One frame line, refused with FramingError once it reaches the frame
+    limit without its newline, so a peer cannot stream an endless line."""
+    limit = frame_limit(endpoint.agreement.params)
+    line = reader.readline(limit)
+    if len(line) == limit and not line.endswith(b"\n"):
+        raise FramingError(f"frame line exceeds {limit} bytes")
+    return line
+
+
 def serve_session(bob: BobEndpoint, listener: socket.socket) -> VerificationResult:
     """Accept one connection on ``listener`` and run the verifier side."""
     with listener:
@@ -554,12 +590,12 @@ def serve_session(bob: BobEndpoint, listener: socket.socket) -> VerificationResu
         with conn, conn.makefile("rb") as reader, conn.makefile("wb") as writer:
             writer.write(hello_frame(bob.scheme_hash))
             writer.flush()
-            peer_hash = parse_hello(reader.readline())
+            peer_hash = parse_hello(_read_frame(bob, reader))
             if peer_hash != bob.scheme_hash:
                 raise HandshakeError("scheme descriptor hashes differ")
-            writer.write(bob.handle_commit(reader.readline()))
+            writer.write(bob.handle_commit(_read_frame(bob, reader)))
             writer.flush()
-            writer.write(bob.handle_reveal(reader.readline()))
+            writer.write(bob.handle_reveal(_read_frame(bob, reader)))
             writer.flush()
     return bob.result
 
@@ -570,15 +606,15 @@ def connect_session(alice: AliceEndpoint, host: str, port: int) -> Verdict:
         with conn.makefile("rb") as reader, conn.makefile("wb") as writer:
             writer.write(hello_frame(alice.scheme_hash))
             writer.flush()
-            peer_hash = parse_hello(reader.readline())
+            peer_hash = parse_hello(_read_frame(alice, reader))
             if peer_hash != alice.scheme_hash:
                 raise HandshakeError("scheme descriptor hashes differ")
             writer.write(alice.commit_frame())
             writer.flush()
-            reveal = alice.handle_guess(reader.readline())
+            reveal = alice.handle_guess(_read_frame(alice, reader))
             writer.write(reveal)
             writer.flush()
-            return alice.handle_verdict(reader.readline())
+            return alice.handle_verdict(_read_frame(alice, reader))
 
 
 def write_transcript(path, frames) -> None:

@@ -64,7 +64,7 @@ def test_criterion_1_table_reproduction():
                     agreement.sets[c].elements[k].amplitudes - element.amplitudes
                 ).max(),
                 np.abs(
-                    agreement.valid_products[c][k].amplitudes - product.amplitudes
+                    agreement.bases[c].vectors[k] - product.amplitudes
                 ).max(),
             )
     elapsed = time.perf_counter() - start

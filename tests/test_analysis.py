@@ -74,16 +74,15 @@ def jacobi_eigenvalues(matrix, sweeps=60):
 
 def acceptance_by_inner_products(agreement, held, claimed):
     """Oracle: sum of |<valid product|held (x) G_claimed>|^2 without using
-    born_distribution or the completed basis."""
+    born_distribution."""
     product = tensor(held, agreement.reveal_states[claimed].state)
-    return sum(
-        abs(inner(v, product)) ** 2 for v in agreement.valid_products[claimed]
-    )
+    basis = agreement.bases[claimed]
+    return sum(abs(inner(basis.vector(k), product)) ** 2 for k in sorted(basis.valid_outcomes))
 
 
 def acceptance_by_born_distribution(agreement, held, claimed):
-    """Oracle: Born distribution of held (x) G_claimed on the completed
-    (2n+1)-qubit basis of the claimed choice, summed over valid outcomes."""
+    """Oracle: Born distribution of held (x) G_claimed on the reveal
+    measurement of the claimed choice, summed over valid outcomes."""
     basis = agreement.bases[claimed]
     product = tensor(held, agreement.reveal_states[claimed].state)
     return born_distribution(product, basis)[sorted(basis.valid_outcomes)].sum()

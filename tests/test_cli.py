@@ -21,7 +21,7 @@ from qbcsim.cli import (
     resolve_params,
 )
 from qbcsim.scheme import PRESET_PAPER_COINTOSS, SchemeParams, scheme_hash
-from qbcsim.session import hello_frame
+from qbcsim.session import frame_limit, hello_frame
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -101,7 +101,10 @@ def test_cointoss_cheat_rejected_about_half_the_time(tmp_path):
     for seed in seeds:
         out = io.StringIO()
         cmd_cointoss(run_config(seed=seed, script=script), out)
-        rejected += "Verdict: rejected" in out.getvalue()
+        text = out.getvalue()
+        # a rejection lands on the reject outcome 2^n, which is no valid product
+        rejected += "Verdict: rejected, outcome 2 -> outside every valid product\n" in text
+        assert ("Verdict: rejected" in text) == ("outside every valid product" in text)
     # deterministic given the fixed seed range; band is 3 sigma around 1/2
     assert abs(rejected / len(seeds) - 0.5) <= 3 * (0.25 / len(seeds)) ** 0.5
 
@@ -260,6 +263,22 @@ def test_session_subcommand_handshake_mismatch(tmp_path):
 
 
 def test_session_subcommand_bad_frame_exits_2():
+    digest = scheme_hash(SchemeParams.paper_cointoss())
+    garbage = '{"v":1,"kind":"commit","scheme_hash":"%s","state":42}\n' % digest
+    assert _bob_last_line_after(garbage.encode()).startswith("session aborted: FramingError")
+
+
+def test_session_subcommand_over_limit_frame_exits_2():
+    # an unterminated line one byte over the frame limit
+    limit = frame_limit(SchemeParams.paper_cointoss())
+    last = _bob_last_line_after(b"{" * (limit + 1))
+    assert last == f"session aborted: FramingError: frame line exceeds {limit} bytes"
+
+
+def _bob_last_line_after(frame: bytes) -> str:
+    """Run ``qbcsim session --role bob``, send a hello and then ``frame``
+    from a raw socket; check that bob exits 2 without a traceback and
+    return the last line it printed."""
     bob_proc = subprocess.Popen(
         [
             sys.executable, "-m", "qbcsim.cli", "session",
@@ -275,10 +294,9 @@ def test_session_subcommand_bad_frame_exits_2():
     with socket.create_connection(("127.0.0.1", port), timeout=30) as conn:
         reader = conn.makefile("rb")
         reader.readline()  # bob's hello
-        garbage = '{"v":1,"kind":"commit","scheme_hash":"%s","state":42}\n' % digest
-        conn.sendall(hello_frame(digest) + garbage.encode())
+        conn.sendall(hello_frame(digest) + frame)
         bob_out, bob_err = bob_proc.communicate(timeout=30)
         reader.close()
     assert bob_proc.returncode == 2
     assert "Traceback" not in bob_err
-    assert bob_out.splitlines()[-1].startswith("session aborted: FramingError")
+    return bob_out.splitlines()[-1]

@@ -14,7 +14,6 @@ from qbcsim.quantum import (
     as_generator,
     bits_to_index,
     born_distribution,
-    complete_basis,
     computational_basis,
     equal_superposition_pair,
     hermitian_eig,
@@ -228,42 +227,32 @@ def test_measurement_basis_validation():
     assert basis.vector(2).amplitudes[2] == 1.0
 
 
-def test_complete_basis_keeps_seeds_first_and_is_deterministic():
-    seeds = [equal_superposition_pair("00", "01"), equal_superposition_pair("10", "11")]
-    basis = complete_basis(seeds, 4)
-    again = complete_basis(seeds, 4)
-    assert np.array_equal(basis.vectors, again.vectors)
-    assert_allclose(basis.vectors[0], seeds[0].amplitudes, atol=1e-15)
-    assert_allclose(basis.vectors[1], seeds[1].amplitudes, atol=1e-15)
-    gram = basis.vectors @ basis.vectors.conj().T
-    assert_allclose(gram, np.eye(4), atol=1e-12)
-    assert basis.valid_outcomes == frozenset({0, 1})
-
-
-def test_complete_basis_from_empty_gives_identity():
-    basis = complete_basis([], 4)
-    assert_allclose(basis.vectors, np.eye(4), atol=1e-15)
-    assert basis.valid_outcomes == frozenset()
-
-
-def test_complete_basis_rejects_bad_seeds():
+def test_partial_basis_measures_rows_plus_complement():
+    rows = [equal_superposition_pair("00", "01"), equal_superposition_pair("10", "11")]
+    rows = np.array([r.amplitudes for r in reversed(rows)])
+    basis = MeasurementBasis(4, rows, frozenset({0, 1}))
+    assert np.array_equal(basis.vectors, rows)  # rows kept in the given order
+    assert basis.vector(0) == equal_superposition_pair("10", "11")
     with pytest.raises(ValueError, match="orthonormal"):
-        complete_basis(
-            [make_basis_state("00"), equal_superposition_pair("00", "11")], 4
+        MeasurementBasis(
+            4, [make_basis_state("00").amplitudes, equal_superposition_pair("00", "11").amplitudes],
+            frozenset(),
         )
     with pytest.raises(ValueError):
-        complete_basis([make_basis_state("0")], 4)  # length mismatch
-
-
-def test_complete_basis_random_seeds_property():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        dim = 8
-        raw = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
-        ortho, _ = np.linalg.qr(raw.T)
-        basis = complete_basis(ortho.T[:3], dim)
-        gram = basis.vectors @ basis.vectors.conj().T
-        assert_allclose(gram, np.eye(dim), atol=1e-10)
+        MeasurementBasis(4, [make_basis_state("0").amplitudes], frozenset())  # row length
+    with pytest.raises(ValueError, match="out of range"):
+        MeasurementBasis(4, rows, frozenset({2}))  # outcome 2 is the complement, not a row
+    # (|00> + |10>)/sqrt(2): mass 1/4 on each row, 1/2 outside both
+    state = equal_superposition_pair("00", "10")
+    probs = born_distribution(state, basis)
+    assert probs.shape == (3,)
+    assert_allclose(probs, [0.25, 0.25, 0.5], atol=1e-15)
+    assert_allclose(born_distribution(make_basis_state("11"), basis), [0.5, 0.0, 0.5], atol=1e-15)
+    outcomes = {measure(state, basis, seed) for seed in range(40)}
+    assert outcomes == {0, 1, 2}
+    assert all(measure(equal_superposition_pair("00", "01"), basis, s) == 1 for s in range(5))
+    # a complete basis gets no complement entry
+    assert born_distribution(state, computational_basis(4)).shape == (4,)
 
 
 def test_as_generator():

@@ -89,7 +89,7 @@ def test_valid_products_match_golden_files(cointoss_agreement):
     for c in range(2):
         for k in range(2):
             expected = load_golden(f"cointoss_product{c}_elem{k}")
-            got = cointoss_agreement.valid_products[c][k]
+            got = cointoss_agreement.bases[c].vector(k)
             assert_allclose(got.amplitudes, expected.amplitudes, atol=1e-12)
 
 
@@ -117,17 +117,22 @@ def test_reveal_states_cointoss_preset(cointoss_agreement):
 
 
 def test_agreement_basis_shape(agreements):
+    # each reveal measurement is the 2^n valid products (+ reject), row k
+    # being element k of set c tensored with reveal state c
     for n, agreement in agreements.items():
         count = 2**n
         dim = 2 ** (2 * n + 1)
+        sets = build_sets(agreement.params)
         assert len(agreement.bases) == count
         for c, basis in enumerate(agreement.bases):
             assert basis.dimension == dim
+            assert basis.vectors.shape == (count, dim)
             assert basis.valid_outcomes == frozenset(range(count))
+            reveal = bob_reveal_state(agreement.params, c).state
             for k in range(count):
                 assert_allclose(
                     basis.vectors[k],
-                    agreement.valid_products[c][k].amplitudes,
+                    tensor(sets[c].elements[k], reveal).amplitudes,
                     atol=1e-15,
                 )
 
@@ -235,7 +240,7 @@ def test_scheme_hash_ignores_preset_name():
 
 
 def test_honest_products_are_distinguishable(cointoss_agreement):
-    # every valid product lands on its own basis vector with probability 1
+    # every valid product lands on its own outcome with probability 1
     from qbcsim.quantum import born_distribution
 
     for c in range(2):

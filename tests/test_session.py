@@ -1,11 +1,13 @@
 """Tests for the protocol state machine, wire format, and transports."""
 
 import json
+import socket
+import threading
 
 import numpy as np
 import pytest
 
-from qbcsim.quantum import make_basis_state
+from qbcsim.quantum import make_basis_state, random_state
 from qbcsim.scheme import SchemeParams, build_reveal_agreement, scheme_hash
 from qbcsim.session import (
     PARENT_S,
@@ -32,7 +34,10 @@ from qbcsim.session import (
     bob_verify,
     decode_message,
     encode_message,
+    frame_limit,
+    hello_frame,
     run_session,
+    serve_session,
     session_rngs,
     write_transcript,
 )
@@ -194,6 +199,9 @@ def test_cheating_reveal_accepted_half_the_time(cointoss_agreement):
         state, _, result = bob_verify(state, rng=rng)
         accepted += result.accepted
         assert state.phase in (Phase.VERIFIED, Phase.REJECTED)
+        # outcomes 0..2^n - 1 are the valid products, 2^n the reject outcome
+        expected = result.recovered_element if result.accepted else 2
+        assert result.outcome_index == expected
     sigma = np.sqrt(0.25 / trials)
     assert abs(accepted / trials - 0.5) <= 3 * sigma
 
@@ -244,6 +252,99 @@ def test_out_of_range_choice_frames_are_wire_errors(cointoss_agreement):
         with pytest.raises(ChoiceRangeError):
             alice.handle_guess(encode_message(Guess(choice), digest))
         assert alice.state.phase is Phase.COMMITTED
+
+
+def test_endpoint_handlers_check_phase_first(cointoss_agreement):
+    agreement = cointoss_agreement
+    digest = scheme_hash(agreement.params)
+
+    def snapshot(endpoint):
+        phase = None if endpoint.state is None else endpoint.state.phase
+        outcome = endpoint.result if isinstance(endpoint, BobEndpoint) else endpoint.verdict
+        return list(endpoint.frames), outcome, phase
+
+    def refused(endpoint, handler, frame):
+        before = snapshot(endpoint)
+        with pytest.raises(PhaseError):
+            handler(frame)
+        assert snapshot(endpoint) == before
+
+    # frames that need a commitment, before any commit
+    bob = BobEndpoint(agreement, BobScript(guess=0), 2)
+    refused(bob, bob.handle_reveal, encode_message(Reveal(0), digest))
+    alice = AliceEndpoint(agreement, AliceScript(choice=0, element=0), 1)
+    refused(alice, alice.handle_guess, encode_message(Guess(0), digest))
+    refused(alice, alice.handle_verdict, encode_message(Verdict(True, 0), digest))
+    assert alice.frames == bob.frames == [] and alice.state is bob.state is None
+
+    # a second commit frame does not restart Bob's session
+    first = alice.commit_frame()
+    bob.handle_commit(first)
+    refused(bob, bob.handle_commit, first)
+    assert bob.state.phase is Phase.GUESSED and len(bob.frames) == 2
+    with pytest.raises(PhaseError):
+        alice.commit_frame()
+    assert len(alice.frames) == 1 and alice.state.phase is Phase.COMMITTED
+
+    # after the verdict, a second reveal or verdict changes nothing
+    reveal = alice.handle_guess(bob.frames[1])
+    alice.handle_verdict(bob.handle_reveal(reveal))
+    assert alice.verdict.accepted and alice.state.phase is Phase.VERIFIED
+    refused(bob, bob.handle_reveal, reveal)
+    refused(alice, alice.handle_verdict, encode_message(Verdict(False, None), digest))
+    assert len(bob.frames) == len(alice.frames) == 4
+    assert alice.verdict.accepted and alice.state.phase is Phase.VERIFIED
+    assert bob.result.accepted and bob.state.phase is Phase.VERIFIED
+
+
+def test_frame_limit_fits_every_frame(agreements):
+    rng = np.random.default_rng(3)
+    for n, agreement in agreements.items():
+        limit = frame_limit(agreement.params)
+        digest = scheme_hash(agreement.params)
+        longest = len(encode_message(Commit(random_state(n + 1, rng)), digest))
+        for choice in range(agreement.num_choices):
+            for alice in (
+                AliceScript(choice=choice),
+                AliceScript(choice=choice, reveal_choice=(choice + 1) % agreement.num_choices),
+                AliceScript(choice=choice, parent=PARENT_S),
+            ):
+                result = run_session(agreement, alice, BobScript(), seed=choice)
+                longest = max(longest, *map(len, result.transcript))
+        assert longest < limit, (n, longest, limit)
+
+
+def _serve_raw_peer(bob, payload: bytes) -> Exception:
+    """Run ``serve_session`` for a raw-socket peer that sends ``payload``
+    and stops writing; return what the verifier raised."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    errors = []
+
+    def serve():
+        try:
+            serve_session(bob, listener)
+        except Exception as exc:
+            errors.append(exc)
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    with socket.create_connection(listener.getsockname(), timeout=30) as conn:
+        conn.sendall(payload)
+        conn.shutdown(socket.SHUT_WR)
+        thread.join(timeout=30)
+    assert not thread.is_alive() and len(errors) == 1
+    return errors[0]
+
+
+def test_unterminated_frame_over_limit_is_framing_error(cointoss_agreement):
+    hello = hello_frame(scheme_hash(cointoss_agreement.params))
+    limit = frame_limit(cointoss_agreement.params)
+    bob = BobEndpoint(cointoss_agreement, BobScript(), 0)
+    assert isinstance(_serve_raw_peer(bob, hello + b"{" * (limit + 1)), FramingError)
+    assert bob.frames == [] and bob.state is None
+    # a hello cut short is still a handshake failure
+    bob = BobEndpoint(cointoss_agreement, BobScript(), 0)
+    assert isinstance(_serve_raw_peer(bob, hello[:20]), HandshakeError)
 
 
 def test_run_session_transport_equivalence(cointoss_agreement):
