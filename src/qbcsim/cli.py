@@ -12,8 +12,10 @@ Subcommands:
   reveal is accepted, 1 when it is rejected, and 2 on a failed handshake
   or a malformed or out-of-phase frame.
 
-All randomness flows from --seed (default 0); identical invocations
-produce byte-identical output. No environment variables are read.
+Usage errors exit with code 2; so do scheme flags that name no valid
+scheme, which ``audit`` instead reports as a failed check. All
+randomness flows from --seed (default 0); identical invocations produce
+byte-identical output. No environment variables are read.
 """
 
 from __future__ import annotations
@@ -22,13 +24,13 @@ import argparse
 import json
 import socket
 import sys
-from dataclasses import dataclass
 
 from .analysis import run_full_analysis
 from .quantum import ket_string
 from .scheme import (
     PRESET_DEFAULT_MASKS,
     PRESET_PAPER_COINTOSS,
+    RevealAgreement,
     SchemeParams,
     audit_scheme,
     build_reveal_agreement,
@@ -60,30 +62,24 @@ from .session import (
 COIN_NAMES = ("head", "tail")
 
 
-@dataclass
-class RunConfig:
-    """Parsed invocation; every field explicit, nothing from the environment."""
-
-    subcommand: str
-    n: int = 1
-    preset: str | None = None
-    masks: tuple[int, ...] | None = None
-    seed: int = 0
-    trials: int = 0
-    out: str | None = None
-    json_out: bool = False
-    role: str | None = None
-    port: int = 0
-    script: str | None = None
-
-
-def resolve_params(config: RunConfig) -> SchemeParams:
+def resolve_params(args: argparse.Namespace) -> SchemeParams:
     """Mask list wins over preset; bare --n falls back to default masks."""
-    if config.masks is not None:
-        return SchemeParams(config.n, config.masks)
-    if config.preset == PRESET_PAPER_COINTOSS:
+    if args.masks is not None:
+        return SchemeParams(args.n, args.masks)
+    if args.preset == PRESET_PAPER_COINTOSS:
         return SchemeParams.paper_cointoss()
-    return SchemeParams.default(config.n)
+    return SchemeParams.default(args.n)
+
+
+def _agreement(args: argparse.Namespace) -> RevealAgreement:
+    """The agreement the scheme flags name. Flags that name none are a usage
+    error, reported as argparse reports one: a line on stderr, exit code 2."""
+    try:
+        params = resolve_params(args)
+    except ValueError as exc:
+        print(f"qbcsim: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+    return build_reveal_agreement(params)
 
 
 def _parse_coin(token: str) -> int:
@@ -110,12 +106,12 @@ def parse_moves(lines) -> dict:
 # --- cointoss --------------------------------------------------------------
 
 
-def cmd_cointoss(config: RunConfig, out=None) -> int:
+def cmd_cointoss(args: argparse.Namespace, out=None) -> int:
     out = out or sys.stdout
     params = SchemeParams.paper_cointoss()
     agreement = build_reveal_agreement(params)
-    if config.script:
-        with open(config.script) as fh:
+    if args.script:
+        with open(args.script) as fh:
             moves = parse_moves(fh)
     else:
         moves = {
@@ -136,10 +132,10 @@ def cmd_cointoss(config: RunConfig, out=None) -> int:
         print(f"bad script: {exc}", file=out)
         return 2
 
-    print(f"scheme n=1 preset={PRESET_PAPER_COINTOSS} seed={config.seed}", file=out)
+    print(f"scheme n=1 preset={PRESET_PAPER_COINTOSS} seed={args.seed}", file=out)
     alice = AliceScript(choice=toss, element=element, reveal_choice=reveal_choice)
     bob = BobScript(guess=guess)
-    result = run_session(agreement, alice, bob, config.seed)
+    result = run_session(agreement, alice, bob, args.seed)
     for frame in result.transcript:
         message = decode_message(frame)
         if isinstance(message, Commit):
@@ -164,8 +160,8 @@ def cmd_cointoss(config: RunConfig, out=None) -> int:
     revealed = _revealed(result)
     bob_wins = result.verdict.accepted and guess == revealed
     print(f"Bob wins: {'yes' if bob_wins else 'no'}", file=out)
-    if config.out:
-        write_transcript(config.out, result.transcript)
+    if args.out:
+        write_transcript(args.out, result.transcript)
     return 0
 
 
@@ -180,10 +176,10 @@ def _revealed(result) -> int:
 # --- audit ------------------------------------------------------------------
 
 
-def cmd_audit(config: RunConfig, out=None) -> int:
+def cmd_audit(args: argparse.Namespace, out=None) -> int:
     out = out or sys.stdout
     try:
-        params = resolve_params(config)
+        params = resolve_params(args)
     except ValueError as exc:
         print(f"check mask-validity: fail ({exc})", file=out)
         print("result: fail", file=out)
@@ -256,17 +252,16 @@ def _render_report(report: dict, out) -> None:
         print(line, file=out)
 
 
-def cmd_analyze(config: RunConfig, out=None) -> int:
+def cmd_analyze(args: argparse.Namespace, out=None) -> int:
     out = out or sys.stdout
-    params = resolve_params(config)
-    agreement = build_reveal_agreement(params)
-    report = run_full_analysis(agreement, config.trials, config.seed)
-    if config.json_out:
+    agreement = _agreement(args)
+    report = run_full_analysis(agreement, args.trials, args.seed)
+    if args.json_out:
         print(json.dumps(report, sort_keys=True, indent=2), file=out)
     else:
         _render_report(report, out)
-    if config.out:
-        with open(config.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             json.dump(report, fh, sort_keys=True, indent=2)
             fh.write("\n")
     failed = []
@@ -306,20 +301,19 @@ def _session_scripts(moves: dict) -> tuple[AliceScript, BobScript]:
     return alice, bob
 
 
-def cmd_session(config: RunConfig, out=None) -> int:
+def cmd_session(args: argparse.Namespace, out=None) -> int:
     out = out or sys.stdout
-    params = resolve_params(config)
-    agreement = build_reveal_agreement(params)
+    agreement = _agreement(args)
     moves = {}
-    if config.script:
-        with open(config.script) as fh:
+    if args.script:
+        with open(args.script) as fh:
             moves = parse_moves(fh)
     alice_script, bob_script = _session_scripts(moves)
-    alice_rng, bob_rng = session_rngs(config.seed)
+    alice_rng, bob_rng = session_rngs(args.seed)
     try:
-        if config.role == "bob":
+        if args.role == "bob":
             endpoint = BobEndpoint(agreement, bob_script, bob_rng)
-            listener = socket.create_server(("127.0.0.1", config.port))
+            listener = socket.create_server(("127.0.0.1", args.port))
             print(f"listening port={listener.getsockname()[1]}", file=out, flush=True)
             result = serve_session(endpoint, listener)
             print(
@@ -332,7 +326,7 @@ def cmd_session(config: RunConfig, out=None) -> int:
             exit_code = 0 if result.accepted else 1
         else:
             endpoint = AliceEndpoint(agreement, alice_script, alice_rng)
-            verdict = connect_session(endpoint, "127.0.0.1", config.port)
+            verdict = connect_session(endpoint, "127.0.0.1", args.port)
             print(
                 f"verdict: {'accepted' if verdict.accepted else 'rejected'}"
                 f" recovered={verdict.recovered_element}",
@@ -346,12 +340,16 @@ def cmd_session(config: RunConfig, out=None) -> int:
     except (WireError, PhaseError) as exc:
         print(f"session aborted: {type(exc).__name__}: {exc}", file=out)
         return 2
-    if config.out:
-        write_transcript(config.out, frames)
+    if args.out:
+        write_transcript(args.out, frames)
     return exit_code
 
 
 # --- argument parsing ---------------------------------------------------------
+
+
+def hex_mask(token: str) -> int:
+    return int(token, 16)
 
 
 def _add_scheme_flags(parser):
@@ -364,6 +362,7 @@ def _add_scheme_flags(parser):
     parser.add_argument(
         "--masks",
         nargs="+",
+        type=hex_mask,
         help="explicit pairing masks as hex (overrides --preset)",
     )
 
@@ -401,35 +400,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args) -> RunConfig:
-    masks = None
-    if getattr(args, "masks", None):
-        masks = tuple(int(tok, 16) for tok in args.masks)
-    return RunConfig(
-        subcommand=args.subcommand,
-        n=getattr(args, "n", 1),
-        preset=getattr(args, "preset", None),
-        masks=masks,
-        seed=args.seed,
-        trials=getattr(args, "trials", 0),
-        out=getattr(args, "out", None),
-        json_out=getattr(args, "json_out", False),
-        role=getattr(args, "role", None),
-        port=getattr(args, "port", 0),
-        script=getattr(args, "script", None),
-    )
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = config_from_args(args)
     handlers = {
         "cointoss": cmd_cointoss,
         "audit": cmd_audit,
         "analyze": cmd_analyze,
         "session": cmd_session,
     }
-    return handlers[config.subcommand](config)
+    return handlers[args.subcommand](args)
 
 
 if __name__ == "__main__":

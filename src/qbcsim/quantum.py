@@ -323,9 +323,10 @@ def state_from_text(text: str) -> StateVector:
     except ValueError:
         raise ValueError("malformed qubit count in header") from None
     body = lines[1:]
-    if len(body) != 2**n:
-        raise ValueError(f"expected {2**n} amplitude lines, found {len(body)}")
-    amps = np.empty(2**n, dtype=complex)
+    # n is compared with the line count before 2**n is formed: a huge n costs nothing
+    if n != len(body).bit_length() - 1 or len(body) != 2**n:
+        raise ValueError(f"header says {n} qubits, found {len(body)} amplitude lines")
+    amps = np.empty(len(body), dtype=complex)
     for i, line in enumerate(body):
         parts = line.split()
         if len(parts) != 2:

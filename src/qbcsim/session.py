@@ -17,10 +17,11 @@ a physical run would transmit qubits instead. The commit frame carries no
 choice, element, or parent fields -- those appear on the wire only from
 the reveal frame onward.
 
-Sessions are reproducible: a session seed is spawned into one RNG stream
-per party (alice - child 0, bob - child 1), so the in-process driver, the
-TCP loopback driver, and two separate processes given the same seed all
-emit byte-identical transcripts.
+One driver runs the handshake and the protocol steps, in the calling
+thread, for whichever endpoints run in this process, over in-memory
+queues or a socket. A session seed is spawned into one RNG stream per
+party (alice - child 0, bob - child 1), so in-process, TCP loopback and
+two-process sessions given the same seed emit byte-identical transcripts.
 """
 
 from __future__ import annotations
@@ -28,8 +29,11 @@ from __future__ import annotations
 import enum
 import json
 import socket
-import threading
+from collections import deque
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -163,7 +167,7 @@ def decode_message(data: bytes, expected_scheme_hash: str | None = None) -> Mess
     """
     try:
         frame = json.loads(data.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, or an integer past Python's digit limit
         raise FramingError(f"frame is not a JSON line: {exc}") from None
     if not isinstance(frame, dict) or "kind" not in frame or "v" not in frame:
         raise FramingError("frame lacks 'v' or 'kind'")
@@ -235,26 +239,39 @@ class VerificationResult:
     recovered_element: int | None
 
 
+#: Message kinds in protocol order, and the phase after 0..3 of them.
+_ORDER = (Commit, Guess, Reveal, Verdict)
+_PHASES = (Phase.INIT, Phase.COMMITTED, Phase.GUESSED, Phase.REVEALED)
+
+
 @dataclass
 class SessionState:
-    """Omniscient view of one session (both parties' knowledge)."""
+    """Omniscient view of one session (both parties' knowledge); the phase,
+    the held commitment and the reveal are read from the transcript."""
 
     agreement: RevealAgreement
-    phase: Phase = Phase.INIT
     alice_private: AlicePrivate | None = None
-    bob_held: StateVector | None = None
-    guess: int | None = None
-    revealed: Reveal | None = None
     transcript: list = field(default_factory=list)  # ordered Message list
 
     @property
-    def scheme(self) -> SchemeParams:
-        return self.agreement.params
+    def phase(self) -> Phase:
+        """Init, Committed, Guessed or Revealed after 0-3 recorded messages;
+        Verified or Rejected after the verdict."""
+        if len(self.transcript) < len(_PHASES):
+            return _PHASES[len(self.transcript)]
+        return Phase.VERIFIED if self.transcript[-1].accepted else Phase.REJECTED
 
+    def expect(self, kind: type) -> None:
+        """PhaseError unless a ``kind`` message is the next in protocol order."""
+        received = len(self.transcript)
+        if received == len(_ORDER) or _ORDER[received] is not kind:
+            raise PhaseError(f"a {kind.__name__.lower()} is out of phase in {self.phase.value}")
 
-def _require_phase(state: SessionState, expected: Phase):
-    if state.phase is not expected:
-        raise PhaseError(f"operation requires phase {expected.value}, session is in {state.phase.value}")
+    def record(self, message: Message) -> Message:
+        """Append and return ``message``, which must be the next in protocol order."""
+        self.expect(type(message))
+        self.transcript.append(message)
+        return message
 
 
 def alice_commit(
@@ -285,25 +302,15 @@ def alice_commit(
         payload = make_basis_state(index_to_bits(choice, params.num_alice_qubits))
     else:
         raise ValueError(f"unknown parent indicator {parent!r}")
-    state = SessionState(agreement)
-    state.alice_private = AlicePrivate(choice, element, parent)
-    state.bob_held = payload
-    message = Commit(payload)
-    state.transcript.append(message)
-    state.phase = Phase.COMMITTED
-    return state, message
+    state = SessionState(agreement, AlicePrivate(choice, element, parent))
+    return state, state.record(Commit(payload))
 
 
 def bob_guess(state: SessionState, guess: int) -> tuple[SessionState, Guess]:
     """Record Bob's classical guess of the committed choice."""
-    _require_phase(state, Phase.COMMITTED)
-    if not 0 <= guess < state.scheme.num_choices:
+    if not 0 <= guess < state.agreement.params.num_choices:
         raise ValueError(f"guess {guess} out of range")
-    state.guess = guess
-    message = Guess(guess)
-    state.transcript.append(message)
-    state.phase = Phase.GUESSED
-    return state, message
+    return state, state.record(Guess(guess))
 
 
 def alice_reveal(state: SessionState, claim: int | None = None) -> tuple[SessionState, Reveal]:
@@ -312,18 +319,13 @@ def alice_reveal(state: SessionState, claim: int | None = None) -> tuple[Session
     ``claim`` defaults to the honest committed choice; passing a different
     choice models a cheating reveal.
     """
-    _require_phase(state, Phase.GUESSED)
     private = state.alice_private
     if private is None:
         raise PhaseError("session has no commitment to reveal")
     choice = private.choice if claim is None else claim
-    if not 0 <= choice < state.scheme.num_choices:
+    if not 0 <= choice < state.agreement.params.num_choices:
         raise ValueError(f"claimed choice {choice} out of range")
-    message = Reveal(choice, private.parent)
-    state.revealed = message
-    state.transcript.append(message)
-    state.phase = Phase.REVEALED
-    return state, message
+    return state, state.record(Reveal(choice, private.parent))
 
 
 def bob_verify(state: SessionState, *, rng) -> tuple[SessionState, Verdict, VerificationResult]:
@@ -334,27 +336,23 @@ def bob_verify(state: SessionState, *, rng) -> tuple[SessionState, Verdict, Veri
     products of that choice plus one reject outcome.
     Parent S: Bob measures the held state in the computational basis and
     accepts only the outcome bound to the revealed choice.
+    The held state and the reveal are the transcript's commit and reveal.
     """
-    _require_phase(state, Phase.REVEALED)
-    reveal = state.revealed
+    state.expect(Verdict)
+    commit, _, reveal = state.transcript
     agreement = state.agreement
-    if state.bob_held is None:
-        raise PhaseError("no committed state held")
     if reveal.parent == PARENT_B:
         basis = agreement.bases[reveal.choice]
-        product = tensor(state.bob_held, agreement.reveal_states[reveal.choice].state)
+        product = tensor(commit.state, agreement.reveal_states[reveal.choice].state)
         outcome = measure(product, basis, rng)
         accepted = outcome in basis.valid_outcomes
     else:
-        basis = computational_basis(state.bob_held.dimension)
-        outcome = measure(state.bob_held, basis, rng)
+        basis = computational_basis(commit.state.dimension)
+        outcome = measure(commit.state, basis, rng)
         accepted = outcome == reveal.choice
     recovered = outcome if accepted else None
     result = VerificationResult(accepted, outcome, recovered)
-    message = Verdict(accepted, recovered)
-    state.transcript.append(message)
-    state.phase = Phase.VERIFIED if accepted else Phase.REJECTED
-    return state, message, result
+    return state, state.record(Verdict(accepted, recovered)), result
 
 
 # --- scripted endpoints ---------------------------------------------------
@@ -377,38 +375,50 @@ class BobScript:
     guess: int | None = None
 
 
-#: The phase an endpoint must be in to take a frame of each kind.
-_RECEIVED_IN = {Commit: Phase.INIT, Guess: Phase.COMMITTED,
-                Reveal: Phase.GUESSED, Verdict: Phase.REVEALED}
+class _Endpoint:
+    """One party's frame-level side: its session state, its RNG stream and
+    every frame it sent or received, in order."""
 
-
-def _receive(endpoint, frame: bytes, kind: type) -> Message:
-    """Decode a frame that must carry a ``kind`` message of this agreement,
-    with any choice it names in range; PhaseError, before anything is
-    decoded or recorded, unless the endpoint is in the phase that takes it."""
-    phase = Phase.INIT if endpoint.state is None else endpoint.state.phase
-    if phase is not _RECEIVED_IN[kind]:
-        raise PhaseError(f"a {kind.__name__.lower()} frame is out of phase in {phase.value}")
-    message = decode_message(frame, endpoint.scheme_hash)
-    if not isinstance(message, kind):
-        raise FramingError(f"expected a {kind.__name__.lower()} frame")
-    m = endpoint.agreement.params.num_choices
-    if isinstance(message, (Guess, Reveal)) and not 0 <= message.choice < m:
-        raise ChoiceRangeError(f"{kind.__name__.lower()} choice {message.choice} not in 0..{m - 1}")
-    return message
-
-
-class AliceEndpoint:
-    """Frame-level driver for the committing side."""
-
-    def __init__(self, agreement: RevealAgreement, script: AliceScript, rng):
+    def __init__(self, agreement: RevealAgreement, script: AliceScript | BobScript, rng):
         self.agreement = agreement
         self.script = script
         self.rng = as_generator(rng)
         self.scheme_hash = scheme_hash(agreement.params)
         self.state: SessionState | None = None
         self.frames: list[bytes] = []
-        self.verdict: Verdict | None = None
+
+    def _receive(self, frame: bytes, kind: type) -> Message:
+        """Decode and record a frame that must carry a ``kind`` message of
+        this agreement, with any choice it names in range and any commit of
+        the agreement's qubit count. PhaseError, before anything is decoded,
+        unless a ``kind`` message is next; nothing is recorded on any error."""
+        state = SessionState(self.agreement) if self.state is None else self.state
+        state.expect(kind)
+        message = decode_message(frame, self.scheme_hash)
+        if not isinstance(message, kind):
+            raise FramingError(f"expected a {kind.__name__.lower()} frame")
+        m = self.agreement.params.num_choices
+        if isinstance(message, (Guess, Reveal)) and not 0 <= message.choice < m:
+            raise ChoiceRangeError(f"{kind.__name__.lower()} choice {message.choice} not in 0..{m - 1}")
+        qubits = self.agreement.params.num_alice_qubits
+        if isinstance(message, Commit) and message.state.num_qubits != qubits:
+            raise AmplitudeCountError(
+                f"commit carries {message.state.num_qubits} qubits, agreement needs {qubits}")
+        state.record(message)
+        self.state = state
+        self.frames.append(frame)
+        return message
+
+    def _send(self, message: Message) -> bytes:
+        frame = encode_message(message, self.scheme_hash)
+        self.frames.append(frame)
+        return frame
+
+
+class AliceEndpoint(_Endpoint):
+    """Frame-level driver for the committing side."""
+
+    verdict: Verdict | None = None
 
     def commit_frame(self) -> bytes:
         if self.state is not None:
@@ -416,80 +426,40 @@ class AliceEndpoint:
         choice = self.script.choice
         if choice is None:
             choice = int(self.rng.integers(self.agreement.params.num_choices))
-        self.state, message = alice_commit(
-            self.agreement,
-            choice,
-            self.script.element,
-            rng=self.rng,
-            parent=self.script.parent,
-        )
-        frame = encode_message(message, self.scheme_hash)
-        self.frames.append(frame)
-        return frame
+        self.state, message = alice_commit(self.agreement, choice, self.script.element,
+                                           rng=self.rng, parent=self.script.parent)
+        return self._send(message)
 
     def handle_guess(self, frame: bytes) -> bytes:
-        message = _receive(self, frame, Guess)
-        self.frames.append(frame)
-        bob_guess(self.state, message.choice)
+        self._receive(frame, Guess)
         _, reveal = alice_reveal(self.state, self.script.reveal_choice)
-        out = encode_message(reveal, self.scheme_hash)
-        self.frames.append(out)
-        return out
+        return self._send(reveal)
 
     def handle_verdict(self, frame: bytes) -> Verdict:
-        message = _receive(self, frame, Verdict)
-        self.frames.append(frame)
-        self.verdict = message
-        self.state.phase = Phase.VERIFIED if message.accepted else Phase.REJECTED
-        return message
+        self.verdict = self._receive(frame, Verdict)
+        return self.verdict
 
 
-class BobEndpoint:
+class BobEndpoint(_Endpoint):
     """Frame-level driver for the verifying side."""
 
-    def __init__(self, agreement: RevealAgreement, script: BobScript, rng):
-        self.agreement = agreement
-        self.script = script
-        self.rng = as_generator(rng)
-        self.scheme_hash = scheme_hash(agreement.params)
-        self.state: SessionState | None = None
-        self.frames: list[bytes] = []
-        self.result: VerificationResult | None = None
+    result: VerificationResult | None = None
 
     def handle_commit(self, frame: bytes) -> bytes:
-        message = _receive(self, frame, Commit)
-        expected = self.agreement.params.num_alice_qubits
-        if message.state.num_qubits != expected:
-            raise AmplitudeCountError(
-                f"commit carries {message.state.num_qubits} qubits, agreement needs {expected}"
-            )
-        self.frames.append(frame)
-        self.state = SessionState(self.agreement)
-        self.state.bob_held = message.state
-        self.state.transcript.append(message)
-        self.state.phase = Phase.COMMITTED
+        self._receive(frame, Commit)
         guess = self.script.guess
         if guess is None:
             guess = int(self.rng.integers(self.agreement.params.num_choices))
-        _, guess_message = bob_guess(self.state, guess)
-        out = encode_message(guess_message, self.scheme_hash)
-        self.frames.append(out)
-        return out
+        _, message = bob_guess(self.state, guess)
+        return self._send(message)
 
     def handle_reveal(self, frame: bytes) -> bytes:
-        message = _receive(self, frame, Reveal)
-        self.frames.append(frame)
-        self.state.revealed = message
-        self.state.transcript.append(message)
-        self.state.phase = Phase.REVEALED
-        _, verdict, result = bob_verify(self.state, rng=self.rng)
-        self.result = result
-        out = encode_message(verdict, self.scheme_hash)
-        self.frames.append(out)
-        return out
+        self._receive(frame, Reveal)
+        _, verdict, self.result = bob_verify(self.state, rng=self.rng)
+        return self._send(verdict)
 
 
-# --- session drivers ------------------------------------------------------
+# --- the session driver -----------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -499,6 +469,60 @@ class SessionResult:
     transcript: tuple[bytes, ...]
     verdict: Verdict
     verification: VerificationResult | None
+
+
+class _Link(NamedTuple):
+    """One endpoint's end of a frame channel."""
+
+    send: Callable[[bytes], object]
+    read: Callable[[], bytes]
+
+
+def _drive(alice: AliceEndpoint | None = None, alice_link: _Link | None = None,
+           bob: BobEndpoint | None = None, bob_link: _Link | None = None) -> None:
+    """Run the hello exchange and then the protocol, step by step in order,
+    for the endpoints that run in this process (None for a remote peer)."""
+    local = [(end, link) for end, link in ((alice, alice_link), (bob, bob_link)) if end]
+    for endpoint, link in local:
+        link.send(hello_frame(endpoint.scheme_hash))
+    for endpoint, link in local:
+        if parse_hello(link.read()) != endpoint.scheme_hash:
+            raise HandshakeError("scheme descriptor hashes differ")
+    if alice:
+        alice_link.send(alice.commit_frame())
+    if bob:
+        bob_link.send(bob.handle_commit(bob_link.read()))
+    if alice:
+        alice_link.send(alice.handle_guess(alice_link.read()))
+    if bob:
+        bob_link.send(bob.handle_reveal(bob_link.read()))
+    if alice:
+        alice.handle_verdict(alice_link.read())
+
+
+def frame_limit(params: SchemeParams) -> int:
+    """Longest line, newline included, that an endpoint reads from a socket:
+    128 bytes per commit amplitude (a full-precision one takes at most 51)
+    plus 1024 for the other fields."""
+    return 128 * 2**params.num_alice_qubits + 1024
+
+
+@contextmanager
+def _socket_link(conn: socket.socket, endpoint: _Endpoint) -> Iterator[_Link]:
+    """A link over a connected socket, closed on exit. A line that reaches
+    the frame limit without its newline is a FramingError, so a peer cannot
+    stream an endless line."""
+    limit = frame_limit(endpoint.agreement.params)
+    with conn, conn.makefile("rb") as reader:
+        conn.settimeout(30)
+
+        def read() -> bytes:
+            line = reader.readline(limit)
+            if len(line) == limit and not line.endswith(b"\n"):
+                raise FramingError(f"frame line exceeds {limit} bytes")
+            return line
+
+        yield _Link(conn.sendall, read)
 
 
 def session_rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -516,105 +540,52 @@ def run_session(
     *,
     bob_agreement: RevealAgreement | None = None,
 ) -> SessionResult:
-    """Drive one full session over the chosen transport.
+    """Run both endpoints of one session through the driver, in the
+    calling thread.
 
-    ``transport`` is "in-process" or "tcp" (loopback socket pair inside
-    this process). ``bob_agreement`` lets tests configure a mismatched
-    verifier; the handshake then fails with HandshakeError.
+    ``transport`` is "in-process" (two frame queues) or "tcp" (a loopback
+    socket pair; frames are at most ``frame_limit`` bytes, far below a
+    socket buffer, so no send waits for a read). ``bob_agreement`` lets
+    tests configure a mismatched verifier; the handshake then fails with
+    HandshakeError.
     """
     alice_rng, bob_rng = session_rngs(seed)
     alice = AliceEndpoint(agreement, alice_script, alice_rng)
     bob = BobEndpoint(bob_agreement or agreement, bob_script, bob_rng)
     if transport == "in-process":
-        if alice.scheme_hash != bob.scheme_hash:
-            raise HandshakeError("scheme descriptor hashes differ")
-        guess = bob.handle_commit(alice.commit_frame())
-        reveal = alice.handle_guess(guess)
-        verdict_frame = bob.handle_reveal(reveal)
-        alice.handle_verdict(verdict_frame)
-        return SessionResult(tuple(bob.frames), alice.verdict, bob.result)
-    if transport == "tcp":
-        return _run_tcp_loopback(alice, bob)
-    raise ValueError(f"unknown transport {transport!r}")
-
-
-def _run_tcp_loopback(alice: AliceEndpoint, bob: BobEndpoint) -> SessionResult:
-    listener = socket.create_server(("127.0.0.1", 0))
-    port = listener.getsockname()[1]
-    bob_error: list[Exception] = []
-
-    def serve():
-        try:
-            serve_session(bob, listener)
-        except Exception as exc:  # surfaced after join
-            bob_error.append(exc)
-
-    thread = threading.Thread(target=serve)
-    thread.start()
-    alice_error = None
-    try:
-        connect_session(alice, "127.0.0.1", port)
-    except Exception as exc:
-        alice_error = exc
-    thread.join(timeout=30)
-    if bob_error:
-        raise bob_error[0]
-    if alice_error:
-        raise alice_error
+        to_alice, to_bob = deque(), deque()
+        _drive(alice, _Link(to_bob.append, to_alice.popleft),
+               bob, _Link(to_alice.append, to_bob.popleft))
+    elif transport == "tcp":
+        with (
+            socket.create_server(("127.0.0.1", 0)) as listener,
+            _socket_link(socket.create_connection(listener.getsockname(), timeout=30),
+                         alice) as alice_link,
+            _socket_link(listener.accept()[0], bob) as bob_link,
+        ):
+            _drive(alice, alice_link, bob, bob_link)
+    else:
+        raise ValueError(f"unknown transport {transport!r}")
     return SessionResult(tuple(bob.frames), alice.verdict, bob.result)
 
 
-def frame_limit(params: SchemeParams) -> int:
-    """Longest line, newline included, that an endpoint reads from a socket:
-    128 bytes per commit amplitude (a full-precision one takes at most 51)
-    plus 1024 for the other fields."""
-    return 128 * 2**params.num_alice_qubits + 1024
-
-
-def _read_frame(endpoint, reader) -> bytes:
-    """One frame line, refused with FramingError once it reaches the frame
-    limit without its newline, so a peer cannot stream an endless line."""
-    limit = frame_limit(endpoint.agreement.params)
-    line = reader.readline(limit)
-    if len(line) == limit and not line.endswith(b"\n"):
-        raise FramingError(f"frame line exceeds {limit} bytes")
-    return line
-
-
 def serve_session(bob: BobEndpoint, listener: socket.socket) -> VerificationResult:
-    """Accept one connection on ``listener`` and run the verifier side."""
+    """Accept one connection on ``listener`` and run the verifier side
+    through the session driver, the committing peer remote."""
     with listener:
         listener.settimeout(30)
         conn, _ = listener.accept()
-        conn.settimeout(30)
-        with conn, conn.makefile("rb") as reader, conn.makefile("wb") as writer:
-            writer.write(hello_frame(bob.scheme_hash))
-            writer.flush()
-            peer_hash = parse_hello(_read_frame(bob, reader))
-            if peer_hash != bob.scheme_hash:
-                raise HandshakeError("scheme descriptor hashes differ")
-            writer.write(bob.handle_commit(_read_frame(bob, reader)))
-            writer.flush()
-            writer.write(bob.handle_reveal(_read_frame(bob, reader)))
-            writer.flush()
+    with _socket_link(conn, bob) as link:
+        _drive(bob=bob, bob_link=link)
     return bob.result
 
 
 def connect_session(alice: AliceEndpoint, host: str, port: int) -> Verdict:
-    """Connect to a waiting verifier and run the committing side."""
-    with socket.create_connection((host, port), timeout=30) as conn:
-        with conn.makefile("rb") as reader, conn.makefile("wb") as writer:
-            writer.write(hello_frame(alice.scheme_hash))
-            writer.flush()
-            peer_hash = parse_hello(_read_frame(alice, reader))
-            if peer_hash != alice.scheme_hash:
-                raise HandshakeError("scheme descriptor hashes differ")
-            writer.write(alice.commit_frame())
-            writer.flush()
-            reveal = alice.handle_guess(_read_frame(alice, reader))
-            writer.write(reveal)
-            writer.flush()
-            return alice.handle_verdict(_read_frame(alice, reader))
+    """Connect to a waiting verifier and run the committing side through
+    the session driver, the verifying peer remote."""
+    with _socket_link(socket.create_connection((host, port), timeout=30), alice) as link:
+        _drive(alice=alice, alice_link=link)
+    return alice.verdict
 
 
 def write_transcript(path, frames) -> None:

@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import argparse
 import io
 import json
 import socket
@@ -10,24 +11,25 @@ from pathlib import Path
 import pytest
 
 from qbcsim.cli import (
-    RunConfig,
     build_parser,
     cmd_analyze,
     cmd_audit,
     cmd_cointoss,
-    config_from_args,
     main,
     parse_moves,
     resolve_params,
 )
-from qbcsim.scheme import PRESET_PAPER_COINTOSS, SchemeParams, scheme_hash
-from qbcsim.session import frame_limit, hello_frame
+from qbcsim.scheme import PRESET_PAPER_COINTOSS, SchemeParams, build_reveal_agreement, scheme_hash
+from qbcsim.session import AliceScript, BobScript, frame_limit, hello_frame, run_session
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_config(**kw):
-    return RunConfig(subcommand=kw.pop("subcommand", "cointoss"), **kw)
+    """The namespace ``build_parser`` yields, with every flag at its default."""
+    defaults = dict(subcommand="cointoss", n=1, preset=None, masks=None, seed=0, trials=0,
+                    out=None, json_out=False, script=None)
+    return argparse.Namespace(**{**defaults, **kw})
 
 
 def test_resolve_params_precedence():
@@ -44,14 +46,40 @@ def test_parse_moves():
         parse_moves(["not a move"])
 
 
-def test_config_from_args_round_trip():
+def test_parse_args_round_trip():
     args = build_parser().parse_args(
         ["analyze", "--n", "2", "--masks", "0x1", "0x2", "0x3", "0x4", "--seed", "7", "--trials", "10"]
     )
-    config = config_from_args(args)
-    assert config.subcommand == "analyze"
-    assert config.masks == (1, 2, 3, 4)
-    assert config.seed == 7 and config.trials == 10
+    assert args.subcommand == "analyze"
+    assert args.masks == [1, 2, 3, 4]
+    assert args.seed == 7 and args.trials == 10
+
+
+def test_usage_errors_exit_2(capsys):
+    def exit_code(argv):
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse rejects the flag itself
+            return exc.code
+
+    for argv in (
+        ["audit", "--masks", "zz"],
+        ["analyze", "--masks", "zz"],
+        ["session", "--role", "bob", "--masks", "1", "zz"],
+        ["analyze", "--n", "7"],
+        ["analyze", "--n", "1", "--masks", "1", "1"],
+        ["session", "--role", "bob", "--n", "7"],
+        ["session", "--role", "alice", "--n", "1", "--masks", "1", "1"],
+    ):
+        assert exit_code(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        last = captured.err.splitlines()[-1]
+        assert last.startswith("qbcsim") and ": error: " in last, argv
+        assert "Traceback" not in captured.err, argv
+    # masks that parse but are invalid are an audit failure, not a usage error
+    assert exit_code(["audit", "--n", "7"]) == 1
+    assert "check mask-validity: fail" in capsys.readouterr().out
 
 
 def write_moves(tmp_path, text):
@@ -233,6 +261,15 @@ def test_session_subcommand_two_processes(tmp_path):
     assert "verdict: accepted recovered=1" in alice.stdout
     assert "verdict: accepted outcome=1 recovered=1" in bob_out
     assert alice_transcript.read_bytes() == bob_transcript.read_bytes()
+    # the same session run in process, through the same driver (bare --n 1
+    # is the default-mask agreement)
+    local = run_session(
+        build_reveal_agreement(SchemeParams.default(1)),
+        AliceScript(choice=0, element=1),
+        BobScript(guess=1),
+        seed=21,
+    )
+    assert b"".join(local.transcript) == bob_transcript.read_bytes()
 
 
 def test_session_subcommand_handshake_mismatch(tmp_path):

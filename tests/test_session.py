@@ -3,9 +3,12 @@
 import json
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbcsim.quantum import make_basis_state, random_state
 from qbcsim.scheme import SchemeParams, build_reveal_agreement, scheme_hash
@@ -85,6 +88,18 @@ def test_decode_rejects_malformed_frames():
         decode_message(nan_state.encode())
     with pytest.raises(FramingError):
         decode_message(b'{"v":1,"kind":"commit","state":42}\n')
+    # an integer past Python's int-string digit limit is a framing error
+    digits = b"9" * 4400
+    with pytest.raises(FramingError):
+        decode_message(b'{"v":%s,"kind":"guess","choice":0}\n' % digits)
+    with pytest.raises(FramingError):
+        decode_message(b'{"v":1,"kind":"guess","choice":%s}\n' % digits)
+    # a huge qubit count in the header is refused before 2^n is formed
+    huge = b'{"v":1,"kind":"commit","scheme_hash":"x","state":"qubits=100000000\\n1 0\\n"}\n'
+    began = time.perf_counter()
+    with pytest.raises(AmplitudeCountError):
+        decode_message(huge)
+    assert time.perf_counter() - began < 0.5
     with pytest.raises(VersionMismatchError):
         decode_message(b'{"v":true,"kind":"guess","choice":0}\n')
     # choice and recovered must be JSON integers, accept a JSON bool: no coercion
@@ -254,14 +269,16 @@ def test_out_of_range_choice_frames_are_wire_errors(cointoss_agreement):
         assert alice.state.phase is Phase.COMMITTED
 
 
+def snapshot(endpoint):
+    """What a refused frame must leave unchanged: frames, outcome and phase."""
+    phase = None if endpoint.state is None else endpoint.state.phase
+    outcome = endpoint.result if isinstance(endpoint, BobEndpoint) else endpoint.verdict
+    return list(endpoint.frames), outcome, phase
+
+
 def test_endpoint_handlers_check_phase_first(cointoss_agreement):
     agreement = cointoss_agreement
     digest = scheme_hash(agreement.params)
-
-    def snapshot(endpoint):
-        phase = None if endpoint.state is None else endpoint.state.phase
-        outcome = endpoint.result if isinstance(endpoint, BobEndpoint) else endpoint.verdict
-        return list(endpoint.frames), outcome, phase
 
     def refused(endpoint, handler, frame):
         before = snapshot(endpoint)
@@ -295,6 +312,57 @@ def test_endpoint_handlers_check_phase_first(cointoss_agreement):
     assert len(bob.frames) == len(alice.frames) == 4
     assert alice.verdict.accepted and alice.state.phase is Phase.VERIFIED
     assert bob.result.accepted and bob.state.phase is Phase.VERIFIED
+
+
+def _receiver_of(agreement, kind: str):
+    """(endpoint, its handler, the honest frame) for the receiving handler of
+    ``kind``, the endpoint in the phase that takes it."""
+    alice = AliceEndpoint(agreement, AliceScript(choice=1, element=2), 1)
+    bob = BobEndpoint(agreement, BobScript(guess=0), 2)
+    frame = alice.commit_frame()
+    if kind == "commit":
+        return bob, bob.handle_commit, frame
+    frame = bob.handle_commit(frame)
+    if kind == "guess":
+        return alice, alice.handle_guess, frame
+    frame = alice.handle_guess(frame)
+    if kind == "reveal":
+        return bob, bob.handle_reveal, frame
+    return alice, alice.handle_verdict, bob.handle_reveal(frame)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=20),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+@pytest.mark.parametrize("kind", ["commit", "guess", "reveal", "verdict"])
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_frames_are_taken_or_wire_errors(agreements, kind, data):
+    endpoint, handler, frame = _receiver_of(agreements[2], kind)
+    how = data.draw(st.sampled_from(["flip", "truncate", "field"]))
+    if how == "flip":
+        at = data.draw(st.integers(0, len(frame) - 1))
+        mutated = frame[:at] + bytes([frame[at] ^ data.draw(st.integers(1, 255))]) + frame[at + 1:]
+    elif how == "truncate":
+        mutated = frame[:data.draw(st.integers(0, len(frame) - 1))]
+    else:
+        fields = json.loads(frame)
+        key = data.draw(st.sampled_from(sorted(fields) + ["extra"]))
+        fields[key] = data.draw(st.integers(-2, 6) | JSON_VALUES)  # choices in and out of range
+        mutated = json.dumps(fields).encode() + b"\n"
+    before = snapshot(endpoint)
+    try:
+        handler(mutated)
+    except WireError:
+        assert snapshot(endpoint) == before
+    else:  # a frame taken is a valid in-range message
+        m = agreements[2].num_choices
+        choices = [msg.choice for msg in endpoint.state.transcript if isinstance(msg, (Guess, Reveal))]
+        assert all(0 <= choice < m for choice in choices)
 
 
 def test_frame_limit_fits_every_frame(agreements):
