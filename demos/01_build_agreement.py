@@ -5,7 +5,7 @@ element, the reveal states, the valid products, and finishes with the
 structural audit. Run with: python3 demos/01_build_agreement.py
 """
 
-from qbcsim.quantum import ket_string
+from qbcsim.quantum import ket_string, tensor
 from qbcsim.scheme import (
     SchemeParams,
     audit_scheme,
@@ -34,13 +34,15 @@ def main():
         print(f"commitment set {c}:")
         for k, elem in enumerate(agreement.sets[c].elements):
             print(f"  element {k}: {ket_string(elem)}")
-        print(f"  reveal state: {ket_string(agreement.reveal_states[c].state)}")
-        basis = agreement.bases[c]
-        for k in sorted(basis.valid_outcomes):
-            print(f"  valid product {k}: {ket_string(basis.vector(k))}")
+        reveal = agreement.reveal_states[c].state
+        print(f"  reveal state: {ket_string(reveal)}")
+        # Bob's coupled measurement: element (x) reveal state per valid outcome
+        products = [tensor(elem, reveal) for elem in agreement.sets[c].elements]
+        for k, product in enumerate(products):
+            print(f"  valid product {k}: {ket_string(product)}")
         print(
-            f"  reveal measurement: {len(basis.vectors)} valid products + 1 reject outcome"
-            f" on {basis.dimension} dims, valid outcomes {sorted(basis.valid_outcomes)}"
+            f"  reveal measurement: {len(products)} valid products + 1 reject outcome"
+            f" on {products[0].dimension} dims, valid outcomes {list(range(len(products)))}"
         )
         print()
 

@@ -2,7 +2,7 @@
 
 The package splits into four layers: ``quantum`` (statevector engine),
 ``scheme`` (the initial agreement: commitment sets, reveal states,
-reveal bases, audits), ``session`` (the two-party protocol over wire
+reveal measurements, audits), ``session`` (the two-party protocol over wire
 frames), and ``analysis`` (binding/concealment figures and
 discrimination bounds). ``cli`` fronts all of it.
 """

@@ -6,7 +6,8 @@ state factors out of every valid-outcome mass, so exact figures are
 overlaps <psi|Q_c|psi> on the (n+1)-qubit register, Q_c = (I + X^{d_c})/2.
 Every sampled verification (cheat, block cheat, update-on-reject) goes
 through one acceptance sampler, the only user of Born distributions over
-the reveal measurements (2^n valid products + reject).
+the reveal measurements (set elements + reject, on Alice's register).
+Reports that read the valid-mass table take it as ``table`` (built when None).
 Discrimination bounds (two-hypothesis optimum and the square-root
 measurement) bound what any pre-reveal strategy could achieve, so the
 concealment claim is tested rather than assumed. Functions report
@@ -30,9 +31,8 @@ from .quantum import (
     born_distribution,
     computational_basis,
     hermitian_eig,
-    tensor,
 )
-from .scheme import RevealAgreement, SchemeParams, build_set_s, build_sets
+from .scheme import CommitmentSet, RevealAgreement, SchemeParams, build_set_s, build_sets
 
 STRATEGY_DECLARE_PRIOR = "declare-prior-guess"
 STRATEGY_UPDATE_ON_REJECT = "update-on-reject"
@@ -110,12 +110,16 @@ class EnsembleMixture:
 
 def ensemble_mixture(params: SchemeParams, choice: int) -> EnsembleMixture:
     """Uniform mixture of projectors onto the elements of one set."""
-    elements = build_sets(params)[choice].elements
+    return _set_mixture(build_sets(params)[choice])
+
+
+def _set_mixture(commitment_set: CommitmentSet) -> EnsembleMixture:
+    elements = commitment_set.elements
     dim = elements[0].dimension
     rho = np.zeros((dim, dim), dtype=complex)
     for elem in elements:
         rho += np.outer(elem.amplitudes, elem.amplitudes.conj())
-    return EnsembleMixture(choice, HermitianMatrix(rho / len(elements)))
+    return EnsembleMixture(commitment_set.choice, HermitianMatrix(rho / len(elements)))
 
 
 # --- binding: Alice's cheat acceptance ------------------------------------
@@ -137,10 +141,10 @@ def _valid_mass(amplitudes: np.ndarray, masks) -> np.ndarray:
 
 
 def _valid_mass_table(agreement: RevealAgreement) -> np.ndarray:
-    """Valid mass of element k of set c under reveal c', indexed [c, k, c']."""
+    """Valid mass of element k of set c under reveal c', indexed [c, k, c'];
+    one reveal c' at a time, so the largest temporary holds m^2 states."""
     elements = np.array([[e.amplitudes for e in s.elements] for s in agreement.sets])
-    masks = np.array(agreement.params.masks)
-    return _valid_mass(elements[:, :, None, :], masks[None, None, :])
+    return np.stack([_valid_mass(elements, [[d]]) for d in agreement.params.masks], axis=-1)
 
 
 def alice_cheat_acceptance(
@@ -202,51 +206,43 @@ def _grouped_outcomes(dists, group_index: np.ndarray, rng) -> np.ndarray:
 
 
 def _sampled_acceptance(agreement: RevealAgreement, combos, draw, rng) -> np.ndarray:
-    """Sampled verification per draw: draw i couples element k of set c with
-    reveal state c' and measures in basis c', (c, k, c') = combos[draw[i]].
+    """Sampled verification per draw: draw i measures element k of set c
+    onto set c' plus reject, (c, k, c') = combos[draw[i]] -- Bob's coupled
+    measurement onto the valid products of c', as <e (x) G|psi (x) G> = <e|psi>.
 
-    Outcomes 0..2^n - 1 of a reveal measurement are its valid products and
-    outcome 2^n rejects, so a draw is accepted iff its outcome is below 2^n.
+    Outcome 2^n rejects, so a draw is accepted iff its outcome is below 2^n.
     """
     dists = [
-        born_distribution(
-            tensor(agreement.sets[c].elements[k], agreement.reveal_states[claim].state),
-            agreement.bases[claim],
-        )
+        born_distribution(agreement.sets[c].elements[k], agreement.measurements[claim])
         for c, k, claim in combos
     ]
     return _grouped_outcomes(dists, draw, rng) < agreement.num_choices
 
 
-def _cheat_acceptance_common(agreement: RevealAgreement) -> float:
-    """The per-block cheat acceptance, verified identical across (c, c', k)."""
-    table = _valid_mass_table(agreement)
-    c, _, claim = np.indices(table.shape)
-    values = table[c != claim]
-    lo, hi = values.min(), values.max()
-    if hi - lo > 1e-12:
-        raise ValueError(f"cheat acceptance varies across scenarios: [{lo}, {hi}]")
-    return float(np.mean(values))
-
-
-def block_cheat_fidelity(agreement: RevealAgreement, blocks: int) -> float:
+def block_cheat_fidelity(agreement: RevealAgreement, blocks: int, *,
+                         table: np.ndarray | None = None) -> float:
     """Exact probability that a per-block cheat survives ``blocks`` independent
-    verifications (product of per-block acceptances).
+    verifications (product of per-block acceptances, checked equal).
 
     Like the single-block 1/2, the 2^-K law holds for an Alice who commits
     genuine set elements; |+>^(n+1) in every block passes every reveal.
     """
     if blocks < 1:
         raise ValueError("block count must be at least 1")
-    return _cheat_acceptance_common(agreement) ** blocks
+    table = _valid_mass_table(agreement) if table is None else table
+    c, _, claim = np.indices(table.shape)
+    values = table[c != claim]
+    lo, hi = values.min(), values.max()
+    if hi - lo > 1e-12:
+        raise ValueError(f"cheat acceptance varies across scenarios: [{lo}, {hi}]")
+    return float(np.mean(values)) ** blocks
 
 
-def block_cheat_report(
-    agreement: RevealAgreement, blocks: int, trials: int = 0, rng=None
-) -> CheatReport:
+def block_cheat_report(agreement: RevealAgreement, blocks: int, trials: int = 0, rng=None, *,
+                       table: np.ndarray | None = None) -> CheatReport:
     """K-block cheat survival, exact and by independent-product simulation."""
     params = agreement.params
-    exact = block_cheat_fidelity(agreement, blocks)
+    exact = block_cheat_fidelity(agreement, blocks, table=table)
     hits = 0
     if trials > 0:
         gen = as_generator(rng)
@@ -277,9 +273,10 @@ class WrongCouplingEntry:
     valid_mass: float
 
 
-def bob_wrong_coupling_table(agreement: RevealAgreement) -> tuple[WrongCouplingEntry, ...]:
+def bob_wrong_coupling_table(agreement: RevealAgreement, *,
+                             table: np.ndarray | None = None) -> tuple[WrongCouplingEntry, ...]:
     """Valid mass of every (held element, wrong reveal state) coupling."""
-    table = _valid_mass_table(agreement)
+    table = _valid_mass_table(agreement) if table is None else table
     return tuple(
         WrongCouplingEntry(c, k, claim, float(table[c, k, claim]))
         for c, k, claim in np.ndindex(table.shape)
@@ -287,9 +284,8 @@ def bob_wrong_coupling_table(agreement: RevealAgreement) -> tuple[WrongCouplingE
     )
 
 
-def bob_premature_strategy(
-    agreement: RevealAgreement, strategy: str, trials: int = 0, rng=None
-) -> CheatReport:
+def bob_premature_strategy(agreement: RevealAgreement, strategy: str, trials: int = 0, rng=None,
+                           *, table: np.ndarray | None = None) -> CheatReport:
     """Success probability of identifying the committed choice pre-reveal.
 
     declare-prior-guess: couple an arbitrary guess, ignore the outcome,
@@ -314,7 +310,7 @@ def bob_premature_strategy(
         return _finish_report(strategy, exact, hits, trials, parameters)
 
     # update-on-reject: average over (c, k, guess) of the two branches
-    table = _valid_mass_table(agreement)
+    table = _valid_mass_table(agreement) if table is None else table
     c, _, g = np.indices(table.shape)
     correct_on_reject = np.where(g == c, 0.0, 1.0 / (m - 1))
     # a running sum keeps the sequential (c, k, guess) order of the branch sum
@@ -389,8 +385,24 @@ def s_protocol_analysis(
     otherwise. The exact value sums every (parent, choice, element, outcome)
     branch; the sampled estimate replays the same experiment.
     """
-    if not 0.0 <= p_s <= 1.0:
-        raise ValueError(f"parent-S probability {p_s} out of [0, 1]")
+    return _parent_s_reports(agreement, (p_s,), trials, rng)[0]
+
+
+def s_protocol_sweep(
+    agreement: RevealAgreement, points: int = 11, trials: int = 0, rng=None
+) -> tuple[CheatReport, ...]:
+    """s_protocol_analysis over an even grid of parent-S probabilities."""
+    gen = as_generator(rng) if trials > 0 else None
+    grid = tuple(float(p) for p in np.linspace(0.0, 1.0, points))
+    return _parent_s_reports(agreement, grid, trials, gen)
+
+
+def _parent_s_reports(agreement: RevealAgreement, p_values, trials, rng) -> tuple[CheatReport, ...]:
+    """One s_protocol_analysis report per parent-S probability, all from one
+    set of m + m^2 Born rows; sampled points draw from ``rng`` in order."""
+    for p_s in p_values:
+        if not 0.0 <= p_s <= 1.0:
+            raise ValueError(f"parent-S probability {p_s} out of [0, 1]")
     params = agreement.params
     m = params.num_choices
     comp = computational_basis(2 ** params.num_alice_qubits)
@@ -406,37 +418,24 @@ def s_protocol_analysis(
     # running sums keep the sequential (row, outcome) order of the branch sum
     success_s = np.cumsum(terms[:m] / m)[-1]
     success_b = np.cumsum(terms[m:] / m**2)[-1]
-    exact = p_s * success_s + (1.0 - p_s) * success_b
 
-    hits = 0
-    if trials > 0:
-        gen = as_generator(rng)
-        from_s = gen.random(trials) < p_s
-        cs = gen.integers(m, size=trials)
-        ks = gen.integers(m, size=trials)
-        guesses = gen.integers(m, size=trials)
-        combo = np.where(from_s, cs, m + cs * m + ks)
-        outcomes = _grouped_outcomes(dists, combo, gen)
-        declared = np.where(outcomes < m, outcomes, guesses)
-        hits = int((declared == cs).sum())
-    return _finish_report(
-        f"assume-parent-S p_S={p_s:g}",
-        exact,
-        hits,
-        trials,
-        {"n": params.num_bob_qubits, "p_S": p_s},
-    )
-
-
-def s_protocol_sweep(
-    agreement: RevealAgreement, points: int = 11, trials: int = 0, rng=None
-) -> tuple[CheatReport, ...]:
-    """s_protocol_analysis over an even grid of parent-S probabilities."""
-    gen = as_generator(rng) if trials > 0 else None
-    return tuple(
-        s_protocol_analysis(agreement, float(p), trials, gen)
-        for p in np.linspace(0.0, 1.0, points)
-    )
+    reports = []
+    for p_s in p_values:
+        exact = p_s * success_s + (1.0 - p_s) * success_b
+        hits = 0
+        if trials > 0:
+            gen = as_generator(rng)
+            from_s = gen.random(trials) < p_s
+            cs = gen.integers(m, size=trials)
+            ks = gen.integers(m, size=trials)
+            guesses = gen.integers(m, size=trials)
+            combo = np.where(from_s, cs, m + cs * m + ks)
+            outcomes = _grouped_outcomes(dists, combo, gen)
+            declared = np.where(outcomes < m, outcomes, guesses)
+            hits = int((declared == cs).sum())
+        parameters = {"n": params.num_bob_qubits, "p_S": p_s}
+        reports.append(_finish_report(f"assume-parent-S p_S={p_s:g}", exact, hits, trials, parameters))
+    return tuple(reports)
 
 
 # --- batch report -----------------------------------------------------------
@@ -452,6 +451,7 @@ def run_full_analysis(agreement: RevealAgreement, trials: int = 0, seed: int = 0
     params = agreement.params
     m = params.num_choices
     gen = np.random.default_rng(seed)
+    table = _valid_mass_table(agreement)
     report: dict = {
         "scheme": {
             "n": params.num_bob_qubits,
@@ -475,18 +475,18 @@ def run_full_analysis(agreement: RevealAgreement, trials: int = 0, seed: int = 0
     report["alice_cheat"] = pair_reports
 
     report["block_fidelity"] = [
-        block_cheat_report(agreement, blocks, trials, gen).as_dict()
+        block_cheat_report(agreement, blocks, trials, gen, table=table).as_dict()
         for blocks in range(1, 9)
     ]
 
-    report["wrong_coupling"] = [dict(vars(row)) for row in bob_wrong_coupling_table(agreement)]
+    report["wrong_coupling"] = [dict(vars(r)) for r in bob_wrong_coupling_table(agreement, table=table)]
 
     report["strategies"] = [
-        bob_premature_strategy(agreement, strategy, trials, gen).as_dict()
+        bob_premature_strategy(agreement, strategy, trials, gen, table=table).as_dict()
         for strategy in STRATEGIES
     ]
 
-    mixtures = [ensemble_mixture(params, c) for c in range(m)]
+    mixtures = [_set_mixture(s) for s in agreement.sets]
     report["discrimination"] = {
         "chance": 1.0 / m,
         "helstrom_pairs": [

@@ -9,8 +9,8 @@ Subcommands:
 * ``analyze``: the full security battery, human-readable to stdout and
   JSON to a file.
 * ``session``: one side of a two-process TCP session; exits 0 when the
-  reveal is accepted, 1 when it is rejected, and 2 on a failed handshake
-  or a malformed or out-of-phase frame.
+  reveal is accepted, 1 when it is rejected, and 2 on a failed handshake,
+  a malformed or out-of-phase frame, or a peer silent for 30 s.
 
 Usage errors exit with code 2; so do scheme flags that name no valid
 scheme, which ``audit`` instead reports as a failed check. All
@@ -26,8 +26,9 @@ import socket
 import sys
 
 from .analysis import run_full_analysis
-from .quantum import ket_string
+from .quantum import ket_string, tensor
 from .scheme import (
+    MAX_N,
     PRESET_DEFAULT_MASKS,
     PRESET_PAPER_COINTOSS,
     RevealAgreement,
@@ -143,6 +144,7 @@ def cmd_cointoss(args: argparse.Namespace, out=None) -> int:
         elif isinstance(message, Guess):
             print(f"Guess: Bob guesses {COIN_NAMES[message.choice]}", file=out)
         elif isinstance(message, Reveal):
+            revealed = message.choice
             print(
                 f"Reveal: Alice reveals {COIN_NAMES[message.choice]}"
                 f" (parent {message.parent})",
@@ -152,25 +154,17 @@ def cmd_cointoss(args: argparse.Namespace, out=None) -> int:
             outcome = result.verification.outcome_index
             status = "accepted" if message.accepted else "rejected"
             landed = "outside every valid product"  # the reject outcome 2^n
-            if message.accepted:
-                landed = ket_string(agreement.bases[_revealed(result)].vector(outcome))
+            if message.accepted:  # element (x) reveal state: Bob's valid product
+                landed = ket_string(tensor(agreement.sets[revealed].elements[outcome],
+                                           agreement.reveal_states[revealed].state))
             print(f"Verdict: {status}, outcome {outcome} -> {landed}", file=out)
             if message.recovered_element is not None:
                 print(f"recovered element: {message.recovered_element}", file=out)
-    revealed = _revealed(result)
     bob_wins = result.verdict.accepted and guess == revealed
     print(f"Bob wins: {'yes' if bob_wins else 'no'}", file=out)
     if args.out:
         write_transcript(args.out, result.transcript)
     return 0
-
-
-def _revealed(result) -> int:
-    for frame in result.transcript:
-        message = decode_message(frame)
-        if isinstance(message, Reveal):
-            return message.choice
-    raise ValueError("transcript has no reveal frame")
 
 
 # --- audit ------------------------------------------------------------------
@@ -278,26 +272,31 @@ def cmd_analyze(args: argparse.Namespace, out=None) -> int:
 # --- session -----------------------------------------------------------------
 
 
-def _session_scripts(moves: dict) -> tuple[AliceScript, BobScript]:
-    def choice_token(token):
-        if token in COIN_NAMES:
-            return COIN_NAMES.index(token)
+def _session_scripts(moves: dict, count: int) -> tuple[AliceScript, BobScript]:
+    """Scripts for ``count`` choices; a move naming none is a usage error (exit 2)."""
+
+    def index_token(token, names=()):
+        if token in names:
+            return names.index(token)
+        if not (token.isdecimal() and int(token) < count):
+            print(f"qbcsim: error: move value {token!r} is not in 0..{count - 1}", file=sys.stderr)
+            raise SystemExit(2)
         return int(token)
 
     alice = AliceScript()
     if "choice" in moves:
-        alice.choice = choice_token(moves["choice"])
+        alice.choice = index_token(moves["choice"], COIN_NAMES)
     elif "toss" in moves:
-        alice.choice = choice_token(moves["toss"])
+        alice.choice = index_token(moves["toss"], COIN_NAMES)
     if moves.get("element", "random") != "random":
-        alice.element = int(moves["element"])
+        alice.element = index_token(moves["element"])
     if "reveal" in moves:
-        alice.reveal_choice = choice_token(moves["reveal"])
+        alice.reveal_choice = index_token(moves["reveal"], COIN_NAMES)
     if moves.get("parent", PARENT_B) == PARENT_S:
         alice.parent = PARENT_S
     bob = BobScript()
     if "guess" in moves:
-        bob.guess = choice_token(moves["guess"])
+        bob.guess = index_token(moves["guess"], COIN_NAMES)
     return alice, bob
 
 
@@ -308,7 +307,7 @@ def cmd_session(args: argparse.Namespace, out=None) -> int:
     if args.script:
         with open(args.script) as fh:
             moves = parse_moves(fh)
-    alice_script, bob_script = _session_scripts(moves)
+    alice_script, bob_script = _session_scripts(moves, agreement.num_choices)
     alice_rng, bob_rng = session_rngs(args.seed)
     try:
         if args.role == "bob":
@@ -337,7 +336,7 @@ def cmd_session(args: argparse.Namespace, out=None) -> int:
     except HandshakeError as exc:
         print(f"handshake failed: {exc}", file=out)
         return 2
-    except (WireError, PhaseError) as exc:
+    except (WireError, PhaseError, TimeoutError) as exc:  # a peer that never connects times out
         print(f"session aborted: {type(exc).__name__}: {exc}", file=out)
         return 2
     if args.out:
@@ -353,7 +352,7 @@ def hex_mask(token: str) -> int:
 
 
 def _add_scheme_flags(parser):
-    parser.add_argument("--n", type=int, default=1, help="receiver qubit count (1..4)")
+    parser.add_argument("--n", type=int, default=1, help=f"receiver qubit count (1..{MAX_N})")
     parser.add_argument(
         "--preset",
         choices=[PRESET_PAPER_COINTOSS, PRESET_DEFAULT_MASKS],

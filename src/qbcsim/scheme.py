@@ -9,10 +9,10 @@ Choice ``c`` is bound to:
   ordered by the smaller pair member);
 * the receiver's n-qubit reveal state, generated by a Hadamard on
   qubit 1 followed by CNOTs fanning out from qubit 1;
-* a (2n+1)-qubit reveal measurement onto the ``2^n`` products
-  "set element (x) reveal state" -- the valid outcomes that make an honest
-  reveal deterministically verifiable -- plus one reject outcome for
-  everything orthogonal to them.
+* a reveal measurement onto the ``2^n`` valid products "set element (x)
+  reveal state" plus one reject outcome, held on Alice's (n+1)-qubit
+  register as the ``2^n`` elements of set c plus reject, since
+  <e (x) G_c|psi (x) G_c> = <e|psi>: no product is ever formed.
 
 Distinct nonzero masks guarantee the concealment structure: every element
 of one set overlaps exactly two elements of every other set, each with
@@ -20,31 +20,31 @@ inner product 1/2.
 
 The module also builds the computational-basis set S used by the
 reduced-qubit protocol variant, and provides structural audits over all
-of the above.
+of the above, from one Gram block per pair of sets.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .quantum import (
     ATOL,
+    INV_SQRT2,
     MeasurementBasis,
     StateVector,
     apply_gate,
-    equal_superposition_pair,
+    as_generator,
     index_to_bits,
-    inner,
     make_basis_state,
-    tensor,
 )
 
-#: Largest supported receiver register; keeps the product space at <= 512 dims.
-MAX_N = 4
+#: Largest supported receiver register; no product space is formed, so the cap bounds
+#: the m^2(m-1)-row wrong-coupling report (258 k rows at n=6) and the dense bounds.
+MAX_N = 6
 
 PRESET_PAPER_COINTOSS = "paper-cointoss"
 PRESET_DEFAULT_MASKS = "default-masks"
@@ -52,6 +52,13 @@ PRESET_DEFAULT_MASKS = "default-masks"
 
 class SchemeAuditError(AssertionError):
     """A structural invariant of the agreement failed."""
+
+
+def _checked_num_bob_qubits(n: int) -> int:
+    """``n`` if supported, else ValueError; checked before 2**n is formed."""
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"num_bob_qubits must be in 1..{MAX_N}, got {n}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -67,9 +74,7 @@ class SchemeParams:
     preset: str | None = None
 
     def __post_init__(self):
-        n = self.num_bob_qubits
-        if not 1 <= n <= MAX_N:
-            raise ValueError(f"num_bob_qubits must be in 1..{MAX_N}, got {n}")
+        n = _checked_num_bob_qubits(self.num_bob_qubits)
         masks = tuple(int(m) for m in self.masks)
         if len(masks) != 2**n:
             raise ValueError(f"need {2**n} masks for {2**n} choices, got {len(masks)}")
@@ -91,7 +96,7 @@ class SchemeParams:
     @classmethod
     def default(cls, num_bob_qubits: int) -> "SchemeParams":
         """Default mask assignment d_c = c + 1."""
-        count = 2**num_bob_qubits
+        count = 2 ** _checked_num_bob_qubits(num_bob_qubits)
         return cls(num_bob_qubits, tuple(range(1, count + 1)), PRESET_DEFAULT_MASKS)
 
     @classmethod
@@ -102,10 +107,8 @@ class SchemeParams:
     @classmethod
     def random_masks(cls, num_bob_qubits: int, rng) -> "SchemeParams":
         """Uniformly drawn valid mask assignment (distinct nonzero masks)."""
-        from .quantum import as_generator
-
         gen = as_generator(rng)
-        pool = np.arange(1, 2 ** (num_bob_qubits + 1))
+        pool = np.arange(1, 2 ** (_checked_num_bob_qubits(num_bob_qubits) + 1))
         picked = gen.choice(pool, size=2**num_bob_qubits, replace=False)
         return cls(num_bob_qubits, tuple(int(d) for d in picked))
 
@@ -123,20 +126,17 @@ class CommitmentSet:
 
     choice: int
     elements: tuple[StateVector, ...]
-    pairs: tuple[tuple[int, int], ...] = field(default=(), compare=False)
 
 
 def build_sets(params: SchemeParams) -> list[CommitmentSet]:
-    """All commitment sets, element k covering the k-th XOR pair."""
+    """All commitment sets, element k = (|x> + |y>)/sqrt(2) for the k-th XOR pair (x, y)."""
     width = params.num_alice_qubits
     sets = []
     for c in range(params.num_choices):
         pairs = xor_pairs(params, c)
-        elements = tuple(
-            equal_superposition_pair(index_to_bits(x, width), index_to_bits(y, width))
-            for x, y in pairs
-        )
-        sets.append(CommitmentSet(c, elements, pairs))
+        rows = np.zeros((len(pairs), 2**width), dtype=complex)
+        rows[np.arange(len(pairs))[:, None], pairs] = INV_SQRT2
+        sets.append(CommitmentSet(c, tuple(StateVector(width, row) for row in rows)))
     return sets
 
 
@@ -167,17 +167,17 @@ def bob_reveal_state(params: SchemeParams, choice: int) -> RevealState:
 
 @dataclass(frozen=True)
 class RevealAgreement:
-    """The full initial agreement: sets, reveal states, and reveal bases.
+    """The full initial agreement: sets, reveal states, and reveal measurements.
 
-    ``bases[c]`` is the (2n+1)-qubit reveal measurement for choice ``c``:
-    2^n valid products + reject. Row ``k`` is element k of set c tensored
-    with reveal state c (valid outcome ``k``); outcome ``2^n`` rejects.
+    ``measurements[c]`` acts on Alice's (n+1)-qubit register: row ``k`` is
+    element k of set c (valid outcome ``k``), outcome ``2^n`` rejects. It is
+    Bob's coupled measurement onto e_{c,k} (x) G_c, as <e (x) G_c|psi (x) G_c> = <e|psi>.
     """
 
     params: SchemeParams
     sets: tuple[CommitmentSet, ...]
     reveal_states: tuple[RevealState, ...]
-    bases: tuple[MeasurementBasis, ...]
+    measurements: tuple[MeasurementBasis, ...]
 
     @property
     def num_choices(self) -> int:
@@ -188,16 +188,15 @@ def build_reveal_agreement(params: SchemeParams) -> RevealAgreement:
     """Construct sets, reveal states, and the reveal measurements."""
     sets = tuple(build_sets(params))
     reveal_states = tuple(bob_reveal_state(params, c) for c in range(params.num_choices))
-    dimension = 2 ** (2 * params.num_bob_qubits + 1)
-    bases = tuple(
+    measurements = tuple(
         MeasurementBasis(
-            dimension,
-            np.array([tensor(e, reveal_states[c].state).amplitudes for e in sets[c].elements]),
+            2**params.num_alice_qubits,
+            [e.amplitudes for e in s.elements],
             frozenset(range(params.num_choices)),
         )
-        for c in range(params.num_choices)
+        for s in sets
     )
-    return RevealAgreement(params, sets, reveal_states, bases)
+    return RevealAgreement(params, sets, reveal_states, measurements)
 
 
 @dataclass(frozen=True)
@@ -295,16 +294,16 @@ class OverlapEntry:
 
 def cross_set_overlap_audit(sets) -> list[OverlapEntry]:
     """For each element and each other set, list partners with |inner| > 1e-9."""
+    columns = np.array([[e.amplitudes for e in s.elements] for s in sets]).transpose(0, 2, 1)
     entries = []
-    for a in sets:
-        for k, elem in enumerate(a.elements):
-            for b in sets:
+    for i, a in enumerate(sets):
+        magnitudes = np.abs(columns[i].T.conj() @ columns)  # |<e_{i,k}|e_{j,p}>| at [j, k, p]
+        for k in range(len(a.elements)):
+            for j, b in enumerate(sets):
                 if b.choice == a.choice:
                     continue
-                magnitudes = [abs(inner(elem, other)) for other in b.elements]
-                partners = tuple(
-                    (j, mag) for j, mag in enumerate(magnitudes) if mag > ATOL
-                )
+                row = magnitudes[j, k]
+                partners = tuple((int(p), float(row[p])) for p in np.flatnonzero(row > ATOL))
                 entries.append(OverlapEntry(a.choice, k, b.choice, partners))
     return entries
 
@@ -329,38 +328,43 @@ def audit_scheme(params: SchemeParams) -> list[AuditCheck]:
     agreement = build_reveal_agreement(params)
     sets, reveal_states = agreement.sets, agreement.reveal_states
     count = params.num_choices
+    identity = np.eye(count)
+    amplitudes = np.array([[e.amplitudes for e in s.elements] for s in sets])  # [c, k, x]
+    reveals = np.array([r.state.amplitudes for r in reveal_states])
+    reveal_gram = reveals.conj() @ reveals.T  # <G_c|G_c'>
 
-    # within-set orthogonality and two-term structure
-    worst = 0.0
-    structure_ok = True
-    for s in sets:
-        mat = np.array([e.amplitudes for e in s.elements])
-        gram = mat @ mat.conj().T
-        worst = max(worst, np.abs(gram - np.eye(count)).max())
-        covered = set()
-        for e in s.elements:
-            support = np.flatnonzero(np.abs(e.amplitudes) > ATOL)
-            amps = e.amplitudes[support]
-            if len(support) != 2 or np.abs(np.abs(amps) - np.sqrt(0.5)).max() > ATOL:
-                structure_ok = False
-            covered.update(int(i) for i in support)
-        if len(covered) != 2 ** params.num_alice_qubits:
-            structure_ok = False
-    record("within-set-orthogonality", worst <= ATOL, f"max |gram - I| = {worst:.2e}")
-    record("two-term-equal-superposition-cover", structure_ok)
-
-    # cross-set: exactly two partners, each overlap 1/2
+    # one Gram block per pair of sets c <= c', gram[c' - c, k, j] =
+    # <e_{c,k}|e_{c',j}>: within-set orthogonality (c = c'), cross-set
+    # overlaps (c < c', rows and columns), and the valid products, since
+    # <e (x) G_c|e' (x) G_c'> = <e|e'><G_c|G_c'>
+    within = products = 0.0
     overlap_ok = True
-    for entry in cross_set_overlap_audit(sets):
-        mags = [m for _, m in entry.partners]
-        if len(mags) != 2 or any(abs(m - 0.5) > ATOL for m in mags):
-            overlap_ok = False
+    for c in range(count):
+        gram = amplitudes[c].conj() @ amplitudes[c:].transpose(0, 2, 1)
+        within = max(within, np.abs(gram[0] - identity).max())
+        magnitudes = np.abs(gram[1:])
+        partners = magnitudes > ATOL  # exactly two per foreign set, each 1/2
+        overlap_ok &= bool(
+            (partners.sum(axis=-1) == 2).all() and (partners.sum(axis=-2) == 2).all()
+            and np.abs(magnitudes[partners] - 0.5).max(initial=0.0) <= ATOL
+        )
+        block = gram * reveal_gram[c, c:, None, None]
+        block[0] -= identity
+        products = max(products, np.abs(block).max())
+
+    # two terms of equal magnitude per element; each set covers every index
+    support = np.abs(amplitudes) > ATOL
+    structure_ok = (
+        (support.sum(axis=-1) == 2).all()
+        and np.abs(np.abs(amplitudes[support]) - np.sqrt(0.5)).max() <= ATOL
+        and support.any(axis=1).all()
+    )
+    record("within-set-orthogonality", within <= ATOL, f"max |gram - I| = {within:.2e}")
+    record("two-term-equal-superposition-cover", structure_ok)
     record("cross-set-two-partners-overlap-half", overlap_ok)
 
     # reveal states orthonormal
-    mat = np.array([r.state.amplitudes for r in reveal_states])
-    gram = mat @ mat.conj().T
-    err = np.abs(gram - np.eye(count)).max()
+    err = np.abs(reveal_gram - identity).max()
     record("reveal-states-orthonormal", err <= ATOL, f"max |gram - I| = {err:.2e}")
 
     # stabilizer generators, plus the odd-weight negative control
@@ -384,16 +388,12 @@ def audit_scheme(params: SchemeParams) -> list[AuditCheck]:
     record("odd-z-masks-not-eigenoperators", odd_ok)
 
     # all valid products across all choices pairwise orthogonal
-    stacked = np.concatenate([b.vectors for b in agreement.bases])
-    gram = stacked @ stacked.conj().T
-    err = np.abs(gram - np.eye(len(stacked))).max()
-    record("valid-products-orthogonal", err <= ATOL, f"max |gram - I| = {err:.2e}")
+    record("valid-products-orthogonal", products <= ATOL, f"max |gram - I| = {products:.2e}")
 
-    # each reveal measurement is the 2^n valid products (+ reject)
-    shape = (count, 2 ** (2 * n + 1))
+    # each reveal measurement is the 2^n elements of its set (+ reject)
     bases_ok = all(
-        b.valid_outcomes == frozenset(range(count)) and b.vectors.shape == shape
-        for b in agreement.bases
+        b.valid_outcomes == frozenset(range(count)) and np.array_equal(b.vectors, amplitudes[c])
+        for c, b in enumerate(agreement.measurements)
     )
     record("reveal-bases-complete", bases_ok)
 

@@ -7,9 +7,9 @@ The session walks a fixed phase ladder::
 Alice commits one element of the set bound to her choice (or, in the
 reduced-qubit variant, the computational basis state bound to it); Bob
 records a classical guess; Alice reveals the choice (honestly or not)
-plus the parent-set indicator; Bob couples his reveal state and measures
-onto the 2^n valid products of the revealed choice plus one reject
-outcome, accepting only valid outcomes.
+plus the parent-set indicator; Bob measures onto the 2^n valid products
+of the revealed choice plus one reject outcome, accepting only valid
+outcomes (on Alice's register, see ``bob_verify``).
 
 Messages travel as newline-delimited JSON frames. The quantum channel is
 simulated by serializing the full amplitude vector into the commit frame;
@@ -46,7 +46,6 @@ from .quantum import (
     measure,
     state_from_text,
     state_to_text,
-    tensor,
 )
 from .scheme import RevealAgreement, SchemeParams, scheme_hash
 
@@ -123,8 +122,6 @@ class Verdict:
 
 
 Message = Commit | Guess | Reveal | Verdict
-
-_KINDS = {"commit": Commit, "guess": Guess, "reveal": Reveal, "verdict": Verdict}
 
 
 def encode_message(message: Message, scheme_hash_hex: str) -> bytes:
@@ -329,11 +326,12 @@ def alice_reveal(state: SessionState, claim: int | None = None) -> tuple[Session
 
 
 def bob_verify(state: SessionState, *, rng) -> tuple[SessionState, Verdict, VerificationResult]:
-    """Couple, measure, and accept iff the outcome is a valid product.
+    """Measure, and accept iff the outcome is a valid product.
 
-    Parent B: Bob generates the reveal state for the revealed choice,
-    tensors it onto the held state, and measures onto the 2^n valid
-    products of that choice plus one reject outcome.
+    Parent B: Bob measures the held state onto the 2^n elements of the
+    revealed choice's set plus one reject outcome: his coupled measurement
+    onto the valid products e_{c,k} (x) G_c, as <e (x) G_c|psi (x) G_c> =
+    <e|psi>, with no (2n+1)-qubit product formed.
     Parent S: Bob measures the held state in the computational basis and
     accepts only the outcome bound to the revealed choice.
     The held state and the reveal are the transcript's commit and reveal.
@@ -342,9 +340,8 @@ def bob_verify(state: SessionState, *, rng) -> tuple[SessionState, Verdict, Veri
     commit, _, reveal = state.transcript
     agreement = state.agreement
     if reveal.parent == PARENT_B:
-        basis = agreement.bases[reveal.choice]
-        product = tensor(commit.state, agreement.reveal_states[reveal.choice].state)
-        outcome = measure(product, basis, rng)
+        basis = agreement.measurements[reveal.choice]
+        outcome = measure(commit.state, basis, rng)
         accepted = outcome in basis.valid_outcomes
     else:
         basis = computational_basis(commit.state.dimension)

@@ -16,6 +16,7 @@ from test_analysis import (
     enumerate_update_on_reject,
     jacobi_eigenvalues,
 )
+from test_scheme import product_measurement
 
 from qbcsim.analysis import (
     STRATEGY_DECLARE_PRIOR,
@@ -64,7 +65,10 @@ def test_criterion_1_table_reproduction():
                     agreement.sets[c].elements[k].amplitudes - element.amplitudes
                 ).max(),
                 np.abs(
-                    agreement.bases[c].vectors[k] - product.amplitudes
+                    tensor(
+                        agreement.sets[c].elements[k], agreement.reveal_states[c].state
+                    ).amplitudes
+                    - product.amplitudes
                 ).max(),
             )
     elapsed = time.perf_counter() - start
@@ -87,7 +91,7 @@ def test_criterion_2_completeness():
         m = 2**n
         dists = {}
         for c in range(m):
-            basis = agreement.bases[c]
+            basis = product_measurement(agreement, c)
             for k in range(m):
                 product = tensor(
                     agreement.sets[c].elements[k], agreement.reveal_states[c].state

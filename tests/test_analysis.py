@@ -2,7 +2,8 @@
 
 Oracles here are deliberately independent of the package internals:
 a hand-rolled Jacobi eigensolver for the two-hypothesis bound, direct
-inner products against the valid products for acceptance probabilities,
+inner products against the valid products, formed in the (2n+1)-qubit
+product space, for acceptance probabilities,
 scipy matrix functions for the square-root measurement, and explicit
 branch enumerations for the strategies.
 """
@@ -44,6 +45,7 @@ from qbcsim.quantum import (
     tensor,
 )
 from qbcsim.scheme import SchemeParams, build_reveal_agreement
+from test_scheme import product_measurement
 
 
 def jacobi_eigenvalues(matrix, sweeps=60):
@@ -76,14 +78,14 @@ def acceptance_by_inner_products(agreement, held, claimed):
     """Oracle: sum of |<valid product|held (x) G_claimed>|^2 without using
     born_distribution."""
     product = tensor(held, agreement.reveal_states[claimed].state)
-    basis = agreement.bases[claimed]
+    basis = product_measurement(agreement, claimed)
     return sum(abs(inner(basis.vector(k), product)) ** 2 for k in sorted(basis.valid_outcomes))
 
 
-def acceptance_by_born_distribution(agreement, held, claimed):
-    """Oracle: Born distribution of held (x) G_claimed on the reveal
-    measurement of the claimed choice, summed over valid outcomes."""
-    basis = agreement.bases[claimed]
+def acceptance_by_born_distribution(agreement, held, claimed, basis):
+    """Oracle: Born distribution of held (x) G_claimed on ``basis``, the
+    product-space reveal measurement of the claimed choice, summed over
+    valid outcomes."""
     product = tensor(held, agreement.reveal_states[claimed].state)
     return born_distribution(product, basis)[sorted(basis.valid_outcomes)].sum()
 
@@ -98,16 +100,19 @@ def test_valid_mass_table_matches_born_oracle(agreements):
         ):
             table = analysis._valid_mass_table(agreement)
             assert table.shape == (m, m, m)
+            bases = [product_measurement(agreement, claim) for claim in range(m)]
             for c in range(m):
                 for k, elem in enumerate(agreement.sets[c].elements):
                     for claim in range(m):
-                        oracle = acceptance_by_born_distribution(agreement, elem, claim)
+                        oracle = acceptance_by_born_distribution(
+                            agreement, elem, claim, bases[claim]
+                        )
                         assert abs(table[c, k, claim] - oracle) < 1e-12
             # the overlap formula holds for any held state, not only set elements
             for claim in range(m):
                 held = random_state(n + 1, rng)
                 mass = analysis._valid_mass(held.amplitudes, agreement.params.masks[claim])
-                oracle = acceptance_by_born_distribution(agreement, held, claim)
+                oracle = acceptance_by_born_distribution(agreement, held, claim, bases[claim])
                 assert abs(mass - oracle) < 1e-12
 
 
@@ -129,19 +134,26 @@ def test_exact_masses_equal_closed_form(agreements):
 
 
 def test_exact_analysis_calls_born_only_from_s_protocol(agreements, monkeypatch):
-    callers = collections.Counter()
-    real = analysis.born_distribution
+    # one exact report: the m + m^2 parent-S Born rows once, the valid-mass
+    # table once, and no set rebuilt
+    calls = collections.Counter()
 
-    def counting(state, basis):
-        callers[sys._getframe(1).f_code.co_name] += 1
-        return real(state, basis)
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name, sys._getframe(1).f_code.co_name] += 1
+            return real(*args)
+        return wrapper
 
-    monkeypatch.setattr(analysis, "born_distribution", counting)
+    for name in ("born_distribution", "_valid_mass_table", "build_sets"):
+        monkeypatch.setattr(analysis, name, counting(name, getattr(analysis, name)))
     for n in (1, 2, 3, 4):
         m = 2**n
-        callers.clear()
+        calls.clear()
         run_full_analysis(agreements[n], trials=0)
-        assert callers == {"s_protocol_analysis": 11 * (m + m**2)}
+        assert calls == {
+            ("born_distribution", "_parent_s_reports"): m + m**2,
+            ("_valid_mass_table", "run_full_analysis"): 1,
+        }
 
 
 def test_cheat_report_consistency_logic():

@@ -55,13 +55,18 @@ def test_parse_args_round_trip():
     assert args.seed == 7 and args.trials == 10
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, tmp_path):
     def exit_code(argv):
         try:
             return main(argv)
         except SystemExit as exc:  # argparse rejects the flag itself
             return exc.code
 
+    bad_moves = []  # each names no choice or element of the n=1 scheme
+    for i, line in enumerate(("choice=x", "element=2", "reveal=-1", "guess=heads", "toss=1.0")):
+        path = tmp_path / f"bad{i}.txt"
+        path.write_text(line + "\n")
+        bad_moves.append(["session", "--role", "alice", "--n", "1", "--script", str(path)])
     for argv in (
         ["audit", "--masks", "zz"],
         ["analyze", "--masks", "zz"],
@@ -70,6 +75,9 @@ def test_usage_errors_exit_2(capsys):
         ["analyze", "--n", "1", "--masks", "1", "1"],
         ["session", "--role", "bob", "--n", "7"],
         ["session", "--role", "alice", "--n", "1", "--masks", "1", "1"],
+        *([sub, "--n", n] + (["--role", "bob"] if sub == "session" else [])
+          for sub in ("analyze", "session") for n in ("-1", "0", "99999999")),
+        *bad_moves,
     ):
         assert exit_code(argv) == 2, argv
         captured = capsys.readouterr()
@@ -78,8 +86,22 @@ def test_usage_errors_exit_2(capsys):
         assert last.startswith("qbcsim") and ": error: " in last, argv
         assert "Traceback" not in captured.err, argv
     # masks that parse but are invalid are an audit failure, not a usage error
-    assert exit_code(["audit", "--n", "7"]) == 1
-    assert "check mask-validity: fail" in capsys.readouterr().out
+    for n in ("7", "-1", "0", "99999999"):
+        assert exit_code(["audit", "--n", n]) == 1
+        assert "check mask-validity: fail" in capsys.readouterr().out
+
+
+def test_session_subcommand_accept_timeout_exits_2(monkeypatch, capsys):
+    # a verifier whose peer never connects: every socket timeout is cut to
+    # 50 ms so the real accept times out without the 30 s wait
+    real = socket.socket.settimeout
+    monkeypatch.setattr(socket.socket, "settimeout", lambda self, value: real(self, 0.05))
+    assert main(["session", "--role", "bob", "--n", "1"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0].startswith("listening port=")
+    assert lines[1:] == ["session aborted: TimeoutError: timed out"]
+    assert "Traceback" not in captured.err
 
 
 def write_moves(tmp_path, text):

@@ -3,16 +3,34 @@
 The golden files under tests/golden hold hand-derived amplitude vectors
 for the preset n=1 coin-toss instance: the four set elements and the
 four valid products, each expanded by hand from its two factors.
+
+Bob's reveal measurement is held on Alice's (n+1)-qubit register. The
+explicit (2n+1)-qubit measurement onto element (x) reveal state, built
+here by ``product_measurement``, is the oracle it is checked against.
 """
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from qbcsim.quantum import StateVector, inner, random_state, state_from_text, tensor
+from qbcsim import analysis, quantum, scheme
+from qbcsim.quantum import (
+    MeasurementBasis,
+    StateVector,
+    born_distribution,
+    inner,
+    random_state,
+    state_from_text,
+    tensor,
+)
 from qbcsim.scheme import (
+    MAX_N,
+    CommitmentSet,
     SchemeAuditError,
     SchemeParams,
     RevealState,
@@ -38,11 +56,26 @@ def load_golden(name: str) -> StateVector:
     return state_from_text((GOLDEN / f"{name}.txt").read_text())
 
 
+def product_measurement(agreement, claimed: int) -> MeasurementBasis:
+    """Oracle: Bob's coupled reveal measurement for ``claimed`` in the
+    (2n+1)-qubit product space, row k = element k of set ``claimed``
+    tensored with reveal state ``claimed``, plus the reject outcome."""
+    reveal = agreement.reveal_states[claimed].state
+    rows = [tensor(e, reveal).amplitudes for e in agreement.sets[claimed].elements]
+    n = agreement.params.num_bob_qubits
+    return MeasurementBasis(2 ** (2 * n + 1), np.array(rows), frozenset(range(len(rows))))
+
+
 def test_scheme_params_validation():
     with pytest.raises(ValueError):
         SchemeParams(0, ())
     with pytest.raises(ValueError):
-        SchemeParams(5, tuple(range(1, 33)))
+        SchemeParams(7, tuple(range(1, 129)))
+    for n in (-1, 0, MAX_N + 1, 99999999):  # checked before 2**n is formed
+        with pytest.raises(ValueError, match="num_bob_qubits"):
+            SchemeParams.default(n)
+        with pytest.raises(ValueError, match="num_bob_qubits"):
+            SchemeParams.random_masks(n, 0)
     with pytest.raises(ValueError):
         SchemeParams(1, (1,))  # wrong count
     with pytest.raises(ValueError):
@@ -89,7 +122,7 @@ def test_valid_products_match_golden_files(cointoss_agreement):
     for c in range(2):
         for k in range(2):
             expected = load_golden(f"cointoss_product{c}_elem{k}")
-            got = cointoss_agreement.bases[c].vector(k)
+            got = product_measurement(cointoss_agreement, c).vector(k)
             assert_allclose(got.amplitudes, expected.amplitudes, atol=1e-12)
 
 
@@ -117,24 +150,55 @@ def test_reveal_states_cointoss_preset(cointoss_agreement):
 
 
 def test_agreement_basis_shape(agreements):
-    # each reveal measurement is the 2^n valid products (+ reject), row k
-    # being element k of set c tensored with reveal state c
+    # each reveal measurement is the 2^n elements of set c (+ reject) on
+    # Alice's register, row k being element k of set c
     for n, agreement in agreements.items():
         count = 2**n
-        dim = 2 ** (2 * n + 1)
+        dim = 2 ** (n + 1)
         sets = build_sets(agreement.params)
-        assert len(agreement.bases) == count
-        for c, basis in enumerate(agreement.bases):
+        assert len(agreement.measurements) == count
+        for c, basis in enumerate(agreement.measurements):
             assert basis.dimension == dim
             assert basis.vectors.shape == (count, dim)
             assert basis.valid_outcomes == frozenset(range(count))
-            reveal = bob_reveal_state(agreement.params, c).state
             for k in range(count):
+                assert_allclose(basis.vectors[k], sets[c].elements[k].amplitudes, atol=1e-15)
+
+
+def test_register_measurement_equals_product_measurement(agreements):
+    # <e (x) G_c|psi (x) G_c> = <e|psi>: measuring psi on the set rows gives
+    # Bob's coupled product-space distribution, for set elements and for
+    # arbitrary held states, under every reveal
+    rng = np.random.default_rng(31)
+    for n, agreement in agreements.items():
+        for c in range(agreement.num_choices):
+            reveal = agreement.reveal_states[c].state
+            oracle = product_measurement(agreement, c)
+            held = [e for s in (c, (c + 1) % agreement.num_choices)
+                    for e in agreement.sets[s].elements]
+            held += [random_state(n + 1, rng) for _ in range(5)]
+            for psi in held:
                 assert_allclose(
-                    basis.vectors[k],
-                    tensor(sets[c].elements[k], reveal).amplitudes,
-                    atol=1e-15,
+                    born_distribution(psi, agreement.measurements[c]),
+                    born_distribution(tensor(psi, reveal), oracle),
+                    atol=1e-12,
                 )
+
+
+def test_factorised_product_gram_matches_explicit_gram(agreements):
+    # the audit's <e (x) G|e' (x) G'> = <e|e'><G|G'> against the explicit
+    # Gram of every valid product of every choice in the product space
+    for n, agreement in agreements.items():
+        m = agreement.num_choices
+        stacked = np.concatenate([product_measurement(agreement, c).vectors for c in range(m)])
+        explicit = stacked.conj() @ stacked.T
+        elements = np.array([e.amplitudes for s in agreement.sets for e in s.elements])
+        reveals = np.array([r.state.amplitudes for r in agreement.reveal_states])
+        factorised = (elements.conj() @ elements.T) * np.kron(
+            reveals.conj() @ reveals.T, np.ones((m, m))
+        )
+        assert_allclose(factorised, explicit, atol=1e-15)
+        assert np.abs(explicit - np.eye(m * m)).max() <= 1e-9
 
 
 def test_set_s_binding():
@@ -198,6 +262,48 @@ def test_cross_set_overlap_values_by_hand(cointoss_agreement):
     assert abs(inner(a, b) - 0.5) < 1e-12
 
 
+def test_audit_scheme_makes_no_inner_calls(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return quantum.inner(a, b)
+
+    monkeypatch.setattr(quantum, "inner", counting)
+    monkeypatch.setattr(scheme, "inner", counting, raising=False)
+    for n in (1, 2, 3):
+        checks = audit_scheme(SchemeParams.default(n))
+        assert all(c.passed for c in checks)
+    assert calls == []
+
+
+def test_audit_scheme_flags_tampered_agreements(monkeypatch):
+    # negative controls for the array-based checks: the audit is handed an
+    # agreement with one set or one reveal state swapped for another's
+    params = SchemeParams.default(2)
+    honest = build_reveal_agreement(params)
+
+    def failed_checks(**changes):
+        tampered = dataclasses.replace(honest, **changes)
+        monkeypatch.setattr(scheme, "build_reveal_agreement", lambda _: tampered)
+        return {c.name for c in audit_scheme(params) if not c.passed}
+
+    sets = list(honest.sets)
+    sets[1] = CommitmentSet(1, sets[0].elements)  # set 1 no longer overlaps set 0 at 1/2
+    assert failed_checks(sets=tuple(sets)) == {
+        "cross-set-two-partners-overlap-half", "reveal-bases-complete"}
+    # an even superposition of set 0 meets all four of its elements at 1/2
+    spread = StateVector(3, sum(e.amplitudes for e in honest.sets[0].elements) / 2)
+    sets[1] = CommitmentSet(1, (spread,) + honest.sets[1].elements[1:])
+    assert failed_checks(sets=tuple(sets)) == {
+        "within-set-orthogonality", "two-term-equal-superposition-cover",
+        "cross-set-two-partners-overlap-half", "valid-products-orthogonal", "reveal-bases-complete"}
+    reveals = list(honest.reveal_states)
+    reveals[1] = RevealState(1, reveals[0].state)  # products of choices 0 and 1 overlap
+    assert failed_checks(reveal_states=tuple(reveals)) == {
+        "reveal-states-orthonormal", "valid-products-orthogonal"}
+
+
 def test_audit_scheme_all_pass():
     for params in (
         SchemeParams.paper_cointoss(),
@@ -241,10 +347,8 @@ def test_scheme_hash_ignores_preset_name():
 
 def test_honest_products_are_distinguishable(cointoss_agreement):
     # every valid product lands on its own outcome with probability 1
-    from qbcsim.quantum import born_distribution
-
     for c in range(2):
-        basis = cointoss_agreement.bases[c]
+        basis = product_measurement(cointoss_agreement, c)
         for k in range(2):
             product = tensor(
                 cointoss_agreement.sets[c].elements[k],
@@ -252,3 +356,26 @@ def test_honest_products_are_distinguishable(cointoss_agreement):
             )
             dist = born_distribution(product, basis)
             assert abs(dist[k] - 1.0) < 1e-12
+            held = cointoss_agreement.sets[c].elements[k]
+            dist = born_distribution(held, cointoss_agreement.measurements[c])
+            assert abs(dist[k] - 1.0) < 1e-12
+
+
+#: Derandomised examples per n: few where one audit costs the most.
+RANDOM_MASK_EXAMPLES = {1: 20, 2: 20, 3: 10, 4: 5, 5: 2, 6: 1}
+
+
+@pytest.mark.parametrize("n", range(1, MAX_N + 1))
+def test_random_masks_pass_audit_and_half_law(n):
+    @settings(max_examples=RANDOM_MASK_EXAMPLES[n], derandomize=True, deadline=None,
+              database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def check(seed):
+        params = SchemeParams.random_masks(n, seed)
+        failed = [c.name for c in audit_scheme(params) if not c.passed]
+        assert failed == [], (params.masks, failed)
+        table = analysis._valid_mass_table(build_reveal_agreement(params))
+        c, _, claim = np.indices(table.shape)
+        assert (table[c != claim] == 0.5).all(), params.masks
+
+    check()

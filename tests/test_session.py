@@ -367,11 +367,13 @@ def test_mutated_frames_are_taken_or_wire_errors(agreements, kind, data):
 
 def test_frame_limit_fits_every_frame(agreements):
     rng = np.random.default_rng(3)
-    for n, agreement in agreements.items():
+    larger = {n: build_reveal_agreement(SchemeParams.default(n)) for n in (5, 6)}
+    for n, agreement in {**agreements, **larger}.items():
         limit = frame_limit(agreement.params)
         digest = scheme_hash(agreement.params)
         longest = len(encode_message(Commit(random_state(n + 1, rng)), digest))
-        for choice in range(agreement.num_choices):
+        # every choice up to n=4, an even sample of 16 beyond
+        for choice in range(0, agreement.num_choices, max(1, agreement.num_choices // 16)):
             for alice in (
                 AliceScript(choice=choice),
                 AliceScript(choice=choice, reveal_choice=(choice + 1) % agreement.num_choices),
@@ -380,6 +382,31 @@ def test_frame_limit_fits_every_frame(agreements):
                 result = run_session(agreement, alice, BobScript(), seed=choice)
                 longest = max(longest, *map(len, result.transcript))
         assert longest < limit, (n, longest, limit)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_sessions_past_n4(n):
+    # honest sessions recover the element in process and over TCP (reads
+    # bounded by frame_limit); cheating reveals pass half the time
+    agreement = build_reveal_agreement(SchemeParams.default(n))
+    m = agreement.num_choices
+    rng = np.random.default_rng(n)
+    for transport in ("in-process", "tcp"):
+        for _ in range(8):
+            c, k = (int(x) for x in rng.integers(m, size=2))
+            result = run_session(agreement, AliceScript(choice=c, element=k), BobScript(),
+                                 seed=int(rng.integers(2**31)), transport=transport)
+            assert result.verdict.accepted
+            assert result.verification.outcome_index == result.verification.recovered_element == k
+    cheats, accepted = 400, 0
+    for seed in range(cheats):
+        c = int(rng.integers(m))
+        claim = (c + 1 + int(rng.integers(m - 1))) % m
+        result = run_session(agreement, AliceScript(choice=c, reveal_choice=claim), BobScript(), seed)
+        accepted += result.verdict.accepted
+        if not result.verdict.accepted:
+            assert result.verification.outcome_index == m  # the reject outcome
+    assert abs(accepted / cheats - 0.5) <= 5 * np.sqrt(0.25 / cheats)
 
 
 def _serve_raw_peer(bob, payload: bytes) -> Exception:
