@@ -11,7 +11,6 @@ import types as _types
 
 from .analysis import (
     CheatReport,
-    EnsembleMixture,
     STRATEGIES,
     STRATEGY_DECLARE_PRIOR,
     STRATEGY_UPDATE_ON_REJECT,
@@ -21,9 +20,7 @@ from .analysis import (
     block_cheat_report,
     bob_premature_strategy,
     bob_wrong_coupling_table,
-    ensemble_mixture,
-    helstrom_bound,
-    pgm_success,
+    discrimination_bounds,
     run_full_analysis,
     s_protocol_analysis,
     s_protocol_sweep,
@@ -31,7 +28,6 @@ from .analysis import (
 from .quantum import (
     ATOL,
     INV_SQRT2,
-    HermitianMatrix,
     MeasurementBasis,
     StateVector,
     apply_gate,
@@ -39,7 +35,6 @@ from .quantum import (
     born_distribution,
     computational_basis,
     equal_superposition_pair,
-    hermitian_eig,
     inner,
     ket_string,
     make_basis_state,
@@ -48,6 +43,7 @@ from .quantum import (
     state_from_text,
     state_to_text,
     tensor,
+    walsh_matrix,
 )
 from .scheme import (
     MAX_N,

@@ -10,8 +10,11 @@ the reveal measurements (set elements + reject, on Alice's register).
 Reports that read the valid-mass table take it as ``table`` (built when None).
 Discrimination bounds (two-hypothesis optimum and the square-root
 measurement) bound what any pre-reveal strategy could achieve, so the
-concealment claim is tested rather than assumed. Functions report
-numbers side by side and do not editorialize.
+concealment claim is tested rather than assumed. Set c's uniform mixture
+is rho_c = (I + X^{d_c})/2^(n+1), diagonal in the Hadamard basis with
+entries (1 + W[d_c, y])/2^(n+1) for the Walsh matrix W, so both bounds are
+sums over those diagonals: no density matrix is formed and no eigensolver
+runs. Functions report numbers side by side and do not editorialize.
 
 Priors are uniform over choices and elements wherever a strategy needs
 them; that matches the arbitrary-guess baseline the scheme is judged
@@ -25,22 +28,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantum import (
-    HermitianMatrix,
-    as_generator,
-    born_distribution,
-    computational_basis,
-    hermitian_eig,
-)
-from .scheme import CommitmentSet, RevealAgreement, SchemeParams, build_set_s, build_sets
+from .quantum import as_generator, born_distribution, computational_basis, walsh_matrix
+from .scheme import RevealAgreement, SchemeParams, build_set_s
 
 STRATEGY_DECLARE_PRIOR = "declare-prior-guess"
 STRATEGY_UPDATE_ON_REJECT = "update-on-reject"
 STRATEGIES = (STRATEGY_DECLARE_PRIOR, STRATEGY_UPDATE_ON_REJECT)
-
-#: Eigenvalues below this are treated as zero on the support of an
-#: average state (rank-deficient mixtures are generic here).
-SUPPORT_CUTOFF = 1e-10
 
 
 @dataclass(frozen=True)
@@ -81,45 +74,6 @@ def _finish_report(scenario, exact, hits, trials, parameters) -> CheatReport:
     estimate = hits / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
     return CheatReport(scenario, exact, trials, estimate, stderr, parameters)
-
-
-@dataclass(frozen=True, eq=False)
-class EnsembleMixture:
-    """Density operator labelled by the choice it averages over.
-
-    Validated positive semidefinite (eigenvalues >= -1e-9) with unit
-    trace. Arbitrary densities may be wrapped for bound computations.
-    """
-
-    choice: int
-    density: HermitianMatrix
-
-    def __post_init__(self):
-        if not isinstance(self.density, HermitianMatrix):
-            object.__setattr__(self, "density", HermitianMatrix(self.density))
-        eigenvalues = np.linalg.eigvalsh(self.density.entries)
-        if eigenvalues.min() < -1e-9:
-            raise ValueError(f"not positive semidefinite: min eigenvalue {eigenvalues.min():.3e}")
-        if abs(self.density.trace() - 1.0) > 1e-9:
-            raise ValueError(f"trace is {self.density.trace()}, not 1")
-
-    @property
-    def dimension(self) -> int:
-        return self.density.dimension
-
-
-def ensemble_mixture(params: SchemeParams, choice: int) -> EnsembleMixture:
-    """Uniform mixture of projectors onto the elements of one set."""
-    return _set_mixture(build_sets(params)[choice])
-
-
-def _set_mixture(commitment_set: CommitmentSet) -> EnsembleMixture:
-    elements = commitment_set.elements
-    dim = elements[0].dimension
-    rho = np.zeros((dim, dim), dtype=complex)
-    for elem in elements:
-        rho += np.outer(elem.amplitudes, elem.amplitudes.conj())
-    return EnsembleMixture(commitment_set.choice, HermitianMatrix(rho / len(elements)))
 
 
 # --- binding: Alice's cheat acceptance ------------------------------------
@@ -331,45 +285,34 @@ def bob_premature_strategy(agreement: RevealAgreement, strategy: str, trials: in
 # --- discrimination bounds -------------------------------------------------
 
 
-def helstrom_bound(rho1: EnsembleMixture, rho2: EnsembleMixture) -> float:
-    """Optimal two-hypothesis success at uniform priors:
-    1/2 + (trace norm of rho1 - rho2)/4."""
-    if rho1.dimension != rho2.dimension:
-        raise ValueError("mixture dimensions differ")
-    diff = rho1.density.entries - rho2.density.entries
-    eigenvalues, _ = hermitian_eig(diff)
-    return float(0.5 + 0.25 * np.abs(eigenvalues).sum())
+def discrimination_bounds(params: SchemeParams) -> dict:
+    """The report's ``discrimination`` section: chance, the Helstrom bound of
+    every pair of set mixtures, and the uniform-prior square-root measurement.
 
-
-def pgm_success(ensembles, priors) -> float:
-    """Success probability of the square-root measurement.
-
-    The measurement operators are S^(-1/2) p_i rho_i S^(-1/2) with S the
-    prior-weighted average state; the inverse square root acts on the
-    support of S (eigenvalues below SUPPORT_CUTOFF treated as zero).
+    In the Hadamard basis rho_c(y) = (1 + W[d_c, y])/2^(n+1), so the Helstrom
+    bound of a pair is 1/2 + (1/4) sum_y |rho_a(y) - rho_b(y)| (3/4 for any
+    two distinct masks), and the square-root measurement succeeds with
+    sum_y sum_c rho_c(y)^2 / (m^2 S(y)) over the support of the average
+    S = sum_c rho_c / m. That is |supp S| / (m 2^n): 2/m, unless the masks
+    are exactly the odd class {d : popcount(d AND y) odd} of some y, which
+    leaves y outside the support. Every entry is a multiple of 2^-n and the
+    sum over c comes before the division by S(y), so the values are exact.
     """
-    ensembles = list(ensembles)
-    if len(ensembles) < 2:
-        raise ValueError("need at least two ensembles")
-    priors = np.asarray(priors, dtype=float)
-    if priors.shape != (len(ensembles),) or priors.min() < 0:
-        raise ValueError("priors must be nonnegative, one per ensemble")
-    if abs(priors.sum() - 1.0) > 1e-9:
-        raise ValueError(f"priors sum to {priors.sum()}, not 1")
-    dim = ensembles[0].dimension
-    if any(e.dimension != dim for e in ensembles):
-        raise ValueError("mixture dimensions differ")
-    average = sum(
-        p * e.density.entries for p, e in zip(priors, ensembles)
-    )
-    eigenvalues, vectors = hermitian_eig(average)
-    inv_sqrt_diag = np.where(eigenvalues > SUPPORT_CUTOFF, eigenvalues, np.inf) ** -0.5
-    root = (vectors * inv_sqrt_diag) @ vectors.conj().T
-    success = 0.0
-    for p, e in zip(priors, ensembles):
-        reshaped = root @ e.density.entries @ root
-        success += p**2 * float(np.trace(e.density.entries @ reshaped).real)
-    return success
+    n, m = params.num_bob_qubits, params.num_choices
+    rho = (1 + walsh_matrix(n + 1)[list(params.masks)]) / 2 ** (n + 1)  # [c, y]
+    distance = np.abs(rho[:, None] - rho[None]).sum(axis=-1)  # sum_y |rho_a - rho_b|
+    average = rho.sum(axis=0)  # m S(y)
+    support = average > 0
+    pgm = np.sum((rho**2).sum(axis=0)[support] / (m * average[support]))
+    return {
+        "chance": 1.0 / m,
+        "helstrom_pairs": [
+            {"a": a, "b": b, "bound": float(0.5 + 0.25 * distance[a, b])}
+            for a in range(m)
+            for b in range(a + 1, m)
+        ],
+        "pgm_uniform": float(pgm),
+    }
 
 
 # --- the reduced-qubit variant ---------------------------------------------
@@ -486,16 +429,7 @@ def run_full_analysis(agreement: RevealAgreement, trials: int = 0, seed: int = 0
         for strategy in STRATEGIES
     ]
 
-    mixtures = [_set_mixture(s) for s in agreement.sets]
-    report["discrimination"] = {
-        "chance": 1.0 / m,
-        "helstrom_pairs": [
-            {"a": a, "b": b, "bound": helstrom_bound(mixtures[a], mixtures[b])}
-            for a in range(m)
-            for b in range(a + 1, m)
-        ],
-        "pgm_uniform": pgm_success(mixtures, np.full(m, 1.0 / m)),
-    }
+    report["discrimination"] = discrimination_bounds(params)
 
     report["s_protocol"] = [
         r.as_dict() for r in s_protocol_sweep(agreement, 11, trials, gen)

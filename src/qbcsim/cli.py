@@ -10,11 +10,13 @@ Subcommands:
   JSON to a file.
 * ``session``: one side of a two-process TCP session; exits 0 when the
   reveal is accepted, 1 when it is rejected, and 2 on a failed handshake,
-  a malformed or out-of-phase frame, or a peer silent for 30 s.
+  a malformed or out-of-phase frame, or a socket error: a refused
+  connection, a port that cannot be bound, or a peer silent for 30 s.
 
 Usage errors exit with code 2; so do scheme flags that name no valid
-scheme, which ``audit`` instead reports as a failed check. All
-randomness flows from --seed (default 0); identical invocations produce
+scheme, which ``audit`` instead reports as a failed check. The audit is
+deterministic and takes no seed; every other subcommand draws all its
+randomness from --seed (default 0), and identical invocations produce
 byte-identical output. No environment variables are read.
 """
 
@@ -129,6 +131,8 @@ def cmd_cointoss(args: argparse.Namespace, out=None) -> int:
         element = None
         if moves.get("element", "random") != "random":
             element = int(moves["element"])
+            if not 0 <= element < params.num_choices:
+                raise ValueError(f"element {element} is not in 0..{params.num_choices - 1}")
     except (KeyError, ValueError) as exc:
         print(f"bad script: {exc}", file=out)
         return 2
@@ -336,7 +340,7 @@ def cmd_session(args: argparse.Namespace, out=None) -> int:
     except HandshakeError as exc:
         print(f"handshake failed: {exc}", file=out)
         return 2
-    except (WireError, PhaseError, TimeoutError) as exc:  # a peer that never connects times out
+    except (WireError, PhaseError, OSError) as exc:  # refused, timed out, or failed to bind
         print(f"session aborted: {type(exc).__name__}: {exc}", file=out)
         return 2
     if args.out:
@@ -380,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     audit = sub.add_parser("audit", help="run the structural invariants")
     _add_scheme_flags(audit)
-    audit.add_argument("--seed", type=int, default=0)
 
     analyze = sub.add_parser("analyze", help="run the security battery")
     _add_scheme_flags(analyze)

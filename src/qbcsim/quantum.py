@@ -3,8 +3,12 @@
 Everything in the package runs through this module: basis kets, two-term
 superpositions, tensor products, the {H, X, Z, CNOT} gate set, projective
 measurement onto a set of orthonormal vectors (plus one outcome for their
-orthogonal complement when they do not span the space), and Hermitian
-eigendecomposition for the discrimination bounds.
+orthogonal complement when they do not span the space), and the Walsh
+matrix W[x, y] = (-1)^popcount(x AND y). W / 2^(k/2) is the k-qubit
+Hadamard transform. W is the one parity table behind the Pauli-Z
+expectations (the Walsh transform of the basis probabilities) and the
+discrimination bounds (the set mixtures are diagonal in the Hadamard
+basis), so no eigensolver is needed.
 
 Conventions
 -----------
@@ -20,6 +24,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -268,37 +273,19 @@ def random_state(num_qubits: int, rng) -> StateVector:
     return StateVector(num_qubits, amps / np.linalg.norm(amps))
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianMatrix:
-    """Square conjugate-symmetric matrix (density-operator carrier)."""
+@functools.cache
+def walsh_matrix(k: int) -> np.ndarray:
+    """The 2^k x 2^k Sylvester matrix W[x, y] = (-1)^popcount(x AND y).
 
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = _frozen_array(self.entries)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("entries must be a square matrix")
-        if np.abs(arr - arr.conj().T).max() > ATOL:
-            raise ValueError("matrix is not Hermitian within tolerance")
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def dimension(self) -> int:
-        return self.entries.shape[0]
-
-    def trace(self) -> float:
-        return float(np.trace(self.entries).real)
-
-
-def hermitian_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns.
-
-    Accepts a HermitianMatrix or a raw ndarray; the input is validated
-    for conjugate symmetry either way.
+    Built by Kronecker doubling, W_k = [[1, 1], [1, -1]] (x) W_(k-1), so
+    the leading bit of x and y picks the block; entries are exact +-1.
+    Built once per k and returned read-only.
     """
-    if not isinstance(matrix, HermitianMatrix):
-        matrix = HermitianMatrix(np.asarray(matrix, dtype=complex))
-    return np.linalg.eigh(matrix.entries)
+    walsh = np.ones((1, 1), dtype=np.int64)
+    for _ in range(k):
+        walsh = np.kron([[1, 1], [1, -1]], walsh)
+    walsh.setflags(write=False)
+    return walsh
 
 
 # --- text serialization -------------------------------------------------

@@ -20,7 +20,8 @@ inner product 1/2.
 
 The module also builds the computational-basis set S used by the
 reduced-qubit protocol variant, and provides structural audits over all
-of the above, from one Gram block per pair of sets.
+of the above, from one Gram block per pair of sets and one Walsh
+transform per reveal state (its Pauli-Z expectations for every mask).
 """
 
 from __future__ import annotations
@@ -40,10 +41,11 @@ from .quantum import (
     as_generator,
     index_to_bits,
     make_basis_state,
+    walsh_matrix,
 )
 
 #: Largest supported receiver register; no product space is formed, so the cap bounds
-#: the m^2(m-1)-row wrong-coupling report (258 k rows at n=6) and the dense bounds.
+#: the m^2(m-1)-row wrong-coupling report (258 k rows at n=6).
 MAX_N = 6
 
 PRESET_PAPER_COINTOSS = "paper-cointoss"
@@ -224,23 +226,10 @@ def pauli_x_all_expectation(state: StateVector) -> float:
     return float(np.vdot(state.amplitudes, flipped).real)
 
 
-def pauli_z_expectation(state: StateVector, z_mask: int) -> float:
-    """<state| Z^z |state> for a Z on every set bit of ``z_mask``."""
-    n = state.num_qubits
-    if not 0 <= z_mask < 2**n:
-        raise ValueError("z mask wider than the register")
-    indices = np.arange(2**n)
-    signs = 1.0 - 2.0 * (_popcount(indices & z_mask) % 2)
-    return float(np.sum(signs * np.abs(state.amplitudes) ** 2))
-
-
-def _popcount(arr: np.ndarray) -> np.ndarray:
-    counts = np.zeros_like(arr)
-    work = arr.copy()
-    while work.any():
-        counts += work & 1
-        work >>= 1
-    return counts
+def pauli_z_expectations(state: StateVector) -> np.ndarray:
+    """<state| Z^z |state> for every z mask at once, indexed by z: the Walsh
+    transform of the basis probabilities, W[z, x] = (-1)^popcount(z AND x)."""
+    return walsh_matrix(state.num_qubits) @ np.abs(state.amplitudes) ** 2
 
 
 @dataclass(frozen=True)
@@ -249,11 +238,11 @@ class StabilizerReport:
 
     choice: int
     x_eigenvalue: int
-    z_eigenvalues: dict[int, int]  # even-weight z mask -> +-1
+    z_eigenvalues: dict[int, int]  # even-parity z mask -> +-1
 
 
 def stabilizer_audit(reveal: RevealState) -> StabilizerReport:
-    """Check X^(x)n and every even-weight Z mask are +-1 eigenoperators.
+    """Check X^(x)n and every even-parity Z mask are +-1 eigenoperators.
 
     Raises SchemeAuditError when any expectation deviates from +-1 by
     more than 1e-9.
@@ -265,14 +254,15 @@ def stabilizer_audit(reveal: RevealState) -> StabilizerReport:
         raise SchemeAuditError(
             f"X^n expectation {x_val} is not +-1 for choice {reveal.choice}"
         )
+    expectations = pauli_z_expectations(state).tolist()
     z_eigs = {}
     for z in range(2**n):
         if bin(z).count("1") % 2 != 0:
             continue
-        val = pauli_z_expectation(state, z)
+        val = expectations[z]
         if abs(abs(val) - 1.0) > ATOL:
             raise SchemeAuditError(
-                f"even-weight Z mask {z:#x} expectation {val} is not +-1 "
+                f"even-parity Z mask {z:#x} expectation {val} is not +-1 "
                 f"for choice {reveal.choice}"
             )
         z_eigs[z] = int(round(val))
@@ -367,7 +357,7 @@ def audit_scheme(params: SchemeParams) -> list[AuditCheck]:
     err = np.abs(reveal_gram - identity).max()
     record("reveal-states-orthonormal", err <= ATOL, f"max |gram - I| = {err:.2e}")
 
-    # stabilizer generators, plus the odd-weight negative control
+    # stabilizer generators, plus the odd-parity negative control
     try:
         for r in reveal_states:
             stabilizer_audit(r)
@@ -377,10 +367,11 @@ def audit_scheme(params: SchemeParams) -> list[AuditCheck]:
     odd_ok = True
     n = params.num_bob_qubits
     for r in reveal_states:
+        expectations = pauli_z_expectations(r.state).tolist()
         for z in range(2**n):
             if bin(z).count("1") % 2 == 0:
                 continue
-            val = pauli_z_expectation(r.state, z)
+            val = expectations[z]
             if z < 2 ** (n - 1) and abs(val) > ATOL:  # z1 = 0 masks
                 odd_ok = False
             if abs(val) >= 1.0 - 1e-6:

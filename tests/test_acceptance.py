@@ -17,23 +17,22 @@ from test_analysis import (
     jacobi_eigenvalues,
 )
 from test_scheme import product_measurement
+from dense_oracle import EnsembleMixture, HermitianMatrix, ensemble_mixture, helstrom_bound
 
 from qbcsim.analysis import (
     STRATEGY_DECLARE_PRIOR,
     STRATEGY_UPDATE_ON_REJECT,
-    EnsembleMixture,
     alice_cheat_acceptance,
     alice_cheat_report,
     block_cheat_fidelity,
     block_cheat_report,
     bob_premature_strategy,
     bob_wrong_coupling_table,
-    ensemble_mixture,
-    helstrom_bound,
+    discrimination_bounds,
     s_protocol_analysis,
     s_protocol_sweep,
 )
-from qbcsim.quantum import HermitianMatrix, born_distribution, state_from_text, tensor
+from qbcsim.quantum import born_distribution, state_from_text, tensor
 from qbcsim.scheme import SchemeParams, audit_scheme, build_reveal_agreement
 from qbcsim.session import AliceScript, BobScript, HandshakeError, run_session
 
@@ -217,7 +216,7 @@ def test_criterion_6_discrimination():
 
     params = SchemeParams.paper_cointoss()
     mix0, mix1 = ensemble_mixture(params, 0), ensemble_mixture(params, 1)
-    bound = helstrom_bound(mix0, mix1)
+    bound = discrimination_bounds(params)["helstrom_pairs"][0]["bound"]
     oracle_eigs = jacobi_eigenvalues(mix0.density.entries - mix1.density.entries)
     oracle = 0.5 + 0.25 * np.abs(oracle_eigs).sum()
     helstrom_err = abs(bound - oracle)

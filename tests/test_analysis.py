@@ -1,11 +1,12 @@
 """Tests for the binding/concealment figures and discrimination bounds.
 
 Oracles here are deliberately independent of the package internals:
-a hand-rolled Jacobi eigensolver for the two-hypothesis bound, direct
-inner products against the valid products, formed in the (2n+1)-qubit
-product space, for acceptance probabilities,
-scipy matrix functions for the square-root measurement, and explicit
-branch enumerations for the strategies.
+the dense mixtures and eigensolver bounds of ``dense_oracle`` for the
+Walsh-diagonal discrimination bounds, a hand-rolled Jacobi eigensolver for
+the two-hypothesis bound, direct inner products against the valid
+products, formed in the (2n+1)-qubit product space, for acceptance
+probabilities, scipy matrix functions for the square-root measurement,
+and explicit branch enumerations for the strategies.
 """
 
 import collections
@@ -23,28 +24,34 @@ from qbcsim.analysis import (
     STRATEGY_DECLARE_PRIOR,
     STRATEGY_UPDATE_ON_REJECT,
     CheatReport,
-    EnsembleMixture,
     alice_cheat_acceptance,
     alice_cheat_report,
     block_cheat_fidelity,
     block_cheat_report,
     bob_premature_strategy,
     bob_wrong_coupling_table,
-    ensemble_mixture,
-    helstrom_bound,
-    pgm_success,
+    discrimination_bounds,
     run_full_analysis,
     s_protocol_analysis,
     s_protocol_sweep,
 )
+from qbcsim import scheme
 from qbcsim.quantum import (
-    HermitianMatrix,
     born_distribution,
     inner,
     random_state,
     tensor,
+    walsh_matrix,
 )
-from qbcsim.scheme import SchemeParams, build_reveal_agreement
+from qbcsim.scheme import SchemeParams, audit_scheme, build_reveal_agreement
+from dense_oracle import (
+    EnsembleMixture,
+    HermitianMatrix,
+    ensemble_mixture,
+    helstrom_bound,
+    pgm_success,
+)
+from test_quantum import hadamard_all
 from test_scheme import product_measurement
 
 
@@ -144,8 +151,10 @@ def test_exact_analysis_calls_born_only_from_s_protocol(agreements, monkeypatch)
             return real(*args)
         return wrapper
 
-    for name in ("born_distribution", "_valid_mass_table", "build_sets"):
+    for name in ("born_distribution", "_valid_mass_table"):
         monkeypatch.setattr(analysis, name, counting(name, getattr(analysis, name)))
+    monkeypatch.setattr(scheme, "build_sets", counting("build_sets", scheme.build_sets))
+    assert not hasattr(analysis, "build_sets")  # so no set can be rebuilt past the patch
     for n in (1, 2, 3, 4):
         m = 2**n
         calls.clear()
@@ -373,6 +382,58 @@ def test_pgm_against_scipy_oracle():
     )
     assert abs(got - oracle) < 1e-9
     assert abs(got - 0.5) < 1e-9  # twice the chance rate of 1/4
+
+
+def oracle_schemes():
+    """Default masks, the paper preset, seeded random masks and the odd class
+    of the all-ones string (the PGM exception), n <= 4."""
+    rng = np.random.default_rng(31)
+    yield SchemeParams.paper_cointoss()
+    for n in (1, 2, 3, 4):
+        yield SchemeParams.default(n)
+        for _ in range(3):
+            yield SchemeParams.random_masks(n, rng)
+        yield SchemeParams(n, tuple(d for d in range(2 ** (n + 1)) if bin(d).count("1") % 2))
+
+
+def test_discrimination_bounds_match_dense_oracle():
+    for params in oracle_schemes():
+        m = params.num_choices
+        mixtures = [ensemble_mixture(params, c) for c in range(m)]
+        got = discrimination_bounds(params)
+        assert got["chance"] == 1.0 / m
+        pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+        assert [(row["a"], row["b"]) for row in got["helstrom_pairs"]] == pairs
+        for row in got["helstrom_pairs"]:
+            oracle = helstrom_bound(mixtures[row["a"]], mixtures[row["b"]])
+            assert abs(row["bound"] - oracle) < 1e-12, params.masks
+        oracle = pgm_success(mixtures, np.full(m, 1.0 / m))
+        assert abs(got["pgm_uniform"] - oracle) < 1e-12, params.masks
+
+
+def test_set_mixtures_are_walsh_diagonal():
+    # H^(n+1) rho_c H^(n+1) = diag((1 + W[d_c]) / 2^(n+1)) for the dense mixture
+    for params in oracle_schemes():
+        width = params.num_alice_qubits
+        hadamard = hadamard_all(width)
+        walsh = walsh_matrix(width)
+        for c, d in enumerate(params.masks):
+            rho = ensemble_mixture(params, c).density.entries
+            expected = np.diag((1 + walsh[d]) / 2**width)
+            assert_allclose(hadamard @ rho @ hadamard, expected, atol=1e-12)
+
+
+def test_analysis_and_audit_run_no_eigensolver(agreements, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for n, agreement in agreements.items():
+        run_full_analysis(agreement, trials=0)
+        assert all(check.passed for check in audit_scheme(agreement.params))
+    with pytest.raises(AssertionError, match="eigensolver"):
+        ensemble_mixture(SchemeParams.default(1), 0)  # the dense oracle does call it
 
 
 def enumerate_s_protocol(agreement, p_s):

@@ -69,6 +69,7 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         bad_moves.append(["session", "--role", "alice", "--n", "1", "--script", str(path)])
     for argv in (
         ["audit", "--masks", "zz"],
+        ["audit", "--seed", "3"],  # the audit is deterministic and takes no seed
         ["analyze", "--masks", "zz"],
         ["session", "--role", "bob", "--masks", "1", "zz"],
         ["analyze", "--n", "7"],
@@ -101,6 +102,17 @@ def test_session_subcommand_accept_timeout_exits_2(monkeypatch, capsys):
     lines = captured.out.splitlines()
     assert lines[0].startswith("listening port=")
     assert lines[1:] == ["session aborted: TimeoutError: timed out"]
+    assert "Traceback" not in captured.err
+
+
+def test_session_subcommand_refused_connection_exits_2(capsys):
+    with socket.socket() as sock:  # a loopback port with nothing listening on it
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    assert main(["session", "--role", "alice", "--n", "1", "--port", str(port)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("session aborted: ConnectionRefusedError: ")
     assert "Traceback" not in captured.err
 
 
@@ -160,10 +172,12 @@ def test_cointoss_cheat_rejected_about_half_the_time(tmp_path):
 
 
 def test_cointoss_bad_script(tmp_path):
-    script = write_moves(tmp_path, "toss=sideways\nguess=head\n")
-    out = io.StringIO()
-    assert cmd_cointoss(run_config(seed=0, script=script), out) == 2
-    assert "bad script" in out.getvalue()
+    for moves in ("toss=sideways\nguess=head\n", "toss=head\nguess=head\nelement=5\n",
+                  "toss=head\nguess=head\nelement=-1\n"):
+        script = write_moves(tmp_path, moves)
+        out = io.StringIO()
+        assert cmd_cointoss(run_config(seed=0, script=script), out) == 2, moves
+        assert out.getvalue().startswith("bad script: "), moves
 
 
 def test_cointoss_interactive_mode(monkeypatch):

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from qbcsim.quantum import (
     ATOL,
     INV_SQRT2,
-    HermitianMatrix,
     MeasurementBasis,
     StateVector,
     apply_gate,
@@ -16,7 +15,6 @@ from qbcsim.quantum import (
     born_distribution,
     computational_basis,
     equal_superposition_pair,
-    hermitian_eig,
     index_to_bits,
     inner,
     ket_string,
@@ -26,7 +24,10 @@ from qbcsim.quantum import (
     state_from_text,
     state_to_text,
     tensor,
+    walsh_matrix,
 )
+
+from dense_oracle import HermitianMatrix, hermitian_eig
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -305,6 +306,30 @@ def test_hermitian_matrix_and_eig():
     assert_allclose(values, [-1.0, 1.0], atol=1e-12)
     recon = (vectors * values) @ vectors.conj().T
     assert_allclose(recon, mat.entries, atol=1e-12)
+
+
+def hadamard_all(k):
+    """H on every qubit of a k-qubit register, column x the image of |x>."""
+    columns = []
+    for x in range(2**k):
+        state = make_basis_state(index_to_bits(x, k))
+        for q in range(1, k + 1):
+            state = apply_gate(state, "H", q)
+        columns.append(state.amplitudes)
+    return np.array(columns).T
+
+
+def test_walsh_matrix_is_scaled_hadamard_transform():
+    assert walsh_matrix(0).tolist() == [[1]]
+    for k in range(1, 5):
+        walsh = walsh_matrix(k)
+        assert walsh.shape == (2**k, 2**k)
+        assert_allclose(walsh / 2 ** (k / 2), hadamard_all(k), atol=1e-12)
+        # exact +-1 entries with the parity of x AND y
+        for x in range(2**k):
+            for y in range(2**k):
+                assert walsh[x, y] == (-1) ** bin(x & y).count("1")
+    assert not walsh_matrix(3).flags.writeable  # shared between callers
 
 
 def test_state_text_round_trip_is_exact():

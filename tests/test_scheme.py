@@ -43,7 +43,7 @@ from qbcsim.scheme import (
     descriptor_text,
     params_from_descriptor,
     pauli_x_all_expectation,
-    pauli_z_expectation,
+    pauli_z_expectations,
     scheme_hash,
     stabilizer_audit,
     xor_pairs,
@@ -223,9 +223,7 @@ def test_pauli_expectations_against_dense_oracle():
                 [(-1) ** bin(i & z_mask).count("1") for i in range(dim)], dtype=float
             )
             expected_z = np.vdot(state.amplitudes, signs * state.amplitudes).real
-            assert abs(pauli_z_expectation(state, z_mask) - expected_z) < 1e-12
-    with pytest.raises(ValueError):
-        pauli_z_expectation(random_state(2, rng), 4)
+            assert abs(pauli_z_expectations(state)[z_mask] - expected_z) < 1e-12
 
 
 def test_stabilizer_audit_passes_for_reveal_states(agreements):
@@ -377,5 +375,16 @@ def test_random_masks_pass_audit_and_half_law(n):
         table = analysis._valid_mass_table(build_reveal_agreement(params))
         c, _, claim = np.indices(table.shape)
         assert (table[c != claim] == 0.5).all(), params.masks
+        # concealment: every Helstrom pair is exactly 3/4, and the square-root
+        # measurement is |supp S| / (m 2^n), y outside supp S when every mask
+        # has odd parity with it
+        bounds = analysis.discrimination_bounds(params)
+        assert all(row["bound"] == 0.75 for row in bounds["helstrom_pairs"]), params.masks
+        m = params.num_choices
+        support = sum(
+            any(bin(d & y).count("1") % 2 == 0 for d in params.masks)
+            for y in range(2 ** (n + 1))
+        )
+        assert bounds["pgm_uniform"] == support / (m * 2**n), params.masks
 
     check()
