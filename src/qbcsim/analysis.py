@@ -5,9 +5,12 @@ and a seeded Monte Carlo estimate of the same experiment. Bob's reveal
 state factors out of every valid-outcome mass, so exact figures are
 overlaps <psi|Q_c|psi> on the (n+1)-qubit register, Q_c = (I + X^{d_c})/2.
 Every sampled verification (cheat, block cheat, update-on-reject) goes
-through one acceptance sampler, the only user of Born distributions over
-the reveal measurements (set elements + reject, on Alice's register).
-Reports that read the valid-mass table take it as ``table`` (built when None).
+through one acceptance sampler; its thresholds are the only use of Born
+distributions over the reveal measurements (set elements + reject, on
+Alice's register). Reports that read the valid-mass table take it as
+``table``, and sampled reports take the thresholds as ``thresholds``
+(each built when None).
+
 Discrimination bounds (two-hypothesis optimum and the square-root
 measurement) bound what any pre-reveal strategy could achieve, so the
 concealment claim is tested rather than assumed. Set c's uniform mixture
@@ -15,6 +18,14 @@ is rho_c = (I + X^{d_c})/2^(n+1), diagonal in the Hadamard basis with
 entries (1 + W[d_c, y])/2^(n+1) for the Walsh matrix W, so both bounds are
 sums over those diagonals: no density matrix is formed and no eigensolver
 runs. Functions report numbers side by side and do not editorialize.
+
+Stream contract: both samplers draw one uniform per row from a single
+``rng.random(rows)`` call and hand the uniforms out group by group --
+group 0's rows first, each group in row order -- which is the order in
+which one ``rng.choice(size, p=row)`` call per non-empty group consumes
+them. Outcomes come from the cumulative table ``choice`` builds, so every
+seeded estimate is the one the per-group ``choice`` sampler gives, and
+the generator is left in the same state.
 
 Priors are uniform over choices and elements wherever a strategy needs
 them; that matches the arbitrary-guess baseline the scheme is judged
@@ -68,6 +79,9 @@ class CheatReport:
 
 
 def _finish_report(scenario, exact, hits, trials, parameters) -> CheatReport:
+    """Every report ends here, so a negative trial count raises in each."""
+    if trials < 0:
+        raise ValueError(f"trial count {trials} is negative")
     exact = float(exact)
     if trials == 0:
         return CheatReport(scenario, exact, parameters=parameters)
@@ -128,6 +142,8 @@ def alice_cheat_report(
     c_claimed: int,
     trials: int = 0,
     rng=None,
+    *,
+    thresholds: np.ndarray | None = None,
 ) -> CheatReport:
     """Cheat acceptance averaged over a uniform element, exact and sampled."""
     params = agreement.params
@@ -139,7 +155,8 @@ def alice_cheat_report(
         gen = as_generator(rng)
         ks = gen.integers(m, size=trials)
         combos = [(c_true, k, c_claimed) for k in range(m)]
-        hits = int(_sampled_acceptance(agreement, combos, ks, gen).sum())
+        threshold = _acceptance_thresholds(agreement, combos, thresholds)
+        hits = int(_sampled_acceptance(threshold, ks, gen).sum())
     return _finish_report(
         f"alice-cheat commit {c_true} reveal {c_claimed}",
         exact,
@@ -149,28 +166,62 @@ def alice_cheat_report(
     )
 
 
+def _choice_cdf(dist) -> np.ndarray:
+    """The cumulative table ``Generator.choice(p=dist)`` searches, built as
+    it builds it: a uniform u picks outcome ``cdf.searchsorted(u, "right")``."""
+    cdf = np.cumsum(dist)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _grouped_uniforms(group_index: np.ndarray, groups: int, rng):
+    """(g, rows of group g, their uniforms) per non-empty group, from one
+    ``rng.random`` call consumed group by group in row order. Empty groups
+    are skipped before any row scan: at n=4 most of the m^3 groups of a
+    small sample are empty."""
+    uniforms = rng.random(len(group_index))
+    start = 0
+    for g in np.flatnonzero(np.bincount(group_index, minlength=groups)).tolist():
+        sel = (group_index == g).nonzero()[0]  # flatnonzero minus its wrappers
+        yield g, sel, uniforms[start:start + sel.size]
+        start += sel.size
+
+
 def _grouped_outcomes(dists, group_index: np.ndarray, rng) -> np.ndarray:
     """Per-row categorical sample where row i draws from dists[group_index[i]]."""
     out = np.empty(len(group_index), dtype=np.int64)
-    for g, dist in enumerate(dists):
-        sel = np.flatnonzero(group_index == g)
-        if sel.size:
-            out[sel] = rng.choice(len(dist), size=sel.size, p=dist)
+    for g, sel, u in _grouped_uniforms(group_index, len(dists), rng):
+        out[sel] = _choice_cdf(dists[g]).searchsorted(u, side="right")
     return out
 
 
-def _sampled_acceptance(agreement: RevealAgreement, combos, draw, rng) -> np.ndarray:
-    """Sampled verification per draw: draw i measures element k of set c
-    onto set c' plus reject, (c, k, c') = combos[draw[i]] -- Bob's coupled
-    measurement onto the valid products of c', as <e (x) G|psi (x) G> = <e|psi>.
+def _sampled_acceptance(thresholds: np.ndarray, group_index: np.ndarray, rng) -> np.ndarray:
+    """Sampled verification per row: row i is accepted iff its uniform is
+    below thresholds[group_index[i]]."""
+    accepted = np.empty(len(group_index), dtype=bool)
+    for g, sel, u in _grouped_uniforms(group_index, len(thresholds), rng):
+        accepted[sel] = u < thresholds[g]
+    return accepted
 
-    Outcome 2^n rejects, so a draw is accepted iff its outcome is below 2^n.
+
+def _acceptance_thresholds(agreement: RevealAgreement, combos,
+                           thresholds: np.ndarray | None = None) -> np.ndarray:
+    """Acceptance threshold per (c, k, c') in ``combos``: element k of set c
+    measured onto set c' plus reject -- Bob's coupled measurement onto the
+    valid products of c', as <e (x) G|psi (x) G> = <e|psi>.
+
+    Outcome 2^n rejects, so a uniform u is accepted iff the outcome it picks
+    is below 2^n, that is iff u < cdf[2^n - 1] of the Born row. Read from
+    ``thresholds``, a table indexed [c, k, c'], when given.
     """
-    dists = [
-        born_distribution(agreement.sets[c].elements[k], agreement.measurements[claim])
+    if thresholds is not None:
+        return thresholds[tuple(np.transpose(combos))]
+    valid = agreement.num_choices
+    return np.array([
+        _choice_cdf(born_distribution(agreement.sets[c].elements[k],
+                                      agreement.measurements[claim]))[valid - 1]
         for c, k, claim in combos
-    ]
-    return _grouped_outcomes(dists, draw, rng) < agreement.num_choices
+    ])
 
 
 def block_cheat_fidelity(agreement: RevealAgreement, blocks: int, *,
@@ -193,7 +244,8 @@ def block_cheat_fidelity(agreement: RevealAgreement, blocks: int, *,
 
 
 def block_cheat_report(agreement: RevealAgreement, blocks: int, trials: int = 0, rng=None, *,
-                       table: np.ndarray | None = None) -> CheatReport:
+                       table: np.ndarray | None = None,
+                       thresholds: np.ndarray | None = None) -> CheatReport:
     """K-block cheat survival, exact and by independent-product simulation."""
     params = agreement.params
     exact = block_cheat_fidelity(agreement, blocks, table=table)
@@ -202,7 +254,8 @@ def block_cheat_report(agreement: RevealAgreement, blocks: int, trials: int = 0,
         gen = as_generator(rng)
         combos = [t for t in np.ndindex((params.num_choices,) * 3) if t[0] != t[2]]
         draw = gen.integers(len(combos), size=trials * blocks)
-        accepted = _sampled_acceptance(agreement, combos, draw, gen)
+        threshold = _acceptance_thresholds(agreement, combos, thresholds)
+        accepted = _sampled_acceptance(threshold, draw, gen)
         hits = int(accepted.reshape(trials, blocks).all(axis=1).sum())
     return _finish_report(
         f"block-cheat K={blocks}",
@@ -239,7 +292,8 @@ def bob_wrong_coupling_table(agreement: RevealAgreement, *,
 
 
 def bob_premature_strategy(agreement: RevealAgreement, strategy: str, trials: int = 0, rng=None,
-                           *, table: np.ndarray | None = None) -> CheatReport:
+                           *, table: np.ndarray | None = None,
+                           thresholds: np.ndarray | None = None) -> CheatReport:
     """Success probability of identifying the committed choice pre-reveal.
 
     declare-prior-guess: couple an arbitrary guess, ignore the outcome,
@@ -274,7 +328,8 @@ def bob_premature_strategy(agreement: RevealAgreement, strategy: str, trials: in
         gen = as_generator(rng)
         combos = list(np.ndindex(table.shape))
         draw = gen.integers(len(combos), size=trials)
-        accepted = _sampled_acceptance(agreement, combos, draw, gen)
+        threshold = _acceptance_thresholds(agreement, combos, thresholds)
+        accepted = _sampled_acceptance(threshold, draw, gen)
         fallback = gen.integers(m - 1, size=trials)  # index among remaining choices
         cs, gs = draw // m**2, draw % m
         declared = np.where(accepted, gs, fallback + (fallback >= gs))
@@ -395,6 +450,10 @@ def run_full_analysis(agreement: RevealAgreement, trials: int = 0, seed: int = 0
     m = params.num_choices
     gen = np.random.default_rng(seed)
     table = _valid_mass_table(agreement)
+    thresholds = None
+    if trials > 0:  # one Born row per (c, k, c'), shared by every sampled report
+        combos = list(np.ndindex(table.shape))
+        thresholds = _acceptance_thresholds(agreement, combos).reshape(table.shape)
     report: dict = {
         "scheme": {
             "n": params.num_bob_qubits,
@@ -413,19 +472,22 @@ def run_full_analysis(agreement: RevealAgreement, trials: int = 0, seed: int = 0
                 continue
             pair_trials = trials if (c, claim) == (0, 1) else 0
             pair_reports.append(
-                alice_cheat_report(agreement, c, claim, pair_trials, gen).as_dict()
+                alice_cheat_report(agreement, c, claim, pair_trials, gen,
+                                   thresholds=thresholds).as_dict()
             )
     report["alice_cheat"] = pair_reports
 
     report["block_fidelity"] = [
-        block_cheat_report(agreement, blocks, trials, gen, table=table).as_dict()
+        block_cheat_report(agreement, blocks, trials, gen, table=table,
+                           thresholds=thresholds).as_dict()
         for blocks in range(1, 9)
     ]
 
     report["wrong_coupling"] = [dict(vars(r)) for r in bob_wrong_coupling_table(agreement, table=table)]
 
     report["strategies"] = [
-        bob_premature_strategy(agreement, strategy, trials, gen, table=table).as_dict()
+        bob_premature_strategy(agreement, strategy, trials, gen, table=table,
+                               thresholds=thresholds).as_dict()
         for strategy in STRATEGIES
     ]
 

@@ -14,7 +14,9 @@ Subcommands:
   connection, a port that cannot be bound, or a peer silent for 30 s.
 
 Usage errors exit with code 2; so do scheme flags that name no valid
-scheme, which ``audit`` instead reports as a failed check. The audit is
+scheme, which ``audit`` instead reports as a failed check, a negative
+--trials, a move file that cannot be read or has a line without ``=``,
+and an ``analyze --out`` path that cannot be written. The audit is
 deterministic and takes no seed; every other subcommand draws all its
 randomness from --seed (default 0), and identical invocations produce
 byte-identical output. No environment variables are read.
@@ -23,9 +25,11 @@ byte-identical output. No environment variables are read.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import socket
 import sys
+from typing import NoReturn
 
 from .analysis import run_full_analysis
 from .quantum import ket_string, tensor
@@ -74,14 +78,18 @@ def resolve_params(args: argparse.Namespace) -> SchemeParams:
     return SchemeParams.default(args.n)
 
 
+def _usage_error(message: str) -> NoReturn:
+    """Report a usage error as argparse reports one: a line on stderr, exit code 2."""
+    print(f"qbcsim: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _agreement(args: argparse.Namespace) -> RevealAgreement:
-    """The agreement the scheme flags name. Flags that name none are a usage
-    error, reported as argparse reports one: a line on stderr, exit code 2."""
+    """The agreement the scheme flags name; flags that name none are a usage error."""
     try:
         params = resolve_params(args)
     except ValueError as exc:
-        print(f"qbcsim: error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        _usage_error(str(exc))
     return build_reveal_agreement(params)
 
 
@@ -106,6 +114,15 @@ def parse_moves(lines) -> dict:
     return moves
 
 
+def _read_moves(path: str) -> dict:
+    """The move file at ``path``; one that cannot be read or parsed is a usage error."""
+    try:
+        with open(path) as fh:
+            return parse_moves(fh)
+    except (OSError, ValueError) as exc:
+        _usage_error(f"move file: {exc}")
+
+
 # --- cointoss --------------------------------------------------------------
 
 
@@ -114,8 +131,7 @@ def cmd_cointoss(args: argparse.Namespace, out=None) -> int:
     params = SchemeParams.paper_cointoss()
     agreement = build_reveal_agreement(params)
     if args.script:
-        with open(args.script) as fh:
-            moves = parse_moves(fh)
+        moves = _read_moves(args.script)
     else:
         moves = {
             "toss": input("Alice, toss the coin (head/tail): "),
@@ -253,13 +269,17 @@ def _render_report(report: dict, out) -> None:
 def cmd_analyze(args: argparse.Namespace, out=None) -> int:
     out = out or sys.stdout
     agreement = _agreement(args)
-    report = run_full_analysis(agreement, args.trials, args.seed)
-    if args.json_out:
-        print(json.dumps(report, sort_keys=True, indent=2), file=out)
-    else:
-        _render_report(report, out)
-    if args.out:
-        with open(args.out, "w") as fh:
+    try:  # opened before the analysis runs, so a bad path costs nothing
+        report_file = open(args.out, "w") if args.out else contextlib.nullcontext()
+    except OSError as exc:
+        _usage_error(f"--out: {exc}")
+    with report_file as fh:
+        report = run_full_analysis(agreement, args.trials, args.seed)
+        if args.json_out:
+            print(json.dumps(report, sort_keys=True, indent=2), file=out)
+        else:
+            _render_report(report, out)
+        if fh is not None:
             json.dump(report, fh, sort_keys=True, indent=2)
             fh.write("\n")
     failed = []
@@ -283,8 +303,7 @@ def _session_scripts(moves: dict, count: int) -> tuple[AliceScript, BobScript]:
         if token in names:
             return names.index(token)
         if not (token.isdecimal() and int(token) < count):
-            print(f"qbcsim: error: move value {token!r} is not in 0..{count - 1}", file=sys.stderr)
-            raise SystemExit(2)
+            _usage_error(f"move value {token!r} is not in 0..{count - 1}")
         return int(token)
 
     alice = AliceScript()
@@ -307,10 +326,7 @@ def _session_scripts(moves: dict, count: int) -> tuple[AliceScript, BobScript]:
 def cmd_session(args: argparse.Namespace, out=None) -> int:
     out = out or sys.stdout
     agreement = _agreement(args)
-    moves = {}
-    if args.script:
-        with open(args.script) as fh:
-            moves = parse_moves(fh)
+    moves = _read_moves(args.script) if args.script else {}
     alice_script, bob_script = _session_scripts(moves, agreement.num_choices)
     alice_rng, bob_rng = session_rngs(args.seed)
     try:
@@ -355,6 +371,13 @@ def hex_mask(token: str) -> int:
     return int(token, 16)
 
 
+def trial_count(token: str) -> int:
+    value = int(token)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"trial count {value} is negative")
+    return value
+
+
 def _add_scheme_flags(parser):
     parser.add_argument("--n", type=int, default=1, help=f"receiver qubit count (1..{MAX_N})")
     parser.add_argument(
@@ -388,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="run the security battery")
     _add_scheme_flags(analyze)
     analyze.add_argument("--seed", type=int, default=0)
-    analyze.add_argument("--trials", type=int, default=0)
+    analyze.add_argument("--trials", type=trial_count, default=0)
     analyze.add_argument("--out", help="write the JSON report here")
     analyze.add_argument("--json", action="store_true", dest="json_out")
 

@@ -7,6 +7,10 @@ the inverse square root of the average state for the square-root
 measurement. ``qbcsim.analysis.discrimination_bounds`` computes the same
 figures from Walsh diagonals; the tests check it against this module, and
 this module against a Jacobi eigensolver and scipy matrix functions.
+
+It also keeps the per-group ``rng.choice`` sampler that the one-draw
+samplers of ``qbcsim.analysis`` replace, as the reference for their
+stream contract: same outcomes, same generator state afterwards.
 """
 
 from __future__ import annotations
@@ -134,3 +138,13 @@ def pgm_success(ensembles, priors) -> float:
         reshaped = root @ e.density.entries @ root
         success += p**2 * float(np.trace(e.density.entries @ reshaped).real)
     return success
+
+
+def grouped_outcomes(dists, group_index: np.ndarray, rng) -> np.ndarray:
+    """Per-row categorical sample where row i draws from dists[group_index[i]]."""
+    out = np.empty(len(group_index), dtype=np.int64)
+    for g, dist in enumerate(dists):
+        sel = np.flatnonzero(group_index == g)
+        if sel.size:
+            out[sel] = rng.choice(len(dist), size=sel.size, p=dist)
+    return out

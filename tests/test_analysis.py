@@ -9,13 +9,17 @@ probabilities, scipy matrix functions for the square-root measurement,
 and explicit branch enumerations for the strategies.
 """
 
+import ast
 import collections
+import inspect
 import json
 import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qbcsim import analysis
@@ -48,6 +52,7 @@ from dense_oracle import (
     EnsembleMixture,
     HermitianMatrix,
     ensemble_mixture,
+    grouped_outcomes,
     helstrom_bound,
     pgm_success,
 )
@@ -163,6 +168,80 @@ def test_exact_analysis_calls_born_only_from_s_protocol(agreements, monkeypatch)
             ("born_distribution", "_parent_s_reports"): m + m**2,
             ("_valid_mass_table", "run_full_analysis"): 1,
         }
+
+
+def test_sampled_analysis_builds_each_born_row_once(agreements, monkeypatch):
+    # trials > 0 adds one Born row per (c, k, c') combination, built once in
+    # run_full_analysis and shared by the cheat, block and strategy reports,
+    # never once per block size; no sampler calls Generator.choice
+    calls = collections.Counter()
+    pairs = collections.Counter()
+    real = analysis.born_distribution
+
+    def counting(state, basis):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
+            frame = frame.f_back
+        calls[frame.f_code.co_name] += 1
+        pairs[id(state), id(basis)] += 1
+        return real(state, basis)
+
+    monkeypatch.setattr(analysis, "born_distribution", counting)
+    for n in (1, 2, 3, 4):
+        m = 2**n
+        calls.clear()
+        pairs.clear()
+        run_full_analysis(agreements[n], trials=20, seed=3)
+        assert calls == {"_parent_s_reports": m + m**2, "_acceptance_thresholds": m**3}
+        assert sum(pairs.values()) == len(pairs)  # no Born row computed twice
+    tree = ast.parse(inspect.getsource(analysis))
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "choice"
+                   for node in ast.walk(tree))
+
+
+def test_negative_trial_counts_rejected(cointoss_agreement):
+    agreement = cointoss_agreement
+    reports = [
+        lambda: alice_cheat_report(agreement, 0, 1, trials=-3, rng=1),
+        lambda: block_cheat_report(agreement, 2, trials=-1, rng=1),
+        lambda: s_protocol_analysis(agreement, 0.5, trials=-1, rng=1),
+        lambda: s_protocol_sweep(agreement, 3, trials=-1, rng=1),
+        lambda: run_full_analysis(agreement, trials=-5),
+    ]
+    reports += [lambda s=s: bob_premature_strategy(agreement, s, trials=-1, rng=1)
+                for s in STRATEGIES]
+    for report in reports:
+        with pytest.raises(ValueError, match="negative"):
+            report()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(n=st.integers(1, 4), groups=st.integers(1, 300), rows=st.integers(0, 3000),
+       live_share=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_one_draw_samplers_follow_the_choice_stream(n, groups, rows, live_share, seed):
+    # the per-group Generator.choice sampler is the reference: the one-draw
+    # samplers must give its outcomes and acceptances (outcome below 2^n)
+    # and leave the generator exactly where it leaves it
+    data = np.random.default_rng(seed)
+    weights = data.random((groups, 2**n + 1)) * (data.random((groups, 2**n + 1)) < 0.7)
+    weights[np.arange(groups), data.integers(2**n + 1, size=groups)] += 0.5
+    dists = weights / weights.sum(axis=1, keepdims=True)  # rows with exact zeros too
+    live = np.flatnonzero(data.random(groups) < live_share)  # the rest stay empty
+    if live.size == 0:
+        live = np.array([groups - 1])
+    group_index = data.choice(live, size=rows)
+    thresholds = np.array([analysis._choice_cdf(d)[2**n - 1] for d in dists])
+
+    samplers = (
+        (analysis._grouped_outcomes, dists, lambda outcomes: outcomes),
+        (analysis._sampled_acceptance, thresholds, lambda outcomes: outcomes < 2**n),
+    )
+    for sampler, table, expected in samplers:
+        reference, one_draw = (np.random.default_rng(seed + 1) for _ in range(2))
+        want = expected(grouped_outcomes(dists, group_index, reference))
+        got = sampler(table, group_index, one_draw)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert one_draw.random() == reference.random()
 
 
 def test_cheat_report_consistency_logic():

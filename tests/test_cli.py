@@ -67,7 +67,14 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         path = tmp_path / f"bad{i}.txt"
         path.write_text(line + "\n")
         bad_moves.append(["session", "--role", "alice", "--n", "1", "--script", str(path)])
+    malformed = tmp_path / "malformed.txt"
+    malformed.write_text("toss head\n")  # a move line without "="
+    for script in (str(tmp_path / "missing.txt"), str(malformed)):
+        bad_moves.append(["cointoss", "--script", script])
+        bad_moves.append(["session", "--role", "alice", "--n", "1", "--script", script])
     for argv in (
+        ["analyze", "--n", "1", "--trials", "-5"],
+        ["analyze", "--n", "1", "--out", str(tmp_path / "nodir" / "x.json")],
         ["audit", "--masks", "zz"],
         ["audit", "--seed", "3"],  # the audit is deterministic and takes no seed
         ["analyze", "--masks", "zz"],
