@@ -7,9 +7,11 @@ overlaps <psi|Q_c|psi> on the (n+1)-qubit register, Q_c = (I + X^{d_c})/2.
 Every sampled verification (cheat, block cheat, update-on-reject) goes
 through one acceptance sampler; its thresholds are the only use of Born
 distributions over the reveal measurements (set elements + reject, on
-Alice's register). Reports that read the valid-mass table take it as
-``table``, and sampled reports take the thresholds as ``thresholds``
-(each built when None).
+Alice's register). Reports that read the valid-mass table, the cheat
+report among them, take it as ``table``, and sampled reports take the
+thresholds as ``thresholds`` (each built when None). The wrong-coupling
+rows are the off-diagonal (c, k, c') entries of that table, in the one
+order ``_off_diagonal`` fixes.
 
 Discrimination bounds (two-hypothesis optimum and the square-root
 measurement) bound what any pre-reveal strategy could achieve, so the
@@ -35,7 +37,7 @@ against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -115,6 +117,20 @@ def _valid_mass_table(agreement: RevealAgreement) -> np.ndarray:
     return np.stack([_valid_mass(elements, [[d]]) for d in agreement.params.masks], axis=-1)
 
 
+def _off_diagonal(shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays (c, k, c') of the entries with c' != c, in C order:
+    c, then k, then c'."""
+    c, _, claim = np.indices(shape)
+    return np.nonzero(c != claim)
+
+
+def _wrong_coupling_rows(table: np.ndarray):
+    """(held choice, element, coupled choice, valid mass) per off-diagonal
+    entry of ``table`` as Python ints and floats, in ``_off_diagonal`` order."""
+    index = _off_diagonal(table.shape)
+    return zip(*(i.tolist() for i in index), table[index].tolist())
+
+
 def alice_cheat_acceptance(
     agreement: RevealAgreement, c_true: int, element: int, c_claimed: int
 ) -> float:
@@ -143,13 +159,17 @@ def alice_cheat_report(
     trials: int = 0,
     rng=None,
     *,
+    table: np.ndarray | None = None,
     thresholds: np.ndarray | None = None,
 ) -> CheatReport:
     """Cheat acceptance averaged over a uniform element, exact and sampled."""
     params = agreement.params
     m = params.num_choices
-    elements = np.array([e.amplitudes for e in agreement.sets[c_true].elements])
-    exact = float(np.mean(_valid_mass(elements, [params.masks[c_claimed]])))
+    if table is None:
+        elements = np.array([e.amplitudes for e in agreement.sets[c_true].elements])
+        exact = float(np.mean(_valid_mass(elements, [params.masks[c_claimed]])))
+    else:
+        exact = float(np.mean(table[c_true, :, c_claimed]))
     hits = 0
     if trials > 0:
         gen = as_generator(rng)
@@ -235,8 +255,7 @@ def block_cheat_fidelity(agreement: RevealAgreement, blocks: int, *,
     if blocks < 1:
         raise ValueError("block count must be at least 1")
     table = _valid_mass_table(agreement) if table is None else table
-    c, _, claim = np.indices(table.shape)
-    values = table[c != claim]
+    values = table[_off_diagonal(table.shape)]
     lo, hi = values.min(), values.max()
     if hi - lo > 1e-12:
         raise ValueError(f"cheat acceptance varies across scenarios: [{lo}, {hi}]")
@@ -252,7 +271,7 @@ def block_cheat_report(agreement: RevealAgreement, blocks: int, trials: int = 0,
     hits = 0
     if trials > 0:
         gen = as_generator(rng)
-        combos = [t for t in np.ndindex((params.num_choices,) * 3) if t[0] != t[2]]
+        combos = np.transpose(_off_diagonal((params.num_choices,) * 3))
         draw = gen.integers(len(combos), size=trials * blocks)
         threshold = _acceptance_thresholds(agreement, combos, thresholds)
         accepted = _sampled_acceptance(threshold, draw, gen)
@@ -280,15 +299,15 @@ class WrongCouplingEntry:
     valid_mass: float
 
 
+#: The keys of a report's wrong-coupling row, in field order.
+WRONG_COUPLING_KEYS = tuple(f.name for f in fields(WrongCouplingEntry))
+
+
 def bob_wrong_coupling_table(agreement: RevealAgreement, *,
                              table: np.ndarray | None = None) -> tuple[WrongCouplingEntry, ...]:
     """Valid mass of every (held element, wrong reveal state) coupling."""
     table = _valid_mass_table(agreement) if table is None else table
-    return tuple(
-        WrongCouplingEntry(c, k, claim, float(table[c, k, claim]))
-        for c, k, claim in np.ndindex(table.shape)
-        if claim != c
-    )
+    return tuple(WrongCouplingEntry(*row) for row in _wrong_coupling_rows(table))
 
 
 def bob_premature_strategy(agreement: RevealAgreement, strategy: str, trials: int = 0, rng=None,
@@ -472,7 +491,7 @@ def run_full_analysis(agreement: RevealAgreement, trials: int = 0, seed: int = 0
                 continue
             pair_trials = trials if (c, claim) == (0, 1) else 0
             pair_reports.append(
-                alice_cheat_report(agreement, c, claim, pair_trials, gen,
+                alice_cheat_report(agreement, c, claim, pair_trials, gen, table=table,
                                    thresholds=thresholds).as_dict()
             )
     report["alice_cheat"] = pair_reports
@@ -483,7 +502,8 @@ def run_full_analysis(agreement: RevealAgreement, trials: int = 0, seed: int = 0
         for blocks in range(1, 9)
     ]
 
-    report["wrong_coupling"] = [dict(vars(r)) for r in bob_wrong_coupling_table(agreement, table=table)]
+    report["wrong_coupling"] = [dict(zip(WRONG_COUPLING_KEYS, row))
+                                for row in _wrong_coupling_rows(table)]
 
     report["strategies"] = [
         bob_premature_strategy(agreement, strategy, trials, gen, table=table,

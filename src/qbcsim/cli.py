@@ -16,22 +16,25 @@ Subcommands:
 Usage errors exit with code 2; so do scheme flags that name no valid
 scheme, which ``audit`` instead reports as a failed check, a negative
 --trials, a move file that cannot be read or has a line without ``=``,
-and an ``analyze --out`` path that cannot be written. The audit is
-deterministic and takes no seed; every other subcommand draws all its
-randomness from --seed (default 0), and identical invocations produce
-byte-identical output. No environment variables are read.
+and an ``--out`` path that cannot be written (checked before any report
+is computed or frame exchanged; the file is written only after a run
+that finishes, so one that aborts leaves an existing file as it was).
+The audit is deterministic and takes no seed; every other subcommand
+draws all its randomness from --seed (default 0), and identical
+invocations produce byte-identical output. No environment variables are
+read.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
+import operator
 import socket
 import sys
 from typing import NoReturn
 
-from .analysis import run_full_analysis
+from .analysis import WRONG_COUPLING_KEYS, run_full_analysis
 from .quantum import ket_string, tensor
 from .scheme import (
     MAX_N,
@@ -84,6 +87,20 @@ def _usage_error(message: str) -> NoReturn:
     raise SystemExit(2)
 
 
+def _check_out(path: str | None) -> None:
+    """A usage error unless the ``--out`` path can be written.
+
+    Subcommands call it before any work, so a bad path costs no report and
+    no frame. It opens the file for appending, which creates a missing one
+    and leaves an existing one as it is until the run has finished.
+    """
+    if path:
+        try:
+            open(path, "ab").close()
+        except OSError as exc:
+            _usage_error(f"--out: {exc}")
+
+
 def _agreement(args: argparse.Namespace) -> RevealAgreement:
     """The agreement the scheme flags name; flags that name none are a usage error."""
     try:
@@ -130,6 +147,7 @@ def cmd_cointoss(args: argparse.Namespace, out=None) -> int:
     out = out or sys.stdout
     params = SchemeParams.paper_cointoss()
     agreement = build_reveal_agreement(params)
+    _check_out(args.out)  # before the prompts and the game
     if args.script:
         moves = _read_moves(args.script)
     else:
@@ -212,6 +230,29 @@ def cmd_audit(args: argparse.Namespace, out=None) -> int:
 
 # --- analyze -----------------------------------------------------------------
 
+#: The keys of a wrong-coupling row in the order ``sort_keys`` writes them.
+_ROW_KEYS = sorted(WRONG_COUPLING_KEYS)
+_row_values = operator.itemgetter(*_ROW_KEYS)
+#: One wrong-coupling row as ``json.dumps(..., sort_keys=True, indent=2)``
+#: writes it inside the top-level report; ``%r`` is ``int.__repr__`` and
+#: ``float.__repr__``, the encoder's number formats.
+_WRONG_COUPLING_ROW = ("    {\n"
+                       + ",\n".join(f"      {json.dumps(key)}: %r" for key in _ROW_KEYS)
+                       + "\n    }")
+
+
+def report_json(report: dict) -> str:
+    """``json.dumps(report, sort_keys=True, indent=2)``, byte for byte.
+
+    The pure-Python indenting encoder takes most of an n=6 report on its
+    m^2 (m - 1) wrong-coupling rows, so those are formatted with one template
+    each and spliced in where the encoder wrote a placeholder for them.
+    """
+    placeholder = "\0wrong_coupling"  # escaped by the encoder, so no other value matches
+    text = json.dumps({**report, "wrong_coupling": placeholder}, sort_keys=True, indent=2)
+    rows = ",\n".join([_WRONG_COUPLING_ROW % _row_values(row) for row in report["wrong_coupling"]])
+    return text.replace(json.dumps(placeholder), f"[\n{rows}\n  ]" if rows else "[]", 1)
+
 
 def _render_report(report: dict, out) -> None:
     scheme = report["scheme"]
@@ -269,19 +310,16 @@ def _render_report(report: dict, out) -> None:
 def cmd_analyze(args: argparse.Namespace, out=None) -> int:
     out = out or sys.stdout
     agreement = _agreement(args)
-    try:  # opened before the analysis runs, so a bad path costs nothing
-        report_file = open(args.out, "w") if args.out else contextlib.nullcontext()
-    except OSError as exc:
-        _usage_error(f"--out: {exc}")
-    with report_file as fh:
-        report = run_full_analysis(agreement, args.trials, args.seed)
-        if args.json_out:
-            print(json.dumps(report, sort_keys=True, indent=2), file=out)
-        else:
-            _render_report(report, out)
-        if fh is not None:
-            json.dump(report, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+    _check_out(args.out)
+    report = run_full_analysis(agreement, args.trials, args.seed)
+    text = report_json(report) if args.json_out or args.out else None
+    if args.json_out:
+        print(text, file=out)
+    else:
+        _render_report(report, out)
+    if args.out:
+        with open(args.out, "w") as fh:
+            print(text, file=fh)
     failed = []
     for section in ("alice_cheat", "block_fidelity", "strategies", "s_protocol"):
         for row in report[section]:
@@ -329,6 +367,7 @@ def cmd_session(args: argparse.Namespace, out=None) -> int:
     moves = _read_moves(args.script) if args.script else {}
     alice_script, bob_script = _session_scripts(moves, agreement.num_choices)
     alice_rng, bob_rng = session_rngs(args.seed)
+    _check_out(args.out)  # before the handshake, so a bad path exchanges no frame
     try:
         if args.role == "bob":
             endpoint = BobEndpoint(agreement, bob_script, bob_rng)

@@ -588,3 +588,22 @@ def test_run_full_analysis_structure(cointoss_agreement):
     once = json.dumps(run_full_analysis(cointoss_agreement, trials=500, seed=9))
     twice = json.dumps(run_full_analysis(cointoss_agreement, trials=500, seed=9))
     assert once == twice
+
+
+def test_table_and_direct_paths_agree_exactly(agreements):
+    # the report reads the cheat exacts and wrong-coupling rows from the
+    # valid-mass table; the direct paths stay the oracle, to the last bit
+    for n in (1, 2, 3, 4):
+        agreement = agreements[n]
+        table = analysis._valid_mass_table(agreement)
+        for c in range(2**n):
+            for claim in range(2**n):
+                direct = alice_cheat_report(agreement, c, claim).exact
+                assert alice_cheat_report(agreement, c, claim, table=table).exact == direct
+        rows = run_full_analysis(agreement)["wrong_coupling"]
+        assert rows == [dict(vars(r)) for r in bob_wrong_coupling_table(agreement)]
+        assert [list(row) for row in rows] == [["held_choice", "element", "coupled_choice",
+                                                "valid_mass"]] * len(rows)
+        # c, then k, then c', skipping c' == c
+        assert [(r["held_choice"], r["element"], r["coupled_choice"]) for r in rows] == [
+            t for t in np.ndindex((2**n,) * 3) if t[0] != t[2]]

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from qbcsim.analysis import run_full_analysis
 from qbcsim.cli import (
     build_parser,
     cmd_analyze,
@@ -17,6 +18,7 @@ from qbcsim.cli import (
     cmd_cointoss,
     main,
     parse_moves,
+    report_json,
     resolve_params,
 )
 from qbcsim.scheme import PRESET_PAPER_COINTOSS, SchemeParams, build_reveal_agreement, scheme_hash
@@ -72,6 +74,14 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     for script in (str(tmp_path / "missing.txt"), str(malformed)):
         bad_moves.append(["cointoss", "--script", script])
         bad_moves.append(["session", "--role", "alice", "--n", "1", "--script", script])
+    moves = tmp_path / "moves.txt"
+    moves.write_text("toss=head\nguess=head\n")
+    no_dir = str(tmp_path / "nodir" / "t.ndjson")  # checked before any frame is exchanged
+    bad_outs = [
+        ["cointoss", "--script", str(moves), "--out", no_dir],
+        ["session", "--role", "bob", "--n", "1", "--out", no_dir],
+        ["session", "--role", "alice", "--n", "1", "--script", str(moves), "--out", no_dir],
+    ]
     for argv in (
         ["analyze", "--n", "1", "--trials", "-5"],
         ["analyze", "--n", "1", "--out", str(tmp_path / "nodir" / "x.json")],
@@ -86,6 +96,7 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         *([sub, "--n", n] + (["--role", "bob"] if sub == "session" else [])
           for sub in ("analyze", "session") for n in ("-1", "0", "99999999")),
         *bad_moves,
+        *bad_outs,
     ):
         assert exit_code(argv) == 2, argv
         captured = capsys.readouterr()
@@ -121,6 +132,26 @@ def test_session_subcommand_refused_connection_exits_2(capsys):
     lines = captured.out.splitlines()
     assert len(lines) == 1 and lines[0].startswith("session aborted: ConnectionRefusedError: ")
     assert "Traceback" not in captured.err
+
+
+def test_out_checked_before_prompts_and_kept_on_abort(tmp_path, monkeypatch, capsys):
+    def no_prompt(prompt=""):
+        raise AssertionError(f"prompted before --out was checked: {prompt!r}")
+
+    monkeypatch.setattr("builtins.input", no_prompt)
+    with pytest.raises(SystemExit) as exc:
+        main(["cointoss", "--out", str(tmp_path / "nodir" / "t.ndjson")])
+    assert exc.value.code == 2
+    assert "--out: " in capsys.readouterr().err
+    # a session that aborts leaves an earlier transcript at the path as it was
+    earlier = tmp_path / "t.ndjson"
+    earlier.write_bytes(b"earlier\n")
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    argv = ["session", "--role", "alice", "--n", "1", "--port", str(port), "--out", str(earlier)]
+    assert main(argv) == 2
+    assert earlier.read_bytes() == b"earlier\n"
 
 
 def write_moves(tmp_path, text):
@@ -203,6 +234,9 @@ def test_cointoss_writes_transcript(tmp_path):
     assert len(frames) == 4
     assert json.loads(frames[0])["kind"] == "commit"
     assert json.loads(frames[3])["kind"] == "verdict"
+    local = run_session(build_reveal_agreement(SchemeParams.paper_cointoss()),
+                        AliceScript(choice=0), BobScript(guess=0), seed=5)
+    assert path.read_bytes() == b"".join(local.transcript)  # the game's frames, verbatim
 
 
 def test_audit_passes_and_fails():
@@ -246,6 +280,17 @@ def test_analyze_json_and_determinism(tmp_path):
         assert cmd_analyze(config, out2) == 0
         assert out2.getvalue() == out.getvalue()
         assert report_path.read_bytes() == first
+
+
+@pytest.mark.parametrize("trials", [0, 300])
+def test_report_json_equals_json_dumps(trials):
+    # the spliced wrong-coupling rows are the encoder's bytes
+    schemes = [SchemeParams.default(n) for n in (1, 2, 3, 4)]
+    schemes += [SchemeParams.random_masks(n, seed) for n in (1, 2, 3) for seed in (1, 2, 3)]
+    schemes.append(SchemeParams.paper_cointoss())
+    for params in schemes:
+        report = run_full_analysis(build_reveal_agreement(params), trials, seed=11)
+        assert report_json(report) == json.dumps(report, sort_keys=True, indent=2), params
 
 
 def test_analyze_human_table():
