@@ -6,8 +6,10 @@ Subcommands:
   instance, scripted or interactive.
 * ``audit``: run every structural invariant of an agreement; nonzero
   exit on any failure.
-* ``analyze``: the full security battery, human-readable to stdout and
-  JSON to a file.
+* ``analyze``: the full security battery, human-readable or JSON to
+  stdout and JSON to a file; exits 1, naming the rows on stderr, when a
+  Monte Carlo estimate lies more than three standard errors from its
+  exact value.
 * ``session``: one side of a two-process TCP session; exits 0 when the
   reveal is accepted, 1 when it is rejected, and 2 on a failed handshake,
   a malformed or out-of-phase frame, or a socket error: a refused
@@ -28,6 +30,7 @@ read.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import operator
 import socket
@@ -326,7 +329,7 @@ def cmd_analyze(args: argparse.Namespace, out=None) -> int:
             if row.get("consistent") is False:
                 failed.append(row["scenario"])
     if failed:
-        print("inconsistent monte carlo: " + ", ".join(failed), file=out)
+        print("inconsistent monte carlo: " + ", ".join(failed), file=sys.stderr)
         return 1
     return 0
 
@@ -432,7 +435,10 @@ def _add_scheme_flags(parser):
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` keeps its
+    results in a new namespace per call, so the parser holds no state."""
     parser = argparse.ArgumentParser(
         prog="qbcsim",
         description="commitment-scheme simulator and analysis lab",

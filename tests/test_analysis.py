@@ -607,3 +607,40 @@ def test_table_and_direct_paths_agree_exactly(agreements):
         # c, then k, then c', skipping c' == c
         assert [(r["held_choice"], r["element"], r["coupled_choice"]) for r in rows] == [
             t for t in np.ndindex((2**n,) * 3) if t[0] != t[2]]
+
+
+def test_valid_mass_table_is_a_stack_of_per_reveal_masses():
+    # one norm per element and one gather per reveal change no bit of the table
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 4, 5):
+        agreement = build_reveal_agreement(SchemeParams.random_masks(n, rng))
+        elements = np.array([[e.amplitudes for e in s.elements] for s in agreement.sets])
+        stacked = np.stack([analysis._valid_mass(elements, [[d]]) for d in agreement.params.masks],
+                           axis=-1)
+        assert analysis._valid_mass_table(agreement).tobytes() == stacked.tobytes(), n
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64])
+def test_cheat_means_sum_like_one_row(m):
+    # random values, so a different summation order shows in the last bit
+    # (a mean over axis 1 differs from these for m >= 8)
+    table = np.random.default_rng(m).random((m, m, m))
+    means = analysis._cheat_means(table)
+    assert means == [[float(np.mean(table[c, :, claim])) for claim in range(m)] for c in range(m)]
+
+
+@pytest.mark.parametrize("trials", [0, 300])
+def test_report_cheat_rows_equal_direct_reports(agreements, trials):
+    # every exact-only row is the report alice_cheat_report makes on its own
+    schemes = [agreements[n] for n in (1, 2, 3, 4)]
+    schemes.append(build_reveal_agreement(SchemeParams.random_masks(3, 8)))
+    for agreement in schemes:
+        m = agreement.num_choices
+        rows = run_full_analysis(agreement, trials, seed=4)["alice_cheat"]
+        pairs = [(c, claim) for c in range(m) for claim in range(m) if claim != c]
+        assert len(rows) == len(pairs)
+        for row, (c, claim) in zip(rows, pairs):
+            if trials and (c, claim) == (0, 1):
+                assert row["trials"] == trials
+                continue
+            assert row == alice_cheat_report(agreement, c, claim).as_dict()

@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import argparse
+import hashlib
 import io
 import json
 import socket
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from qbcsim import cli
 from qbcsim.analysis import run_full_analysis
 from qbcsim.cli import (
     build_parser,
@@ -291,6 +293,69 @@ def test_report_json_equals_json_dumps(trials):
     for params in schemes:
         report = run_full_analysis(build_reveal_agreement(params), trials, seed=11)
         assert report_json(report) == json.dumps(report, sort_keys=True, indent=2), params
+
+
+#: SHA-256 of ``report_json(run_full_analysis(...))``, recorded before the
+#: valid-mass table and the report rows were rebuilt for speed.
+REPORT_PINS = [
+    (SchemeParams.default(3), 0, 0,
+     "7081b8beb99411407a16683634624d50f6a2cd46e982d46b861417888d831fcd"),
+    (SchemeParams.default(4), 0, 0,
+     "eb11d1837f6ef5e053470b513e327000c5ef3cd9fbe7a7e47092766d1cb32434"),
+    (SchemeParams.default(5), 0, 0,
+     "3218032c371b2f29b0d58bb0a85657b774d6fb1a4d76c0ec67150257daffe260"),
+    (SchemeParams(4, (22, 21, 2, 4, 10, 14, 16, 24, 27, 8, 7, 12, 28, 1, 31, 11)), 0, 0,
+     "4369e464e692fcc5d5104bdbe8d9d081950ee443c9bb2bdf29fed4211c36aa1b"),
+    (SchemeParams.default(3), 500, 7,
+     "664a2b10dcec78c201dcebabcf568ff067b00d4f525a222730c8f7918a6eb580"),
+]
+
+
+@pytest.mark.parametrize("params, trials, seed, digest", REPORT_PINS)
+def test_report_bytes_pinned(params, trials, seed, digest):
+    report = run_full_analysis(build_reveal_agreement(params), trials, seed)
+    assert hashlib.sha256(report_json(report).encode()).hexdigest() == digest
+
+
+def test_flagged_monte_carlo_keeps_stdout_one_json_document(capsys):
+    # seed 2 flags block-cheat K=7 at 3 standard errors
+    assert main(["analyze", "--n", "1", "--trials", "2000", "--seed", "2", "--json"]) == 1
+    captured = capsys.readouterr()
+    report = run_full_analysis(build_reveal_agreement(SchemeParams.default(1)), 2000, 2)
+    assert captured.out == report_json(report) + "\n"
+    assert captured.err == "inconsistent monte carlo: block-cheat K=7\n"
+    # the human-readable table keeps the line off stdout as well
+    assert main(["analyze", "--n", "1", "--trials", "2000", "--seed", "2"]) == 1
+    captured = capsys.readouterr()
+    assert "inconsistent" not in captured.out
+    assert captured.err == "inconsistent monte carlo: block-cheat K=7\n"
+
+
+def test_parser_is_built_once_and_leaks_no_state(capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    sequence = [
+        ["analyze", "--n", "2", "--masks", "0x3", "0x5", "0x6", "0x7", "--json"],
+        ["analyze"],
+        ["audit", "--n", "3"],
+        ["analyze", "--n", "2", "--trials", "-5"],  # a usage error
+        ["analyze", "--n", "2", "--masks", "0x3", "0x5", "0x6", "0x7", "--json"],
+    ]
+
+    def runs():
+        results = []
+        for argv in sequence:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    reused = runs()
+    assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0]
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)  # a fresh parser per call
+    assert runs() == reused
 
 
 def test_analyze_human_table():
