@@ -29,9 +29,16 @@ Stream contract: both samplers draw one uniform per row from a single
 ``rng.random(rows)`` call and hand the uniforms out group by group --
 group 0's rows first, each group in row order -- which is the order in
 which one ``rng.choice(size, p=row)`` call per non-empty group consumes
-them. Outcomes come from the cumulative table ``choice`` builds, so every
-seeded estimate is the one the per-group ``choice`` sampler gives, and
-the generator is left in the same state.
+them. Up to ``SCAN_MAX_GROUPS`` groups, one scan of the rows per group
+finds that group's rows and takes the next slice of uniforms; above it,
+one stable sort of the group index lists every row in that order at
+once, so the k-th uniform goes to the k-th sorted row. Acceptance is a
+compare against the cumulative table ``choice`` builds. The parent-S
+sampler forms no outcome: a uniform u picks outcome c exactly when
+cdf[c-1] <= u < cdf[c], so each part's hits are counted from its
+uniforms and, past cdf[m-1], its rows' guesses. Every seeded estimate is
+the one the per-group ``choice`` sampler gives, and the generator is
+left in the same state.
 
 Priors are uniform over choices and elements wherever a strategy needs
 them; that matches the arbitrary-guess baseline the scheme is judged
@@ -201,7 +208,7 @@ def alice_cheat_report(
         ks = gen.integers(m, size=trials)
         combos = [(c_true, k, c_claimed) for k in range(m)]
         threshold = _acceptance_thresholds(agreement, combos, thresholds)
-        hits = int(_sampled_acceptance(threshold, ks, gen).sum())
+        hits = int(np.count_nonzero(_sampled_acceptance(threshold, ks, gen)))
     return _alice_cheat_finish(params, c_true, c_claimed, exact, hits, trials)
 
 
@@ -219,40 +226,75 @@ def _alice_cheat_finish(params: SchemeParams, c_true: int, c_claimed: int, exact
 
 def _choice_cdf(dist) -> np.ndarray:
     """The cumulative table ``Generator.choice(p=dist)`` searches, built as
-    it builds it: a uniform u picks outcome ``cdf.searchsorted(u, "right")``."""
-    cdf = np.cumsum(dist)
-    cdf /= cdf[-1]
+    it builds it (along the last axis, one table per row of a 2-D ``dist``):
+    a uniform u picks outcome ``cdf.searchsorted(u, "right")``."""
+    cdf = np.cumsum(dist, axis=-1)
+    cdf /= cdf[..., -1:]
     return cdf
 
 
+#: Largest group count that ``_grouped_uniforms`` partitions by one row scan
+#: per group; above it one stable sort of the rows is cheaper. Measured on
+#: 2 shared cores (BENCH_sampler_partition.json, ``crossover``).
+SCAN_MAX_GROUPS = 8
+
+
 def _grouped_uniforms(group_index: np.ndarray, groups: int, rng):
-    """(g, rows of group g, their uniforms) per non-empty group, from one
-    ``rng.random`` call consumed group by group in row order. Empty groups
-    are skipped before any row scan: at n=4 most of the m^3 groups of a
-    small sample are empty."""
+    """(label, rows, their uniforms) parts of one ``rng.random`` call,
+    consumed group by group -- group 0's rows first, each group in row
+    order -- with ``rows`` listing, in that order, the rows each uniform
+    belongs to.
+
+    Up to ``SCAN_MAX_GROUPS`` groups each non-empty group is one part,
+    found by one scan of the rows, and its label is the group. Above it a
+    stable sort puts the rows in that order at once; the one part then
+    covers every row and its label is the array of their groups. Either
+    label indexes a per-group table the same way.
+    """
     uniforms = rng.random(len(group_index))
+    small = group_index.astype(np.min_scalar_type(groups - 1))
+    if groups > SCAN_MAX_GROUPS:
+        order = np.argsort(small, kind="stable")  # a radix sort on 8- and 16-bit keys
+        yield small[order], order, uniforms
+        return
     start = 0
-    for g in np.flatnonzero(np.bincount(group_index, minlength=groups)).tolist():
-        sel = (group_index == g).nonzero()[0]  # flatnonzero minus its wrappers
-        yield g, sel, uniforms[start:start + sel.size]
-        start += sel.size
-
-
-def _grouped_outcomes(dists, group_index: np.ndarray, rng) -> np.ndarray:
-    """Per-row categorical sample where row i draws from dists[group_index[i]]."""
-    out = np.empty(len(group_index), dtype=np.int64)
-    for g, sel, u in _grouped_uniforms(group_index, len(dists), rng):
-        out[sel] = _choice_cdf(dists[g]).searchsorted(u, side="right")
-    return out
+    for g in range(groups):
+        rows = (small == g).nonzero()[0]
+        if rows.size:
+            yield g, rows, uniforms[start:start + rows.size]
+            start += rows.size
 
 
 def _sampled_acceptance(thresholds: np.ndarray, group_index: np.ndarray, rng) -> np.ndarray:
     """Sampled verification per row: row i is accepted iff its uniform is
     below thresholds[group_index[i]]."""
     accepted = np.empty(len(group_index), dtype=bool)
-    for g, sel, u in _grouped_uniforms(group_index, len(thresholds), rng):
-        accepted[sel] = u < thresholds[g]
+    for g, rows, u in _grouped_uniforms(group_index, len(thresholds), rng):
+        accepted[rows] = u < thresholds[g]
     return accepted
+
+
+def _declared_hits(cdfs: np.ndarray, committed: np.ndarray, choices: int,
+                   group_index: np.ndarray, guesses: np.ndarray, rng) -> int:
+    """Rows whose declared choice is the committed one, where row i samples
+    an outcome o from cdfs[group_index[i]] (as ``Generator.choice`` does),
+    declares o when o < m = ``choices`` and its guess otherwise;
+    committed[g] is the choice group g holds.
+
+    No outcome is formed: u picks outcome c exactly when
+    cdf[c - 1] <= u < cdf[c], and an outcome >= m exactly when
+    u >= cdf[m - 1], so the hits are counted from the uniforms.
+    """
+    groups = np.arange(len(cdfs))
+    upper = cdfs[groups, committed]
+    lower = np.where(committed > 0, cdfs[groups, committed - 1], 0.0)
+    guessing = cdfs[:, choices - 1]
+    hits = 0
+    for g, rows, u in _grouped_uniforms(group_index, len(cdfs), rng):
+        guessed = u >= guessing[g]
+        hits += (np.count_nonzero(u < upper[g]) - np.count_nonzero(u < lower[g])
+                 + np.count_nonzero(guessed & (guesses[rows] == committed[g])))
+    return int(hits)
 
 
 def _acceptance_thresholds(agreement: RevealAgreement, combos,
@@ -285,20 +327,34 @@ def block_cheat_fidelity(agreement: RevealAgreement, blocks: int, *,
     """
     if blocks < 1:
         raise ValueError("block count must be at least 1")
-    table = _valid_mass_table(agreement) if table is None else table
+    return _block_acceptance(_valid_mass_table(agreement) if table is None else table) ** blocks
+
+
+def _block_acceptance(table: np.ndarray) -> float:
+    """The one cheat acceptance of a block: the mean off-diagonal entry of
+    ``table``, after checking that the entries agree."""
     values = table[_off_diagonal(table.shape)]
     lo, hi = values.min(), values.max()
     if hi - lo > 1e-12:
         raise ValueError(f"cheat acceptance varies across scenarios: [{lo}, {hi}]")
-    return float(np.mean(values)) ** blocks
+    return float(np.mean(values))
 
 
 def block_cheat_report(agreement: RevealAgreement, blocks: int, trials: int = 0, rng=None, *,
                        table: np.ndarray | None = None,
-                       thresholds: np.ndarray | None = None) -> CheatReport:
-    """K-block cheat survival, exact and by independent-product simulation."""
+                       thresholds: np.ndarray | None = None,
+                       acceptance: float | None = None) -> CheatReport:
+    """K-block cheat survival, exact and by independent-product simulation.
+
+    ``acceptance`` is the per-block acceptance ``_block_acceptance`` gives,
+    taken from ``table`` when None.
+    """
+    if blocks < 1:
+        raise ValueError("block count must be at least 1")
+    if acceptance is None:
+        acceptance = _block_acceptance(_valid_mass_table(agreement) if table is None else table)
+    exact = acceptance ** blocks
     params = agreement.params
-    exact = block_cheat_fidelity(agreement, blocks, table=table)
     hits = 0
     if trials > 0:
         gen = as_generator(rng)
@@ -306,7 +362,10 @@ def block_cheat_report(agreement: RevealAgreement, blocks: int, trials: int = 0,
         draw = gen.integers(len(combos), size=trials * blocks)
         threshold = _acceptance_thresholds(agreement, combos, thresholds)
         accepted = _sampled_acceptance(threshold, draw, gen)
-        hits = int(accepted.reshape(trials, blocks).all(axis=1).sum())
+        survived = accepted[::blocks].copy()  # trial t owns rows t*K .. t*K + K - 1
+        for b in range(1, blocks):
+            survived &= accepted[b::blocks]
+        hits = int(np.count_nonzero(survived))
     return _finish_report(
         f"block-cheat K={blocks}",
         exact,
@@ -364,7 +423,7 @@ def bob_premature_strategy(agreement: RevealAgreement, strategy: str, trials: in
             gen = as_generator(rng)
             cs = gen.integers(m, size=trials)
             gs = gen.integers(m, size=trials)
-            hits = int((cs == gs).sum())
+            hits = int(np.count_nonzero(cs == gs))
         return _finish_report(strategy, exact, hits, trials, parameters)
 
     # update-on-reject: average over (c, k, guess) of the two branches
@@ -376,14 +435,14 @@ def bob_premature_strategy(agreement: RevealAgreement, strategy: str, trials: in
     hits = 0
     if trials > 0:
         gen = as_generator(rng)
-        combos = list(np.ndindex(table.shape))
+        combos = np.indices(table.shape).reshape(3, -1).T
         draw = gen.integers(len(combos), size=trials)
         threshold = _acceptance_thresholds(agreement, combos, thresholds)
         accepted = _sampled_acceptance(threshold, draw, gen)
         fallback = gen.integers(m - 1, size=trials)  # index among remaining choices
         cs, gs = draw // m**2, draw % m
         declared = np.where(accepted, gs, fallback + (fallback >= gs))
-        hits = int((declared == cs).sum())
+        hits = int(np.count_nonzero(declared == cs))
     return _finish_report(strategy, exact, hits, trials, parameters)
 
 
@@ -460,13 +519,14 @@ def _parent_s_reports(agreement: RevealAgreement, p_values, trials, rng) -> tupl
     for state in states:
         dists.append(born_distribution(state, comp))
     dists = np.array(dists)
-    committed = np.r_[np.arange(m), np.arange(m * m) // m][:, None]
+    committed = np.r_[np.arange(m), np.arange(m * m) // m]
     outcome = np.arange(dists.shape[1])
-    terms = dists * np.where(outcome < m, outcome == committed, 1.0 / m)
+    terms = dists * np.where(outcome < m, outcome == committed[:, None], 1.0 / m)
     # running sums keep the sequential (row, outcome) order of the branch sum
     success_s = np.cumsum(terms[:m] / m)[-1]
     success_b = np.cumsum(terms[m:] / m**2)[-1]
 
+    cdfs = _choice_cdf(dists) if trials > 0 else None
     reports = []
     for p_s in p_values:
         exact = p_s * success_s + (1.0 - p_s) * success_b
@@ -478,9 +538,7 @@ def _parent_s_reports(agreement: RevealAgreement, p_values, trials, rng) -> tupl
             ks = gen.integers(m, size=trials)
             guesses = gen.integers(m, size=trials)
             combo = np.where(from_s, cs, m + cs * m + ks)
-            outcomes = _grouped_outcomes(dists, combo, gen)
-            declared = np.where(outcomes < m, outcomes, guesses)
-            hits = int((declared == cs).sum())
+            hits = _declared_hits(cdfs, committed, m, combo, guesses, gen)
         parameters = {"n": params.num_bob_qubits, "p_S": p_s}
         reports.append(_finish_report(f"assume-parent-S p_S={p_s:g}", exact, hits, trials, parameters))
     return tuple(reports)
@@ -502,8 +560,7 @@ def run_full_analysis(agreement: RevealAgreement, trials: int = 0, seed: int = 0
     table = _valid_mass_table(agreement)
     thresholds = None
     if trials > 0:  # one Born row per (c, k, c'), shared by every sampled report
-        combos = list(np.ndindex(table.shape))
-        thresholds = _acceptance_thresholds(agreement, combos).reshape(table.shape)
+        thresholds = _acceptance_thresholds(agreement, np.ndindex(table.shape)).reshape(table.shape)
     report: dict = {
         "scheme": {
             "n": params.num_bob_qubits,
@@ -526,9 +583,10 @@ def run_full_analysis(agreement: RevealAgreement, trials: int = 0, seed: int = 0
         for c, claim in itertools.permutations(range(m), 2)
     ]
 
+    acceptance = _block_acceptance(table)
     report["block_fidelity"] = [
         block_cheat_report(agreement, blocks, trials, gen, table=table,
-                           thresholds=thresholds).as_dict()
+                           thresholds=thresholds, acceptance=acceptance).as_dict()
         for blocks in range(1, 9)
     ]
 

@@ -10,7 +10,8 @@ this module against a Jacobi eigensolver and scipy matrix functions.
 
 It also keeps the per-group ``rng.choice`` sampler that the one-draw
 samplers of ``qbcsim.analysis`` replace, as the reference for their
-stream contract: same outcomes, same generator state afterwards.
+stream contract: the acceptances and hit counts its outcomes give, and
+the same generator state afterwards.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -218,10 +218,17 @@ def test_negative_trial_counts_rejected(cointoss_agreement):
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(n=st.integers(1, 4), groups=st.integers(1, 300), rows=st.integers(0, 3000),
        live_share=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+# the last group count one row scan per group serves, the first one the
+# stable sort serves, and no rows at all on either side
+@example(n=2, groups=analysis.SCAN_MAX_GROUPS, rows=2500, live_share=1.0, seed=1)
+@example(n=2, groups=analysis.SCAN_MAX_GROUPS + 1, rows=2500, live_share=1.0, seed=2)
+@example(n=1, groups=analysis.SCAN_MAX_GROUPS, rows=0, live_share=0.5, seed=3)
+@example(n=3, groups=analysis.SCAN_MAX_GROUPS + 1, rows=0, live_share=0.5, seed=4)
 def test_one_draw_samplers_follow_the_choice_stream(n, groups, rows, live_share, seed):
     # the per-group Generator.choice sampler is the reference: the one-draw
-    # samplers must give its outcomes and acceptances (outcome below 2^n)
-    # and leave the generator exactly where it leaves it
+    # samplers must give its acceptances (outcome below 2^n) and its hits of
+    # the declare-outcome-else-guess rule, and leave the generator exactly
+    # where it leaves it
     data = np.random.default_rng(seed)
     weights = data.random((groups, 2**n + 1)) * (data.random((groups, 2**n + 1)) < 0.7)
     weights[np.arange(groups), data.integers(2**n + 1, size=groups)] += 0.5
@@ -230,18 +237,76 @@ def test_one_draw_samplers_follow_the_choice_stream(n, groups, rows, live_share,
     if live.size == 0:
         live = np.array([groups - 1])
     group_index = data.choice(live, size=rows)
-    thresholds = np.array([analysis._choice_cdf(d)[2**n - 1] for d in dists])
+    cdfs = analysis._choice_cdf(dists)
+    thresholds = cdfs[:, 2**n - 1]
+    committed = data.integers(2**n, size=groups)  # the choice each group holds
+    guesses = data.integers(2**n, size=rows)
+
+    def declared_hits(outcomes):
+        declared = np.where(outcomes < 2**n, outcomes, guesses)
+        return int(np.count_nonzero(declared == committed[group_index]))
 
     samplers = (
-        (analysis._grouped_outcomes, dists, lambda outcomes: outcomes),
-        (analysis._sampled_acceptance, thresholds, lambda outcomes: outcomes < 2**n),
+        (lambda gen: analysis._sampled_acceptance(thresholds, group_index, gen),
+         lambda outcomes: outcomes < 2**n),
+        (lambda gen: analysis._declared_hits(cdfs, committed, 2**n, group_index, guesses, gen),
+         declared_hits),
     )
-    for sampler, table, expected in samplers:
+    for sampler, expected in samplers:
         reference, one_draw = (np.random.default_rng(seed + 1) for _ in range(2))
         want = expected(grouped_outcomes(dists, group_index, reference))
-        got = sampler(table, group_index, one_draw)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        got = sampler(one_draw)
+        assert type(got) is type(want) and np.array_equal(got, want)
+        if isinstance(got, np.ndarray):
+            assert got.dtype == want.dtype
         assert one_draw.random() == reference.random()
+
+
+@pytest.mark.parametrize("groups", [3, analysis.SCAN_MAX_GROUPS + 4])
+def test_sampled_counts_keep_choice_ties(groups):
+    # uniforms equal to a cumulative entry, and its neighbours, must pick the
+    # outcome searchsorted(side="right") picks; a seeded stream never hits a
+    # tie, so the uniforms come from a stub generator
+    base = np.array([[0.25, 0.25, 0.0, 0.5], [0.0, 0.5, 0.25, 0.25], [0.5, 0.0, 0.5, 0.0]])
+    cdfs = analysis._choice_cdf(base[np.arange(groups) % 3])
+    ties = np.unique(np.r_[cdfs[:, :-1].ravel(), 0.0])
+    values = np.r_[ties, np.nextafter(ties, 0.0), np.nextafter(ties, 1.0)]
+    values = values[(values >= 0.0) & (values < 1.0)]
+    data = np.random.default_rng(groups)
+    uniforms = data.permutation(np.tile(values, 3 * groups))
+    group_index = data.integers(groups, size=len(uniforms))
+    committed = data.integers(2, size=groups)
+    guesses = data.integers(2, size=len(uniforms))
+
+    class Stub:
+        def random(self, size):
+            assert size == len(uniforms)
+            return uniforms
+
+    outcome = np.empty(len(uniforms), dtype=np.int64)
+    start = 0
+    for g in range(groups):  # the stream contract, spelled out
+        rows = np.flatnonzero(group_index == g)
+        outcome[rows] = cdfs[g].searchsorted(uniforms[start:start + rows.size], side="right")
+        start += rows.size
+    declared = np.where(outcome < 2, outcome, guesses)
+    assert analysis._declared_hits(cdfs, committed, 2, group_index, guesses, Stub()) == \
+        np.count_nonzero(declared == committed[group_index])
+    assert np.array_equal(analysis._sampled_acceptance(cdfs[:, 1], group_index, Stub()),
+                          outcome < 2)
+
+
+def test_block_acceptance_checked_once_per_report(monkeypatch):
+    # the K = 1..8 block reports share one spread check and mean of the table
+    calls = []
+    original = analysis._block_acceptance
+    monkeypatch.setattr(analysis, "_block_acceptance",
+                        lambda table: calls.append(1) or original(table))
+    agreement = build_reveal_agreement(SchemeParams.default(2))
+    report = run_full_analysis(agreement, 200, seed=5)
+    assert len(calls) == 1
+    assert [row["exact"] for row in report["block_fidelity"]] == \
+        [block_cheat_fidelity(agreement, blocks) for blocks in range(1, 9)]
 
 
 def test_cheat_report_consistency_logic():
