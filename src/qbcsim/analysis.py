@@ -4,18 +4,20 @@ Every scenario is computed two ways where feasible: an exact probability
 and a seeded Monte Carlo estimate of the same experiment. Bob's reveal
 state factors out of every valid-outcome mass, so exact figures are
 overlaps <psi|Q_c|psi> on the (n+1)-qubit register, Q_c = (I + X^{d_c})/2.
-Every sampled verification (cheat, block cheat, update-on-reject) goes
-through one acceptance sampler; its thresholds are the only use of Born
-distributions over the reveal measurements (set elements + reject, on
-Alice's register). Reports that read the valid-mass table, the cheat
-report among them, take it as ``table``, and sampled reports take the
-thresholds as ``thresholds`` (each built when None). The wrong-coupling
-rows are the off-diagonal (c, k, c') entries of that table, in the one
-order ``_off_diagonal`` fixes. ``run_full_analysis`` builds the table once
-and reads every exact-only cheat row straight from it; only a sampled
-pair makes a report of its own. At n=6, on a shared 2-core machine, the
-table takes about 0.45 s of a 1.1 s report, the 258 048 wrong-coupling
-row dicts 0.2 s and the m + m^2 parent-S Born rows 0.1 s.
+``_valid_mass`` computes every such mass from one Walsh transform of the
+held states, and the [c, k, c'] table of set elements under reveals holds
+both the exact figures and the acceptance thresholds of every sampled
+verification (cheat, block cheat, update-on-reject), which go through one
+acceptance sampler; no reveal measurement is formed. Reports that read the
+table take it as ``table`` (built when None). The wrong-coupling rows are
+the off-diagonal (c, k, c') entries of that table, in the one order
+``_off_diagonal`` fixes. ``run_full_analysis`` builds the table once and
+reads every exact-only cheat row straight from it; only a sampled pair
+makes a report of its own. Born distributions are left to the parent-S
+rows, over the computational basis. At n=6, on a shared 2-core machine,
+the table takes about 0.03 s of a 0.3 s exact report, the 258 048
+wrong-coupling row dicts 0.2 s and the m + m^2 parent-S Born rows 0.1 s;
+200 trials add about 0.15 s.
 
 Discrimination bounds (two-hypothesis optimum and the square-root
 measurement) bound what any pre-reveal strategy could achieve, so the
@@ -32,13 +34,15 @@ which one ``rng.choice(size, p=row)`` call per non-empty group consumes
 them. Up to ``SCAN_MAX_GROUPS`` groups, one scan of the rows per group
 finds that group's rows and takes the next slice of uniforms; above it,
 one stable sort of the group index lists every row in that order at
-once, so the k-th uniform goes to the k-th sorted row. Acceptance is a
-compare against the cumulative table ``choice`` builds. The parent-S
-sampler forms no outcome: a uniform u picks outcome c exactly when
-cdf[c-1] <= u < cdf[c], so each part's hits are counted from its
-uniforms and, past cdf[m-1], its rows' guesses. Every seeded estimate is
-the one the per-group ``choice`` sampler gives, and the generator is
-left in the same state.
+once, so the k-th uniform goes to the k-th sorted row. Acceptance is
+u < the exact valid mass; the cumulative table ``choice`` builds from a
+reveal measurement's Born row holds that mass, at its last valid
+outcome, to within 2^-52, so the two verdicts differ only for a uniform
+in that gap. The parent-S sampler forms no outcome: a uniform u picks
+outcome c exactly when cdf[c-1] <= u < cdf[c], so each part's hits are
+counted from its uniforms and, past cdf[m-1], its rows' guesses. Every
+seeded estimate is the one the per-group ``choice`` sampler gives, and
+the generator is left in the same state.
 
 Priors are uniform over choices and elements wherever a strategy needs
 them; that matches the arbitrary-guess baseline the scheme is judged
@@ -108,37 +112,33 @@ def _finish_report(scenario, exact, hits, trials, parameters) -> CheatReport:
 
 
 def _valid_mass(amplitudes: np.ndarray, masks) -> np.ndarray:
-    """Valid-outcome mass <psi|Q_c|psi> / <psi|psi> along the last axis.
+    """Valid-outcome mass <psi|Q_c|psi> / <psi|psi> of each state along the
+    last axis of ``amplitudes`` under each mask d_c in ``masks``, indexed
+    [..., len(masks)].
 
-    ``masks`` holds the d_c, with one axis fewer than ``amplitudes``, and
-    broadcasts against its leading axes.
+    Q_c = (I + X^{d_c})/2, and X^d is diagonal in the Hadamard basis with
+    entries W[d, y] of the Walsh matrix W, so the mass is
+    (1 + sum_y W[d, y] p(y)) / 2 for the Hadamard-basis distribution
+    p = |psi W|^2 / (2^(n+1) |psi|^2): one transform per state serves every
+    mask.
     """
-    flips = np.bitwise_xor.outer(np.asarray(masks), np.arange(amplitudes.shape[-1]))
-    return _mass_from_flip(amplitudes.conj(), np.sum(np.abs(amplitudes) ** 2, axis=-1),
-                           np.take_along_axis(amplitudes, flips, axis=-1))
-
-
-def _mass_from_flip(conj: np.ndarray, norm2: np.ndarray, flipped: np.ndarray) -> np.ndarray:
-    """The valid mass from conj(psi), |psi|^2 and the flipped psi_{x^d}.
-
-    Q_c = (I + X^{d_c})/2 and X^d permutes indices by XOR, so the mass is
-    (|psi|^2 + Re sum_x conj(psi_x) psi_{x^d}) / (2 |psi|^2).
-    """
-    cross = np.sum((conj * flipped).real, axis=-1)
-    return (norm2 + cross) / (2.0 * norm2)
+    dim = amplitudes.shape[-1]
+    walsh = walsh_matrix(dim.bit_length() - 1)
+    norm2 = np.sum(np.abs(amplitudes) ** 2, axis=-1, keepdims=True)
+    spectrum = np.abs(amplitudes @ walsh) ** 2 / (dim * norm2)
+    return (1.0 + spectrum @ walsh[list(masks)].T) / 2.0
 
 
 def _valid_mass_table(agreement: RevealAgreement) -> np.ndarray:
     """Valid mass of element k of set c under reveal c', indexed [c, k, c'].
 
-    The norms and conjugates are taken once; each reveal c' adds one gather
-    of the flipped amplitudes, so the largest temporary holds m^2 states.
+    Every entry is exactly 1 or 1/2: an element of set c is
+    (|x> + |x XOR d_c>)/sqrt 2, whose Walsh spectrum is dyadic. Each entry
+    is also the acceptance threshold of every sampled verification of that
+    element under that reveal.
     """
     elements = np.array([[e.amplitudes for e in s.elements] for s in agreement.sets])
-    conj, norm2 = elements.conj(), np.sum(np.abs(elements) ** 2, axis=-1)
-    index = np.arange(elements.shape[-1])
-    return np.stack([_mass_from_flip(conj, norm2, np.take(elements, index ^ d, axis=-1))
-                     for d in agreement.params.masks], axis=-1)
+    return _valid_mass(elements, agreement.params.masks)
 
 
 def _cheat_means(table: np.ndarray) -> list[list[float]]:
@@ -163,6 +163,13 @@ def _wrong_coupling_rows(table: np.ndarray):
     return zip(*(i.tolist() for i in index), table[index].tolist())
 
 
+def _check_choices(params: SchemeParams, c_true: int, c_claimed: int) -> None:
+    """Raise ValueError unless both choices index a set of ``params``."""
+    for label, value in (("c_true", c_true), ("c_claimed", c_claimed)):
+        if not 0 <= value < params.num_choices:
+            raise ValueError(f"{label} {value} out of range")
+
+
 def alice_cheat_acceptance(
     agreement: RevealAgreement, c_true: int, element: int, c_claimed: int
 ) -> float:
@@ -175,13 +182,11 @@ def alice_cheat_acceptance(
     Q_c and passes every reveal.
     """
     params = agreement.params
-    for label, value in (("c_true", c_true), ("c_claimed", c_claimed)):
-        if not 0 <= value < params.num_choices:
-            raise ValueError(f"{label} {value} out of range")
+    _check_choices(params, c_true, c_claimed)
     if not 0 <= element < params.num_choices:
         raise ValueError(f"element index {element} out of range")
     held = agreement.sets[c_true].elements[element]
-    return float(_valid_mass(held.amplitudes, params.masks[c_claimed]))
+    return float(_valid_mass(held.amplitudes, [params.masks[c_claimed]])[0])
 
 
 def alice_cheat_report(
@@ -192,23 +197,25 @@ def alice_cheat_report(
     rng=None,
     *,
     table: np.ndarray | None = None,
-    thresholds: np.ndarray | None = None,
 ) -> CheatReport:
-    """Cheat acceptance averaged over a uniform element, exact and sampled."""
+    """Cheat acceptance averaged over a uniform element, exact and sampled.
+
+    The element masses, read from ``table`` when given, are both the exact
+    figure's terms and the sampled verification's acceptance thresholds.
+    """
     params = agreement.params
-    m = params.num_choices
+    _check_choices(params, c_true, c_claimed)
     if table is None:
         elements = np.array([e.amplitudes for e in agreement.sets[c_true].elements])
-        exact = float(np.mean(_valid_mass(elements, [params.masks[c_claimed]])))
+        masses = _valid_mass(elements, [params.masks[c_claimed]])[:, 0]
     else:
-        exact = float(np.mean(table[c_true, :, c_claimed]))
+        masses = table[c_true, :, c_claimed]
+    exact = float(np.mean(masses))
     hits = 0
     if trials > 0:
         gen = as_generator(rng)
-        ks = gen.integers(m, size=trials)
-        combos = [(c_true, k, c_claimed) for k in range(m)]
-        threshold = _acceptance_thresholds(agreement, combos, thresholds)
-        hits = int(np.count_nonzero(_sampled_acceptance(threshold, ks, gen)))
+        ks = gen.integers(params.num_choices, size=trials)
+        hits = int(np.count_nonzero(_sampled_acceptance(masses, ks, gen)))
     return _alice_cheat_finish(params, c_true, c_claimed, exact, hits, trials)
 
 
@@ -297,26 +304,6 @@ def _declared_hits(cdfs: np.ndarray, committed: np.ndarray, choices: int,
     return int(hits)
 
 
-def _acceptance_thresholds(agreement: RevealAgreement, combos,
-                           thresholds: np.ndarray | None = None) -> np.ndarray:
-    """Acceptance threshold per (c, k, c') in ``combos``: element k of set c
-    measured onto set c' plus reject -- Bob's coupled measurement onto the
-    valid products of c', as <e (x) G|psi (x) G> = <e|psi>.
-
-    Outcome 2^n rejects, so a uniform u is accepted iff the outcome it picks
-    is below 2^n, that is iff u < cdf[2^n - 1] of the Born row. Read from
-    ``thresholds``, a table indexed [c, k, c'], when given.
-    """
-    if thresholds is not None:
-        return thresholds[tuple(np.transpose(combos))]
-    valid = agreement.num_choices
-    return np.array([
-        _choice_cdf(born_distribution(agreement.sets[c].elements[k],
-                                      agreement.measurements[claim]))[valid - 1]
-        for c, k, claim in combos
-    ])
-
-
 def block_cheat_fidelity(agreement: RevealAgreement, blocks: int, *,
                          table: np.ndarray | None = None) -> float:
     """Exact probability that a per-block cheat survives ``blocks`` independent
@@ -342,26 +329,26 @@ def _block_acceptance(table: np.ndarray) -> float:
 
 def block_cheat_report(agreement: RevealAgreement, blocks: int, trials: int = 0, rng=None, *,
                        table: np.ndarray | None = None,
-                       thresholds: np.ndarray | None = None,
                        acceptance: float | None = None) -> CheatReport:
     """K-block cheat survival, exact and by independent-product simulation.
 
     ``acceptance`` is the per-block acceptance ``_block_acceptance`` gives,
-    taken from ``table`` when None.
+    taken from ``table`` when None. Each block samples one off-diagonal
+    (c, k, c') entry of the table and accepts below its mass.
     """
     if blocks < 1:
         raise ValueError("block count must be at least 1")
+    table = _valid_mass_table(agreement) if table is None else table
     if acceptance is None:
-        acceptance = _block_acceptance(_valid_mass_table(agreement) if table is None else table)
+        acceptance = _block_acceptance(table)
     exact = acceptance ** blocks
     params = agreement.params
     hits = 0
     if trials > 0:
         gen = as_generator(rng)
-        combos = np.transpose(_off_diagonal((params.num_choices,) * 3))
-        draw = gen.integers(len(combos), size=trials * blocks)
-        threshold = _acceptance_thresholds(agreement, combos, thresholds)
-        accepted = _sampled_acceptance(threshold, draw, gen)
+        masses = table[_off_diagonal(table.shape)]
+        draw = gen.integers(len(masses), size=trials * blocks)
+        accepted = _sampled_acceptance(masses, draw, gen)
         survived = accepted[::blocks].copy()  # trial t owns rows t*K .. t*K + K - 1
         for b in range(1, blocks):
             survived &= accepted[b::blocks]
@@ -401,8 +388,7 @@ def bob_wrong_coupling_table(agreement: RevealAgreement, *,
 
 
 def bob_premature_strategy(agreement: RevealAgreement, strategy: str, trials: int = 0, rng=None,
-                           *, table: np.ndarray | None = None,
-                           thresholds: np.ndarray | None = None) -> CheatReport:
+                           *, table: np.ndarray | None = None) -> CheatReport:
     """Success probability of identifying the committed choice pre-reveal.
 
     declare-prior-guess: couple an arbitrary guess, ignore the outcome,
@@ -435,10 +421,8 @@ def bob_premature_strategy(agreement: RevealAgreement, strategy: str, trials: in
     hits = 0
     if trials > 0:
         gen = as_generator(rng)
-        combos = np.indices(table.shape).reshape(3, -1).T
-        draw = gen.integers(len(combos), size=trials)
-        threshold = _acceptance_thresholds(agreement, combos, thresholds)
-        accepted = _sampled_acceptance(threshold, draw, gen)
+        draw = gen.integers(table.size, size=trials)  # one (c, k, guess) per trial, C order
+        accepted = _sampled_acceptance(table.ravel(), draw, gen)
         fallback = gen.integers(m - 1, size=trials)  # index among remaining choices
         cs, gs = draw // m**2, draw % m
         declared = np.where(accepted, gs, fallback + (fallback >= gs))
@@ -557,10 +541,7 @@ def run_full_analysis(agreement: RevealAgreement, trials: int = 0, seed: int = 0
     params = agreement.params
     m = params.num_choices
     gen = np.random.default_rng(seed)
-    table = _valid_mass_table(agreement)
-    thresholds = None
-    if trials > 0:  # one Born row per (c, k, c'), shared by every sampled report
-        thresholds = _acceptance_thresholds(agreement, np.ndindex(table.shape)).reshape(table.shape)
+    table = _valid_mass_table(agreement)  # shared by every exact figure and sampled threshold
     report: dict = {
         "scheme": {
             "n": params.num_bob_qubits,
@@ -576,8 +557,7 @@ def run_full_analysis(agreement: RevealAgreement, trials: int = 0, seed: int = 0
     # sampled pair makes a report of its own, drawing from gen
     means = _cheat_means(table)
     report["alice_cheat"] = [
-        alice_cheat_report(agreement, c, claim, trials, gen, table=table,
-                           thresholds=thresholds).as_dict()
+        alice_cheat_report(agreement, c, claim, trials, gen, table=table).as_dict()
         if trials and (c, claim) == (0, 1)
         else _alice_cheat_finish(params, c, claim, means[c][claim]).as_dict()
         for c, claim in itertools.permutations(range(m), 2)
@@ -586,7 +566,7 @@ def run_full_analysis(agreement: RevealAgreement, trials: int = 0, seed: int = 0
     acceptance = _block_acceptance(table)
     report["block_fidelity"] = [
         block_cheat_report(agreement, blocks, trials, gen, table=table,
-                           thresholds=thresholds, acceptance=acceptance).as_dict()
+                           acceptance=acceptance).as_dict()
         for blocks in range(1, 9)
     ]
 
@@ -595,8 +575,7 @@ def run_full_analysis(agreement: RevealAgreement, trials: int = 0, seed: int = 0
                                 for c, k, claim, value in _wrong_coupling_rows(table)]
 
     report["strategies"] = [
-        bob_premature_strategy(agreement, strategy, trials, gen, table=table,
-                               thresholds=thresholds).as_dict()
+        bob_premature_strategy(agreement, strategy, trials, gen, table=table).as_dict()
         for strategy in STRATEGIES
     ]
 

@@ -11,7 +11,9 @@ this module against a Jacobi eigensolver and scipy matrix functions.
 It also keeps the per-group ``rng.choice`` sampler that the one-draw
 samplers of ``qbcsim.analysis`` replace, as the reference for their
 stream contract: the acceptances and hit counts its outcomes give, and
-the same generator state afterwards.
+the same generator state afterwards; and the index-XOR valid mass that
+the Walsh-transform masses of ``qbcsim.analysis`` replace, as the
+reference for their bits.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qbcsim.quantum import ATOL, _frozen_array
-from qbcsim.scheme import CommitmentSet, SchemeParams, build_sets
+from qbcsim.scheme import CommitmentSet, RevealAgreement, SchemeParams, build_sets
 
 #: Eigenvalues below this are treated as zero on the support of an
 #: average state (rank-deficient mixtures are generic here).
@@ -149,3 +151,17 @@ def grouped_outcomes(dists, group_index: np.ndarray, rng) -> np.ndarray:
         if sel.size:
             out[sel] = rng.choice(len(dist), size=sel.size, p=dist)
     return out
+
+
+def flip_valid_mass_table(agreement: RevealAgreement) -> np.ndarray:
+    """Valid mass <psi|Q_c'|psi> / <psi|psi> of element k of set c under
+    reveal c', indexed [c, k, c'], from one index-XOR gather per reveal.
+
+    Q_c = (I + X^{d_c})/2 and X^d permutes indices by XOR, so the mass is
+    (|psi|^2 + Re sum_x conj(psi_x) psi_{x^d}) / (2 |psi|^2).
+    """
+    elements = np.array([[e.amplitudes for e in s.elements] for s in agreement.sets])
+    conj, norm2 = elements.conj(), np.sum(np.abs(elements) ** 2, axis=-1)
+    index = np.arange(elements.shape[-1])
+    return np.stack([(norm2 + np.sum((conj * elements[..., index ^ d]).real, axis=-1))
+                     / (2.0 * norm2) for d in agreement.params.masks], axis=-1)

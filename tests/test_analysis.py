@@ -52,6 +52,7 @@ from dense_oracle import (
     EnsembleMixture,
     HermitianMatrix,
     ensemble_mixture,
+    flip_valid_mass_table,
     grouped_outcomes,
     helstrom_bound,
     pgm_success,
@@ -120,12 +121,36 @@ def test_valid_mass_table_matches_born_oracle(agreements):
                             agreement, elem, claim, bases[claim]
                         )
                         assert abs(table[c, k, claim] - oracle) < 1e-12
-            # the overlap formula holds for any held state, not only set elements
+            # the Walsh formula holds for any held state, not only set elements
             for claim in range(m):
                 held = random_state(n + 1, rng)
-                mass = analysis._valid_mass(held.amplitudes, agreement.params.masks[claim])
+                mass = analysis._valid_mass(held.amplitudes, [agreement.params.masks[claim]])
+                assert mass.shape == (1,)
                 oracle = acceptance_by_born_distribution(agreement, held, claim, bases[claim])
-                assert abs(mass - oracle) < 1e-12
+                assert abs(mass[0] - oracle) < 1e-12
+            # and one transform serves every mask at once
+            held = random_state(n + 1, rng)
+            masses = analysis._valid_mass(held.amplitudes, agreement.params.masks)
+            assert masses.shape == (m,)
+            for claim in range(m):
+                oracle = acceptance_by_born_distribution(agreement, held, claim, bases[claim])
+                assert abs(masses[claim] - oracle) < 1e-12
+
+
+def test_sampled_thresholds_within_an_ulp_of_born_rows(agreements):
+    # a sampled verification accepts below the valid mass; the per-group
+    # choice sampler it replaces accepted below the cumulative Born row of
+    # the reveal measurement at its last valid outcome, which sits within
+    # 2^-52 of it, so a seeded verdict moves only for a uniform in that gap
+    for n in (1, 2, 3, 4):
+        agreement = agreements[n]
+        m = 2**n
+        table = analysis._valid_mass_table(agreement)
+        for c, k, claim in np.ndindex(table.shape):
+            dist = born_distribution(agreement.sets[c].elements[k],
+                                     agreement.measurements[claim])
+            cdf = analysis._choice_cdf(dist)
+            assert abs(table[c, k, claim] - cdf[m - 1]) <= 2.0**-52, (n, c, k, claim)
 
 
 def test_exact_masses_equal_closed_form(agreements):
@@ -171,28 +196,39 @@ def test_exact_analysis_calls_born_only_from_s_protocol(agreements, monkeypatch)
 
 
 def test_sampled_analysis_builds_each_born_row_once(agreements, monkeypatch):
-    # trials > 0 adds one Born row per (c, k, c') combination, built once in
-    # run_full_analysis and shared by the cheat, block and strategy reports,
-    # never once per block size; no sampler calls Generator.choice
+    # trials > 0 adds no Born row to the m + m^2 parent-S rows of an exact
+    # report: the cheat, block and strategy samplers read their thresholds
+    # from the one valid-mass table; no sampler calls Generator.choice
     calls = collections.Counter()
     pairs = collections.Counter()
-    real = analysis.born_distribution
+    real_born, real_table = analysis.born_distribution, analysis._valid_mass_table
 
-    def counting(state, basis):
-        frame = sys._getframe(1)
+    def caller():
+        frame = sys._getframe(2)
         while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
             frame = frame.f_back
-        calls[frame.f_code.co_name] += 1
-        pairs[id(state), id(basis)] += 1
-        return real(state, basis)
+        return frame.f_code.co_name
 
-    monkeypatch.setattr(analysis, "born_distribution", counting)
+    def counting_born(state, basis):
+        calls["born_distribution", caller()] += 1
+        pairs[id(state), id(basis)] += 1
+        return real_born(state, basis)
+
+    def counting_table(agreement):
+        calls["_valid_mass_table", caller()] += 1
+        return real_table(agreement)
+
+    monkeypatch.setattr(analysis, "born_distribution", counting_born)
+    monkeypatch.setattr(analysis, "_valid_mass_table", counting_table)
     for n in (1, 2, 3, 4):
         m = 2**n
         calls.clear()
         pairs.clear()
         run_full_analysis(agreements[n], trials=20, seed=3)
-        assert calls == {"_parent_s_reports": m + m**2, "_acceptance_thresholds": m**3}
+        assert calls == {
+            ("born_distribution", "_parent_s_reports"): m + m**2,
+            ("_valid_mass_table", "run_full_analysis"): 1,
+        }
         assert sum(pairs.values()) == len(pairs)  # no Born row computed twice
     tree = ast.parse(inspect.getsource(analysis))
     assert not any(isinstance(node, ast.Attribute) and node.attr == "choice"
@@ -349,6 +385,25 @@ def test_alice_cheat_acceptance_values(cointoss_agreement):
         alice_cheat_acceptance(cointoss_agreement, 2, 0, 0)
     with pytest.raises(ValueError):
         alice_cheat_acceptance(cointoss_agreement, 0, 5, 1)
+
+
+@pytest.mark.parametrize("c_true, c_claimed, label", [
+    (-1, 0, "c_true -1"), (4, 0, "c_true 4"), (0, -4, "c_claimed -4"), (0, 4, "c_claimed 4"),
+])
+def test_cheat_report_rejects_choices_out_of_range(agreements, c_true, c_claimed, label):
+    # a negative index must not wrap to another set, nor a large one escape
+    # as IndexError: the report and the per-element acceptance share one check
+    agreement = agreements[2]
+    table = analysis._valid_mass_table(agreement)
+    calls = [
+        lambda: alice_cheat_acceptance(agreement, c_true, 0, c_claimed),
+        lambda: alice_cheat_report(agreement, c_true, c_claimed),
+        lambda: alice_cheat_report(agreement, c_true, c_claimed, table=table),
+        lambda: alice_cheat_report(agreement, c_true, c_claimed, trials=10, rng=1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{label} out of range$"):
+            call()
 
 
 def test_alice_cheat_matches_inner_product_oracle(agreements):
@@ -674,15 +729,18 @@ def test_table_and_direct_paths_agree_exactly(agreements):
             t for t in np.ndindex((2**n,) * 3) if t[0] != t[2]]
 
 
-def test_valid_mass_table_is_a_stack_of_per_reveal_masses():
-    # one norm per element and one gather per reveal change no bit of the table
+def test_walsh_table_equals_flip_oracle_bit_for_bit():
+    # one Walsh transform per element changes no bit of the index-XOR table:
+    # every entry is exactly 1 or 1/2 on both routes
     rng = np.random.default_rng(5)
+    schemes = [SchemeParams.paper_cointoss()]
     for n in (1, 2, 3, 4, 5):
-        agreement = build_reveal_agreement(SchemeParams.random_masks(n, rng))
-        elements = np.array([[e.amplitudes for e in s.elements] for s in agreement.sets])
-        stacked = np.stack([analysis._valid_mass(elements, [[d]]) for d in agreement.params.masks],
-                           axis=-1)
-        assert analysis._valid_mass_table(agreement).tobytes() == stacked.tobytes(), n
+        schemes += [SchemeParams.default(n)] + [SchemeParams.random_masks(n, rng) for _ in range(3)]
+    for params in schemes:
+        agreement = build_reveal_agreement(params)
+        table = analysis._valid_mass_table(agreement)
+        assert table.tobytes() == flip_valid_mass_table(agreement).tobytes(), params.masks
+        assert set(np.unique(table)) <= {0.5, 1.0}
 
 
 @pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64])

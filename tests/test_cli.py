@@ -313,6 +313,12 @@ REPORT_PINS = [
     # the monte-carlo benchmark's shape: 2-8 groups, so the scan partition
     (SchemeParams.paper_cointoss(), 100_000, 0,
      "99cc8d9a83f747eba0e3be4080e15305d777480924f6f0156a76c6d60e57eb6e"),
+    # above SCAN_MAX_GROUPS, so every sampler takes the stable-sort partition;
+    # the first is also the shape of the CI n=4 smoke step
+    (SchemeParams.default(4), 2000, 0,
+     "1f5214716be9150c4646a93e1822198411b4d57bc6616d6cf93e22181f671cdc"),
+    (SchemeParams.default(5), 500, 3,
+     "ea3db016d80771b38921153f75b63eeb3e4a25e1929ca27392bdc4f86204beae"),
 ]
 
 
