@@ -14,7 +14,7 @@ import numpy as np
 from qbcsim.analysis import (
     alice_cheat_acceptance,
     alice_cheat_report,
-    block_cheat_fidelity,
+    block_cheat_report,
 )
 from qbcsim.scheme import SchemeParams, build_reveal_agreement
 
@@ -44,7 +44,7 @@ def main():
 
     print("\nblock commitment, all K blocks must survive a false reveal:")
     for K in (1, 2, 4, 8, 16):
-        print(f"  K={K:2d}: {block_cheat_fidelity(agreement, K):.3e}")
+        print(f"  K={K:2d}: {block_cheat_report(agreement, K).exact:.3e}")
 
 
 if __name__ == "__main__":

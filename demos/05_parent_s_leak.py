@@ -20,7 +20,7 @@ def main():
     for n in (1, 2):
         agreement = build_reveal_agreement(SchemeParams.default(n))
         print(f"n={n}, identification probability vs parent-S weight:")
-        for report in s_protocol_sweep(agreement, points=11):
+        for report in s_protocol_sweep(agreement):
             p = report.parameters["p_S"]
             print(f"  p_S={p:4.1f}  {bar(report.exact)}  {report.exact:.4f}")
         print()

@@ -16,13 +16,10 @@ from .analysis import (
     STRATEGY_UPDATE_ON_REJECT,
     alice_cheat_acceptance,
     alice_cheat_report,
-    block_cheat_fidelity,
     block_cheat_report,
     bob_premature_strategy,
-    bob_wrong_coupling_table,
     discrimination_bounds,
     run_full_analysis,
-    s_protocol_analysis,
     s_protocol_sweep,
 )
 from .quantum import (
@@ -34,7 +31,6 @@ from .quantum import (
     as_generator,
     born_distribution,
     computational_basis,
-    equal_superposition_pair,
     inner,
     ket_string,
     make_basis_state,
@@ -61,9 +57,7 @@ from .scheme import (
     build_reveal_agreement,
     build_set_s,
     build_sets,
-    cross_set_overlap_audit,
     descriptor_text,
-    params_from_descriptor,
     scheme_hash,
     stabilizer_audit,
     xor_pairs,

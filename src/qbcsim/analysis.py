@@ -8,16 +8,18 @@ overlaps <psi|Q_c|psi> on the (n+1)-qubit register, Q_c = (I + X^{d_c})/2.
 held states, and the [c, k, c'] table of set elements under reveals holds
 both the exact figures and the acceptance thresholds of every sampled
 verification (cheat, block cheat, update-on-reject), which go through one
-acceptance sampler; no reveal measurement is formed. Reports that read the
-table take it as ``table`` (built when None). The wrong-coupling rows are
-the off-diagonal (c, k, c') entries of that table, in the one order
-``_off_diagonal`` fixes. ``run_full_analysis`` builds the table once and
-reads every exact-only cheat row straight from it; only a sampled pair
-makes a report of its own. Born distributions are left to the parent-S
-rows, over the computational basis. At n=6, on a shared 2-core machine,
-the table takes about 0.03 s of a 0.3 s exact report, the 258 048
-wrong-coupling row dicts 0.2 s and the m + m^2 parent-S Born rows 0.1 s;
-200 trials add about 0.15 s.
+acceptance sampler; no reveal measurement is formed. The block-cheat and
+update-on-reject reports take the table as ``table`` (built when None);
+a cheat report computes its one (c, c') slice, the same masses bit for
+bit. The wrong-coupling rows are the off-diagonal (c, k, c') entries of
+the table, in the one order ``_off_diagonal`` fixes. ``run_full_analysis``
+builds the table once and reads every exact-only cheat row and every
+wrong-coupling row straight from it; only a sampled cheat pair makes a
+report of its own. Born distributions are left to the parent-S sweep,
+over the computational basis, at p_S = 0, 0.1, ..., 1. At n=6, on a
+shared 2-core machine, the table takes about 0.03 s of a 0.3 s exact
+report, the 258 048 wrong-coupling row dicts 0.2 s and the m + m^2
+parent-S Born rows 0.1 s; 200 trials add about 0.15 s.
 
 Discrimination bounds (two-hypothesis optimum and the square-root
 measurement) bound what any pre-reveal strategy could achieve, so the
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -163,6 +165,10 @@ def _wrong_coupling_rows(table: np.ndarray):
     return zip(*(i.tolist() for i in index), table[index].tolist())
 
 
+#: The keys of a report's wrong-coupling row, in ``_wrong_coupling_rows`` order.
+WRONG_COUPLING_KEYS = ("held_choice", "element", "coupled_choice", "valid_mass")
+
+
 def _check_choices(params: SchemeParams, c_true: int, c_claimed: int) -> None:
     """Raise ValueError unless both choices index a set of ``params``."""
     for label, value in (("c_true", c_true), ("c_claimed", c_claimed)):
@@ -195,21 +201,17 @@ def alice_cheat_report(
     c_claimed: int,
     trials: int = 0,
     rng=None,
-    *,
-    table: np.ndarray | None = None,
 ) -> CheatReport:
     """Cheat acceptance averaged over a uniform element, exact and sampled.
 
-    The element masses, read from ``table`` when given, are both the exact
-    figure's terms and the sampled verification's acceptance thresholds.
+    The element masses, table[c_true, :, c_claimed] bit for bit, are both
+    the exact figure's terms and the sampled verification's acceptance
+    thresholds.
     """
     params = agreement.params
     _check_choices(params, c_true, c_claimed)
-    if table is None:
-        elements = np.array([e.amplitudes for e in agreement.sets[c_true].elements])
-        masses = _valid_mass(elements, [params.masks[c_claimed]])[:, 0]
-    else:
-        masses = table[c_true, :, c_claimed]
+    elements = np.array([e.amplitudes for e in agreement.sets[c_true].elements])
+    masses = _valid_mass(elements, [params.masks[c_claimed]])[:, 0]
     exact = float(np.mean(masses))
     hits = 0
     if trials > 0:
@@ -304,19 +306,6 @@ def _declared_hits(cdfs: np.ndarray, committed: np.ndarray, choices: int,
     return int(hits)
 
 
-def block_cheat_fidelity(agreement: RevealAgreement, blocks: int, *,
-                         table: np.ndarray | None = None) -> float:
-    """Exact probability that a per-block cheat survives ``blocks`` independent
-    verifications (product of per-block acceptances, checked equal).
-
-    Like the single-block 1/2, the 2^-K law holds for an Alice who commits
-    genuine set elements; |+>^(n+1) in every block passes every reveal.
-    """
-    if blocks < 1:
-        raise ValueError("block count must be at least 1")
-    return _block_acceptance(_valid_mass_table(agreement) if table is None else table) ** blocks
-
-
 def _block_acceptance(table: np.ndarray) -> float:
     """The one cheat acceptance of a block: the mean off-diagonal entry of
     ``table``, after checking that the entries agree."""
@@ -332,6 +321,9 @@ def block_cheat_report(agreement: RevealAgreement, blocks: int, trials: int = 0,
                        acceptance: float | None = None) -> CheatReport:
     """K-block cheat survival, exact and by independent-product simulation.
 
+    The exact figure is the per-block acceptance to the power K. Like the
+    single-block 1/2, the 2^-K law holds for an Alice who commits genuine
+    set elements; |+>^(n+1) in every block passes every reveal.
     ``acceptance`` is the per-block acceptance ``_block_acceptance`` gives,
     taken from ``table`` when None. Each block samples one off-diagonal
     (c, k, c') entry of the table and accepts below its mass.
@@ -363,28 +355,6 @@ def block_cheat_report(agreement: RevealAgreement, blocks: int, trials: int = 0,
 
 
 # --- concealment: Bob's premature strategies ------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class WrongCouplingEntry:
-    """One row of the wrong-coupling table: held element, coupled reveal
-    state, and the mass of their product on the valid outcomes."""
-
-    held_choice: int
-    element: int
-    coupled_choice: int
-    valid_mass: float
-
-
-#: The keys of a report's wrong-coupling row, in field order.
-WRONG_COUPLING_KEYS = tuple(f.name for f in fields(WrongCouplingEntry))
-
-
-def bob_wrong_coupling_table(agreement: RevealAgreement, *,
-                             table: np.ndarray | None = None) -> tuple[WrongCouplingEntry, ...]:
-    """Valid mass of every (held element, wrong reveal state) coupling."""
-    table = _valid_mass_table(agreement) if table is None else table
-    return tuple(WrongCouplingEntry(*row) for row in _wrong_coupling_rows(table))
 
 
 def bob_premature_strategy(agreement: RevealAgreement, strategy: str, trials: int = 0, rng=None,
@@ -466,34 +436,19 @@ def discrimination_bounds(params: SchemeParams) -> dict:
 # --- the reduced-qubit variant ---------------------------------------------
 
 
-def s_protocol_analysis(
-    agreement: RevealAgreement, p_s: float, trials: int = 0, rng=None
-) -> CheatReport:
+def s_protocol_sweep(
+    agreement: RevealAgreement, trials: int = 0, rng=None
+) -> tuple[CheatReport, ...]:
     """Bob's identification probability under "assume parent S, measure
-    computationally" when Alice commits from S with probability ``p_s``.
+    computationally" when Alice commits from S with probability p_S, at
+    p_S = 0, 0.1, ..., 1.
 
     The rule declares outcome o when o < 2^n and guesses uniformly
     otherwise. The exact value sums every (parent, choice, element, outcome)
-    branch; the sampled estimate replays the same experiment.
+    branch; the sampled estimate replays the same experiment. Every point
+    reads one set of m + m^2 Born rows; sampled points draw from ``rng`` in
+    order.
     """
-    return _parent_s_reports(agreement, (p_s,), trials, rng)[0]
-
-
-def s_protocol_sweep(
-    agreement: RevealAgreement, points: int = 11, trials: int = 0, rng=None
-) -> tuple[CheatReport, ...]:
-    """s_protocol_analysis over an even grid of parent-S probabilities."""
-    gen = as_generator(rng) if trials > 0 else None
-    grid = tuple(float(p) for p in np.linspace(0.0, 1.0, points))
-    return _parent_s_reports(agreement, grid, trials, gen)
-
-
-def _parent_s_reports(agreement: RevealAgreement, p_values, trials, rng) -> tuple[CheatReport, ...]:
-    """One s_protocol_analysis report per parent-S probability, all from one
-    set of m + m^2 Born rows; sampled points draw from ``rng`` in order."""
-    for p_s in p_values:
-        if not 0.0 <= p_s <= 1.0:
-            raise ValueError(f"parent-S probability {p_s} out of [0, 1]")
     params = agreement.params
     m = params.num_choices
     comp = computational_basis(2 ** params.num_alice_qubits)
@@ -510,13 +465,14 @@ def _parent_s_reports(agreement: RevealAgreement, p_values, trials, rng) -> tupl
     success_s = np.cumsum(terms[:m] / m)[-1]
     success_b = np.cumsum(terms[m:] / m**2)[-1]
 
-    cdfs = _choice_cdf(dists) if trials > 0 else None
+    if trials > 0:
+        gen = as_generator(rng)
+        cdfs = _choice_cdf(dists)
     reports = []
-    for p_s in p_values:
+    for p_s in np.linspace(0.0, 1.0, 11).tolist():
         exact = p_s * success_s + (1.0 - p_s) * success_b
         hits = 0
         if trials > 0:
-            gen = as_generator(rng)
             from_s = gen.random(trials) < p_s
             cs = gen.integers(m, size=trials)
             ks = gen.integers(m, size=trials)
@@ -541,7 +497,7 @@ def run_full_analysis(agreement: RevealAgreement, trials: int = 0, seed: int = 0
     params = agreement.params
     m = params.num_choices
     gen = np.random.default_rng(seed)
-    table = _valid_mass_table(agreement)  # shared by every exact figure and sampled threshold
+    table = _valid_mass_table(agreement)  # every exact figure; every sampled threshold but a cheat pair's
     report: dict = {
         "scheme": {
             "n": params.num_bob_qubits,
@@ -557,7 +513,7 @@ def run_full_analysis(agreement: RevealAgreement, trials: int = 0, seed: int = 0
     # sampled pair makes a report of its own, drawing from gen
     means = _cheat_means(table)
     report["alice_cheat"] = [
-        alice_cheat_report(agreement, c, claim, trials, gen, table=table).as_dict()
+        alice_cheat_report(agreement, c, claim, trials, gen).as_dict()
         if trials and (c, claim) == (0, 1)
         else _alice_cheat_finish(params, c, claim, means[c][claim]).as_dict()
         for c, claim in itertools.permutations(range(m), 2)
@@ -582,6 +538,6 @@ def run_full_analysis(agreement: RevealAgreement, trials: int = 0, seed: int = 0
     report["discrimination"] = discrimination_bounds(params)
 
     report["s_protocol"] = [
-        r.as_dict() for r in s_protocol_sweep(agreement, 11, trials, gen)
+        r.as_dict() for r in s_protocol_sweep(agreement, trials, gen)
     ]
     return report

@@ -17,10 +17,11 @@ Subcommands:
 
 Usage errors exit with code 2; so do scheme flags that name no valid
 scheme, which ``audit`` instead reports as a failed check, a negative
---trials, a move file that cannot be read or has a line without ``=``,
-and an ``--out`` path that cannot be written (checked before any report
-is computed or frame exchanged; the file is written only after a run
-that finishes, so one that aborts leaves an existing file as it was).
+--trials, a --port outside 0..65535, a move file that cannot be read, has
+a line without ``=`` or names no choice, and an ``--out`` path that
+cannot be written (checked before any report is computed or frame
+exchanged; the file is written only after a run that finishes, so one
+that aborts leaves an existing file as it was).
 The audit is deterministic and takes no seed; every other subcommand
 draws all its randomness from --seed (default 0), and identical
 invocations produce byte-identical output. No environment variables are
@@ -257,6 +258,11 @@ def report_json(report: dict) -> str:
     return text.replace(json.dumps(placeholder), f"[\n{rows}\n  ]" if rows else "[]", 1)
 
 
+def _mc_suffix(row: dict) -> str:
+    """A sampled row's Monte Carlo columns; nothing for an exact-only row."""
+    return f"  mc {row['estimate']:.6g} +- {row['stderr']:.2g}" if "estimate" in row else ""
+
+
 def _render_report(report: dict, out) -> None:
     scheme = report["scheme"]
     print(
@@ -269,17 +275,12 @@ def _render_report(report: dict, out) -> None:
     print("alice-cheat acceptance (exact):", file=out)
     for row in report["alice_cheat"]:
         p = row["parameters"]
-        line = f"  commit {p['c_true']} reveal {p['c_claimed']}: {row['exact']:.12g}"
-        if "estimate" in row:
-            line += f"  mc {row['estimate']:.6g} +- {row['stderr']:.2g}"
-        print(line, file=out)
+        print(f"  commit {p['c_true']} reveal {p['c_claimed']}: {row['exact']:.12g}"
+              + _mc_suffix(row), file=out)
 
     print("block-cheat fidelity:", file=out)
     for row in report["block_fidelity"]:
-        line = f"  K={row['parameters']['K']}: {row['exact']:.12g}"
-        if "estimate" in row:
-            line += f"  mc {row['estimate']:.6g} +- {row['stderr']:.2g}"
-        print(line, file=out)
+        print(f"  K={row['parameters']['K']}: {row['exact']:.12g}" + _mc_suffix(row), file=out)
 
     print("wrong-coupling valid mass:", file=out)
     for row in report["wrong_coupling"]:
@@ -291,10 +292,7 @@ def _render_report(report: dict, out) -> None:
 
     print("premature strategies:", file=out)
     for row in report["strategies"]:
-        line = f"  {row['scenario']}: {row['exact']:.12g}"
-        if "estimate" in row:
-            line += f"  mc {row['estimate']:.6g} +- {row['stderr']:.2g}"
-        print(line, file=out)
+        print(f"  {row['scenario']}: {row['exact']:.12g}" + _mc_suffix(row), file=out)
 
     disc = report["discrimination"]
     print(f"discrimination (chance {disc['chance']:.12g}):", file=out)
@@ -304,10 +302,8 @@ def _render_report(report: dict, out) -> None:
 
     print("parent-S sweep:", file=out)
     for row in report["s_protocol"]:
-        line = f"  p_S={row['parameters']['p_S']:.1f}: {row['exact']:.12g}"
-        if "estimate" in row:
-            line += f"  mc {row['estimate']:.6g} +- {row['stderr']:.2g}"
-        print(line, file=out)
+        print(f"  p_S={row['parameters']['p_S']:.1f}: {row['exact']:.12g}" + _mc_suffix(row),
+              file=out)
 
 
 def cmd_analyze(args: argparse.Namespace, out=None) -> int:
@@ -343,9 +339,13 @@ def _session_scripts(moves: dict, count: int) -> tuple[AliceScript, BobScript]:
     def index_token(token, names=()):
         if token in names:
             return names.index(token)
-        if not (token.isdecimal() and int(token) < count):
+        try:
+            value = int(token) if token.isdecimal() else count
+        except ValueError:  # more digits than int() converts
+            value = count
+        if value >= count:
             _usage_error(f"move value {token!r} is not in 0..{count - 1}")
-        return int(token)
+        return value
 
     alice = AliceScript()
     if "choice" in moves:
@@ -420,6 +420,13 @@ def trial_count(token: str) -> int:
     return value
 
 
+def port_number(token: str) -> int:
+    value = int(token)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"port {value} is not in 0..65535")
+    return value
+
+
 def _add_scheme_flags(parser):
     parser.add_argument("--n", type=int, default=1, help=f"receiver qubit count (1..{MAX_N})")
     parser.add_argument(
@@ -463,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     session = sub.add_parser("session", help="one side of a two-process TCP session")
     _add_scheme_flags(session)
     session.add_argument("--role", choices=["alice", "bob"], required=True)
-    session.add_argument("--port", type=int, default=0)
+    session.add_argument("--port", type=port_number, default=0)
     session.add_argument("--seed", type=int, default=0)
     session.add_argument("--script", help="move file (choice=/guess=/reveal=/parent=)")
     session.add_argument("--out", help="write the transcript here")

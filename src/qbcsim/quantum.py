@@ -125,18 +125,6 @@ def make_basis_state(bits: str) -> StateVector:
     return StateVector(len(bits), amps)
 
 
-def equal_superposition_pair(x: str, y: str) -> StateVector:
-    """The two-term state (|x> + |y>)/sqrt(2) for distinct bit strings."""
-    if len(x) != len(y):
-        raise ValueError("bit strings must have equal length")
-    if x == y:
-        raise ValueError(f"degenerate pair: {x!r} appears twice")
-    amps = np.zeros(2 ** len(x), dtype=complex)
-    amps[bits_to_index(x)] = INV_SQRT2
-    amps[bits_to_index(y)] = INV_SQRT2
-    return StateVector(len(x), amps)
-
-
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product a (x) b; qubits of ``a`` stay most significant."""
     return StateVector(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes))

@@ -27,7 +27,6 @@ transform per reveal state (its Pauli-Z expectations for every mask).
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,35 +268,6 @@ def stabilizer_audit(reveal: RevealState) -> StabilizerReport:
     return StabilizerReport(reveal.choice, int(round(x_val)), z_eigs)
 
 
-# --- overlap audit -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OverlapEntry:
-    """Non-orthogonal partners of one element within one foreign set."""
-
-    choice: int
-    element: int
-    other_choice: int
-    partners: tuple[tuple[int, float], ...]  # (element index, |inner|)
-
-
-def cross_set_overlap_audit(sets) -> list[OverlapEntry]:
-    """For each element and each other set, list partners with |inner| > 1e-9."""
-    columns = np.array([[e.amplitudes for e in s.elements] for s in sets]).transpose(0, 2, 1)
-    entries = []
-    for i, a in enumerate(sets):
-        magnitudes = np.abs(columns[i].T.conj() @ columns)  # |<e_{i,k}|e_{j,p}>| at [j, k, p]
-        for k in range(len(a.elements)):
-            for j, b in enumerate(sets):
-                if b.choice == a.choice:
-                    continue
-                row = magnitudes[j, k]
-                partners = tuple((int(p), float(row[p])) for p in np.flatnonzero(row > ATOL))
-                entries.append(OverlapEntry(a.choice, k, b.choice, partners))
-    return entries
-
-
 # --- whole-scheme audit --------------------------------------------------
 
 
@@ -406,22 +376,6 @@ def descriptor_text(params: SchemeParams) -> str:
     if params.preset:
         lines.append(f"preset={params.preset}")
     return "\n".join(lines) + "\n"
-
-
-def params_from_descriptor(text: str) -> SchemeParams:
-    fields = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        match = re.fullmatch(r"(\w+)=(.*)", line)
-        if not match:
-            raise ValueError(f"malformed descriptor line: {line!r}")
-        fields[match.group(1)] = match.group(2)
-    if "n" not in fields or "masks" not in fields:
-        raise ValueError("descriptor needs 'n' and 'masks' lines")
-    masks = tuple(int(tok, 16) for tok in fields["masks"].split(","))
-    return SchemeParams(int(fields["n"]), masks, fields.get("preset"))
 
 
 def scheme_hash(params: SchemeParams) -> str:

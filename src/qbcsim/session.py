@@ -205,10 +205,11 @@ def hello_frame(scheme_hash_hex: str) -> bytes:
 def parse_hello(data: bytes) -> str:
     try:
         frame = json.loads(data.decode())
-        if frame["kind"] != "hello" or frame["v"] != WIRE_VERSION:
+        if (frame["kind"] != "hello" or type(frame["v"]) is not int or frame["v"] != WIRE_VERSION
+                or type(frame["scheme_hash"]) is not str):
             raise KeyError("kind")
         return frame["scheme_hash"]
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
+    except (ValueError, KeyError, TypeError):  # ValueError: bad UTF-8 or JSON, or too many digits
         raise HandshakeError("peer did not send a valid hello frame") from None
 
 

@@ -24,12 +24,10 @@ from qbcsim.analysis import (
     STRATEGY_UPDATE_ON_REJECT,
     alice_cheat_acceptance,
     alice_cheat_report,
-    block_cheat_fidelity,
     block_cheat_report,
     bob_premature_strategy,
-    bob_wrong_coupling_table,
     discrimination_bounds,
-    s_protocol_analysis,
+    run_full_analysis,
     s_protocol_sweep,
 )
 from qbcsim.quantum import born_distribution, state_from_text, tensor
@@ -143,7 +141,7 @@ def test_criterion_3_binding():
                     worst = max(worst, abs(value - 0.5))
     cointoss = build_reveal_agreement(SchemeParams.paper_cointoss())
     block_worst = max(
-        abs(block_cheat_fidelity(cointoss, K) - 0.5**K) for K in range(1, 17)
+        abs(block_cheat_report(cointoss, K).exact - 0.5**K) for K in range(1, 17)
     )
     cheat_mc = alice_cheat_report(cointoss, 0, 1, trials=100_000, rng=33)
     block_mc = block_cheat_report(cointoss, 8, trials=100_000, rng=34)
@@ -167,9 +165,9 @@ def test_criterion_4_wrong_coupling_mass():
     rows = 0
     for n in (1, 2, 3, 4):
         agreement = build_reveal_agreement(SchemeParams.default(n))
-        table = bob_wrong_coupling_table(agreement)
+        table = run_full_analysis(agreement)["wrong_coupling"]
         rows += len(table)
-        worst = max(worst, max(abs(r.valid_mass - 0.5) for r in table))
+        worst = max(worst, max(abs(r["valid_mass"] - 0.5) for r in table))
     elapsed = time.perf_counter() - start
     report(
         4,
@@ -272,10 +270,9 @@ def test_criterion_7_transport_equivalence():
 def test_criterion_8_s_protocol():
     start = time.perf_counter()
     agreement = build_reveal_agreement(SchemeParams.paper_cointoss())
-    full_info = s_protocol_analysis(agreement, 1.0).exact
-    b_only = s_protocol_analysis(agreement, 0.0).exact
+    sweep = [r.exact for r in s_protocol_sweep(agreement)]
+    b_only, full_info = sweep[0], sweep[-1]
     chance = bob_premature_strategy(agreement, STRATEGY_DECLARE_PRIOR).exact
-    sweep = [r.exact for r in s_protocol_sweep(agreement, points=11)]
     monotone = all(b >= a - 1e-12 for a, b in zip(sweep, sweep[1:]))
     grid = np.linspace(0.0, 1.0, 11)
     enum_err = max(

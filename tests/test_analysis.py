@@ -30,13 +30,10 @@ from qbcsim.analysis import (
     CheatReport,
     alice_cheat_acceptance,
     alice_cheat_report,
-    block_cheat_fidelity,
     block_cheat_report,
     bob_premature_strategy,
-    bob_wrong_coupling_table,
     discrimination_bounds,
     run_full_analysis,
-    s_protocol_analysis,
     s_protocol_sweep,
 )
 from qbcsim import scheme
@@ -165,9 +162,10 @@ def test_exact_masses_equal_closed_form(agreements):
                 assert alice_cheat_report(agreement, c, claim).exact == 0.5
                 for k in range(m):
                     assert alice_cheat_acceptance(agreement, c, k, claim) == 0.5
-        assert all(row.valid_mass == 0.5 for row in bob_wrong_coupling_table(agreement))
+        rows = run_full_analysis(agreement)["wrong_coupling"]
+        assert all(row["valid_mass"] == 0.5 for row in rows)
         for blocks in range(1, 9):
-            assert block_cheat_fidelity(agreement, blocks) == 2.0**-blocks
+            assert block_cheat_report(agreement, blocks).exact == 2.0**-blocks
 
 
 def test_exact_analysis_calls_born_only_from_s_protocol(agreements, monkeypatch):
@@ -190,7 +188,7 @@ def test_exact_analysis_calls_born_only_from_s_protocol(agreements, monkeypatch)
         calls.clear()
         run_full_analysis(agreements[n], trials=0)
         assert calls == {
-            ("born_distribution", "_parent_s_reports"): m + m**2,
+            ("born_distribution", "s_protocol_sweep"): m + m**2,
             ("_valid_mass_table", "run_full_analysis"): 1,
         }
 
@@ -226,7 +224,7 @@ def test_sampled_analysis_builds_each_born_row_once(agreements, monkeypatch):
         pairs.clear()
         run_full_analysis(agreements[n], trials=20, seed=3)
         assert calls == {
-            ("born_distribution", "_parent_s_reports"): m + m**2,
+            ("born_distribution", "s_protocol_sweep"): m + m**2,
             ("_valid_mass_table", "run_full_analysis"): 1,
         }
         assert sum(pairs.values()) == len(pairs)  # no Born row computed twice
@@ -240,8 +238,7 @@ def test_negative_trial_counts_rejected(cointoss_agreement):
     reports = [
         lambda: alice_cheat_report(agreement, 0, 1, trials=-3, rng=1),
         lambda: block_cheat_report(agreement, 2, trials=-1, rng=1),
-        lambda: s_protocol_analysis(agreement, 0.5, trials=-1, rng=1),
-        lambda: s_protocol_sweep(agreement, 3, trials=-1, rng=1),
+        lambda: s_protocol_sweep(agreement, trials=-1, rng=1),
         lambda: run_full_analysis(agreement, trials=-5),
     ]
     reports += [lambda s=s: bob_premature_strategy(agreement, s, trials=-1, rng=1)
@@ -342,7 +339,7 @@ def test_block_acceptance_checked_once_per_report(monkeypatch):
     report = run_full_analysis(agreement, 200, seed=5)
     assert len(calls) == 1
     assert [row["exact"] for row in report["block_fidelity"]] == \
-        [block_cheat_fidelity(agreement, blocks) for blocks in range(1, 9)]
+        [block_cheat_report(agreement, blocks).exact for blocks in range(1, 9)]
 
 
 def test_cheat_report_consistency_logic():
@@ -394,11 +391,9 @@ def test_cheat_report_rejects_choices_out_of_range(agreements, c_true, c_claimed
     # a negative index must not wrap to another set, nor a large one escape
     # as IndexError: the report and the per-element acceptance share one check
     agreement = agreements[2]
-    table = analysis._valid_mass_table(agreement)
     calls = [
         lambda: alice_cheat_acceptance(agreement, c_true, 0, c_claimed),
         lambda: alice_cheat_report(agreement, c_true, c_claimed),
-        lambda: alice_cheat_report(agreement, c_true, c_claimed, table=table),
         lambda: alice_cheat_report(agreement, c_true, c_claimed, trials=10, rng=1),
     ]
     for call in calls:
@@ -428,20 +423,20 @@ def test_alice_cheat_report_monte_carlo(cointoss_agreement):
 
 def test_block_cheat_fidelity(cointoss_agreement):
     with pytest.raises(ValueError):
-        block_cheat_fidelity(cointoss_agreement, 0)
+        block_cheat_report(cointoss_agreement, 0)
     for K in range(1, 17):
-        assert abs(block_cheat_fidelity(cointoss_agreement, K) - 0.5**K) < 1e-12
+        assert abs(block_cheat_report(cointoss_agreement, K).exact - 0.5**K) < 1e-12
     report = block_cheat_report(cointoss_agreement, 3, trials=20_000, rng=6)
     assert report.exact == 0.125
     assert report.consistent()
 
 
 def test_wrong_coupling_table(cointoss_agreement):
-    table = bob_wrong_coupling_table(cointoss_agreement)
+    table = run_full_analysis(cointoss_agreement)["wrong_coupling"]
     assert len(table) == 4
     for row in table:
-        assert abs(row.valid_mass - 0.5) < 1e-12
-    by_key = {(r.held_choice, r.element, r.coupled_choice): r for r in table}
+        assert abs(row["valid_mass"] - 0.5) < 1e-12
+    by_key = {(r["held_choice"], r["element"], r["coupled_choice"]): r for r in table}
     # hand expansions of the four wrong products (factors multiplied out)
     half = 0.5
     expected = {
@@ -664,24 +659,24 @@ def enumerate_s_protocol(agreement, p_s):
 def test_s_protocol_endpoints_and_oracle(agreements):
     for n in (1, 2):
         agreement = agreements[n]
-        assert abs(s_protocol_analysis(agreement, 1.0).exact - 1.0) < 1e-12
-        b_only = s_protocol_analysis(agreement, 0.0).exact
+        sweep = s_protocol_sweep(agreement)
+        assert [r.parameters["p_S"] for r in sweep] == np.linspace(0.0, 1.0, 11).tolist()
+        assert abs(sweep[-1].exact - 1.0) < 1e-12
         chance = bob_premature_strategy(agreement, STRATEGY_DECLARE_PRIOR).exact
-        assert abs(b_only - chance) < 1e-12
-        for p_s in (0.0, 0.3, 0.5, 0.9, 1.0):
-            got = s_protocol_analysis(agreement, p_s).exact
-            assert abs(got - enumerate_s_protocol(agreement, p_s)) < 1e-12
-    with pytest.raises(ValueError):
-        s_protocol_analysis(agreements[1], 1.5)
+        assert abs(sweep[0].exact - chance) < 1e-12
+        for r in sweep:
+            p_s = r.parameters["p_S"]
+            assert abs(r.exact - enumerate_s_protocol(agreement, p_s)) < 1e-12
 
 
 def test_s_protocol_sweep_monotone(cointoss_agreement):
-    sweep = s_protocol_sweep(cointoss_agreement, points=11)
+    sweep = s_protocol_sweep(cointoss_agreement)
     values = [r.exact for r in sweep]
     assert len(values) == 11
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-    mc = s_protocol_analysis(cointoss_agreement, 0.5, trials=20_000, rng=3)
-    assert mc.consistent()
+    mc = s_protocol_sweep(cointoss_agreement, trials=20_000, rng=3)
+    assert [r.exact for r in mc] == values
+    assert all(r.consistent() for r in mc)
 
 
 def test_run_full_analysis_structure(cointoss_agreement):
@@ -712,16 +707,22 @@ def test_run_full_analysis_structure(cointoss_agreement):
 
 def test_table_and_direct_paths_agree_exactly(agreements):
     # the report reads the cheat exacts and wrong-coupling rows from the
-    # valid-mass table; the direct paths stay the oracle, to the last bit
+    # valid-mass table; a cheat report's own masses are its slices, to the
+    # last bit, and the direct per-element masses stay the oracle
     for n in (1, 2, 3, 4):
         agreement = agreements[n]
         table = analysis._valid_mass_table(agreement)
+        elements = [np.array([e.amplitudes for e in s.elements]) for s in agreement.sets]
         for c in range(2**n):
             for claim in range(2**n):
-                direct = alice_cheat_report(agreement, c, claim).exact
-                assert alice_cheat_report(agreement, c, claim, table=table).exact == direct
+                masses = analysis._valid_mass(elements[c], [agreement.params.masks[claim]])[:, 0]
+                assert masses.tobytes() == table[c, :, claim].tobytes()
+                exact = alice_cheat_report(agreement, c, claim).exact
+                assert exact == float(np.mean(table[c, :, claim]))
         rows = run_full_analysis(agreement)["wrong_coupling"]
-        assert rows == [dict(vars(r)) for r in bob_wrong_coupling_table(agreement)]
+        assert rows == [{"held_choice": c, "element": k, "coupled_choice": claim,
+                         "valid_mass": alice_cheat_acceptance(agreement, c, k, claim)}
+                        for c, k, claim in np.ndindex(table.shape) if c != claim]
         assert [list(row) for row in rows] == [["held_choice", "element", "coupled_choice",
                                                 "valid_mass"]] * len(rows)
         # c, then k, then c', skipping c' == c

@@ -67,7 +67,9 @@ def test_usage_errors_exit_2(capsys, tmp_path):
             return exc.code
 
     bad_moves = []  # each names no choice or element of the n=1 scheme
-    for i, line in enumerate(("choice=x", "element=2", "reveal=-1", "guess=heads", "toss=1.0")):
+    lines = ("choice=x", "element=2", "reveal=-1", "guess=heads", "toss=1.0",
+             "choice=" + "1" * 5000)  # more digits than int() converts
+    for i, line in enumerate(lines):
         path = tmp_path / f"bad{i}.txt"
         path.write_text(line + "\n")
         bad_moves.append(["session", "--role", "alice", "--n", "1", "--script", str(path)])
@@ -97,6 +99,8 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["session", "--role", "alice", "--n", "1", "--masks", "1", "1"],
         *([sub, "--n", n] + (["--role", "bob"] if sub == "session" else [])
           for sub in ("analyze", "session") for n in ("-1", "0", "99999999")),
+        *(["session", "--role", role, "--port", port]
+          for role in ("alice", "bob") for port in ("70000", "-1")),
         *bad_moves,
         *bad_outs,
     ):
@@ -378,6 +382,16 @@ def test_analyze_human_table():
     assert "helstrom 0 vs 1: 0.75" in text
     assert "p_S=1.0: 1" in text
     assert "mc" not in text  # trials=0 keeps the sampled columns out
+
+
+def test_analyze_sampled_text_pinned(capsys):
+    # every section's Monte Carlo columns, as rendered before they shared one
+    # suffix helper
+    assert main(["analyze", "--n", "2", "--trials", "300", "--seed", "5"]) == 0
+    text = capsys.readouterr().out
+    assert text.count("  mc ") == 1 + 8 + 2 + 11
+    digest = "e5d628175dd27dd7d4ae9ecbe9fe46fb085428a4d50edc923be5009bae6691bc"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_main_dispatch(capsys):

@@ -14,7 +14,6 @@ from qbcsim.quantum import (
     bits_to_index,
     born_distribution,
     computational_basis,
-    equal_superposition_pair,
     index_to_bits,
     inner,
     ket_string,
@@ -125,17 +124,6 @@ def test_make_basis_state_places_unit_amplitude():
     assert state.amplitude("110") == 1.0
 
 
-def test_equal_superposition_pair():
-    state = equal_superposition_pair("00", "11")
-    assert state.amplitude("00") == INV_SQRT2
-    assert state.amplitude("11") == INV_SQRT2
-    assert state.amplitude("01") == 0.0
-    with pytest.raises(ValueError, match="degenerate"):
-        equal_superposition_pair("01", "01")
-    with pytest.raises(ValueError):
-        equal_superposition_pair("0", "01")
-
-
 def test_tensor_keeps_first_factor_most_significant():
     # |1> (x) |0> must be |10>, amplitude index 2
     product = tensor(make_basis_state("1"), make_basis_state("0"))
@@ -144,7 +132,7 @@ def test_tensor_keeps_first_factor_most_significant():
 
 
 def test_inner_product():
-    plus = equal_superposition_pair("0", "1")
+    plus = apply_gate(make_basis_state("0"), "H", 1)
     assert abs(inner(plus, plus) - 1.0) < 1e-15
     assert abs(inner(make_basis_state("0"), make_basis_state("1"))) == 0.0
     assert abs(inner(plus, make_basis_state("0")) - INV_SQRT2) < 1e-15
@@ -228,15 +216,21 @@ def test_measurement_basis_validation():
     assert basis.vector(2).amplitudes[2] == 1.0
 
 
+def pair(x, y):
+    """(|x> + |y>)/sqrt(2) for distinct bit strings of one length."""
+    amplitudes = make_basis_state(x).amplitudes + make_basis_state(y).amplitudes
+    return StateVector(len(x), amplitudes * INV_SQRT2)
+
+
 def test_partial_basis_measures_rows_plus_complement():
-    rows = [equal_superposition_pair("00", "01"), equal_superposition_pair("10", "11")]
+    rows = [pair("00", "01"), pair("10", "11")]
     rows = np.array([r.amplitudes for r in reversed(rows)])
     basis = MeasurementBasis(4, rows, frozenset({0, 1}))
     assert np.array_equal(basis.vectors, rows)  # rows kept in the given order
-    assert basis.vector(0) == equal_superposition_pair("10", "11")
+    assert basis.vector(0) == pair("10", "11")
     with pytest.raises(ValueError, match="orthonormal"):
         MeasurementBasis(
-            4, [make_basis_state("00").amplitudes, equal_superposition_pair("00", "11").amplitudes],
+            4, [make_basis_state("00").amplitudes, pair("00", "11").amplitudes],
             frozenset(),
         )
     with pytest.raises(ValueError):
@@ -244,14 +238,14 @@ def test_partial_basis_measures_rows_plus_complement():
     with pytest.raises(ValueError, match="out of range"):
         MeasurementBasis(4, rows, frozenset({2}))  # outcome 2 is the complement, not a row
     # (|00> + |10>)/sqrt(2): mass 1/4 on each row, 1/2 outside both
-    state = equal_superposition_pair("00", "10")
+    state = pair("00", "10")
     probs = born_distribution(state, basis)
     assert probs.shape == (3,)
     assert_allclose(probs, [0.25, 0.25, 0.5], atol=1e-15)
     assert_allclose(born_distribution(make_basis_state("11"), basis), [0.5, 0.0, 0.5], atol=1e-15)
     outcomes = {measure(state, basis, seed) for seed in range(40)}
     assert outcomes == {0, 1, 2}
-    assert all(measure(equal_superposition_pair("00", "01"), basis, s) == 1 for s in range(5))
+    assert all(measure(pair("00", "01"), basis, s) == 1 for s in range(5))
     # a complete basis gets no complement entry
     assert born_distribution(state, computational_basis(4)).shape == (4,)
 
@@ -269,7 +263,7 @@ def test_as_generator():
 
 
 def test_born_distribution_plus_state():
-    plus = equal_superposition_pair("0", "1")
+    plus = apply_gate(make_basis_state("0"), "H", 1)
     dist = born_distribution(plus, computational_basis(2))
     assert_allclose(dist, [0.5, 0.5], atol=1e-15)
     with pytest.raises(ValueError):
@@ -286,7 +280,7 @@ def test_born_distribution_sums_to_one():
 
 
 def test_measure_is_seed_deterministic_and_unbiased():
-    plus = equal_superposition_pair("0", "1")
+    plus = apply_gate(make_basis_state("0"), "H", 1)
     basis = computational_basis(2)
     assert measure(plus, basis, 42) == measure(plus, basis, 42)
     rng = np.random.default_rng(11)
@@ -353,6 +347,6 @@ def test_state_from_text_rejects_malformed():
 
 def test_ket_string():
     assert ket_string(make_basis_state("01")) == "+1.0000|01>"
-    plus = equal_superposition_pair("0", "1")
+    plus = apply_gate(make_basis_state("0"), "H", 1)
     assert ket_string(plus) == "+0.7071|0> +0.7071|1>"
     assert ket_string(plus, max_terms=1).endswith("...")

@@ -39,9 +39,7 @@ from qbcsim.scheme import (
     build_reveal_agreement,
     build_set_s,
     build_sets,
-    cross_set_overlap_audit,
     descriptor_text,
-    params_from_descriptor,
     pauli_x_all_expectation,
     pauli_z_expectations,
     scheme_hash,
@@ -245,12 +243,19 @@ def test_stabilizer_audit_rejects_non_eigen_state():
 
 
 def test_cross_set_overlaps(cointoss_agreement):
-    entries = cross_set_overlap_audit(cointoss_agreement.sets)
-    assert len(entries) == 4  # 2 sets x 2 elements x 1 other set
-    for entry in entries:
-        assert len(entry.partners) == 2
-        for _, magnitude in entry.partners:
-            assert abs(magnitude - 0.5) < 1e-12
+    # |<e_{c,k}|e_{c',p}>| for every element and every other set: exactly
+    # two partners, each of magnitude 1/2; the audit makes the same check
+    sets = cointoss_agreement.sets
+    elements = np.array([[e.amplitudes for e in s.elements] for s in sets])  # [c, k, x]
+    magnitudes = np.abs(np.einsum("akx,bpx->abkp", elements.conj(), elements))
+    rows = [magnitudes[a, b, k] for a in range(2) for b in range(2) if b != a for k in range(2)]
+    assert len(rows) == 4  # 2 sets x 2 elements x 1 other set
+    for row in rows:
+        partners = row[row > 1e-9]
+        assert len(partners) == 2
+        assert np.abs(partners - 0.5).max() < 1e-12
+    checks = {c.name: c.passed for c in audit_scheme(cointoss_agreement.params)}
+    assert checks["cross-set-two-partners-overlap-half"]
 
 
 def test_cross_set_overlap_values_by_hand(cointoss_agreement):
@@ -324,19 +329,8 @@ def test_audit_scheme_all_pass():
     ]
 
 
-def test_descriptor_round_trip():
-    params = SchemeParams.default(2)
-    text = descriptor_text(params)
-    again = params_from_descriptor(text)
-    assert again == params
-    assert "masks=0x1,0x2,0x3,0x4" in text
-    with pytest.raises(ValueError):
-        params_from_descriptor("masks=0x1,0x3\n")  # missing n
-    with pytest.raises(ValueError):
-        params_from_descriptor("n=1\nmasks=0x1,0x3\n???\n")
-
-
 def test_scheme_hash_ignores_preset_name():
+    assert "masks=0x1,0x2,0x3,0x4" in descriptor_text(SchemeParams.default(2))
     bare = SchemeParams(1, (1, 3))
     assert scheme_hash(SchemeParams.paper_cointoss()) == scheme_hash(bare)
     assert scheme_hash(bare) != scheme_hash(SchemeParams.default(1))

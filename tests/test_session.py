@@ -39,6 +39,7 @@ from qbcsim.session import (
     encode_message,
     frame_limit,
     hello_frame,
+    parse_hello,
     run_session,
     serve_session,
     session_rngs,
@@ -120,6 +121,16 @@ def test_decode_rejects_malformed_frames():
             decode_message(
                 b'{"v":1,"kind":"verdict","accept":%s,"recovered":null}\n' % accept.encode()
             )
+
+
+def test_parse_hello_is_as_strict_as_decode():
+    assert parse_hello(hello_frame(HASH)) == HASH
+    # v must be the JSON integer 1 and the hash a JSON string: no coercion
+    for v, digest in (("1.0", '"%s"' % HASH), ("true", '"%s"' % HASH), ("1", "[1]"),
+                      ("1", "null"), ("9" * 4400, '"%s"' % HASH)):
+        frame = '{"kind":"hello","v":%s,"scheme_hash":%s}\n' % (v, digest)
+        with pytest.raises(HandshakeError):
+            parse_hello(frame.encode())
 
 
 def test_decode_rejects_foreign_scheme():
