@@ -5,21 +5,24 @@ and a seeded Monte Carlo estimate of the same experiment. Bob's reveal
 state factors out of every valid-outcome mass, so exact figures are
 overlaps <psi|Q_c|psi> on the (n+1)-qubit register, Q_c = (I + X^{d_c})/2.
 ``_valid_mass`` computes every such mass from one Walsh transform of the
-held states, and the [c, k, c'] table of set elements under reveals holds
-both the exact figures and the acceptance thresholds of every sampled
-verification (cheat, block cheat, update-on-reject), which go through one
-acceptance sampler; no reveal measurement is formed. The block-cheat and
-update-on-reject reports take the table as ``table`` (built when None);
-a cheat report computes its one (c, c') slice, the same masses bit for
-bit. The wrong-coupling rows are the off-diagonal (c, k, c') entries of
-the table, in the one order ``_off_diagonal`` fixes. ``run_full_analysis``
-builds the table once and reads every exact-only cheat row and every
-wrong-coupling row straight from it; only a sampled cheat pair makes a
-report of its own. Born distributions are left to the parent-S sweep,
-over the computational basis, at p_S = 0, 0.1, ..., 1. At n=6, on a
-shared 2-core machine, the table takes about 0.03 s of a 0.3 s exact
-report, the 258 048 wrong-coupling row dicts 0.2 s and the m + m^2
-parent-S Born rows 0.1 s; 200 trials add about 0.15 s.
+held states. The [c, k, c'] table of set elements under reveals holds
+every exact figure and the acceptance threshold of every sampled
+verification (cheat, block cheat, update-on-reject), so no reveal
+measurement is formed. ``run_full_analysis`` builds the table once; its
+off-diagonal entries, in the one order ``_off_diagonal`` fixes, are the
+wrong-coupling rows, and only a sampled cheat pair makes a report of its
+own (the same masses bit for bit). Born distributions are left to the
+parent-S sweep, over the computational basis, at p_S = 0, 0.1, ..., 1.
+At n=6, on a shared 2-core machine, the table takes about 0.03 s of a
+0.3-0.45 s exact report, the 258 048 wrong-coupling row dicts 0.2 s and
+the m + m^2 parent-S Born rows 0.1 s; 200 trials add about 0.04 s.
+
+Each sampler draws one uniform per sampled row from a single
+``rng.random(rows)`` call, and row i takes the i-th uniform. A
+verification is accepted when its uniform is below the exact valid mass.
+The parent-S sampler forms no outcome: u picks outcome c exactly when
+cdf[c-1] <= u < cdf[c], so its hits are counted from the uniforms and,
+past cdf[m-1], the rows' guesses.
 
 Discrimination bounds (two-hypothesis optimum and the square-root
 measurement) bound what any pre-reveal strategy could achieve, so the
@@ -28,23 +31,6 @@ is rho_c = (I + X^{d_c})/2^(n+1), diagonal in the Hadamard basis with
 entries (1 + W[d_c, y])/2^(n+1) for the Walsh matrix W, so both bounds are
 sums over those diagonals: no density matrix is formed and no eigensolver
 runs. Functions report numbers side by side and do not editorialize.
-
-Stream contract: both samplers draw one uniform per row from a single
-``rng.random(rows)`` call and hand the uniforms out group by group --
-group 0's rows first, each group in row order -- which is the order in
-which one ``rng.choice(size, p=row)`` call per non-empty group consumes
-them. Up to ``SCAN_MAX_GROUPS`` groups, one scan of the rows per group
-finds that group's rows and takes the next slice of uniforms; above it,
-one stable sort of the group index lists every row in that order at
-once, so the k-th uniform goes to the k-th sorted row. Acceptance is
-u < the exact valid mass; the cumulative table ``choice`` builds from a
-reveal measurement's Born row holds that mass, at its last valid
-outcome, to within 2^-52, so the two verdicts differ only for a uniform
-in that gap. The parent-S sampler forms no outcome: a uniform u picks
-outcome c exactly when cdf[c-1] <= u < cdf[c], so each part's hits are
-counted from its uniforms and, past cdf[m-1], its rows' guesses. Every
-seeded estimate is the one the per-group ``choice`` sampler gives, and
-the generator is left in the same state.
 
 Priors are uniform over choices and elements wherever a strategy needs
 them; that matches the arbitrary-guess baseline the scheme is judged
@@ -234,61 +220,26 @@ def _alice_cheat_finish(params: SchemeParams, c_true: int, c_claimed: int, exact
 
 
 def _choice_cdf(dist) -> np.ndarray:
-    """The cumulative table ``Generator.choice(p=dist)`` searches, built as
-    it builds it (along the last axis, one table per row of a 2-D ``dist``):
-    a uniform u picks outcome ``cdf.searchsorted(u, "right")``."""
+    """The cumulative table of each row of ``dist`` (along the last axis),
+    scaled to end at exactly 1: a uniform u picks outcome
+    ``cdf.searchsorted(u, "right")``."""
     cdf = np.cumsum(dist, axis=-1)
     cdf /= cdf[..., -1:]
     return cdf
 
 
-#: Largest group count that ``_grouped_uniforms`` partitions by one row scan
-#: per group; above it one stable sort of the rows is cheaper. Measured on
-#: 2 shared cores (BENCH_sampler_partition.json, ``crossover``).
-SCAN_MAX_GROUPS = 8
-
-
-def _grouped_uniforms(group_index: np.ndarray, groups: int, rng):
-    """(label, rows, their uniforms) parts of one ``rng.random`` call,
-    consumed group by group -- group 0's rows first, each group in row
-    order -- with ``rows`` listing, in that order, the rows each uniform
-    belongs to.
-
-    Up to ``SCAN_MAX_GROUPS`` groups each non-empty group is one part,
-    found by one scan of the rows, and its label is the group. Above it a
-    stable sort puts the rows in that order at once; the one part then
-    covers every row and its label is the array of their groups. Either
-    label indexes a per-group table the same way.
-    """
-    uniforms = rng.random(len(group_index))
-    small = group_index.astype(np.min_scalar_type(groups - 1))
-    if groups > SCAN_MAX_GROUPS:
-        order = np.argsort(small, kind="stable")  # a radix sort on 8- and 16-bit keys
-        yield small[order], order, uniforms
-        return
-    start = 0
-    for g in range(groups):
-        rows = (small == g).nonzero()[0]
-        if rows.size:
-            yield g, rows, uniforms[start:start + rows.size]
-            start += rows.size
-
-
 def _sampled_acceptance(thresholds: np.ndarray, group_index: np.ndarray, rng) -> np.ndarray:
-    """Sampled verification per row: row i is accepted iff its uniform is
-    below thresholds[group_index[i]]."""
-    accepted = np.empty(len(group_index), dtype=bool)
-    for g, rows, u in _grouped_uniforms(group_index, len(thresholds), rng):
-        accepted[rows] = u < thresholds[g]
-    return accepted
+    """Sampled verification per row: row i is accepted iff the i-th uniform
+    of one ``rng.random`` call is below thresholds[group_index[i]]."""
+    return rng.random(len(group_index)) < thresholds[group_index]
 
 
 def _declared_hits(cdfs: np.ndarray, committed: np.ndarray, choices: int,
                    group_index: np.ndarray, guesses: np.ndarray, rng) -> int:
     """Rows whose declared choice is the committed one, where row i samples
-    an outcome o from cdfs[group_index[i]] (as ``Generator.choice`` does),
-    declares o when o < m = ``choices`` and its guess otherwise;
-    committed[g] is the choice group g holds.
+    an outcome o from cdfs[group_index[i]] with the i-th uniform of one
+    ``rng.random`` call, declares o when o < m = ``choices`` and its guess
+    otherwise; committed[g] is the choice group g holds.
 
     No outcome is formed: u picks outcome c exactly when
     cdf[c - 1] <= u < cdf[c], and an outcome >= m exactly when
@@ -298,12 +249,10 @@ def _declared_hits(cdfs: np.ndarray, committed: np.ndarray, choices: int,
     upper = cdfs[groups, committed]
     lower = np.where(committed > 0, cdfs[groups, committed - 1], 0.0)
     guessing = cdfs[:, choices - 1]
-    hits = 0
-    for g, rows, u in _grouped_uniforms(group_index, len(cdfs), rng):
-        guessed = u >= guessing[g]
-        hits += (np.count_nonzero(u < upper[g]) - np.count_nonzero(u < lower[g])
-                 + np.count_nonzero(guessed & (guesses[rows] == committed[g])))
-    return int(hits)
+    u = rng.random(len(group_index))
+    declared = (lower[group_index] <= u) & (u < upper[group_index])
+    guessed = (u >= guessing[group_index]) & (guesses == committed[group_index])
+    return int(np.count_nonzero(declared | guessed))
 
 
 def _block_acceptance(table: np.ndarray) -> float:

@@ -17,7 +17,8 @@ Subcommands:
 
 Usage errors exit with code 2; so do scheme flags that name no valid
 scheme, which ``audit`` instead reports as a failed check, a negative
---trials, a --port outside 0..65535, a move file that cannot be read, has
+--seed, a --trials outside 0..``MAX_TRIALS`` (5 000 000, about 1 GB of
+samples), a --port outside 0..65535, a move file that cannot be read, has
 a line without ``=`` or names no choice, and an ``--out`` path that
 cannot be written (checked before any report is computed or frame
 exchanged; the file is written only after a run that finishes, so one
@@ -413,10 +414,24 @@ def hex_mask(token: str) -> int:
     return int(token, 16)
 
 
+#: Largest ``--trials``. A sampled report holds about 200 bytes per trial
+#: (block-cheat K=8 draws eight rows per trial), measured as 37 MB peak RSS
+#: at 0 trials and 229 MB at 10^6 for n = 1 and 4, so the cap keeps a run
+#: under about 1 GB.
+MAX_TRIALS = 5_000_000
+
+
 def trial_count(token: str) -> int:
     value = int(token)
+    if not 0 <= value <= MAX_TRIALS:
+        raise argparse.ArgumentTypeError(f"trial count {value} is not in 0..{MAX_TRIALS}")
+    return value
+
+
+def seed_value(token: str) -> int:
+    value = int(token)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"trial count {value} is negative")
+        raise argparse.ArgumentTypeError(f"seed {value} is negative")
     return value
 
 
@@ -453,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     cointoss = sub.add_parser("cointoss", help="play the n=1 coin-toss game")
-    cointoss.add_argument("--seed", type=int, default=0)
+    cointoss.add_argument("--seed", type=seed_value, default=0)
     cointoss.add_argument("--script", help="move file with toss=/guess=/reveal= lines")
     cointoss.add_argument("--out", help="write the transcript here")
 
@@ -462,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="run the security battery")
     _add_scheme_flags(analyze)
-    analyze.add_argument("--seed", type=int, default=0)
+    analyze.add_argument("--seed", type=seed_value, default=0)
     analyze.add_argument("--trials", type=trial_count, default=0)
     analyze.add_argument("--out", help="write the JSON report here")
     analyze.add_argument("--json", action="store_true", dest="json_out")
@@ -471,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scheme_flags(session)
     session.add_argument("--role", choices=["alice", "bob"], required=True)
     session.add_argument("--port", type=port_number, default=0)
-    session.add_argument("--seed", type=int, default=0)
+    session.add_argument("--seed", type=seed_value, default=0)
     session.add_argument("--script", help="move file (choice=/guess=/reveal=/parent=)")
     session.add_argument("--out", help="write the transcript here")
     return parser

@@ -8,12 +8,8 @@ measurement. ``qbcsim.analysis.discrimination_bounds`` computes the same
 figures from Walsh diagonals; the tests check it against this module, and
 this module against a Jacobi eigensolver and scipy matrix functions.
 
-It also keeps the per-group ``rng.choice`` sampler that the one-draw
-samplers of ``qbcsim.analysis`` replace, as the reference for their
-stream contract: the acceptances and hit counts its outcomes give, and
-the same generator state afterwards; and the index-XOR valid mass that
-the Walsh-transform masses of ``qbcsim.analysis`` replace, as the
-reference for their bits.
+It also keeps the index-XOR valid mass that the Walsh-transform masses
+of ``qbcsim.analysis`` replace, as the reference for their bits.
 """
 
 from __future__ import annotations
@@ -141,16 +137,6 @@ def pgm_success(ensembles, priors) -> float:
         reshaped = root @ e.density.entries @ root
         success += p**2 * float(np.trace(e.density.entries @ reshaped).real)
     return success
-
-
-def grouped_outcomes(dists, group_index: np.ndarray, rng) -> np.ndarray:
-    """Per-row categorical sample where row i draws from dists[group_index[i]]."""
-    out = np.empty(len(group_index), dtype=np.int64)
-    for g, dist in enumerate(dists):
-        sel = np.flatnonzero(group_index == g)
-        if sel.size:
-            out[sel] = rng.choice(len(dist), size=sel.size, p=dist)
-    return out
 
 
 def flip_valid_mass_table(agreement: RevealAgreement) -> np.ndarray:

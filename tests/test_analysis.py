@@ -50,7 +50,6 @@ from dense_oracle import (
     HermitianMatrix,
     ensemble_mixture,
     flip_valid_mass_table,
-    grouped_outcomes,
     helstrom_bound,
     pgm_success,
 )
@@ -135,10 +134,10 @@ def test_valid_mass_table_matches_born_oracle(agreements):
 
 
 def test_sampled_thresholds_within_an_ulp_of_born_rows(agreements):
-    # a sampled verification accepts below the valid mass; the per-group
-    # choice sampler it replaces accepted below the cumulative Born row of
-    # the reveal measurement at its last valid outcome, which sits within
-    # 2^-52 of it, so a seeded verdict moves only for a uniform in that gap
+    # a sampled verification accepts below the valid mass, which sits within
+    # 2^-52 of the reveal measurement's cumulative Born row at its last valid
+    # outcome, so sampling that Born row instead would move a seeded verdict
+    # only for a uniform in that gap
     for n in (1, 2, 3, 4):
         agreement = agreements[n]
         m = 2**n
@@ -251,17 +250,14 @@ def test_negative_trial_counts_rejected(cointoss_agreement):
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(n=st.integers(1, 4), groups=st.integers(1, 300), rows=st.integers(0, 3000),
        live_share=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
-# the last group count one row scan per group serves, the first one the
-# stable sort serves, and no rows at all on either side
-@example(n=2, groups=analysis.SCAN_MAX_GROUPS, rows=2500, live_share=1.0, seed=1)
-@example(n=2, groups=analysis.SCAN_MAX_GROUPS + 1, rows=2500, live_share=1.0, seed=2)
-@example(n=1, groups=analysis.SCAN_MAX_GROUPS, rows=0, live_share=0.5, seed=3)
-@example(n=3, groups=analysis.SCAN_MAX_GROUPS + 1, rows=0, live_share=0.5, seed=4)
-def test_one_draw_samplers_follow_the_choice_stream(n, groups, rows, live_share, seed):
-    # the per-group Generator.choice sampler is the reference: the one-draw
+@example(n=1, groups=1, rows=0, live_share=1.0, seed=1)  # no rows at all
+@example(n=3, groups=300, rows=3000, live_share=1.0, seed=2)  # every group live, most rows
+def test_one_draw_samplers_take_uniforms_in_row_order(n, groups, rows, live_share, seed):
+    # the per-row reference: row i takes uniform i of one random(rows) call
+    # and samples outcome searchsorted(cdf[group_i], u_i, "right"); the
     # samplers must give its acceptances (outcome below 2^n) and its hits of
-    # the declare-outcome-else-guess rule, and leave the generator exactly
-    # where it leaves it
+    # the declare-outcome-else-guess rule, and leave the generator where
+    # that one call leaves it
     data = np.random.default_rng(seed)
     weights = data.random((groups, 2**n + 1)) * (data.random((groups, 2**n + 1)) < 0.7)
     weights[np.arange(groups), data.integers(2**n + 1, size=groups)] += 0.5
@@ -287,7 +283,10 @@ def test_one_draw_samplers_follow_the_choice_stream(n, groups, rows, live_share,
     )
     for sampler, expected in samplers:
         reference, one_draw = (np.random.default_rng(seed + 1) for _ in range(2))
-        want = expected(grouped_outcomes(dists, group_index, reference))
+        uniforms = reference.random(rows)
+        outcomes = np.array([cdfs[g].searchsorted(u, side="right")
+                             for g, u in zip(group_index, uniforms)], dtype=np.int64)
+        want = expected(outcomes)
         got = sampler(one_draw)
         assert type(got) is type(want) and np.array_equal(got, want)
         if isinstance(got, np.ndarray):
@@ -295,7 +294,7 @@ def test_one_draw_samplers_follow_the_choice_stream(n, groups, rows, live_share,
         assert one_draw.random() == reference.random()
 
 
-@pytest.mark.parametrize("groups", [3, analysis.SCAN_MAX_GROUPS + 4])
+@pytest.mark.parametrize("groups", [3, 12])
 def test_sampled_counts_keep_choice_ties(groups):
     # uniforms equal to a cumulative entry, and its neighbours, must pick the
     # outcome searchsorted(side="right") picks; a seeded stream never hits a
@@ -316,12 +315,8 @@ def test_sampled_counts_keep_choice_ties(groups):
             assert size == len(uniforms)
             return uniforms
 
-    outcome = np.empty(len(uniforms), dtype=np.int64)
-    start = 0
-    for g in range(groups):  # the stream contract, spelled out
-        rows = np.flatnonzero(group_index == g)
-        outcome[rows] = cdfs[g].searchsorted(uniforms[start:start + rows.size], side="right")
-        start += rows.size
+    outcome = np.array([cdfs[g].searchsorted(u, side="right")
+                        for g, u in zip(group_index, uniforms)])
     declared = np.where(outcome < 2, outcome, guesses)
     assert analysis._declared_hits(cdfs, committed, 2, group_index, guesses, Stub()) == \
         np.count_nonzero(declared == committed[group_index])

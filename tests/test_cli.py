@@ -23,6 +23,7 @@ from qbcsim.cli import (
     report_json,
     resolve_params,
 )
+from qbcsim.quantum import INV_SQRT2
 from qbcsim.scheme import PRESET_PAPER_COINTOSS, SchemeParams, build_reveal_agreement, scheme_hash
 from qbcsim.session import AliceScript, BobScript, frame_limit, hello_frame, run_session
 
@@ -86,8 +87,18 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["session", "--role", "bob", "--n", "1", "--out", no_dir],
         ["session", "--role", "alice", "--n", "1", "--script", str(moves), "--out", no_dir],
     ]
+    seeds = [["analyze", "--n", "1", "--seed", "-1"],
+             ["cointoss", "--seed", "-1", "--script", str(moves)],
+             ["session", "--role", "bob", "--n", "1", "--seed", "-1"]]
+    # parsed only: a count near the cap is never run
+    trials = [["analyze", "--n", "1", "--trials", str(cli.MAX_TRIALS + 1)],
+              ["analyze", "--n", "1", "--trials", "99999999999999999999"]]
+    assert build_parser().parse_args(["analyze", "--trials", str(cli.MAX_TRIALS)]).trials == \
+        cli.MAX_TRIALS
     for argv in (
         ["analyze", "--n", "1", "--trials", "-5"],
+        *seeds,
+        *trials,
         ["analyze", "--n", "1", "--out", str(tmp_path / "nodir" / "x.json")],
         ["audit", "--masks", "zz"],
         ["audit", "--seed", "3"],  # the audit is deterministic and takes no seed
@@ -299,10 +310,10 @@ def test_report_json_equals_json_dumps(trials):
         assert report_json(report) == json.dumps(report, sort_keys=True, indent=2), params
 
 
-#: SHA-256 of ``report_json(run_full_analysis(...))``, recorded before the
-#: valid-mass table and the report rows were rebuilt for speed (the paper
-#: preset at 100 000 trials before the sampler partition was chosen by
-#: group count).
+#: SHA-256 of ``report_json(run_full_analysis(...))``. The exact-only
+#: entries were recorded before the valid-mass table and the report rows
+#: were rebuilt for speed; the sampled ones when each sampler's row i first
+#: took the i-th uniform of its one draw.
 REPORT_PINS = [
     (SchemeParams.default(3), 0, 0,
      "7081b8beb99411407a16683634624d50f6a2cd46e982d46b861417888d831fcd"),
@@ -313,16 +324,15 @@ REPORT_PINS = [
     (SchemeParams(4, (22, 21, 2, 4, 10, 14, 16, 24, 27, 8, 7, 12, 28, 1, 31, 11)), 0, 0,
      "4369e464e692fcc5d5104bdbe8d9d081950ee443c9bb2bdf29fed4211c36aa1b"),
     (SchemeParams.default(3), 500, 7,
-     "664a2b10dcec78c201dcebabcf568ff067b00d4f525a222730c8f7918a6eb580"),
-    # the monte-carlo benchmark's shape: 2-8 groups, so the scan partition
+     "d0eb2cbeac7efee94782ba99a1fbca8a18b4f193bd9a0e0287f6deba13d69df3"),
+    # the monte-carlo benchmark's shape
     (SchemeParams.paper_cointoss(), 100_000, 0,
-     "99cc8d9a83f747eba0e3be4080e15305d777480924f6f0156a76c6d60e57eb6e"),
-    # above SCAN_MAX_GROUPS, so every sampler takes the stable-sort partition;
-    # the first is also the shape of the CI n=4 smoke step
+     "2ef472ea7a76af2e586246db0cb9868cb0e08b1d13d9eb55665e352628790b12"),
+    # the shape of the CI n=4 smoke step
     (SchemeParams.default(4), 2000, 0,
-     "1f5214716be9150c4646a93e1822198411b4d57bc6616d6cf93e22181f671cdc"),
+     "3942541cc2be26d497da9457265afb226cadd0b4139409021e16667e1820c5de"),
     (SchemeParams.default(5), 500, 3,
-     "ea3db016d80771b38921153f75b63eeb3e4a25e1929ca27392bdc4f86204beae"),
+     "22c5b5cbc604338c08f8479bbd0a6da4b330b674c65c85d23345279f903033ba"),
 ]
 
 
@@ -333,17 +343,17 @@ def test_report_bytes_pinned(params, trials, seed, digest):
 
 
 def test_flagged_monte_carlo_keeps_stdout_one_json_document(capsys):
-    # seed 2 flags block-cheat K=7 at 3 standard errors
-    assert main(["analyze", "--n", "1", "--trials", "2000", "--seed", "2", "--json"]) == 1
+    # seed 3 flags block-cheat K=6 at 3 standard errors
+    assert main(["analyze", "--n", "1", "--trials", "2000", "--seed", "3", "--json"]) == 1
     captured = capsys.readouterr()
-    report = run_full_analysis(build_reveal_agreement(SchemeParams.default(1)), 2000, 2)
+    report = run_full_analysis(build_reveal_agreement(SchemeParams.default(1)), 2000, 3)
     assert captured.out == report_json(report) + "\n"
-    assert captured.err == "inconsistent monte carlo: block-cheat K=7\n"
+    assert captured.err == "inconsistent monte carlo: block-cheat K=6\n"
     # the human-readable table keeps the line off stdout as well
-    assert main(["analyze", "--n", "1", "--trials", "2000", "--seed", "2"]) == 1
+    assert main(["analyze", "--n", "1", "--trials", "2000", "--seed", "3"]) == 1
     captured = capsys.readouterr()
     assert "inconsistent" not in captured.out
-    assert captured.err == "inconsistent monte carlo: block-cheat K=7\n"
+    assert captured.err == "inconsistent monte carlo: block-cheat K=6\n"
 
 
 def test_parser_is_built_once_and_leaks_no_state(capsys, monkeypatch):
@@ -385,12 +395,14 @@ def test_analyze_human_table():
 
 
 def test_analyze_sampled_text_pinned(capsys):
-    # every section's Monte Carlo columns, as rendered before they shared one
-    # suffix helper
-    assert main(["analyze", "--n", "2", "--trials", "300", "--seed", "5"]) == 0
-    text = capsys.readouterr().out
+    # every section's Monte Carlo columns; block-cheat K=8 has no hit in 300
+    # trials, so its plug-in standard error is 0 and the run is flagged
+    assert main(["analyze", "--n", "2", "--trials", "300", "--seed", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "inconsistent monte carlo: block-cheat K=8\n"
+    text = captured.out
     assert text.count("  mc ") == 1 + 8 + 2 + 11
-    digest = "e5d628175dd27dd7d4ae9ecbe9fe46fb085428a4d50edc923be5009bae6691bc"
+    digest = "af84329a477a2b760d476a95bb0f6252e0e6e7a89aa600b5bc679ee71843f9a7"
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -481,6 +493,13 @@ def test_session_subcommand_bad_frame_exits_2():
     digest = scheme_hash(SchemeParams.paper_cointoss())
     garbage = '{"v":1,"kind":"commit","scheme_hash":"%s","state":42}\n' % digest
     assert _bob_last_line_after(garbage.encode()).startswith("session aborted: FramingError")
+    # a commit 0.8e-9 off unit norm, which decoded before its reveal crashed
+    # the Born check, is refused at the commit
+    amp = f"{(1 + 0.8e-9) * INV_SQRT2:.17g} 0"
+    state = f"qubits=2\n{amp}\n0 0\n{amp}\n0 0\n"
+    near_unit = {"v": 1, "kind": "commit", "scheme_hash": digest, "state": state}
+    last = _bob_last_line_after(json.dumps(near_unit).encode() + b"\n")
+    assert last.startswith("session aborted: AmplitudeCountError: state not normalized")
 
 
 def test_session_subcommand_over_limit_frame_exits_2():

@@ -1,6 +1,7 @@
 """Tests for the protocol state machine, wire format, and transports."""
 
 import json
+import math
 import socket
 import threading
 import time
@@ -10,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbcsim.quantum import make_basis_state, random_state
-from qbcsim.scheme import SchemeParams, build_reveal_agreement, scheme_hash
+from qbcsim.quantum import ATOL, make_basis_state, random_state
+from qbcsim.scheme import SchemeParams, build_reveal_agreement, build_set_s, scheme_hash
 from qbcsim.session import (
+    PARENT_B,
     PARENT_S,
+    WIRE_VERSION,
     AliceEndpoint,
     AliceScript,
     AmplitudeCountError,
@@ -323,6 +326,39 @@ def test_endpoint_handlers_check_phase_first(cointoss_agreement):
     assert len(bob.frames) == len(alice.frames) == 4
     assert alice.verdict.accepted and alice.state.phase is Phase.VERIFIED
     assert bob.result.accepted and bob.state.phase is Phase.VERIFIED
+
+
+def _commit_frame(amplitudes, digest: str) -> bytes:
+    """A commit frame carrying ``amplitudes`` as given: no StateVector
+    checks them before they go on the wire."""
+    lines = [f"qubits={len(amplitudes).bit_length() - 1}"]
+    lines += [f"{a.real:.17g} {a.imag:.17g}" for a in amplitudes]
+    frame = {"v": WIRE_VERSION, "kind": "commit", "scheme_hash": digest,
+             "state": "\n".join(lines) + "\n"}
+    return json.dumps(frame, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+
+
+@pytest.mark.parametrize("parent", [PARENT_B, PARENT_S])
+def test_near_unit_commits_are_wire_errors_or_verified(cointoss_agreement, parent):
+    # a Born distribution sums to <psi|psi>: a commit scaled by 1 +- 0.8e-9
+    # once decoded and then crashed the reveal's Born check, so it is refused
+    # at the commit; one just inside the bound verifies without raising
+    agreement = cointoss_agreement
+    digest = scheme_hash(agreement.params)
+    held = (agreement.sets[0].elements[0] if parent == PARENT_B
+            else build_set_s(agreement.params).elements[0]).amplitudes
+    for scale in (1 + 0.8e-9, 1 - 0.8e-9):
+        bob = BobEndpoint(agreement, BobScript(guess=0), 2)
+        with pytest.raises(AmplitudeCountError) as raised:
+            bob.handle_commit(_commit_frame(held * scale, digest))
+        assert isinstance(raised.value, WireError)
+        assert snapshot(bob) == ([], None, None)
+    inside = 0.99 * ATOL / 2
+    for norm2 in (1 + inside, 1 - inside):
+        bob = BobEndpoint(agreement, BobScript(guess=0), 2)
+        bob.handle_commit(_commit_frame(held * math.sqrt(norm2), digest))
+        bob.handle_reveal(encode_message(Reveal(0, parent), digest))
+        assert bob.result.accepted and bob.state.phase is Phase.VERIFIED
 
 
 def _receiver_of(agreement, kind: str):
