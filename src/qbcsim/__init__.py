@@ -51,11 +51,9 @@ from .scheme import (
     RevealState,
     SchemeAuditError,
     SchemeParams,
-    SetS,
     audit_scheme,
     bob_reveal_state,
     build_reveal_agreement,
-    build_set_s,
     build_sets,
     descriptor_text,
     scheme_hash,

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quantum import as_generator, born_distribution, computational_basis, walsh_matrix
-from .scheme import RevealAgreement, SchemeParams, build_set_s
+from .scheme import RevealAgreement, SchemeParams
 
 STRATEGY_DECLARE_PRIOR = "declare-prior-guess"
 STRATEGY_UPDATE_ON_REJECT = "update-on-reject"
@@ -125,7 +125,7 @@ def _valid_mass_table(agreement: RevealAgreement) -> np.ndarray:
     is also the acceptance threshold of every sampled verification of that
     element under that reveal.
     """
-    elements = np.array([[e.amplitudes for e in s.elements] for s in agreement.sets])
+    elements = np.array([b.vectors for b in agreement.measurements])
     return _valid_mass(elements, agreement.params.masks)
 
 
@@ -196,8 +196,7 @@ def alice_cheat_report(
     """
     params = agreement.params
     _check_choices(params, c_true, c_claimed)
-    elements = np.array([e.amplitudes for e in agreement.sets[c_true].elements])
-    masses = _valid_mass(elements, [params.masks[c_claimed]])[:, 0]
+    masses = _valid_mass(agreement.measurements[c_true].vectors, [params.masks[c_claimed]])[:, 0]
     exact = float(np.mean(masses))
     hits = 0
     if trials > 0:
@@ -402,7 +401,7 @@ def s_protocol_sweep(
     m = params.num_choices
     comp = computational_basis(2 ** params.num_alice_qubits)
     # row c < m: the S state bound to choice c; row m + c*m + k: element k of set c
-    states = build_set_s(params).elements[:m] + sum((s.elements for s in agreement.sets), ())
+    states = [comp.vector(c) for c in range(m)] + [e for s in agreement.sets for e in s.elements]
     dists = []
     for state in states:
         dists.append(born_distribution(state, comp))

@@ -19,7 +19,8 @@ Usage errors exit with code 2; so do scheme flags that name no valid
 scheme, which ``audit`` instead reports as a failed check, a negative
 --seed, a --trials outside 0..``MAX_TRIALS`` (5 000 000, about 1 GB of
 samples), a --port outside 0..65535, a move file that cannot be read, has
-a line without ``=`` or names no choice, and an ``--out`` path that
+a line without ``=``, names no choice or names a key or parent that does
+not exist, end of input at a cointoss prompt, and an ``--out`` path that
 cannot be written (checked before any report is computed or frame
 exchanged; the file is written only after a run that finishes, so one
 that aborts leaves an existing file as it was).
@@ -156,14 +157,20 @@ def cmd_cointoss(args: argparse.Namespace, out=None) -> int:
     if args.script:
         moves = _read_moves(args.script)
     else:
-        moves = {
-            "toss": input("Alice, toss the coin (head/tail): "),
-            "guess": input("Bob, guess the toss (head/tail): "),
-        }
-        reveal = input("Alice, reveal (empty = honest, or head/tail to cheat): ").strip()
+        try:
+            moves = {
+                "toss": input("Alice, toss the coin (head/tail): "),
+                "guess": input("Bob, guess the toss (head/tail): "),
+            }
+            reveal = input("Alice, reveal (empty = honest, or head/tail to cheat): ").strip()
+        except EOFError:
+            _usage_error("end of input before every move was given")
         if reveal:
             moves["reveal"] = reveal
     try:
+        unknown = moves.keys() - {"toss", "guess", "reveal", "element"}
+        if unknown:
+            raise ValueError(f"unknown move keys {sorted(unknown)}")
         toss = _parse_coin(moves["toss"])
         guess = _parse_coin(moves["guess"])
         reveal_choice = _parse_coin(moves["reveal"]) if "reveal" in moves else None
@@ -335,7 +342,7 @@ def cmd_analyze(args: argparse.Namespace, out=None) -> int:
 
 
 def _session_scripts(moves: dict, count: int) -> tuple[AliceScript, BobScript]:
-    """Scripts for ``count`` choices; a move naming none is a usage error (exit 2)."""
+    """Scripts for ``count`` choices; an unknown key, parent or choice is a usage error (exit 2)."""
 
     def index_token(token, names=()):
         if token in names:
@@ -348,7 +355,12 @@ def _session_scripts(moves: dict, count: int) -> tuple[AliceScript, BobScript]:
             _usage_error(f"move value {token!r} is not in 0..{count - 1}")
         return value
 
-    alice = AliceScript()
+    unknown = moves.keys() - {"choice", "toss", "element", "reveal", "parent", "guess"}
+    if unknown:
+        _usage_error(f"unknown move keys {sorted(unknown)}")
+    alice = AliceScript(parent=moves.get("parent", PARENT_B))
+    if alice.parent not in (PARENT_B, PARENT_S):
+        _usage_error(f"move value {alice.parent!r} is not a parent ({PARENT_B} or {PARENT_S})")
     if "choice" in moves:
         alice.choice = index_token(moves["choice"], COIN_NAMES)
     elif "toss" in moves:
@@ -357,8 +369,6 @@ def _session_scripts(moves: dict, count: int) -> tuple[AliceScript, BobScript]:
         alice.element = index_token(moves["element"])
     if "reveal" in moves:
         alice.reveal_choice = index_token(moves["reveal"], COIN_NAMES)
-    if moves.get("parent", PARENT_B) == PARENT_S:
-        alice.parent = PARENT_S
     bob = BobScript()
     if "guess" in moves:
         bob.guess = index_token(moves["guess"], COIN_NAMES)

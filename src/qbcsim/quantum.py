@@ -2,13 +2,15 @@
 
 Everything in the package runs through this module: basis kets, two-term
 superpositions, tensor products, the {H, X, Z, CNOT} gate set, projective
-measurement onto a set of orthonormal vectors (plus one outcome for their
-orthogonal complement when they do not span the space), and the Walsh
-matrix W[x, y] = (-1)^popcount(x AND y). W / 2^(k/2) is the k-qubit
-Hadamard transform. W is the one parity table behind the Pauli-Z
-expectations (the Walsh transform of the basis probabilities) and the
-discrimination bounds (the set mixtures are diagonal in the Hadamard
-basis), so no eigensolver is needed.
+measurement, and the Walsh matrix W[x, y] = (-1)^popcount(x AND y).
+W / 2^(k/2) is the k-qubit Hadamard transform. W is the one parity table
+behind the Pauli-Z expectations (the Walsh transform of the basis
+probabilities) and the discrimination bounds (the set mixtures are diagonal
+in the Hadamard basis), so no eigensolver is needed.
+
+A measurement is orthonormal rows, the valid outcomes, plus one reject
+outcome when they do not span the space. The computational basis, the
+reduced-qubit variant's measurement, is built once per dimension and shared.
 
 Conventions
 -----------
@@ -184,47 +186,38 @@ def _flip_axis(control: int, target: int, n: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementBasis:
-    """Projective measurement onto orthonormal rows, plus their complement.
+    """Projective measurement onto 1..d orthonormal rows of length d.
 
-    ``vectors`` holds 1..``dimension`` orthonormal rows of length
-    ``dimension``; outcome ``k`` projects onto row ``k``. When the rows do
-    not span the space there is one more outcome, index ``len(vectors)``:
-    the projector onto their orthogonal complement. Orthonormality is
-    checked on construction (pairwise overlaps below ``ATOL``), and
-    ``valid_outcomes`` must index rows.
-    """
+    Outcome k < ``len(vectors)`` projects onto row k, a valid outcome. When
+    the rows do not span the space, outcome ``len(vectors)`` is the reject
+    outcome, the projector onto their orthogonal complement. Orthonormality
+    is checked on construction (pairwise overlaps below ``ATOL``)."""
 
-    dimension: int
     vectors: np.ndarray
-    valid_outcomes: frozenset[int]
 
     def __post_init__(self):
         vecs = _frozen_array(self.vectors)
-        if vecs.shape[1:] != (self.dimension,) or not 1 <= len(vecs) <= self.dimension:
-            raise ValueError(
-                f"need 1..{self.dimension} vectors of length {self.dimension}, "
-                f"got shape {vecs.shape}"
-            )
+        if vecs.ndim != 2 or not 1 <= len(vecs) <= vecs.shape[1]:
+            raise ValueError(f"need 1..d orthonormal rows of length d, got shape {vecs.shape}")
         gram = vecs @ vecs.conj().T
         if np.abs(gram - np.eye(len(vecs))).max() > ATOL:
             raise ValueError("basis vectors are not orthonormal")
-        outcomes = frozenset(self.valid_outcomes)
-        if any(not 0 <= k < len(vecs) for k in outcomes):
-            raise ValueError("valid outcome index out of range")
         object.__setattr__(self, "vectors", vecs)
-        object.__setattr__(self, "valid_outcomes", outcomes)
+
+    @property
+    def dimension(self) -> int:
+        return self.vectors.shape[1]
 
     def vector(self, k: int) -> StateVector:
-        """Row ``k`` as a StateVector (dimension must be 2^n)."""
-        n = self.dimension.bit_length() - 1
-        if 2**n != self.dimension:
-            raise ValueError("dimension is not a power of two")
-        return StateVector(n, self.vectors[k])
+        """Row ``k`` as a StateVector; ValueError unless the dimension is 2^n."""
+        return StateVector(self.dimension.bit_length() - 1, self.vectors[k])
 
 
-def computational_basis(dimension: int, valid_outcomes=()) -> MeasurementBasis:
-    """The standard basis of the given dimension."""
-    return MeasurementBasis(dimension, np.eye(dimension, dtype=complex), frozenset(valid_outcomes))
+@functools.cache
+def computational_basis(dimension: int) -> MeasurementBasis:
+    """The standard basis of the given dimension; row ``i`` is the basis ket
+    of index ``i``. Built once per dimension and shared, read-only."""
+    return MeasurementBasis(np.eye(dimension, dtype=complex))
 
 
 def as_generator(rng) -> np.random.Generator:

@@ -18,10 +18,9 @@ Distinct nonzero masks guarantee the concealment structure: every element
 of one set overlaps exactly two elements of every other set, each with
 inner product 1/2.
 
-The module also builds the computational-basis set S used by the
-reduced-qubit protocol variant, and provides structural audits over all
-of the above, from one Gram block per pair of sets and one Walsh
-transform per reveal state (its Pauli-Z expectations for every mask).
+The module also provides structural audits over all of the above, from
+one Gram block per pair of sets and one Walsh transform per reveal state
+(its Pauli-Z expectations for every mask).
 """
 
 from __future__ import annotations
@@ -189,31 +188,8 @@ def build_reveal_agreement(params: SchemeParams) -> RevealAgreement:
     """Construct sets, reveal states, and the reveal measurements."""
     sets = tuple(build_sets(params))
     reveal_states = tuple(bob_reveal_state(params, c) for c in range(params.num_choices))
-    measurements = tuple(
-        MeasurementBasis(
-            2**params.num_alice_qubits,
-            [e.amplitudes for e in s.elements],
-            frozenset(range(params.num_choices)),
-        )
-        for s in sets
-    )
+    measurements = tuple(MeasurementBasis([e.amplitudes for e in s.elements]) for s in sets)
     return RevealAgreement(params, sets, reveal_states, measurements)
-
-
-@dataclass(frozen=True)
-class SetS:
-    """Computational-basis parent set of the reduced-qubit variant.
-
-    All 2^(n+1) basis states in ascending index order. Choice ``c`` is
-    bound to element index ``c``, so indices ``2^n ..`` stay unbound.
-    """
-
-    elements: tuple[StateVector, ...]
-
-
-def build_set_s(params: SchemeParams) -> SetS:
-    width = params.num_alice_qubits
-    return SetS(tuple(make_basis_state(index_to_bits(i, width)) for i in range(2**width)))
 
 
 # --- stabilizer audit ----------------------------------------------------
@@ -353,8 +329,7 @@ def audit_scheme(params: SchemeParams) -> list[AuditCheck]:
 
     # each reveal measurement is the 2^n elements of its set (+ reject)
     bases_ok = all(
-        b.valid_outcomes == frozenset(range(count)) and np.array_equal(b.vectors, amplitudes[c])
-        for c, b in enumerate(agreement.measurements)
+        np.array_equal(b.vectors, amplitudes[c]) for c, b in enumerate(agreement.measurements)
     )
     record("reveal-bases-complete", bases_ok)
 

@@ -41,8 +41,6 @@ from .quantum import (
     StateVector,
     as_generator,
     computational_basis,
-    index_to_bits,
-    make_basis_state,
     measure,
     state_from_text,
     state_to_text,
@@ -297,7 +295,7 @@ def alice_commit(
         payload = agreement.sets[choice].elements[element]
     elif parent == PARENT_S:
         element = choice
-        payload = make_basis_state(index_to_bits(choice, params.num_alice_qubits))
+        payload = computational_basis(2**params.num_alice_qubits).vector(choice)
     else:
         raise ValueError(f"unknown parent indicator {parent!r}")
     state = SessionState(agreement, AlicePrivate(choice, element, parent))
@@ -339,14 +337,12 @@ def bob_verify(state: SessionState, *, rng) -> tuple[SessionState, Verdict, Veri
     """
     state.expect(Verdict)
     commit, _, reveal = state.transcript
-    agreement = state.agreement
     if reveal.parent == PARENT_B:
-        basis = agreement.measurements[reveal.choice]
+        basis = state.agreement.measurements[reveal.choice]
         outcome = measure(commit.state, basis, rng)
-        accepted = outcome in basis.valid_outcomes
+        accepted = outcome < len(basis.vectors)
     else:
-        basis = computational_basis(commit.state.dimension)
-        outcome = measure(commit.state, basis, rng)
+        outcome = measure(commit.state, computational_basis(commit.state.dimension), rng)
         accepted = outcome == reveal.choice
     recovered = outcome if accepted else None
     result = VerificationResult(accepted, outcome, recovered)
@@ -387,9 +383,10 @@ class _Endpoint:
 
     def _receive(self, frame: bytes, kind: type) -> Message:
         """Decode and record a frame that must carry a ``kind`` message of
-        this agreement, with any choice it names in range and any commit of
-        the agreement's qubit count. PhaseError, before anything is decoded,
-        unless a ``kind`` message is next; nothing is recorded on any error."""
+        this agreement: any choice in range, a verdict's recovered element in
+        range on accept and None on reject, a commit of the agreement's qubit
+        count. PhaseError, before anything is decoded, unless a ``kind``
+        message is next; nothing is recorded on any error."""
         state = SessionState(self.agreement) if self.state is None else self.state
         state.expect(kind)
         message = decode_message(frame, self.scheme_hash)
@@ -398,6 +395,9 @@ class _Endpoint:
         m = self.agreement.params.num_choices
         if isinstance(message, (Guess, Reveal)) and not 0 <= message.choice < m:
             raise ChoiceRangeError(f"{kind.__name__.lower()} choice {message.choice} not in 0..{m - 1}")
+        if isinstance(message, Verdict) and message.recovered_element not in (
+                range(m) if message.accepted else (None,)):
+            raise ChoiceRangeError(f"{message}: an accept recovers 0..{m - 1}, a reject null")
         qubits = self.agreement.params.num_alice_qubits
         if isinstance(message, Commit) and message.state.num_qubits != qubits:
             raise AmplitudeCountError(

@@ -67,9 +67,10 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         except SystemExit as exc:  # argparse rejects the flag itself
             return exc.code
 
-    bad_moves = []  # each names no choice or element of the n=1 scheme
+    bad_moves = []  # each names no choice, element, parent or key of an n=1 session
     lines = ("choice=x", "element=2", "reveal=-1", "guess=heads", "toss=1.0",
-             "choice=" + "1" * 5000)  # more digits than int() converts
+             "choice=" + "1" * 5000,  # more digits than int() converts
+             "parent=s", "parent=Q", "choise=1", "reveel=0")
     for i, line in enumerate(lines):
         path = tmp_path / f"bad{i}.txt"
         path.write_text(line + "\n")
@@ -228,7 +229,9 @@ def test_cointoss_cheat_rejected_about_half_the_time(tmp_path):
 
 def test_cointoss_bad_script(tmp_path):
     for moves in ("toss=sideways\nguess=head\n", "toss=head\nguess=head\nelement=5\n",
-                  "toss=head\nguess=head\nelement=-1\n"):
+                  "toss=head\nguess=head\nelement=-1\n",
+                  "toss=head\nguess=head\nreveel=tail\n",  # no such key
+                  "toss=head\nguess=head\nchoice=1\n"):  # a session key, not a cointoss one
         script = write_moves(tmp_path, moves)
         out = io.StringIO()
         assert cmd_cointoss(run_config(seed=0, script=script), out) == 2, moves
@@ -241,6 +244,26 @@ def test_cointoss_interactive_mode(monkeypatch):
     out = io.StringIO()
     assert cmd_cointoss(run_config(seed=2), out) == 0
     assert "Bob wins: yes" in out.getvalue()
+
+
+@pytest.mark.parametrize("answered", [0, 1, 2])
+def test_cointoss_end_of_input_is_usage_error(monkeypatch, capsys, answered):
+    # input closed at any of the three prompts, as by `qbcsim cointoss < /dev/null`
+    answers = iter(["head", "head"][:answered])
+
+    def prompt(text):
+        try:
+            return next(answers)
+        except StopIteration:
+            raise EOFError from None
+
+    monkeypatch.setattr("builtins.input", prompt)
+    with pytest.raises(SystemExit) as exc:
+        main(["cointoss"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("qbcsim: error: ")
 
 
 def test_cointoss_writes_transcript(tmp_path):

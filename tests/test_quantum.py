@@ -208,12 +208,24 @@ def test_apply_gate_rejects_bad_input():
 
 def test_measurement_basis_validation():
     with pytest.raises(ValueError, match="orthonormal"):
-        MeasurementBasis(2, np.array([[1, 0], [1, 0]], dtype=complex), frozenset())
-    with pytest.raises(ValueError):
-        MeasurementBasis(2, np.eye(2, dtype=complex), frozenset({5}))
-    basis = computational_basis(4, valid_outcomes=(0, 1))
-    assert basis.valid_outcomes == frozenset({0, 1})
+        MeasurementBasis(np.array([[1, 0], [1, 0]], dtype=complex))
+    basis = computational_basis(4)
+    assert basis.dimension == 4 and len(basis.vectors) == 4
     assert basis.vector(2).amplitudes[2] == 1.0
+
+
+def test_computational_basis_is_shared_and_binds_rows():
+    # one read-only basis per dimension; row c is the basis ket of index c,
+    # the state a reduced-qubit commit to choice c carries
+    for k in range(1, 8):
+        basis = computational_basis(2**k)
+        assert computational_basis(2**k) is basis
+        assert not basis.vectors.flags.writeable
+        with pytest.raises(ValueError):
+            basis.vectors[0, 0] = 0
+        for c in range(2**k):
+            expected = make_basis_state(index_to_bits(c, k)).amplitudes
+            assert basis.vector(c).amplitudes.tobytes() == expected.tobytes()
 
 
 def pair(x, y):
@@ -225,18 +237,20 @@ def pair(x, y):
 def test_partial_basis_measures_rows_plus_complement():
     rows = [pair("00", "01"), pair("10", "11")]
     rows = np.array([r.amplitudes for r in reversed(rows)])
-    basis = MeasurementBasis(4, rows, frozenset({0, 1}))
+    basis = MeasurementBasis(rows)
     assert np.array_equal(basis.vectors, rows)  # rows kept in the given order
+    assert basis.dimension == 4
     assert basis.vector(0) == pair("10", "11")
     with pytest.raises(ValueError, match="orthonormal"):
-        MeasurementBasis(
-            4, [make_basis_state("00").amplitudes, pair("00", "11").amplitudes],
-            frozenset(),
-        )
-    with pytest.raises(ValueError):
-        MeasurementBasis(4, [make_basis_state("0").amplitudes], frozenset())  # row length
-    with pytest.raises(ValueError, match="out of range"):
-        MeasurementBasis(4, rows, frozenset({2}))  # outcome 2 is the complement, not a row
+        MeasurementBasis([make_basis_state("00").amplitudes, pair("00", "11").amplitudes])
+    for shape_error in (
+        [make_basis_state("00").amplitudes, make_basis_state("0").amplitudes],  # row lengths
+        make_basis_state("00").amplitudes,  # one bare row, not a row list
+        np.eye(3, 2, dtype=complex),  # more rows than their length
+        np.zeros((0, 4), dtype=complex),  # no row
+    ):
+        with pytest.raises(ValueError):
+            MeasurementBasis(shape_error)
     # (|00> + |10>)/sqrt(2): mass 1/4 on each row, 1/2 outside both
     state = pair("00", "10")
     probs = born_distribution(state, basis)

@@ -37,7 +37,6 @@ from qbcsim.scheme import (
     audit_scheme,
     bob_reveal_state,
     build_reveal_agreement,
-    build_set_s,
     build_sets,
     descriptor_text,
     pauli_x_all_expectation,
@@ -59,9 +58,8 @@ def product_measurement(agreement, claimed: int) -> MeasurementBasis:
     (2n+1)-qubit product space, row k = element k of set ``claimed``
     tensored with reveal state ``claimed``, plus the reject outcome."""
     reveal = agreement.reveal_states[claimed].state
-    rows = [tensor(e, reveal).amplitudes for e in agreement.sets[claimed].elements]
-    n = agreement.params.num_bob_qubits
-    return MeasurementBasis(2 ** (2 * n + 1), np.array(rows), frozenset(range(len(rows))))
+    return MeasurementBasis([tensor(e, reveal).amplitudes
+                             for e in agreement.sets[claimed].elements])
 
 
 def test_scheme_params_validation():
@@ -158,7 +156,6 @@ def test_agreement_basis_shape(agreements):
         for c, basis in enumerate(agreement.measurements):
             assert basis.dimension == dim
             assert basis.vectors.shape == (count, dim)
-            assert basis.valid_outcomes == frozenset(range(count))
             for k in range(count):
                 assert_allclose(basis.vectors[k], sets[c].elements[k].amplitudes, atol=1e-15)
 
@@ -197,14 +194,6 @@ def test_factorised_product_gram_matches_explicit_gram(agreements):
         )
         assert_allclose(factorised, explicit, atol=1e-15)
         assert np.abs(explicit - np.eye(m * m)).max() <= 1e-9
-
-
-def test_set_s_binding():
-    params = SchemeParams.default(2)
-    set_s = build_set_s(params)
-    assert len(set_s.elements) == 8
-    for c in range(4):  # choice c is bound to element index c
-        assert set_s.elements[c].amplitudes[c] == 1.0
 
 
 def test_pauli_expectations_against_dense_oracle():

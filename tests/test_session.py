@@ -1,5 +1,6 @@
 """Tests for the protocol state machine, wire format, and transports."""
 
+import hashlib
 import json
 import math
 import socket
@@ -11,8 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbcsim.quantum import ATOL, make_basis_state, random_state
-from qbcsim.scheme import SchemeParams, build_reveal_agreement, build_set_s, scheme_hash
+from qbcsim.quantum import (
+    ATOL,
+    MeasurementBasis,
+    computational_basis,
+    make_basis_state,
+    random_state,
+)
+from qbcsim.scheme import SchemeParams, build_reveal_agreement, scheme_hash
 from qbcsim.session import (
     PARENT_B,
     PARENT_S,
@@ -253,6 +260,30 @@ def test_parent_s_paths(cointoss_agreement):
     assert state.phase is Phase.REJECTED
 
 
+@pytest.mark.parametrize("n", [1, 4, 6])
+def test_parent_s_verify_builds_no_basis(monkeypatch, n):
+    # the computational basis is built once per dimension: after the first
+    # parent-S session at n, a second commits and verifies without one
+    agreement = build_reveal_agreement(SchemeParams.default(n))
+    script = AliceScript(choice=agreement.num_choices - 1, parent=PARENT_S)
+    assert run_session(agreement, script, BobScript(), seed=1).verdict.accepted
+    built = []
+    original = MeasurementBasis.__post_init__
+
+    def counted(basis):
+        built.append(basis)
+        original(basis)
+
+    monkeypatch.setattr(MeasurementBasis, "__post_init__", counted)
+    for choice in (0, 1):
+        state, _ = alice_commit(agreement, choice, rng=choice, parent=PARENT_S)
+        state, _ = bob_guess(state, 0)
+        state, _ = alice_reveal(state)
+        state, _, result = bob_verify(state, rng=choice)
+        assert result.accepted and result.outcome_index == choice
+    assert built == []
+
+
 def test_pre_reveal_frames_hide_private_fields(cointoss_agreement):
     result = run_session(
         cointoss_agreement, AliceScript(choice=1, element=1), BobScript(guess=0), seed=5
@@ -281,6 +312,15 @@ def test_out_of_range_choice_frames_are_wire_errors(cointoss_agreement):
         with pytest.raises(ChoiceRangeError):
             alice.handle_guess(encode_message(Guess(choice), digest))
         assert alice.state.phase is Phase.COMMITTED
+    # a verifier sends recovered 0..m-1 exactly when it accepts, null otherwise
+    alice = AliceEndpoint(agreement, AliceScript(choice=0, element=0), 1)
+    bob = BobEndpoint(agreement, BobScript(guess=0), 2)
+    alice.handle_guess(bob.handle_commit(alice.commit_frame()))
+    for accepted, recovered in ((True, 12345), (True, -1), (True, None), (False, 0)):
+        before = snapshot(alice)
+        with pytest.raises(ChoiceRangeError):
+            alice.handle_verdict(encode_message(Verdict(accepted, recovered), digest))
+        assert snapshot(alice) == before and alice.state.phase is Phase.REVEALED
 
 
 def snapshot(endpoint):
@@ -346,7 +386,7 @@ def test_near_unit_commits_are_wire_errors_or_verified(cointoss_agreement, paren
     agreement = cointoss_agreement
     digest = scheme_hash(agreement.params)
     held = (agreement.sets[0].elements[0] if parent == PARENT_B
-            else build_set_s(agreement.params).elements[0]).amplitudes
+            else computational_basis(4).vector(0)).amplitudes
     for scale in (1 + 0.8e-9, 1 - 0.8e-9):
         bob = BobEndpoint(agreement, BobScript(guess=0), 2)
         with pytest.raises(AmplitudeCountError) as raised:
@@ -399,7 +439,8 @@ def test_mutated_frames_are_taken_or_wire_errors(agreements, kind, data):
     else:
         fields = json.loads(frame)
         key = data.draw(st.sampled_from(sorted(fields) + ["extra"]))
-        fields[key] = data.draw(st.integers(-2, 6) | JSON_VALUES)  # choices in and out of range
+        # choices in and out of range; a verdict's recovered null or accept flipped
+        fields[key] = data.draw(st.integers(-2, 6) | st.none() | st.booleans() | JSON_VALUES)
         mutated = json.dumps(fields).encode() + b"\n"
     before = snapshot(endpoint)
     try:
@@ -410,6 +451,9 @@ def test_mutated_frames_are_taken_or_wire_errors(agreements, kind, data):
         m = agreements[2].num_choices
         choices = [msg.choice for msg in endpoint.state.transcript if isinstance(msg, (Guess, Reveal))]
         assert all(0 <= choice < m for choice in choices)
+        for verdict in endpoint.state.transcript[3:]:  # recovered in range exactly on accept
+            assert (verdict.recovered_element in range(m) if verdict.accepted
+                    else verdict.recovered_element is None)
 
 
 def test_frame_limit_fits_every_frame(agreements):
@@ -500,6 +544,29 @@ def test_run_session_transport_equivalence(cointoss_agreement):
     assert len(local.transcript) == 4
     with pytest.raises(ValueError):
         run_session(cointoss_agreement, alice, bob, seed=0, transport="carrier-pigeon")
+
+
+#: SHA-256 of the frames and VerificationResult reprs of the sessions of
+#: ``test_transcripts_pinned``; a change to any seeded session moves it.
+TRANSCRIPT_PIN = "7d5f7ab5c30c49934f6d2ce5888b3db014329010fea3e44dd13e320ef86c0f18"
+
+
+def test_transcripts_pinned():
+    # 240 sessions: n = 1..6 with default masks, seeds 0..9, and parent B
+    # honest (drawn choice and element), B cheating, S honest, S cheating
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        agreement = build_reveal_agreement(SchemeParams.default(n))
+        m = agreement.num_choices
+        for seed in range(10):
+            c, claim = seed % m, (seed + 1) % m
+            for script in (AliceScript(), AliceScript(choice=c, reveal_choice=claim),
+                           AliceScript(choice=c, parent=PARENT_S),
+                           AliceScript(choice=c, parent=PARENT_S, reveal_choice=claim)):
+                result = run_session(agreement, script, BobScript(), seed)
+                digest.update(b"".join(result.transcript))
+                digest.update(repr(result.verification).encode())
+    assert digest.hexdigest() == TRANSCRIPT_PIN
 
 
 def test_run_session_random_scripts_deterministic(cointoss_agreement):
