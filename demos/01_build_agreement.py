@@ -32,12 +32,13 @@ def main():
     agreement = build_reveal_agreement(params)
     for c in range(params.num_choices):
         print(f"commitment set {c}:")
-        for k, elem in enumerate(agreement.sets[c].elements):
+        elements = [agreement.sets[c].vector(k) for k in range(params.num_choices)]
+        for k, elem in enumerate(elements):
             print(f"  element {k}: {ket_string(elem)}")
-        reveal = agreement.reveal_states[c].state
+        reveal = agreement.reveal_states[c]
         print(f"  reveal state: {ket_string(reveal)}")
         # Bob's coupled measurement: element (x) reveal state per valid outcome
-        products = [tensor(elem, reveal) for elem in agreement.sets[c].elements]
+        products = [tensor(elem, reveal) for elem in elements]
         for k, product in enumerate(products):
             print(f"  valid product {k}: {ket_string(product)}")
         print(

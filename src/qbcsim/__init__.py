@@ -1,10 +1,11 @@
 """Simulator and analysis lab for a product-state commitment scheme.
 
 The package splits into four layers: ``quantum`` (statevector engine),
-``scheme`` (the initial agreement: commitment sets, reveal states,
-reveal measurements, audits), ``session`` (the two-party protocol over wire
-frames), and ``analysis`` (binding/concealment figures and
-discrimination bounds). ``cli`` fronts all of it.
+``scheme`` (the initial agreement: per choice, a commitment set held as
+its reveal measurement and a reveal state; audits), ``session`` (the
+two-party protocol over wire frames), and ``analysis``
+(binding/concealment figures and discrimination bounds). ``cli`` fronts
+all of it.
 """
 
 import types as _types
@@ -46,15 +47,12 @@ from .scheme import (
     PRESET_DEFAULT_MASKS,
     PRESET_PAPER_COINTOSS,
     AuditCheck,
-    CommitmentSet,
     RevealAgreement,
-    RevealState,
     SchemeAuditError,
     SchemeParams,
     audit_scheme,
     bob_reveal_state,
     build_reveal_agreement,
-    build_sets,
     descriptor_text,
     scheme_hash,
     stabilizer_audit,

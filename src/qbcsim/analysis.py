@@ -125,7 +125,7 @@ def _valid_mass_table(agreement: RevealAgreement) -> np.ndarray:
     is also the acceptance threshold of every sampled verification of that
     element under that reveal.
     """
-    elements = np.array([b.vectors for b in agreement.measurements])
+    elements = np.array([s.vectors for s in agreement.sets])
     return _valid_mass(elements, agreement.params.masks)
 
 
@@ -177,8 +177,8 @@ def alice_cheat_acceptance(
     _check_choices(params, c_true, c_claimed)
     if not 0 <= element < params.num_choices:
         raise ValueError(f"element index {element} out of range")
-    held = agreement.sets[c_true].elements[element]
-    return float(_valid_mass(held.amplitudes, [params.masks[c_claimed]])[0])
+    held = agreement.sets[c_true].vectors[element]
+    return float(_valid_mass(held, [params.masks[c_claimed]])[0])
 
 
 def alice_cheat_report(
@@ -196,7 +196,7 @@ def alice_cheat_report(
     """
     params = agreement.params
     _check_choices(params, c_true, c_claimed)
-    masses = _valid_mass(agreement.measurements[c_true].vectors, [params.masks[c_claimed]])[:, 0]
+    masses = _valid_mass(agreement.sets[c_true].vectors, [params.masks[c_claimed]])[:, 0]
     exact = float(np.mean(masses))
     hits = 0
     if trials > 0:
@@ -401,7 +401,8 @@ def s_protocol_sweep(
     m = params.num_choices
     comp = computational_basis(2 ** params.num_alice_qubits)
     # row c < m: the S state bound to choice c; row m + c*m + k: element k of set c
-    states = [comp.vector(c) for c in range(m)] + [e for s in agreement.sets for e in s.elements]
+    states = [comp.vector(c) for c in range(m)]
+    states += [s.vector(k) for s in agreement.sets for k in range(m)]
     dists = []
     for state in states:
         dists.append(born_distribution(state, comp))

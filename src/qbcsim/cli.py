@@ -19,8 +19,9 @@ Usage errors exit with code 2; so do scheme flags that name no valid
 scheme, which ``audit`` instead reports as a failed check, a negative
 --seed, a --trials outside 0..``MAX_TRIALS`` (5 000 000, about 1 GB of
 samples), a --port outside 0..65535, a move file that cannot be read, has
-a line without ``=``, names no choice or names a key or parent that does
-not exist, end of input at a cointoss prompt, and an ``--out`` path that
+a line without ``=``, names no choice, names both choice and toss, names
+an element with parent S or names a key or parent that does not exist,
+end of input at a cointoss prompt, and an ``--out`` path that
 cannot be written (checked before any report is computed or frame
 exchanged; the file is written only after a run that finishes, so one
 that aborts leaves an existing file as it was).
@@ -205,8 +206,8 @@ def cmd_cointoss(args: argparse.Namespace, out=None) -> int:
             status = "accepted" if message.accepted else "rejected"
             landed = "outside every valid product"  # the reject outcome 2^n
             if message.accepted:  # element (x) reveal state: Bob's valid product
-                landed = ket_string(tensor(agreement.sets[revealed].elements[outcome],
-                                           agreement.reveal_states[revealed].state))
+                landed = ket_string(tensor(agreement.sets[revealed].vector(outcome),
+                                           agreement.reveal_states[revealed]))
             print(f"Verdict: {status}, outcome {outcome} -> {landed}", file=out)
             if message.recovered_element is not None:
                 print(f"recovered element: {message.recovered_element}", file=out)
@@ -342,7 +343,8 @@ def cmd_analyze(args: argparse.Namespace, out=None) -> int:
 
 
 def _session_scripts(moves: dict, count: int) -> tuple[AliceScript, BobScript]:
-    """Scripts for ``count`` choices; an unknown key, parent or choice is a usage error (exit 2)."""
+    """Scripts for ``count`` choices; an unknown key, parent or choice, both
+    choice and toss, or an element with parent S is a usage error (exit 2)."""
 
     def index_token(token, names=()):
         if token in names:
@@ -361,11 +363,13 @@ def _session_scripts(moves: dict, count: int) -> tuple[AliceScript, BobScript]:
     alice = AliceScript(parent=moves.get("parent", PARENT_B))
     if alice.parent not in (PARENT_B, PARENT_S):
         _usage_error(f"move value {alice.parent!r} is not a parent ({PARENT_B} or {PARENT_S})")
-    if "choice" in moves:
-        alice.choice = index_token(moves["choice"], COIN_NAMES)
-    elif "toss" in moves:
-        alice.choice = index_token(moves["toss"], COIN_NAMES)
+    if "choice" in moves and "toss" in moves:
+        _usage_error("a move file names choice or toss, not both")
+    if "choice" in moves or "toss" in moves:
+        alice.choice = index_token(moves.get("choice", moves.get("toss")), COIN_NAMES)
     if moves.get("element", "random") != "random":
+        if alice.parent == PARENT_S:
+            _usage_error(f"a parent-{PARENT_S} commit has no element to pick")
         alice.element = index_token(moves["element"])
     if "reveal" in moves:
         alice.reveal_choice = index_token(moves["reveal"], COIN_NAMES)

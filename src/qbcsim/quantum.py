@@ -209,7 +209,10 @@ class MeasurementBasis:
         return self.vectors.shape[1]
 
     def vector(self, k: int) -> StateVector:
-        """Row ``k`` as a StateVector; ValueError unless the dimension is 2^n."""
+        """Row ``k`` as a StateVector; ValueError unless 0 <= k < len(vectors)
+        and the dimension is 2^n."""
+        if not 0 <= k < len(self.vectors):
+            raise ValueError(f"row {k} is not in 0..{len(self.vectors) - 1}")
         return StateVector(self.dimension.bit_length() - 1, self.vectors[k])
 
 

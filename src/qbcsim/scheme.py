@@ -8,11 +8,13 @@ Choice ``c`` is bound to:
   built from a nonzero pairing mask ``d_c`` (one element per XOR pair,
   ordered by the smaller pair member);
 * the receiver's n-qubit reveal state, generated by a Hadamard on
-  qubit 1 followed by CNOTs fanning out from qubit 1;
-* a reveal measurement onto the ``2^n`` valid products "set element (x)
-  reveal state" plus one reject outcome, held on Alice's (n+1)-qubit
-  register as the ``2^n`` elements of set c plus reject, since
-  <e (x) G_c|psi (x) G_c> = <e|psi>: no product is ever formed.
+  qubit 1 followed by CNOTs fanning out from qubit 1.
+
+Set c is held as its reveal measurement, one ``MeasurementBasis`` on
+Alice's (n+1)-qubit register: row k is element k, a valid outcome, and
+outcome ``2^n`` rejects. It is Bob's measurement onto the ``2^n`` valid
+products "set element (x) reveal state" plus reject, since
+<e (x) G_c|psi (x) G_c> = <e|psi>: no product is ever formed.
 
 Distinct nonzero masks guarantee the concealment structure: every element
 of one set overlaps exactly two elements of every other set, each with
@@ -120,35 +122,7 @@ def xor_pairs(params: SchemeParams, choice: int) -> tuple[tuple[int, int], ...]:
     return tuple((x, x ^ d) for x in reps)
 
 
-@dataclass(frozen=True)
-class CommitmentSet:
-    """The 2^n orthogonal two-term states bound to one commitment choice."""
-
-    choice: int
-    elements: tuple[StateVector, ...]
-
-
-def build_sets(params: SchemeParams) -> list[CommitmentSet]:
-    """All commitment sets, element k = (|x> + |y>)/sqrt(2) for the k-th XOR pair (x, y)."""
-    width = params.num_alice_qubits
-    sets = []
-    for c in range(params.num_choices):
-        pairs = xor_pairs(params, c)
-        rows = np.zeros((len(pairs), 2**width), dtype=complex)
-        rows[np.arange(len(pairs))[:, None], pairs] = INV_SQRT2
-        sets.append(CommitmentSet(c, tuple(StateVector(width, row) for row in rows)))
-    return sets
-
-
-@dataclass(frozen=True)
-class RevealState:
-    """Receiver-side n-qubit state for one choice (generation-circuit output)."""
-
-    choice: int
-    state: StateVector
-
-
-def bob_reveal_state(params: SchemeParams, choice: int) -> RevealState:
+def bob_reveal_state(params: SchemeParams, choice: int) -> StateVector:
     """Run the generation circuit on the big-endian bits of ``choice``.
 
     Inputs |c1>,|c2>,...,|cn> feed the circuit; Hadamard on qubit 1, then
@@ -162,22 +136,23 @@ def bob_reveal_state(params: SchemeParams, choice: int) -> RevealState:
     state = apply_gate(state, "H", 1)
     for target in range(2, n + 1):
         state = apply_gate(state, "CNOT", (1, target))
-    return RevealState(choice, state)
+    return state
 
 
 @dataclass(frozen=True)
 class RevealAgreement:
-    """The full initial agreement: sets, reveal states, and reveal measurements.
+    """The full initial agreement: one value per choice in each tuple.
 
-    ``measurements[c]`` acts on Alice's (n+1)-qubit register: row ``k`` is
-    element k of set c (valid outcome ``k``), outcome ``2^n`` rejects. It is
-    Bob's coupled measurement onto e_{c,k} (x) G_c, as <e (x) G_c|psi (x) G_c> = <e|psi>.
+    ``sets[c]`` is set c as its reveal measurement on Alice's (n+1)-qubit
+    register: row ``k`` is element k of set c (valid outcome ``k``, read as
+    ``sets[c].vector(k)``), outcome ``2^n`` rejects. It is Bob's coupled
+    measurement onto e_{c,k} (x) G_c, as <e (x) G_c|psi (x) G_c> = <e|psi>.
+    ``reveal_states[c]`` is G_c, Bob's n-qubit reveal state.
     """
 
     params: SchemeParams
-    sets: tuple[CommitmentSet, ...]
-    reveal_states: tuple[RevealState, ...]
-    measurements: tuple[MeasurementBasis, ...]
+    sets: tuple[MeasurementBasis, ...]
+    reveal_states: tuple[StateVector, ...]
 
     @property
     def num_choices(self) -> int:
@@ -185,11 +160,16 @@ class RevealAgreement:
 
 
 def build_reveal_agreement(params: SchemeParams) -> RevealAgreement:
-    """Construct sets, reveal states, and the reveal measurements."""
-    sets = tuple(build_sets(params))
+    """Construct the sets, element k = (|x> + |y>)/sqrt(2) for the k-th XOR
+    pair (x, y), and the reveal states."""
+    sets = []
+    for c in range(params.num_choices):
+        pairs = xor_pairs(params, c)
+        rows = np.zeros((len(pairs), 2**params.num_alice_qubits), dtype=complex)
+        rows[np.arange(len(pairs))[:, None], pairs] = INV_SQRT2
+        sets.append(MeasurementBasis(rows))
     reveal_states = tuple(bob_reveal_state(params, c) for c in range(params.num_choices))
-    measurements = tuple(MeasurementBasis([e.amplitudes for e in s.elements]) for s in sets)
-    return RevealAgreement(params, sets, reveal_states, measurements)
+    return RevealAgreement(params, tuple(sets), reveal_states)
 
 
 # --- stabilizer audit ----------------------------------------------------
@@ -216,18 +196,18 @@ class StabilizerReport:
     z_eigenvalues: dict[int, int]  # even-parity z mask -> +-1
 
 
-def stabilizer_audit(reveal: RevealState) -> StabilizerReport:
-    """Check X^(x)n and every even-parity Z mask are +-1 eigenoperators.
+def stabilizer_audit(state: StateVector, choice: int) -> StabilizerReport:
+    """Check X^(x)n and every even-parity Z mask are +-1 eigenoperators of
+    ``state``, the reveal state of ``choice``.
 
     Raises SchemeAuditError when any expectation deviates from +-1 by
     more than 1e-9.
     """
-    state = reveal.state
     n = state.num_qubits
     x_val = pauli_x_all_expectation(state)
     if abs(abs(x_val) - 1.0) > ATOL:
         raise SchemeAuditError(
-            f"X^n expectation {x_val} is not +-1 for choice {reveal.choice}"
+            f"X^n expectation {x_val} is not +-1 for choice {choice}"
         )
     expectations = pauli_z_expectations(state).tolist()
     z_eigs = {}
@@ -238,10 +218,10 @@ def stabilizer_audit(reveal: RevealState) -> StabilizerReport:
         if abs(abs(val) - 1.0) > ATOL:
             raise SchemeAuditError(
                 f"even-parity Z mask {z:#x} expectation {val} is not +-1 "
-                f"for choice {reveal.choice}"
+                f"for choice {choice}"
             )
         z_eigs[z] = int(round(val))
-    return StabilizerReport(reveal.choice, int(round(x_val)), z_eigs)
+    return StabilizerReport(choice, int(round(x_val)), z_eigs)
 
 
 # --- whole-scheme audit --------------------------------------------------
@@ -265,8 +245,8 @@ def audit_scheme(params: SchemeParams) -> list[AuditCheck]:
     sets, reveal_states = agreement.sets, agreement.reveal_states
     count = params.num_choices
     identity = np.eye(count)
-    amplitudes = np.array([[e.amplitudes for e in s.elements] for s in sets])  # [c, k, x]
-    reveals = np.array([r.state.amplitudes for r in reveal_states])
+    amplitudes = np.array([s.vectors for s in sets])  # [c, k, x]
+    reveals = np.array([r.amplitudes for r in reveal_states])
     reveal_gram = reveals.conj() @ reveals.T  # <G_c|G_c'>
 
     # one Gram block per pair of sets c <= c', gram[c' - c, k, j] =
@@ -305,15 +285,15 @@ def audit_scheme(params: SchemeParams) -> list[AuditCheck]:
 
     # stabilizer generators, plus the odd-parity negative control
     try:
-        for r in reveal_states:
-            stabilizer_audit(r)
+        for c, r in enumerate(reveal_states):
+            stabilizer_audit(r, c)
         record("stabilizer-eigenoperators", True)
     except SchemeAuditError as exc:
         record("stabilizer-eigenoperators", False, str(exc))
     odd_ok = True
     n = params.num_bob_qubits
     for r in reveal_states:
-        expectations = pauli_z_expectations(r.state).tolist()
+        expectations = pauli_z_expectations(r).tolist()
         for z in range(2**n):
             if bin(z).count("1") % 2 == 0:
                 continue
@@ -327,11 +307,11 @@ def audit_scheme(params: SchemeParams) -> list[AuditCheck]:
     # all valid products across all choices pairwise orthogonal
     record("valid-products-orthogonal", products <= ATOL, f"max |gram - I| = {products:.2e}")
 
-    # each reveal measurement is the 2^n elements of its set (+ reject)
-    bases_ok = all(
-        np.array_equal(b.vectors, amplitudes[c]) for c, b in enumerate(agreement.measurements)
-    )
-    record("reveal-bases-complete", bases_ok)
+    # row k of set c is (|x_k> + |x_k XOR d_c>)/sqrt(2) for the k-th XOR pair
+    pairs = np.array([xor_pairs(params, c) for c in range(count)])  # [c, k, 2]
+    expected = np.zeros_like(amplitudes)
+    np.put_along_axis(expected, pairs, INV_SQRT2, axis=-1)
+    record("reveal-bases-complete", np.array_equal(amplitudes, expected))
 
     return checks
 

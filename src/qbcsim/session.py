@@ -282,7 +282,8 @@ def alice_commit(
 
     ``element`` picks the set element; None draws uniformly. With
     ``parent="S"`` the payload is the computational basis state bound to
-    the choice instead (reduced-qubit variant).
+    the choice instead (reduced-qubit variant), which has no element to
+    pick: ``element`` must then be None.
     """
     params = agreement.params
     if not 0 <= choice < params.num_choices:
@@ -292,8 +293,10 @@ def alice_commit(
             element = int(as_generator(rng).integers(params.num_choices))
         if not 0 <= element < params.num_choices:
             raise ValueError(f"element index {element} out of range")
-        payload = agreement.sets[choice].elements[element]
+        payload = agreement.sets[choice].vector(element)
     elif parent == PARENT_S:
+        if element is not None:
+            raise ValueError(f"a parent-S commit has no element to pick, got {element}")
         element = choice
         payload = computational_basis(2**params.num_alice_qubits).vector(choice)
     else:
@@ -338,7 +341,7 @@ def bob_verify(state: SessionState, *, rng) -> tuple[SessionState, Verdict, Veri
     state.expect(Verdict)
     commit, _, reveal = state.transcript
     if reveal.parent == PARENT_B:
-        basis = state.agreement.measurements[reveal.choice]
+        basis = state.agreement.sets[reveal.choice]
         outcome = measure(commit.state, basis, rng)
         accepted = outcome < len(basis.vectors)
     else:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qbcsim.quantum import ATOL, _frozen_array
-from qbcsim.scheme import CommitmentSet, RevealAgreement, SchemeParams, build_sets
+from qbcsim.scheme import RevealAgreement, SchemeParams, build_reveal_agreement
 
 #: Eigenvalues below this are treated as zero on the support of an
 #: average state (rank-deficient mixtures are generic here).
@@ -86,16 +86,11 @@ class EnsembleMixture:
 
 def ensemble_mixture(params: SchemeParams, choice: int) -> EnsembleMixture:
     """Uniform mixture of projectors onto the elements of one set."""
-    return _set_mixture(build_sets(params)[choice])
-
-
-def _set_mixture(commitment_set: CommitmentSet) -> EnsembleMixture:
-    elements = commitment_set.elements
-    dim = elements[0].dimension
-    rho = np.zeros((dim, dim), dtype=complex)
+    elements = build_reveal_agreement(params).sets[choice].vectors
+    rho = np.zeros((elements.shape[1],) * 2, dtype=complex)
     for elem in elements:
-        rho += np.outer(elem.amplitudes, elem.amplitudes.conj())
-    return EnsembleMixture(commitment_set.choice, HermitianMatrix(rho / len(elements)))
+        rho += np.outer(elem, elem.conj())
+    return EnsembleMixture(choice, HermitianMatrix(rho / len(elements)))
 
 
 def helstrom_bound(rho1: EnsembleMixture, rho2: EnsembleMixture) -> float:
@@ -146,7 +141,7 @@ def flip_valid_mass_table(agreement: RevealAgreement) -> np.ndarray:
     Q_c = (I + X^{d_c})/2 and X^d permutes indices by XOR, so the mass is
     (|psi|^2 + Re sum_x conj(psi_x) psi_{x^d}) / (2 |psi|^2).
     """
-    elements = np.array([[e.amplitudes for e in s.elements] for s in agreement.sets])
+    elements = np.array([s.vectors for s in agreement.sets])
     conj, norm2 = elements.conj(), np.sum(np.abs(elements) ** 2, axis=-1)
     index = np.arange(elements.shape[-1])
     return np.stack([(norm2 + np.sum((conj * elements[..., index ^ d]).real, axis=-1))

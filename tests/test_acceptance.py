@@ -59,11 +59,11 @@ def test_criterion_1_table_reproduction():
             worst = max(
                 worst,
                 np.abs(
-                    agreement.sets[c].elements[k].amplitudes - element.amplitudes
+                    agreement.sets[c].vector(k).amplitudes - element.amplitudes
                 ).max(),
                 np.abs(
                     tensor(
-                        agreement.sets[c].elements[k], agreement.reveal_states[c].state
+                        agreement.sets[c].vector(k), agreement.reveal_states[c]
                     ).amplitudes
                     - product.amplitudes
                 ).max(),
@@ -91,7 +91,7 @@ def test_criterion_2_completeness():
             basis = product_measurement(agreement, c)
             for k in range(m):
                 product = tensor(
-                    agreement.sets[c].elements[k], agreement.reveal_states[c].state
+                    agreement.sets[c].vector(k), agreement.reveal_states[c]
                 )
                 dist = born_distribution(product, basis)
                 dists[(c, k)] = dist

@@ -86,7 +86,7 @@ def jacobi_eigenvalues(matrix, sweeps=60):
 def acceptance_by_inner_products(agreement, held, claimed):
     """Oracle: sum of |<valid product|held (x) G_claimed>|^2 without using
     born_distribution."""
-    product = tensor(held, agreement.reveal_states[claimed].state)
+    product = tensor(held, agreement.reveal_states[claimed])
     basis = product_measurement(agreement, claimed)
     return sum(abs(inner(basis.vector(k), product)) ** 2 for k in range(len(basis.vectors)))
 
@@ -95,7 +95,7 @@ def acceptance_by_born_distribution(agreement, held, claimed, basis):
     """Oracle: Born distribution of held (x) G_claimed on ``basis``, the
     product-space reveal measurement of the claimed choice, summed over
     valid outcomes."""
-    product = tensor(held, agreement.reveal_states[claimed].state)
+    product = tensor(held, agreement.reveal_states[claimed])
     return born_distribution(product, basis)[:len(basis.vectors)].sum()
 
 
@@ -111,10 +111,10 @@ def test_valid_mass_table_matches_born_oracle(agreements):
             assert table.shape == (m, m, m)
             bases = [product_measurement(agreement, claim) for claim in range(m)]
             for c in range(m):
-                for k, elem in enumerate(agreement.sets[c].elements):
+                for k in range(m):
                     for claim in range(m):
                         oracle = acceptance_by_born_distribution(
-                            agreement, elem, claim, bases[claim]
+                            agreement, agreement.sets[c].vector(k), claim, bases[claim]
                         )
                         assert abs(table[c, k, claim] - oracle) < 1e-12
             # the Walsh formula holds for any held state, not only set elements
@@ -143,8 +143,8 @@ def test_sampled_thresholds_within_an_ulp_of_born_rows(agreements):
         m = 2**n
         table = analysis._valid_mass_table(agreement)
         for c, k, claim in np.ndindex(table.shape):
-            dist = born_distribution(agreement.sets[c].elements[k],
-                                     agreement.measurements[claim])
+            dist = born_distribution(agreement.sets[c].vector(k),
+                                     agreement.sets[claim])
             cdf = analysis._choice_cdf(dist)
             assert abs(table[c, k, claim] - cdf[m - 1]) <= 2.0**-52, (n, c, k, claim)
 
@@ -169,7 +169,7 @@ def test_exact_masses_equal_closed_form(agreements):
 
 def test_exact_analysis_calls_born_only_from_s_protocol(agreements, monkeypatch):
     # one exact report: the m + m^2 parent-S Born rows once, the valid-mass
-    # table once, and no set rebuilt
+    # table once, and no agreement rebuilt
     calls = collections.Counter()
 
     def counting(name, real):
@@ -180,8 +180,10 @@ def test_exact_analysis_calls_born_only_from_s_protocol(agreements, monkeypatch)
 
     for name in ("born_distribution", "_valid_mass_table"):
         monkeypatch.setattr(analysis, name, counting(name, getattr(analysis, name)))
-    monkeypatch.setattr(scheme, "build_sets", counting("build_sets", scheme.build_sets))
-    assert not hasattr(analysis, "build_sets")  # so no set can be rebuilt past the patch
+    monkeypatch.setattr(scheme, "build_reveal_agreement",
+                        counting("build_reveal_agreement", scheme.build_reveal_agreement))
+    # so no agreement can be rebuilt past the patch
+    assert not hasattr(analysis, "build_reveal_agreement")
     for n in (1, 2, 3, 4):
         m = 2**n
         calls.clear()
@@ -404,7 +406,7 @@ def test_alice_cheat_matches_inner_product_oracle(agreements):
                 for claim in range(2**n):
                     got = alice_cheat_acceptance(agreement, c, k, claim)
                     oracle = acceptance_by_inner_products(
-                        agreement, agreement.sets[c].elements[k], claim
+                        agreement, agreement.sets[c].vector(k), claim
                     )
                     assert abs(got - oracle) < 1e-10
 
@@ -447,8 +449,8 @@ def test_wrong_coupling_table(cointoss_agreement):
     for (c, k, claim), amplitudes in expected.items():
         assert (c, k, claim) in by_key
         product = tensor(
-            cointoss_agreement.sets[c].elements[k],
-            cointoss_agreement.reveal_states[claim].state,
+            cointoss_agreement.sets[c].vector(k),
+            cointoss_agreement.reveal_states[claim],
         )
         assert_allclose(product.amplitudes, amplitudes, atol=1e-12)
 
@@ -473,7 +475,7 @@ def enumerate_update_on_reject(agreement):
     total = 0.0
     for c in range(m):
         for k in range(m):
-            held = agreement.sets[c].elements[k]
+            held = agreement.sets[c].vector(k)
             for g in range(m):
                 p_acc = acceptance_by_inner_products(agreement, held, g)
                 if g == c:
@@ -644,7 +646,7 @@ def enumerate_s_protocol(agreement, p_s):
         success_for(np.eye(width)[c], c) for c in range(m)
     ) / m
     b_branch = sum(
-        success_for(agreement.sets[c].elements[k].amplitudes, c)
+        success_for(agreement.sets[c].vectors[k], c)
         for c in range(m)
         for k in range(m)
     ) / m**2
@@ -707,7 +709,7 @@ def test_table_and_direct_paths_agree_exactly(agreements):
     for n in (1, 2, 3, 4):
         agreement = agreements[n]
         table = analysis._valid_mass_table(agreement)
-        elements = [np.array([e.amplitudes for e in s.elements]) for s in agreement.sets]
+        elements = [s.vectors for s in agreement.sets]
         for c in range(2**n):
             for claim in range(2**n):
                 masses = analysis._valid_mass(elements[c], [agreement.params.masks[claim]])[:, 0]

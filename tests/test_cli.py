@@ -67,10 +67,13 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         except SystemExit as exc:  # argparse rejects the flag itself
             return exc.code
 
-    bad_moves = []  # each names no choice, element, parent or key of an n=1 session
+    # each names no choice, element, parent or key of an n=1 session, a
+    # choice twice, or an element that a parent-S commit would drop
+    bad_moves = []
     lines = ("choice=x", "element=2", "reveal=-1", "guess=heads", "toss=1.0",
              "choice=" + "1" * 5000,  # more digits than int() converts
-             "parent=s", "parent=Q", "choise=1", "reveel=0")
+             "parent=s", "parent=Q", "choise=1", "reveel=0",
+             "choice=1\nparent=S\nelement=0", "choice=1\ntoss=0")
     for i, line in enumerate(lines):
         path = tmp_path / f"bad{i}.txt"
         path.write_text(line + "\n")

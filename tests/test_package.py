@@ -4,15 +4,15 @@ import qbcsim
 
 PUBLIC_NAMES = [
     "ATOL", "AliceScript", "AuditCheck", "BobScript", "CheatReport", "Commit",
-    "CommitmentSet", "Guess", "HandshakeError", "INV_SQRT2", "MAX_N",
+    "Guess", "HandshakeError", "INV_SQRT2", "MAX_N",
     "MeasurementBasis", "PRESET_DEFAULT_MASKS", "PRESET_PAPER_COINTOSS", "Phase",
-    "Reveal", "RevealAgreement", "RevealState", "STRATEGIES", "STRATEGY_DECLARE_PRIOR",
+    "Reveal", "RevealAgreement", "STRATEGIES", "STRATEGY_DECLARE_PRIOR",
     "STRATEGY_UPDATE_ON_REJECT", "SchemeAuditError", "SchemeParams", "SessionResult",
     "SessionState", "StateVector", "Verdict", "VerificationResult",
     "alice_cheat_acceptance", "alice_cheat_report", "alice_commit", "alice_reveal",
     "apply_gate", "as_generator", "audit_scheme", "block_cheat_report",
     "bob_guess", "bob_premature_strategy", "bob_reveal_state", "bob_verify",
-    "born_distribution", "build_reveal_agreement", "build_sets",
+    "born_distribution", "build_reveal_agreement",
     "computational_basis", "decode_message", "descriptor_text",
     "discrimination_bounds", "encode_message", "inner", "ket_string",
     "make_basis_state", "measure", "random_state", "run_full_analysis",

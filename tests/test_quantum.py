@@ -241,6 +241,9 @@ def test_partial_basis_measures_rows_plus_complement():
     assert np.array_equal(basis.vectors, rows)  # rows kept in the given order
     assert basis.dimension == 4
     assert basis.vector(0) == pair("10", "11")
+    for k in (-1, len(rows)):  # a row index, not wrapped and not the reject outcome
+        with pytest.raises(ValueError, match="not in 0..1"):
+            basis.vector(k)
     with pytest.raises(ValueError, match="orthonormal"):
         MeasurementBasis([make_basis_state("00").amplitudes, pair("00", "11").amplitudes])
     for shape_error in (

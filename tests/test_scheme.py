@@ -10,6 +10,7 @@ here by ``product_measurement``, is the oracle it is checked against.
 """
 
 import dataclasses
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from numpy.testing import assert_allclose
 
 from qbcsim import analysis, quantum, scheme
 from qbcsim.quantum import (
+    INV_SQRT2,
     MeasurementBasis,
     StateVector,
     born_distribution,
@@ -30,14 +32,11 @@ from qbcsim.quantum import (
 )
 from qbcsim.scheme import (
     MAX_N,
-    CommitmentSet,
     SchemeAuditError,
     SchemeParams,
-    RevealState,
     audit_scheme,
     bob_reveal_state,
     build_reveal_agreement,
-    build_sets,
     descriptor_text,
     pauli_x_all_expectation,
     pauli_z_expectations,
@@ -57,9 +56,9 @@ def product_measurement(agreement, claimed: int) -> MeasurementBasis:
     """Oracle: Bob's coupled reveal measurement for ``claimed`` in the
     (2n+1)-qubit product space, row k = element k of set ``claimed``
     tensored with reveal state ``claimed``, plus the reject outcome."""
-    reveal = agreement.reveal_states[claimed].state
-    return MeasurementBasis([tensor(e, reveal).amplitudes
-                             for e in agreement.sets[claimed].elements])
+    reveal = agreement.reveal_states[claimed]
+    return MeasurementBasis([tensor(agreement.sets[claimed].vector(k), reveal).amplitudes
+                             for k in range(agreement.num_choices)])
 
 
 def test_scheme_params_validation():
@@ -110,7 +109,7 @@ def test_build_sets_matches_golden_files(cointoss_agreement):
     for c in range(2):
         for k in range(2):
             expected = load_golden(f"cointoss_set{c}_elem{k}")
-            got = cointoss_agreement.sets[c].elements[k]
+            got = cointoss_agreement.sets[c].vector(k)
             assert_allclose(got.amplitudes, expected.amplitudes, atol=1e-12)
 
 
@@ -127,7 +126,7 @@ def test_reveal_state_closed_form():
     for n in (1, 2, 3, 4):
         params = SchemeParams.default(n)
         for c in range(params.num_choices):
-            state = bob_reveal_state(params, c).state
+            state = bob_reveal_state(params, c)
             c1 = (c >> (n - 1)) & 1
             tail = c & ((1 << (n - 1)) - 1)
             flipped = tail ^ ((1 << (n - 1)) - 1)
@@ -140,24 +139,63 @@ def test_reveal_state_closed_form():
 
 
 def test_reveal_states_cointoss_preset(cointoss_agreement):
-    plus, minus = (r.state.amplitudes for r in cointoss_agreement.reveal_states)
+    plus, minus = (r.amplitudes for r in cointoss_agreement.reveal_states)
     assert_allclose(plus, [np.sqrt(0.5), np.sqrt(0.5)], atol=1e-15)
     assert_allclose(minus, [np.sqrt(0.5), -np.sqrt(0.5)], atol=1e-15)
 
 
 def test_agreement_basis_shape(agreements):
-    # each reveal measurement is the 2^n elements of set c (+ reject) on
-    # Alice's register, row k being element k of set c
+    # set c is its reveal measurement on Alice's register: the 2^n elements
+    # (+ reject), row k being (|x> + |y>)/sqrt(2) for the k-th XOR pair (x, y)
     for n, agreement in agreements.items():
         count = 2**n
         dim = 2 ** (n + 1)
-        sets = build_sets(agreement.params)
-        assert len(agreement.measurements) == count
-        for c, basis in enumerate(agreement.measurements):
+        assert [f.name for f in dataclasses.fields(agreement)] == [
+            "params", "sets", "reveal_states"]
+        assert len(agreement.sets) == len(agreement.reveal_states) == count
+        for c, basis in enumerate(agreement.sets):
+            assert isinstance(basis, MeasurementBasis)
             assert basis.dimension == dim
             assert basis.vectors.shape == (count, dim)
-            for k in range(count):
-                assert_allclose(basis.vectors[k], sets[c].elements[k].amplitudes, atol=1e-15)
+            for k, (x, y) in enumerate(xor_pairs(agreement.params, c)):
+                expected = np.zeros(dim, dtype=complex)
+                expected[[x, y]] = INV_SQRT2
+                assert basis.vector(k).amplitudes.tobytes() == expected.tobytes()
+            assert isinstance(agreement.reveal_states[c], StateVector)
+            assert agreement.reveal_states[c].num_qubits == n
+
+
+#: SHA-256 over every set's rows and then every reveal state's amplitudes,
+#: as complex128 bytes in choice order, keyed by (n, masks).
+AGREEMENT_PINS = {
+    (1, (1, 2)): "671eeb26268792712b3f3f7d10900db630a70fa2695640bb4b39eba52015ef7c",
+    (2, (1, 2, 3, 4)): "5b343662e2d2ba256d029814840caff5442dfdf0fdf1c3f088cdc6b9de24690f",
+    (3, tuple(range(1, 9))): "e78548d892bc6b90fc6f6c31793d56248949bc7714c5327c31d6ac5848a3d367",
+    (4, tuple(range(1, 17))): "8a76061d11e3bfc9bd071349e1f0f830d7c03d2dbd0773fb69ce912cb7ac85e2",
+    (5, tuple(range(1, 33))): "3ee35785adf5614e3d1c944f51c09f2e2c5555a31da720530fb36041d78921ee",
+    (6, tuple(range(1, 65))): "997b94b3c96ef3265d9b49ccbcdc67581362d5a1d760311e1ac9b43abab78f27",
+    (1, (1, 3)): "44d73408b4b5c500402306b08c799e9e6cfc495c4eb5925f6b6060d866cee618",
+    (2, (3, 1, 6, 5)): "317dc3b5cd856609691c2f99090b7a963f7603ac3ec1911716127b289f2d8382",
+    (3, (1, 10, 2, 13, 12, 8, 9, 6)):
+        "2a4a27951d2aa4e91ebcce59b96e57da9ce401f842c7efc7e2a1412dd67e1bd9",
+    (5, SchemeParams.random_masks(5, 7).masks):
+        "4dc2d30c7720f4d547c7def9875bba1c40ad748539b7f200affff7d2a8dcca08",
+}
+
+
+def test_agreement_bytes_pinned():
+    schemes = [SchemeParams.default(n) for n in range(1, MAX_N + 1)]
+    schemes += [SchemeParams.paper_cointoss(), SchemeParams.random_masks(2, 5),
+                SchemeParams.random_masks(3, 11), SchemeParams.random_masks(5, 7)]
+    assert [(p.num_bob_qubits, p.masks) for p in schemes] == list(AGREEMENT_PINS)
+    for params in schemes:
+        agreement = build_reveal_agreement(params)
+        digest = hashlib.sha256()
+        for basis in agreement.sets:
+            digest.update(basis.vectors.tobytes())
+        for reveal in agreement.reveal_states:
+            digest.update(reveal.amplitudes.tobytes())
+        assert digest.hexdigest() == AGREEMENT_PINS[params.num_bob_qubits, params.masks]
 
 
 def test_register_measurement_equals_product_measurement(agreements):
@@ -167,14 +205,14 @@ def test_register_measurement_equals_product_measurement(agreements):
     rng = np.random.default_rng(31)
     for n, agreement in agreements.items():
         for c in range(agreement.num_choices):
-            reveal = agreement.reveal_states[c].state
+            reveal = agreement.reveal_states[c]
             oracle = product_measurement(agreement, c)
-            held = [e for s in (c, (c + 1) % agreement.num_choices)
-                    for e in agreement.sets[s].elements]
+            held = [agreement.sets[s].vector(k) for s in (c, (c + 1) % agreement.num_choices)
+                    for k in range(agreement.num_choices)]
             held += [random_state(n + 1, rng) for _ in range(5)]
             for psi in held:
                 assert_allclose(
-                    born_distribution(psi, agreement.measurements[c]),
+                    born_distribution(psi, agreement.sets[c]),
                     born_distribution(tensor(psi, reveal), oracle),
                     atol=1e-12,
                 )
@@ -187,8 +225,8 @@ def test_factorised_product_gram_matches_explicit_gram(agreements):
         m = agreement.num_choices
         stacked = np.concatenate([product_measurement(agreement, c).vectors for c in range(m)])
         explicit = stacked.conj() @ stacked.T
-        elements = np.array([e.amplitudes for s in agreement.sets for e in s.elements])
-        reveals = np.array([r.state.amplitudes for r in agreement.reveal_states])
+        elements = np.concatenate([s.vectors for s in agreement.sets])
+        reveals = np.array([r.amplitudes for r in agreement.reveal_states])
         factorised = (elements.conj() @ elements.T) * np.kron(
             reveals.conj() @ reveals.T, np.ones((m, m))
         )
@@ -215,9 +253,10 @@ def test_pauli_expectations_against_dense_oracle():
 
 def test_stabilizer_audit_passes_for_reveal_states(agreements):
     for n, agreement in agreements.items():
-        for reveal in agreement.reveal_states:
-            report = stabilizer_audit(reveal)
-            c1 = (reveal.choice >> (n - 1)) & 1
+        for c, reveal in enumerate(agreement.reveal_states):
+            report = stabilizer_audit(reveal, c)
+            c1 = (c >> (n - 1)) & 1
+            assert report.choice == c
             assert report.x_eigenvalue == (-1) ** c1
             assert set(report.z_eigenvalues.values()) <= {1, -1}
             assert all(bin(z).count("1") % 2 == 0 for z in report.z_eigenvalues)
@@ -226,16 +265,16 @@ def test_stabilizer_audit_passes_for_reveal_states(agreements):
 def test_stabilizer_audit_rejects_non_eigen_state():
     from qbcsim.quantum import make_basis_state
 
-    fake = RevealState(0, make_basis_state("00"))  # X^(x)2 expectation is 0
-    with pytest.raises(SchemeAuditError):
-        stabilizer_audit(fake)
+    fake = make_basis_state("00")  # X^(x)2 expectation is 0
+    with pytest.raises(SchemeAuditError, match="for choice 3"):
+        stabilizer_audit(fake, 3)
 
 
 def test_cross_set_overlaps(cointoss_agreement):
     # |<e_{c,k}|e_{c',p}>| for every element and every other set: exactly
     # two partners, each of magnitude 1/2; the audit makes the same check
     sets = cointoss_agreement.sets
-    elements = np.array([[e.amplitudes for e in s.elements] for s in sets])  # [c, k, x]
+    elements = np.array([s.vectors for s in sets])  # [c, k, x]
     magnitudes = np.abs(np.einsum("akx,bpx->abkp", elements.conj(), elements))
     rows = [magnitudes[a, b, k] for a in range(2) for b in range(2) if b != a for k in range(2)]
     assert len(rows) == 4  # 2 sets x 2 elements x 1 other set
@@ -249,8 +288,8 @@ def test_cross_set_overlaps(cointoss_agreement):
 
 def test_cross_set_overlap_values_by_hand(cointoss_agreement):
     # (|00>+|01>)/sqrt(2) vs (|00>+|11>)/sqrt(2): shared term |00> -> 1/2
-    a = cointoss_agreement.sets[0].elements[0]
-    b = cointoss_agreement.sets[1].elements[0]
+    a = cointoss_agreement.sets[0].vector(0)
+    b = cointoss_agreement.sets[1].vector(0)
     assert abs(inner(a, b) - 0.5) < 1e-12
 
 
@@ -281,17 +320,25 @@ def test_audit_scheme_flags_tampered_agreements(monkeypatch):
         return {c.name for c in audit_scheme(params) if not c.passed}
 
     sets = list(honest.sets)
-    sets[1] = CommitmentSet(1, sets[0].elements)  # set 1 no longer overlaps set 0 at 1/2
+    sets[1] = sets[0]  # set 1 no longer overlaps set 0 at 1/2
     assert failed_checks(sets=tuple(sets)) == {
         "cross-set-two-partners-overlap-half", "reveal-bases-complete"}
-    # an even superposition of set 0 meets all four of its elements at 1/2
-    spread = StateVector(3, sum(e.amplitudes for e in honest.sets[0].elements) / 2)
-    sets[1] = CommitmentSet(1, (spread,) + honest.sets[1].elements[1:])
+    # an even superposition of set 0 meets all four of its elements at 1/2;
+    # the rows are no longer orthonormal, so they are put in past the check
+    rows = honest.sets[1].vectors.copy()
+    rows[0] = honest.sets[0].vectors.sum(axis=0) / 2
+    sets[1] = MeasurementBasis(honest.sets[1].vectors)
+    object.__setattr__(sets[1], "vectors", rows)
     assert failed_checks(sets=tuple(sets)) == {
         "within-set-orthogonality", "two-term-equal-superposition-cover",
         "cross-set-two-partners-overlap-half", "valid-products-orthogonal", "reveal-bases-complete"}
+    # two rows of one set swapped: still a valid set of the same span, but
+    # element k is no longer the k-th XOR pair of the scheme
+    sets = list(honest.sets)
+    sets[2] = MeasurementBasis(honest.sets[2].vectors[[1, 0, 2, 3]])
+    assert failed_checks(sets=tuple(sets)) == {"reveal-bases-complete"}
     reveals = list(honest.reveal_states)
-    reveals[1] = RevealState(1, reveals[0].state)  # products of choices 0 and 1 overlap
+    reveals[1] = reveals[0]  # products of choices 0 and 1 overlap
     assert failed_checks(reveal_states=tuple(reveals)) == {
         "reveal-states-orthonormal", "valid-products-orthogonal"}
 
@@ -331,14 +378,11 @@ def test_honest_products_are_distinguishable(cointoss_agreement):
     for c in range(2):
         basis = product_measurement(cointoss_agreement, c)
         for k in range(2):
-            product = tensor(
-                cointoss_agreement.sets[c].elements[k],
-                cointoss_agreement.reveal_states[c].state,
-            )
+            held = cointoss_agreement.sets[c].vector(k)
+            product = tensor(held, cointoss_agreement.reveal_states[c])
             dist = born_distribution(product, basis)
             assert abs(dist[k] - 1.0) < 1e-12
-            held = cointoss_agreement.sets[c].elements[k]
-            dist = born_distribution(held, cointoss_agreement.measurements[c])
+            dist = born_distribution(held, cointoss_agreement.sets[c])
             assert abs(dist[k] - 1.0) < 1e-12
 
 

@@ -62,7 +62,7 @@ HASH = "0" * 64
 def test_message_round_trips(cointoss_agreement):
     real_hash = scheme_hash(cointoss_agreement.params)
     messages = [
-        Commit(cointoss_agreement.sets[0].elements[0]),
+        Commit(cointoss_agreement.sets[0].vector(0)),
         Guess(1),
         Reveal(0),
         Reveal(1, PARENT_S),
@@ -159,7 +159,7 @@ def test_phase_ladder_and_transcript(cointoss_agreement):
     assert state.phase is Phase.COMMITTED
     assert state.alice_private.choice == 0
     assert state.alice_private.element == 1
-    assert commit.state == cointoss_agreement.sets[0].elements[1]
+    assert commit.state == cointoss_agreement.sets[0].vector(1)
     assert len(state.transcript) == 1
 
     state, guess = bob_guess(state, 1)
@@ -196,6 +196,9 @@ def test_commit_input_validation(cointoss_agreement):
         alice_commit(cointoss_agreement, 0, 9, rng=0)
     with pytest.raises(ValueError):
         alice_commit(cointoss_agreement, 0, 0, rng=0, parent="Q")
+    for element in (0, 1, 3):  # a parent-S commit has no element to pick
+        with pytest.raises(ValueError, match="no element"):
+            alice_commit(cointoss_agreement, 1, element, rng=0, parent=PARENT_S)
     state, _ = alice_commit(cointoss_agreement, 0, 0, rng=0)
     with pytest.raises(ValueError):
         bob_guess(state, 2)
@@ -385,7 +388,7 @@ def test_near_unit_commits_are_wire_errors_or_verified(cointoss_agreement, paren
     # at the commit; one just inside the bound verifies without raising
     agreement = cointoss_agreement
     digest = scheme_hash(agreement.params)
-    held = (agreement.sets[0].elements[0] if parent == PARENT_B
+    held = (agreement.sets[0].vector(0) if parent == PARENT_B
             else computational_basis(4).vector(0)).amplitudes
     for scale in (1 + 0.8e-9, 1 - 0.8e-9):
         bob = BobEndpoint(agreement, BobScript(guess=0), 2)
