@@ -15,14 +15,17 @@ own (the same masses bit for bit). Born distributions are left to the
 parent-S sweep, over the computational basis, at p_S = 0, 0.1, ..., 1.
 At n=6, on a shared 2-core machine, the table takes about 0.03 s of a
 0.3-0.45 s exact report, the 258 048 wrong-coupling row dicts 0.2 s and
-the m + m^2 parent-S Born rows 0.1 s; 200 trials add about 0.04 s.
+the m + m^2 parent-S Born rows 0.1 s; 200 or 2000 trials add about
+0.08 s, most of it the eight block reports each indexing the table anew.
 
 Each sampler draws one uniform per sampled row from a single
 ``rng.random(rows)`` call, and row i takes the i-th uniform. A
 verification is accepted when its uniform is below the exact valid mass.
-The parent-S sampler forms no outcome: u picks outcome c exactly when
-cdf[c-1] <= u < cdf[c], so its hits are counted from the uniforms and,
-past cdf[m-1], the rows' guesses.
+Rows are drawn only for what a trial reads: only the K-block trials still
+alive play the next block, and each parent-S point splits its trials by
+parent with one binomial draw. That sampler forms no outcome: u picks
+outcome c exactly when cdf[c-1] <= u < cdf[c], so its hits are counted
+from the uniforms; the rows past cdf[m-1] then draw guesses, in row order.
 
 Discrimination bounds (two-hypothesis optimum and the square-root
 measurement) bound what any pre-reveal strategy could achieve, so the
@@ -234,11 +237,12 @@ def _sampled_acceptance(thresholds: np.ndarray, group_index: np.ndarray, rng) ->
 
 
 def _declared_hits(cdfs: np.ndarray, committed: np.ndarray, choices: int,
-                   group_index: np.ndarray, guesses: np.ndarray, rng) -> int:
+                   group_index: np.ndarray, rng) -> int:
     """Rows whose declared choice is the committed one, where row i samples
     an outcome o from cdfs[group_index[i]] with the i-th uniform of one
-    ``rng.random`` call, declares o when o < m = ``choices`` and its guess
-    otherwise; committed[g] is the choice group g holds.
+    ``rng.random`` call, declares o when o < m = ``choices`` and otherwise
+    the next guess of one ``rng.integers(m)`` call; committed[g] is the
+    choice group g holds.
 
     No outcome is formed: u picks outcome c exactly when
     cdf[c - 1] <= u < cdf[c], and an outcome >= m exactly when
@@ -250,8 +254,9 @@ def _declared_hits(cdfs: np.ndarray, committed: np.ndarray, choices: int,
     guessing = cdfs[:, choices - 1]
     u = rng.random(len(group_index))
     declared = (lower[group_index] <= u) & (u < upper[group_index])
-    guessed = (u >= guessing[group_index]) & (guesses == committed[group_index])
-    return int(np.count_nonzero(declared | guessed))
+    guessers = group_index[u >= guessing[group_index]]
+    guesses = rng.integers(choices, size=len(guessers))
+    return int(np.count_nonzero(declared) + np.count_nonzero(guesses == committed[guessers]))
 
 
 def _block_acceptance(table: np.ndarray) -> float:
@@ -287,12 +292,10 @@ def block_cheat_report(agreement: RevealAgreement, blocks: int, trials: int = 0,
     if trials > 0:
         gen = as_generator(rng)
         masses = table[_off_diagonal(table.shape)]
-        draw = gen.integers(len(masses), size=trials * blocks)
-        accepted = _sampled_acceptance(masses, draw, gen)
-        survived = accepted[::blocks].copy()  # trial t owns rows t*K .. t*K + K - 1
-        for b in range(1, blocks):
-            survived &= accepted[b::blocks]
-        hits = int(np.count_nonzero(survived))
+        hits = trials
+        for _ in range(blocks):  # only the trials still alive play the next block
+            draw = gen.integers(len(masses), size=hits)
+            hits = int(np.count_nonzero(_sampled_acceptance(masses, draw, gen)))
     return _finish_report(
         f"block-cheat K={blocks}",
         exact,
@@ -394,8 +397,8 @@ def s_protocol_sweep(
     The rule declares outcome o when o < 2^n and guesses uniformly
     otherwise. The exact value sums every (parent, choice, element, outcome)
     branch; the sampled estimate replays the same experiment. Every point
-    reads one set of m + m^2 Born rows; sampled points draw from ``rng`` in
-    order.
+    reads one set of m + m^2 Born rows; each sampled point splits its
+    trials by parent with one binomial draw from ``rng``.
     """
     params = agreement.params
     m = params.num_choices
@@ -422,12 +425,9 @@ def s_protocol_sweep(
         exact = p_s * success_s + (1.0 - p_s) * success_b
         hits = 0
         if trials > 0:
-            from_s = gen.random(trials) < p_s
-            cs = gen.integers(m, size=trials)
-            ks = gen.integers(m, size=trials)
-            guesses = gen.integers(m, size=trials)
-            combo = np.where(from_s, cs, m + cs * m + ks)
-            hits = _declared_hits(cdfs, committed, m, combo, guesses, gen)
+            from_s = gen.binomial(trials, p_s)  # the parent-S rows come first
+            combo = np.r_[gen.integers(m, size=from_s), m + gen.integers(m * m, size=trials - from_s)]
+            hits = _declared_hits(cdfs, committed, m, combo, gen)
         parameters = {"n": params.num_bob_qubits, "p_S": p_s}
         reports.append(_finish_report(f"assume-parent-S p_S={p_s:g}", exact, hits, trials, parameters))
     return tuple(reports)

@@ -17,7 +17,7 @@ Subcommands:
 
 Usage errors exit with code 2; so do scheme flags that name no valid
 scheme, which ``audit`` instead reports as a failed check, a negative
---seed, a --trials outside 0..``MAX_TRIALS`` (5 000 000, about 1 GB of
+--seed, a --trials outside 0..``MAX_TRIALS`` (5 000 000, about 300 MB of
 samples), a --port outside 0..65535, a move file that cannot be read, has
 a line without ``=``, names no choice, names both choice and toss, names
 an element with parent S or names a key or parent that does not exist,
@@ -428,10 +428,10 @@ def hex_mask(token: str) -> int:
     return int(token, 16)
 
 
-#: Largest ``--trials``. A sampled report holds about 200 bytes per trial
-#: (block-cheat K=8 draws eight rows per trial), measured as 37 MB peak RSS
-#: at 0 trials and 229 MB at 10^6 for n = 1 and 4, so the cap keeps a run
-#: under about 1 GB.
+#: Largest ``--trials``. A sampled report holds about 48 bytes per trial
+#: (the update-on-reject sampler's per-trial arrays), measured as 37 MB peak
+#: RSS at 0 trials, 85 MB at 10^6 and 276 MB at the cap for n = 1 and 4, so
+#: the cap keeps a run under about 300 MB.
 MAX_TRIALS = 5_000_000
 
 

@@ -14,6 +14,7 @@ import collections
 import inspect
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,10 +257,11 @@ def test_negative_trial_counts_rejected(cointoss_agreement):
 @example(n=3, groups=300, rows=3000, live_share=1.0, seed=2)  # every group live, most rows
 def test_one_draw_samplers_take_uniforms_in_row_order(n, groups, rows, live_share, seed):
     # the per-row reference: row i takes uniform i of one random(rows) call
-    # and samples outcome searchsorted(cdf[group_i], u_i, "right"); the
-    # samplers must give its acceptances (outcome below 2^n) and its hits of
-    # the declare-outcome-else-guess rule, and leave the generator where
-    # that one call leaves it
+    # and samples outcome searchsorted(cdf[group_i], u_i, "right"); then one
+    # integers(2^n) call gives the rows past the last choice their guesses,
+    # in row order. The samplers must give its acceptances (outcome below
+    # 2^n) and its hits of the declare-outcome-else-guess rule, and leave
+    # the generator where the reference leaves it
     data = np.random.default_rng(seed)
     weights = data.random((groups, 2**n + 1)) * (data.random((groups, 2**n + 1)) < 0.7)
     weights[np.arange(groups), data.integers(2**n + 1, size=groups)] += 0.5
@@ -271,16 +273,18 @@ def test_one_draw_samplers_take_uniforms_in_row_order(n, groups, rows, live_shar
     cdfs = analysis._choice_cdf(dists)
     thresholds = cdfs[:, 2**n - 1]
     committed = data.integers(2**n, size=groups)  # the choice each group holds
-    guesses = data.integers(2**n, size=rows)
 
-    def declared_hits(outcomes):
-        declared = np.where(outcomes < 2**n, outcomes, guesses)
-        return int(np.count_nonzero(declared == committed[group_index]))
+    def accepted(outcomes, reference):
+        return outcomes < 2**n
+
+    def declared_hits(outcomes, reference):
+        guesses = iter(reference.integers(2**n, size=int(np.count_nonzero(outcomes >= 2**n))))
+        declared = [o if o < 2**n else next(guesses) for o in outcomes]
+        return sum(int(d == committed[g]) for d, g in zip(declared, group_index))
 
     samplers = (
-        (lambda gen: analysis._sampled_acceptance(thresholds, group_index, gen),
-         lambda outcomes: outcomes < 2**n),
-        (lambda gen: analysis._declared_hits(cdfs, committed, 2**n, group_index, guesses, gen),
+        (lambda gen: analysis._sampled_acceptance(thresholds, group_index, gen), accepted),
+        (lambda gen: analysis._declared_hits(cdfs, committed, 2**n, group_index, gen),
          declared_hits),
     )
     for sampler, expected in samplers:
@@ -288,7 +292,7 @@ def test_one_draw_samplers_take_uniforms_in_row_order(n, groups, rows, live_shar
         uniforms = reference.random(rows)
         outcomes = np.array([cdfs[g].searchsorted(u, side="right")
                              for g, u in zip(group_index, uniforms)], dtype=np.int64)
-        want = expected(outcomes)
+        want = expected(outcomes, reference)
         got = sampler(one_draw)
         assert type(got) is type(want) and np.array_equal(got, want)
         if isinstance(got, np.ndarray):
@@ -317,13 +321,65 @@ def test_sampled_counts_keep_choice_ties(groups):
             assert size == len(uniforms)
             return uniforms
 
+        def integers(self, high, size):
+            assert high == 2
+            return guesses[:size]
+
     outcome = np.array([cdfs[g].searchsorted(u, side="right")
                         for g, u in zip(group_index, uniforms)])
-    declared = np.where(outcome < 2, outcome, guesses)
-    assert analysis._declared_hits(cdfs, committed, 2, group_index, guesses, Stub()) == \
+    declared = outcome.copy()
+    declared[outcome >= 2] = guesses[:np.count_nonzero(outcome >= 2)]  # in row order
+    assert analysis._declared_hits(cdfs, committed, 2, group_index, Stub()) == \
         np.count_nonzero(declared == committed[group_index])
     assert np.array_equal(analysis._sampled_acceptance(cdfs[:, 1], group_index, Stub()),
                           outcome < 2)
+
+
+class CountingGenerator(np.random.Generator):
+    """A Generator that counts the uniforms ``random`` hands out."""
+
+    uniforms = 0
+
+    def random(self, size, *args, **kwargs):
+        self.uniforms += size
+        return super().random(size, *args, **kwargs)
+
+
+@pytest.mark.parametrize("blocks, trials, seed", [(1, 500, 1), (3, 2000, 2), (8, 5000, 3)])
+def test_block_sampler_plays_only_surviving_trials(blocks, trials, seed):
+    # the reference keeps an alive flag per trial; each round, the trials
+    # still alive, in trial order, draw one (c, k, c') entry each and then
+    # one uniform each, and survive below that entry's mass. Varied masses
+    # make the drawn entries matter
+    table = np.random.default_rng(seed).random((4, 4, 4))
+    masses = table[analysis._off_diagonal(table.shape)]
+    reference = np.random.default_rng(seed)
+    alive = np.ones(trials, dtype=bool)
+    survivors = []
+    for _ in range(blocks):
+        playing = np.flatnonzero(alive)
+        draw = reference.integers(len(masses), size=len(playing))
+        alive[playing] = reference.random(len(playing)) < masses[draw]
+        survivors.append(int(np.count_nonzero(alive)))
+    gen = CountingGenerator(np.random.PCG64(seed))
+    agreement = build_reveal_agreement(SchemeParams.default(2))  # m = 4, as the table
+    report = block_cheat_report(agreement, blocks, trials, gen, table=table, acceptance=0.5)
+    assert report.estimate == survivors[-1] / trials
+    assert gen.bit_generator.state == reference.bit_generator.state
+    assert gen.uniforms == trials + sum(survivors[:-1])
+
+
+def test_block_sampler_memory_stays_small():
+    # a trial that failed a block draws nothing more: 10^6 trials of K = 8
+    # must peak under 64 bytes per trial
+    agreement = build_reveal_agreement(SchemeParams.default(1))
+    tracemalloc.start()
+    try:
+        block_cheat_report(agreement, 8, 10**6, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 10**6
 
 
 def test_block_acceptance_checked_once_per_report(monkeypatch):

@@ -338,8 +338,9 @@ def test_report_json_equals_json_dumps(trials):
 
 #: SHA-256 of ``report_json(run_full_analysis(...))``. The exact-only
 #: entries were recorded before the valid-mass table and the report rows
-#: were rebuilt for speed; the sampled ones when each sampler's row i first
-#: took the i-th uniform of its one draw.
+#: were rebuilt for speed; the sampled ones when block-cheat trials first
+#: played only while alive and the parent-S sweep first drew only what its
+#: rows read.
 REPORT_PINS = [
     (SchemeParams.default(3), 0, 0,
      "7081b8beb99411407a16683634624d50f6a2cd46e982d46b861417888d831fcd"),
@@ -350,15 +351,15 @@ REPORT_PINS = [
     (SchemeParams(4, (22, 21, 2, 4, 10, 14, 16, 24, 27, 8, 7, 12, 28, 1, 31, 11)), 0, 0,
      "4369e464e692fcc5d5104bdbe8d9d081950ee443c9bb2bdf29fed4211c36aa1b"),
     (SchemeParams.default(3), 500, 7,
-     "d0eb2cbeac7efee94782ba99a1fbca8a18b4f193bd9a0e0287f6deba13d69df3"),
+     "477dcc347e430819069c0338ab4dd5b50e051644513bbc913da437277b112da1"),
     # the monte-carlo benchmark's shape
     (SchemeParams.paper_cointoss(), 100_000, 0,
-     "2ef472ea7a76af2e586246db0cb9868cb0e08b1d13d9eb55665e352628790b12"),
+     "7303e391d41f94ef2cf9808ccd0bfb5fc8f46ed494986aae03cddbf788cd90ae"),
     # the shape of the CI n=4 smoke step
     (SchemeParams.default(4), 2000, 0,
-     "3942541cc2be26d497da9457265afb226cadd0b4139409021e16667e1820c5de"),
+     "b7c8e7dc65fc909bfcecf2cee8f714974c8f3221f03f3395be13affa8d022451"),
     (SchemeParams.default(5), 500, 3,
-     "22c5b5cbc604338c08f8479bbd0a6da4b330b674c65c85d23345279f903033ba"),
+     "1d136087135695af8c78c451561b4c0d6c9b4a26b1972c4ce6ddf3e1ff853a46"),
 ]
 
 
@@ -369,17 +370,17 @@ def test_report_bytes_pinned(params, trials, seed, digest):
 
 
 def test_flagged_monte_carlo_keeps_stdout_one_json_document(capsys):
-    # seed 3 flags block-cheat K=6 at 3 standard errors
-    assert main(["analyze", "--n", "1", "--trials", "2000", "--seed", "3", "--json"]) == 1
+    # seed 23 flags update-on-reject at 3 standard errors
+    assert main(["analyze", "--n", "1", "--trials", "2000", "--seed", "23", "--json"]) == 1
     captured = capsys.readouterr()
-    report = run_full_analysis(build_reveal_agreement(SchemeParams.default(1)), 2000, 3)
+    report = run_full_analysis(build_reveal_agreement(SchemeParams.default(1)), 2000, 23)
     assert captured.out == report_json(report) + "\n"
-    assert captured.err == "inconsistent monte carlo: block-cheat K=6\n"
+    assert captured.err == "inconsistent monte carlo: update-on-reject\n"
     # the human-readable table keeps the line off stdout as well
-    assert main(["analyze", "--n", "1", "--trials", "2000", "--seed", "3"]) == 1
+    assert main(["analyze", "--n", "1", "--trials", "2000", "--seed", "23"]) == 1
     captured = capsys.readouterr()
     assert "inconsistent" not in captured.out
-    assert captured.err == "inconsistent monte carlo: block-cheat K=6\n"
+    assert captured.err == "inconsistent monte carlo: update-on-reject\n"
 
 
 def test_parser_is_built_once_and_leaks_no_state(capsys, monkeypatch):
@@ -421,14 +422,13 @@ def test_analyze_human_table():
 
 
 def test_analyze_sampled_text_pinned(capsys):
-    # every section's Monte Carlo columns; block-cheat K=8 has no hit in 300
-    # trials, so its plug-in standard error is 0 and the run is flagged
-    assert main(["analyze", "--n", "2", "--trials", "300", "--seed", "5"]) == 1
+    # every section's Monte Carlo columns; no row is flagged
+    assert main(["analyze", "--n", "2", "--trials", "300", "--seed", "5"]) == 0
     captured = capsys.readouterr()
-    assert captured.err == "inconsistent monte carlo: block-cheat K=8\n"
+    assert captured.err == ""
     text = captured.out
     assert text.count("  mc ") == 1 + 8 + 2 + 11
-    digest = "af84329a477a2b760d476a95bb0f6252e0e6e7a89aa600b5bc679ee71843f9a7"
+    digest = "517715e3d79e316472bc981f66c039f769986250a2ffd46114a55c2a3b5151cf"
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
