@@ -32,11 +32,9 @@ from .quantum import (
     as_generator,
     born_distribution,
     computational_basis,
-    inner,
     ket_string,
     make_basis_state,
     measure,
-    random_state,
     state_from_text,
     state_to_text,
     tensor,
@@ -48,14 +46,12 @@ from .scheme import (
     PRESET_PAPER_COINTOSS,
     AuditCheck,
     RevealAgreement,
-    SchemeAuditError,
     SchemeParams,
     audit_scheme,
     bob_reveal_state,
     build_reveal_agreement,
     descriptor_text,
     scheme_hash,
-    stabilizer_audit,
     xor_pairs,
 )
 from .session import (

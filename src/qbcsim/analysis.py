@@ -14,9 +14,10 @@ wrong-coupling rows, and only a sampled cheat pair makes a report of its
 own (the same masses bit for bit). Born distributions are left to the
 parent-S sweep, over the computational basis, at p_S = 0, 0.1, ..., 1.
 At n=6, on a shared 2-core machine, the table takes about 0.03 s of a
-0.3-0.45 s exact report, the 258 048 wrong-coupling row dicts 0.2 s and
-the m + m^2 parent-S Born rows 0.1 s; 200 or 2000 trials add about
-0.08 s, most of it the eight block reports each indexing the table anew.
+0.35-0.4 s exact report, the 258 048 wrong-coupling row dicts 0.2 s and
+the m + m^2 parent-S Born rows 0.1-0.14 s; 200 or 2000 trials add under
+0.03 s, since each block report gathers its masses through one broadcast
+mask.
 
 Each sampler draws one uniform per sampled row from a single
 ``rng.random(rows)`` call, and row i takes the i-th uniform. A
@@ -140,18 +141,19 @@ def _cheat_means(table: np.ndarray) -> list[list[float]]:
     return np.ascontiguousarray(table.transpose(0, 2, 1)).mean(axis=-1).tolist()
 
 
-def _off_diagonal(shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays (c, k, c') of the entries with c' != c, in C order:
-    c, then k, then c'."""
-    c, _, claim = np.indices(shape)
-    return np.nonzero(c != claim)
+def _off_diagonal(shape) -> np.ndarray:
+    """Boolean mask of the (c, k, c') entries with c' != c, a read-only
+    broadcast of the m x m off-diagonal over k. Indexing with it reads the
+    entries in C order: c, then k, then c'."""
+    held, _, claim = shape
+    return np.broadcast_to(~np.eye(held, claim, dtype=bool)[:, None], shape)
 
 
 def _wrong_coupling_rows(table: np.ndarray):
     """(held choice, element, coupled choice, valid mass) per off-diagonal
     entry of ``table`` as Python ints and floats, in ``_off_diagonal`` order."""
-    index = _off_diagonal(table.shape)
-    return zip(*(i.tolist() for i in index), table[index].tolist())
+    mask = _off_diagonal(table.shape)
+    return zip(*(i.tolist() for i in np.nonzero(mask)), table[mask].tolist())
 
 
 #: The keys of a report's wrong-coupling row, in ``_wrong_coupling_rows`` order.

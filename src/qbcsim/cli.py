@@ -15,8 +15,13 @@ Subcommands:
   a malformed or out-of-phase frame, or a socket error: a refused
   connection, a port that cannot be bound, or a peer silent for 30 s.
 
+A stdout whose reader has gone, as with ``qbcsim analyze | head -1``, is
+an I/O failure like a session's socket error: the run ends with exit code
+2 and prints nothing more, no traceback either.
+
 Usage errors exit with code 2; so do scheme flags that name no valid
-scheme, which ``audit`` instead reports as a failed check, a negative
+scheme (such as ``--preset paper-cointoss``, the n=1 scheme, with any
+other --n), which ``audit`` instead reports as a failed check, a negative
 --seed, a --trials outside 0..``MAX_TRIALS`` (5 000 000, about 300 MB of
 samples), a --port outside 0..65535, a move file that cannot be read, has
 a line without ``=``, names no choice, names both choice and toss, names
@@ -37,6 +42,7 @@ import argparse
 import functools
 import json
 import operator
+import os
 import socket
 import sys
 from typing import NoReturn
@@ -80,10 +86,13 @@ COIN_NAMES = ("head", "tail")
 
 
 def resolve_params(args: argparse.Namespace) -> SchemeParams:
-    """Mask list wins over preset; bare --n falls back to default masks."""
+    """Mask list wins over preset; bare --n falls back to default masks. The
+    paper preset names the n=1 scheme, so any other --n with it names none."""
     if args.masks is not None:
         return SchemeParams(args.n, args.masks)
     if args.preset == PRESET_PAPER_COINTOSS:
+        if args.n != 1:
+            raise ValueError(f"preset {PRESET_PAPER_COINTOSS} is the n=1 scheme, got --n {args.n}")
         return SchemeParams.paper_cointoss()
     return SchemeParams.default(args.n)
 
@@ -514,7 +523,15 @@ def main(argv=None) -> int:
         "analyze": cmd_analyze,
         "session": cmd_session,
     }
-    return handlers[args.subcommand](args)
+    try:
+        code = handlers[args.subcommand](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader of stdout has gone, as with ``| head -1``: an I/O failure.
+        # Output still buffered would fail again at exit, so it goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -135,13 +135,6 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes))
 
 
-def inner(a: StateVector, b: StateVector) -> complex:
-    """<a|b>: conjugate-linear in ``a``, linear in ``b``."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("dimension mismatch in inner product")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
 def _check_qubit(q: int, n: int):
     if not 1 <= q <= n:
         raise ValueError(f"qubit index {q} out of range 1..{n}")
@@ -251,13 +244,6 @@ def measure(state: StateVector, basis: MeasurementBasis, rng) -> int:
     """Sample one outcome index with Born probabilities; deterministic per seed."""
     probs = born_distribution(state, basis)
     return int(as_generator(rng).choice(len(probs), p=probs))
-
-
-def random_state(num_qubits: int, rng) -> StateVector:
-    """Haar-ish random test state (normalized complex Gaussian amplitudes)."""
-    gen = as_generator(rng)
-    amps = gen.normal(size=2**num_qubits) + 1j * gen.normal(size=2**num_qubits)
-    return StateVector(num_qubits, amps / np.linalg.norm(amps))
 
 
 @functools.cache

@@ -21,8 +21,9 @@ of one set overlaps exactly two elements of every other set, each with
 inner product 1/2.
 
 The module also provides structural audits over all of the above, from
-one Gram block per pair of sets and one Walsh transform per reveal state
-(its Pauli-Z expectations for every mask).
+one Gram block per pair of sets and one Walsh table of the stacked reveal
+states: their Pauli-Z expectations for every mask, indexed [choice, mask],
+beside X^(x)n, with the mask parity classes as boolean arrays.
 """
 
 from __future__ import annotations
@@ -50,10 +51,6 @@ MAX_N = 6
 
 PRESET_PAPER_COINTOSS = "paper-cointoss"
 PRESET_DEFAULT_MASKS = "default-masks"
-
-
-class SchemeAuditError(AssertionError):
-    """A structural invariant of the agreement failed."""
 
 
 def _checked_num_bob_qubits(n: int) -> int:
@@ -175,53 +172,15 @@ def build_reveal_agreement(params: SchemeParams) -> RevealAgreement:
 # --- stabilizer audit ----------------------------------------------------
 
 
-def pauli_x_all_expectation(state: StateVector) -> float:
-    """<state| X^(x)n |state> (real for the states built here)."""
-    flipped = state.amplitudes[::-1]  # XOR with all-ones reverses the index order
-    return float(np.vdot(state.amplitudes, flipped).real)
-
-
-def pauli_z_expectations(state: StateVector) -> np.ndarray:
-    """<state| Z^z |state> for every z mask at once, indexed by z: the Walsh
-    transform of the basis probabilities, W[z, x] = (-1)^popcount(z AND x)."""
-    return walsh_matrix(state.num_qubits) @ np.abs(state.amplitudes) ** 2
-
-
-@dataclass(frozen=True)
-class StabilizerReport:
-    """Eigenvalues of the reveal state under its stabilizer generators."""
-
-    choice: int
-    x_eigenvalue: int
-    z_eigenvalues: dict[int, int]  # even-parity z mask -> +-1
-
-
-def stabilizer_audit(state: StateVector, choice: int) -> StabilizerReport:
-    """Check X^(x)n and every even-parity Z mask are +-1 eigenoperators of
-    ``state``, the reveal state of ``choice``.
-
-    Raises SchemeAuditError when any expectation deviates from +-1 by
-    more than 1e-9.
-    """
-    n = state.num_qubits
-    x_val = pauli_x_all_expectation(state)
-    if abs(abs(x_val) - 1.0) > ATOL:
-        raise SchemeAuditError(
-            f"X^n expectation {x_val} is not +-1 for choice {choice}"
-        )
-    expectations = pauli_z_expectations(state).tolist()
-    z_eigs = {}
-    for z in range(2**n):
-        if bin(z).count("1") % 2 != 0:
-            continue
-        val = expectations[z]
-        if abs(abs(val) - 1.0) > ATOL:
-            raise SchemeAuditError(
-                f"even-parity Z mask {z:#x} expectation {val} is not +-1 "
-                f"for choice {choice}"
-            )
-        z_eigs[z] = int(round(val))
-    return StabilizerReport(choice, int(round(x_val)), z_eigs)
+def _pauli_expectations(reveals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pauli expectations of the stacked states ``reveals`` [c, x] (real for
+    the states built here): <G_c|X^(x)n|G_c> per state, and <G_c|Z^z|G_c> for
+    every z mask, indexed [c, z], as the Walsh transform of the basis
+    probabilities, W[x, z] = (-1)^popcount(x AND z)."""
+    flipped = reveals[:, ::-1]  # XOR with all-ones reverses the index order
+    x_values = (reveals.conj() * flipped).sum(axis=-1).real
+    z_values = np.abs(reveals) ** 2 @ walsh_matrix(reveals.shape[-1].bit_length() - 1)
+    return x_values, z_values
 
 
 # --- whole-scheme audit --------------------------------------------------
@@ -283,26 +242,29 @@ def audit_scheme(params: SchemeParams) -> list[AuditCheck]:
     err = np.abs(reveal_gram - identity).max()
     record("reveal-states-orthonormal", err <= ATOL, f"max |gram - I| = {err:.2e}")
 
-    # stabilizer generators, plus the odd-parity negative control
-    try:
-        for c, r in enumerate(reveal_states):
-            stabilizer_audit(r, c)
-        record("stabilizer-eigenoperators", True)
-    except SchemeAuditError as exc:
-        record("stabilizer-eigenoperators", False, str(exc))
-    odd_ok = True
+    # stabilizer generators: X^(x)n and every even-parity Z mask are +-1
+    # eigenoperators of each reveal state. Operator 0 is X^(x)n and operator
+    # 1 + z is Z^z, so the first failing cell in C order is the first choice,
+    # X^(x)n before the Z masks in ascending order
     n = params.num_bob_qubits
-    for r in reveal_states:
-        expectations = pauli_z_expectations(r).tolist()
-        for z in range(2**n):
-            if bin(z).count("1") % 2 == 0:
-                continue
-            val = expectations[z]
-            if z < 2 ** (n - 1) and abs(val) > ATOL:  # z1 = 0 masks
-                odd_ok = False
-            if abs(val) >= 1.0 - 1e-6:
-                odd_ok = False
-    record("odd-z-masks-not-eigenoperators", odd_ok)
+    x_values, z_values = _pauli_expectations(reveals)
+    odd = walsh_matrix(n)[:, -1] < 0  # W[z, all-ones] = (-1)^popcount(z)
+    values = np.c_[x_values, z_values]
+    off = np.abs(np.abs(values) - 1.0) > ATOL
+    off[:, 1:] &= ~odd
+    detail = ""
+    if off.any():
+        c, op = (int(i) for i in np.argwhere(off)[0])
+        value = float(values[c, op])
+        detail = (f"X^n expectation {value} is not +-1 for choice {c}" if op == 0 else
+                  f"even-parity Z mask {op - 1:#x} expectation {value} is not +-1 for choice {c}")
+    record("stabilizer-eigenoperators", not off.any(), detail)
+    # the odd-parity negative control: no odd mask is an eigenoperator, and
+    # those with z1 = 0 have expectation 0
+    magnitude = np.abs(z_values)
+    z1_clear = np.arange(2**n) < 2 ** (n - 1)
+    odd_eigen = odd & ((z1_clear & (magnitude > ATOL)) | (magnitude >= 1.0 - 1e-6))
+    record("odd-z-masks-not-eigenoperators", not odd_eigen.any())
 
     # all valid products across all choices pairwise orthogonal
     record("valid-products-orthogonal", products <= ATOL, f"max |gram - I| = {products:.2e}")

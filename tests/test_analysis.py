@@ -13,6 +13,7 @@ import ast
 import collections
 import inspect
 import json
+import math
 import sys
 import tracemalloc
 
@@ -38,13 +39,7 @@ from qbcsim.analysis import (
     s_protocol_sweep,
 )
 from qbcsim import scheme
-from qbcsim.quantum import (
-    born_distribution,
-    inner,
-    random_state,
-    tensor,
-    walsh_matrix,
-)
+from qbcsim.quantum import born_distribution, tensor, walsh_matrix
 from qbcsim.scheme import SchemeParams, audit_scheme, build_reveal_agreement
 from dense_oracle import (
     EnsembleMixture,
@@ -54,7 +49,7 @@ from dense_oracle import (
     helstrom_bound,
     pgm_success,
 )
-from test_quantum import hadamard_all
+from test_quantum import hadamard_all, inner, random_state
 from test_scheme import product_measurement
 
 
@@ -730,6 +725,58 @@ def test_s_protocol_sweep_monotone(cointoss_agreement):
     mc = s_protocol_sweep(cointoss_agreement, trials=20_000, rng=3)
     assert [r.exact for r in mc] == values
     assert all(r.consistent() for r in mc)
+
+
+#: The false-alarm level of each statistic of the sampler distribution test,
+#: fixed before it was run: two-sided 10^-6, the normal quantile with
+#: erfc(Z / sqrt 2) = 1.0e-6.
+SAMPLER_Z = 4.89164
+
+
+def sampled_rows_by_family(report):
+    """(family, row) for every sampled row of a report: the alice-cheat pair,
+    the block-cheat rows, each strategy and the parent-S sweep."""
+    families = {"alice_cheat": "alice-cheat", "block_fidelity": "block-cheat",
+                "s_protocol": "parent-S"}
+    for section in ("alice_cheat", "block_fidelity", "strategies", "s_protocol"):
+        for row in report[section]:
+            if "estimate" in row:
+                yield families.get(section, row["scenario"]), row
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_samplers_match_exact_distribution(n):
+    # every sampled row over seeds 0-199 at 2 000 trials. Under a correct
+    # sampler the hits of a row are Binomial(N, p), p its exact value, and
+    # z = (estimate - p) / sqrt(p (1 - p) / N) has mean 0 and variance 1.
+    # Per family, the pooled z-scores of the rows with 0 < p < 1 are tested
+    # twice at SAMPLER_Z:
+    # * sum z / sqrt(count), normal by the central limit theorem;
+    # * sum z^2, with mean count and variance sum(2 + (1 - 6pq) / (N pq)),
+    #   q = 1 - p (the binomial kurtosis), read as a scaled chi-square with
+    #   those two moments and standardised by the Wilson-Hilferty cube root.
+    # A row with exact value 0 or 1 must match its estimate exactly.
+    trials = 2000
+    agreement = build_reveal_agreement(SchemeParams.default(n))
+    pooled = collections.defaultdict(list)
+    for seed in range(200):
+        for family, row in sampled_rows_by_family(run_full_analysis(agreement, trials, seed)):
+            p, estimate = row["exact"], row["estimate"]
+            if p in (0.0, 1.0):
+                assert estimate == p, (seed, row["scenario"])
+            else:
+                pooled[family].append((p, (estimate - p) / math.sqrt(p * (1 - p) / trials)))
+    assert set(pooled) == {"alice-cheat", "block-cheat", *STRATEGIES, "parent-S"}
+    for family, values in pooled.items():
+        p, z = np.array(values).T
+        count = len(z)
+        assert abs(z.sum() / math.sqrt(count)) <= SAMPLER_Z, (family, z.mean())
+        pq = p * (1 - p)
+        variance = np.sum(2 + (1 - 6 * pq) / (trials * pq))
+        dof = 2 * count**2 / variance  # count / dof * chi-square(dof) has both moments
+        ratio = np.sum(z**2) / count  # chi-square(dof) / dof
+        wilson_hilferty = (ratio ** (1 / 3) - (1 - 2 / (9 * dof))) / math.sqrt(2 / (9 * dof))
+        assert abs(wilson_hilferty) <= SAMPLER_Z, (family, ratio)
 
 
 def test_run_full_analysis_structure(cointoss_agreement):

@@ -438,6 +438,64 @@ def test_main_dispatch(capsys):
     assert "result: pass" in captured.out
 
 
+#: SHA-256 of ``qbcsim audit`` stdout, recorded before the stabilizer
+#: checks were read from one Walsh table of the stacked reveal states.
+AUDIT_PINS = [
+    (["--n", "1"], "587c9afa0acde820c5a4d8e1bd78a7d41da96a6da08e2266be8073d1675c2b58"),
+    (["--n", "2"], "d8217a3f92d847d44e95519917e2658b055f9b38ba7141f648d59ae39082ca05"),
+    (["--n", "3"], "2c66043054ee7f71457f32cb1cdc1510d2443142ffd0826838bcd3c6afa84eaa"),
+    (["--n", "4"], "1172604749593150687f83c78243871ca913bc86d8dd58bff0aef0911327e1bf"),
+    (["--n", "5"], "609f2cc54239ff11c6a311f31d7cb8279731720008f69bcf513ecdea4cc28e9e"),
+    (["--n", "6"], "1ed8dc28cafe30cefad67a52ed0ef287ea9c262adb06a74abde73360a8d5095b"),
+    (["--n", "1", "--preset", PRESET_PAPER_COINTOSS],
+     "27c524599e39486190802f23d75c1e7b84dc3728467822bf84f55e602cd79515"),
+    (["--masks", "0x1", "0x3"], "75e87d2f727a1492ddb1a2f8015c119d90551b870b05a2ddf502c8948222cb5c"),
+    # the masks of SchemeParams.random_masks(4, 7)
+    (["--n", "4", "--masks", *"0x10 0xc 0xf 0x1c 0x2 0x6 0x1 0x11 0x1f 0x1a 0x12 0x8 0x13 0xb 0x18 0xd"
+      .split()], "8a7c94c19cd50dde8b2050787bc338622bb1c7536003d250a037b0b1e7e19385"),
+]
+
+
+@pytest.mark.parametrize("flags, digest", AUDIT_PINS)
+def test_audit_stdout_pinned(flags, digest, capsys):
+    assert main(["audit", *flags]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_paper_preset_with_another_n_names_no_scheme(capsys):
+    # the preset is the n=1 scheme, so --n 3 with it is a failed audit check,
+    # and a usage error for the subcommands that run a scheme
+    assert main(["audit", "--n", "3", "--preset", PRESET_PAPER_COINTOSS]) == 1
+    assert capsys.readouterr().out == ("check mask-validity: fail (preset paper-cointoss is "
+                                       "the n=1 scheme, got --n 3)\nresult: fail\n")
+    for argv in (["analyze", "--n", "3"], ["analyze", "--n", "0"],
+                 ["session", "--role", "alice", "--n", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--preset", PRESET_PAPER_COINTOSS])
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("qbcsim: error: "), argv
+    assert main(["analyze", "--n", "1", "--preset", PRESET_PAPER_COINTOSS]) == 0
+    assert capsys.readouterr().out.startswith("scheme: n=1 masks=0x1,0x3 preset=paper-cointoss\n")
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    # the reader of stdout goes after one line, as ``| head -1`` does; the
+    # report is larger than a pipe holds, so the writer meets the closed pipe
+    with subprocess.Popen([sys.executable, "-m", "qbcsim.cli", "analyze", "--n", "4"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            assert proc.stdout.readline().startswith(b"scheme: n=4 ")
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()  # nothing to do once it has exited
+    assert proc.returncode == 2
+    assert b"Traceback" not in err
+    assert err == b""
+
+
 def free_port():
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))

@@ -15,11 +15,9 @@ from qbcsim.quantum import (
     born_distribution,
     computational_basis,
     index_to_bits,
-    inner,
     ket_string,
     make_basis_state,
     measure,
-    random_state,
     state_from_text,
     state_to_text,
     tensor,
@@ -35,6 +33,20 @@ _I = np.eye(2, dtype=complex)
 _CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
+
+
+def inner(a: StateVector, b: StateVector) -> complex:
+    """<a|b>: conjugate-linear in ``a``, linear in ``b``."""
+    if a.num_qubits != b.num_qubits:
+        raise ValueError("dimension mismatch in inner product")
+    return complex(np.vdot(a.amplitudes, b.amplitudes))
+
+
+def random_state(num_qubits: int, rng) -> StateVector:
+    """Haar-ish random test state (normalized complex Gaussian amplitudes)."""
+    gen = as_generator(rng)
+    amps = gen.normal(size=2**num_qubits) + 1j * gen.normal(size=2**num_qubits)
+    return StateVector(num_qubits, amps / np.linalg.norm(amps))
 
 
 def full_operator(gate_matrix, qubits, n):

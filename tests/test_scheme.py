@@ -25,25 +25,21 @@ from qbcsim.quantum import (
     MeasurementBasis,
     StateVector,
     born_distribution,
-    inner,
-    random_state,
+    make_basis_state,
     state_from_text,
     tensor,
 )
 from qbcsim.scheme import (
     MAX_N,
-    SchemeAuditError,
     SchemeParams,
     audit_scheme,
     bob_reveal_state,
     build_reveal_agreement,
     descriptor_text,
-    pauli_x_all_expectation,
-    pauli_z_expectations,
     scheme_hash,
-    stabilizer_audit,
     xor_pairs,
 )
+from test_quantum import inner, random_state
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -235,39 +231,56 @@ def test_factorised_product_gram_matches_explicit_gram(agreements):
 
 
 def test_pauli_expectations_against_dense_oracle():
+    # the audit's stacked X^(x)n and Walsh-transform Z expectations, against
+    # dense operators applied to each random state in turn
     rng = np.random.default_rng(17)
     for n in (1, 2, 3):
-        state = random_state(n, rng)
+        states = np.array([random_state(n, rng).amplitudes for _ in range(4)])
+        x_values, z_values = scheme._pauli_expectations(states)
+        assert x_values.shape == (4,) and z_values.shape == (4, 2**n)
         dim = 2**n
         # X^(x)n is the anti-diagonal permutation
         x_full = np.eye(dim)[::-1]
-        expected_x = np.vdot(state.amplitudes, x_full @ state.amplitudes).real
-        assert abs(pauli_x_all_expectation(state) - expected_x) < 1e-12
-        for z_mask in range(dim):
-            signs = np.array(
-                [(-1) ** bin(i & z_mask).count("1") for i in range(dim)], dtype=float
-            )
-            expected_z = np.vdot(state.amplitudes, signs * state.amplitudes).real
-            assert abs(pauli_z_expectations(state)[z_mask] - expected_z) < 1e-12
+        for state, x_value, z_row in zip(states, x_values, z_values):
+            expected_x = np.vdot(state, x_full @ state).real
+            assert abs(x_value - expected_x) < 1e-12
+            for z_mask in range(dim):
+                signs = np.array(
+                    [(-1) ** bin(i & z_mask).count("1") for i in range(dim)], dtype=float
+                )
+                expected_z = np.vdot(state, signs * state).real
+                assert abs(z_row[z_mask] - expected_z) < 1e-12
 
 
 def test_stabilizer_audit_passes_for_reveal_states(agreements):
+    # X^(x)n has eigenvalue (-1)^c1 on reveal state c, every even-parity Z
+    # mask is a +-1 eigenoperator, and every odd one has expectation 0
     for n, agreement in agreements.items():
-        for c, reveal in enumerate(agreement.reveal_states):
-            report = stabilizer_audit(reveal, c)
+        reveals = np.array([r.amplitudes for r in agreement.reveal_states])
+        x_values, z_values = scheme._pauli_expectations(reveals)
+        even = np.array([bin(z).count("1") % 2 == 0 for z in range(2**n)])
+        for c in range(agreement.num_choices):
             c1 = (c >> (n - 1)) & 1
-            assert report.choice == c
-            assert report.x_eigenvalue == (-1) ** c1
-            assert set(report.z_eigenvalues.values()) <= {1, -1}
-            assert all(bin(z).count("1") % 2 == 0 for z in report.z_eigenvalues)
+            assert abs(x_values[c] - (-1) ** c1) <= 1e-9
+            assert (np.abs(np.abs(z_values[c, even]) - 1.0) <= 1e-9).all()
+            assert (np.abs(z_values[c, ~even]) <= 1e-9).all()
+        checks = {check.name: check.passed for check in audit_scheme(agreement.params)}
+        assert checks["stabilizer-eigenoperators"]
+        assert checks["odd-z-masks-not-eigenoperators"]
 
 
-def test_stabilizer_audit_rejects_non_eigen_state():
-    from qbcsim.quantum import make_basis_state
-
-    fake = make_basis_state("00")  # X^(x)2 expectation is 0
-    with pytest.raises(SchemeAuditError, match="for choice 3"):
-        stabilizer_audit(fake, 3)
+def test_stabilizer_audit_rejects_non_eigen_state(monkeypatch):
+    # |00> in place of reveal state 3: its X^(x)2 expectation is 0
+    params = SchemeParams.default(2)
+    honest = build_reveal_agreement(params)
+    reveals = list(honest.reveal_states)
+    reveals[3] = make_basis_state("00")
+    tampered = dataclasses.replace(honest, reveal_states=tuple(reveals))
+    monkeypatch.setattr(scheme, "build_reveal_agreement", lambda _: tampered)
+    checks = {check.name: check for check in audit_scheme(params)}
+    assert not checks["stabilizer-eigenoperators"].passed
+    assert checks["stabilizer-eigenoperators"].detail == \
+        "X^n expectation 0.0 is not +-1 for choice 3"
 
 
 def test_cross_set_overlaps(cointoss_agreement):
@@ -294,18 +307,21 @@ def test_cross_set_overlap_values_by_hand(cointoss_agreement):
 
 
 def test_audit_scheme_makes_no_inner_calls(monkeypatch):
-    calls = []
+    # every overlap and expectation comes from stacked arrays: with the
+    # agreement built beforehand, the audit computes no vector overlap one
+    # pair at a time, and the package has no inner product to call
+    assert not hasattr(quantum, "inner") and not hasattr(scheme, "inner")
 
-    def counting(a, b):
-        calls.append((a, b))
-        return quantum.inner(a, b)
+    def refuse(*args):
+        raise AssertionError("np.vdot called")
 
-    monkeypatch.setattr(quantum, "inner", counting)
-    monkeypatch.setattr(scheme, "inner", counting, raising=False)
     for n in (1, 2, 3):
-        checks = audit_scheme(SchemeParams.default(n))
+        agreement = build_reveal_agreement(SchemeParams.default(n))
+        with monkeypatch.context() as patch:
+            patch.setattr(scheme, "build_reveal_agreement", lambda _: agreement)
+            patch.setattr(np, "vdot", refuse)
+            checks = audit_scheme(agreement.params)
         assert all(c.passed for c in checks)
-    assert calls == []
 
 
 def test_audit_scheme_flags_tampered_agreements(monkeypatch):
@@ -314,10 +330,13 @@ def test_audit_scheme_flags_tampered_agreements(monkeypatch):
     params = SchemeParams.default(2)
     honest = build_reveal_agreement(params)
 
-    def failed_checks(**changes):
+    def failures(**changes):
         tampered = dataclasses.replace(honest, **changes)
         monkeypatch.setattr(scheme, "build_reveal_agreement", lambda _: tampered)
-        return {c.name for c in audit_scheme(params) if not c.passed}
+        return {c.name: c.detail for c in audit_scheme(params) if not c.passed}
+
+    def failed_checks(**changes):
+        return set(failures(**changes))
 
     sets = list(honest.sets)
     sets[1] = sets[0]  # set 1 no longer overlaps set 0 at 1/2
@@ -341,6 +360,50 @@ def test_audit_scheme_flags_tampered_agreements(monkeypatch):
     reveals[1] = reveals[0]  # products of choices 0 and 1 overlap
     assert failed_checks(reveal_states=tuple(reveals)) == {
         "reveal-states-orthonormal", "valid-products-orthogonal"}
+
+    # reveal states that are not stabilizer states of the scheme; each
+    # failed set and detail text is the one recorded before the stabilizer
+    # checks were read from one Walsh table
+    def reveal_failures(*replaced):
+        reveals = list(honest.reveal_states)
+        for c, amplitudes in replaced:
+            reveals[c] = StateVector(2, amplitudes)
+        return failures(reveal_states=tuple(reveals))
+
+    half = 2**-0.5
+    basis_01, plus_plus, zero_plus = [0, 1, 0, 0], [0.5] * 4, [half, half, 0, 0]
+    tilt = (np.pi / 2 - 1e-5) / 2  # X^(x)2 expectation 1 - 5e-11, Z on qubit 2 about 1e-5
+    orthonormal, products = "reveal-states-orthonormal", "valid-products-orthogonal"
+    stabilizer, odd = "stabilizer-eigenoperators", "odd-z-masks-not-eigenoperators"
+    # a computational basis state: X^(x)2 expectation 0, Z on each qubit +1
+    assert reveal_failures((2, basis_01)) == {
+        orthonormal: "max |gram - I| = 7.07e-01",
+        stabilizer: "X^n expectation 0.0 is not +-1 for choice 2",
+        odd: "",
+        products: "max |gram - I| = 3.54e-01"}
+    # |++>: X^(x)2 passes, Z^(x)2 has expectation 0, no odd mask fails
+    assert reveal_failures((1, plus_plus)) == {
+        orthonormal: "max |gram - I| = 7.07e-01",
+        stabilizer: "even-parity Z mask 0x3 expectation 0.0 is not +-1 for choice 1",
+        products: "max |gram - I| = 3.54e-01"}
+    # |0+>: fails X^(x)2 first; Z on qubit 1 (z1 = 1) has expectation 1
+    assert reveal_failures((2, zero_plus)) == {
+        orthonormal: "max |gram - I| = 5.00e-01",
+        stabilizer: "X^n expectation 0.0 is not +-1 for choice 2",
+        odd: "",
+        products: "max |gram - I| = 2.50e-01"}
+    # the detail names the first failing choice, here the even mask of choice 1
+    assert reveal_failures((1, plus_plus), (2, zero_plus)) == {
+        orthonormal: "max |gram - I| = 7.07e-01",
+        stabilizer: "even-parity Z mask 0x3 expectation 0.0 is not +-1 for choice 1",
+        odd: "",
+        products: "max |gram - I| = 3.54e-01"}
+    # a tilted reveal state 0 passes X^(x)2 within ATOL, but a z1 = 0 odd mask
+    # has expectation above ATOL
+    assert reveal_failures((0, [np.cos(tilt), 0, 0, np.sin(tilt)])) == {
+        orthonormal: "max |gram - I| = 5.00e-06",
+        odd: "",
+        products: "max |gram - I| = 2.50e-06"}
 
 
 def test_audit_scheme_all_pass():

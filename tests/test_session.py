@@ -17,7 +17,6 @@ from qbcsim.quantum import (
     MeasurementBasis,
     computational_basis,
     make_basis_state,
-    random_state,
 )
 from qbcsim.scheme import SchemeParams, build_reveal_agreement, scheme_hash
 from qbcsim.session import (
@@ -55,6 +54,7 @@ from qbcsim.session import (
     session_rngs,
     write_transcript,
 )
+from test_quantum import random_state
 
 HASH = "0" * 64
 
