@@ -27,6 +27,9 @@ alive play the next block, and each parent-S point splits its trials by
 parent with one binomial draw. That sampler forms no outcome: u picks
 outcome c exactly when cdf[c-1] <= u < cdf[c], so its hits are counted
 from the uniforms; the rows past cdf[m-1] then draw guesses, in row order.
+A sampled row is consistent when its estimate lies within three plug-in
+standard errors of its exact value; an exact value of 0 or 1 has no
+spread, so there the estimate must equal it.
 
 Discrimination bounds (two-hypothesis optimum and the square-root
 measurement) bound what any pre-reveal strategy could achieve, so the
@@ -69,9 +72,14 @@ class CheatReport:
     parameters: dict = field(default_factory=dict)
 
     def consistent(self) -> bool:
-        """Estimate within three standard errors of exact (True if exact-only)."""
+        """Estimate within three standard errors of exact (True if exact-only).
+
+        An exact value of 0 or 1 has no spread, so its estimate must equal it.
+        """
         if self.trials == 0:
             return True
+        if self.exact in (0.0, 1.0):
+            return self.estimate == self.exact
         return bool(abs(self.exact - self.estimate) <= 3.0 * self.stderr)
 
     def as_dict(self) -> dict:
@@ -131,14 +139,6 @@ def _valid_mass_table(agreement: RevealAgreement) -> np.ndarray:
     """
     elements = np.array([s.vectors for s in agreement.sets])
     return _valid_mass(elements, agreement.params.masks)
-
-
-def _cheat_means(table: np.ndarray) -> list[list[float]]:
-    """[c][c'] -> the mean of table[c, :, c'] over k, each summed as
-    ``np.mean(table[c, :, c'])`` sums it: the (c, c', k) copy puts k on a
-    contiguous last axis, which numpy reduces like that one row (a mean over
-    axis 1 would add whole rows in sequence and can differ in the last bit)."""
-    return np.ascontiguousarray(table.transpose(0, 2, 1)).mean(axis=-1).tolist()
 
 
 def _off_diagonal(shape) -> np.ndarray:
@@ -203,11 +203,7 @@ def alice_cheat_report(
     _check_choices(params, c_true, c_claimed)
     masses = _valid_mass(agreement.sets[c_true].vectors, [params.masks[c_claimed]])[:, 0]
     exact = float(np.mean(masses))
-    hits = 0
-    if trials > 0:
-        gen = as_generator(rng)
-        ks = gen.integers(params.num_choices, size=trials)
-        hits = int(np.count_nonzero(_sampled_acceptance(masses, ks, gen)))
+    hits = _survivors(masses, trials, 1, as_generator(rng)) if trials > 0 else 0
     return _alice_cheat_finish(params, c_true, c_claimed, exact, hits, trials)
 
 
@@ -236,6 +232,17 @@ def _sampled_acceptance(thresholds: np.ndarray, group_index: np.ndarray, rng) ->
     """Sampled verification per row: row i is accepted iff the i-th uniform
     of one ``rng.random`` call is below thresholds[group_index[i]]."""
     return rng.random(len(group_index)) < thresholds[group_index]
+
+
+def _survivors(masses: np.ndarray, trials: int, rounds: int, rng) -> int:
+    """Trials that pass ``rounds`` sampled verifications in a row. Each
+    round draws a uniform index into ``masses`` per trial still alive, then
+    accepts it below that mass; only the survivors play the next round."""
+    alive = trials
+    for _ in range(rounds):
+        draw = rng.integers(len(masses), size=alive)
+        alive = int(np.count_nonzero(_sampled_acceptance(masses, draw, rng)))
+    return alive
 
 
 def _declared_hits(cdfs: np.ndarray, committed: np.ndarray, choices: int,
@@ -292,12 +299,8 @@ def block_cheat_report(agreement: RevealAgreement, blocks: int, trials: int = 0,
     params = agreement.params
     hits = 0
     if trials > 0:
-        gen = as_generator(rng)
         masses = table[_off_diagonal(table.shape)]
-        hits = trials
-        for _ in range(blocks):  # only the trials still alive play the next block
-            draw = gen.integers(len(masses), size=hits)
-            hits = int(np.count_nonzero(_sampled_acceptance(masses, draw, gen)))
+        hits = _survivors(masses, trials, blocks, as_generator(rng))
     return _finish_report(
         f"block-cheat K={blocks}",
         exact,
@@ -415,9 +418,9 @@ def s_protocol_sweep(
     committed = np.r_[np.arange(m), np.arange(m * m) // m]
     outcome = np.arange(dists.shape[1])
     terms = dists * np.where(outcome < m, outcome == committed[:, None], 1.0 / m)
-    # running sums keep the sequential (row, outcome) order of the branch sum
-    success_s = np.cumsum(terms[:m] / m)[-1]
-    success_b = np.cumsum(terms[m:] / m**2)[-1]
+    # every term is dyadic, so every partial sum is exact in any order
+    success_s = np.sum(terms[:m] / m)
+    success_b = np.sum(terms[m:] / m**2)
 
     if trials > 0:
         gen = as_generator(rng)
@@ -462,7 +465,7 @@ def run_full_analysis(agreement: RevealAgreement, trials: int = 0, seed: int = 0
 
     # exact-only cheat rows read their means from the table; only the
     # sampled pair makes a report of its own, drawing from gen
-    means = _cheat_means(table)
+    means = table.mean(axis=1).tolist()  # [c][c']; entries 1/2 or 1, so every sum is exact
     report["alice_cheat"] = [
         alice_cheat_report(agreement, c, claim, trials, gen).as_dict()
         if trials and (c, claim) == (0, 1)

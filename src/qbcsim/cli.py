@@ -2,8 +2,9 @@
 
 Subcommands:
 
-* ``cointoss``: the two-player coin-toss game on the preset n=1
-  instance, scripted or interactive.
+* ``cointoss``: the two-player coin-toss game, one in-process session
+  on the preset n=1 instance, scripted or interactive; its moves are
+  read as a session's are, and a parent-S reveal is refused.
 * ``audit``: run every structural invariant of an agreement; nonzero
   exit on any failure.
 * ``analyze``: the full security battery, human-readable or JSON to
@@ -24,9 +25,10 @@ scheme (such as ``--preset paper-cointoss``, the n=1 scheme, with any
 other --n), which ``audit`` instead reports as a failed check, a negative
 --seed, a --trials outside 0..``MAX_TRIALS`` (5 000 000, about 300 MB of
 samples), a --port outside 0..65535, a move file that cannot be read, has
-a line without ``=``, names no choice, names both choice and toss, names
-an element with parent S or names a key or parent that does not exist,
-end of input at a cointoss prompt, and an ``--out`` path that
+a line without ``=``, gives a key twice, names no choice, names both
+choice and toss, names an element with parent S or names a key or parent
+that does not exist, a cointoss move file with parent S, end of input at a
+cointoss prompt, and an ``--out`` path that
 cannot be written (checked before any report is computed or frame
 exchanged; the file is written only after a run that finishes, so one
 that aborts leaves an existing file as it was).
@@ -126,15 +128,9 @@ def _agreement(args: argparse.Namespace) -> RevealAgreement:
     return build_reveal_agreement(params)
 
 
-def _parse_coin(token: str) -> int:
-    token = token.strip().lower()
-    if token in COIN_NAMES:
-        return COIN_NAMES.index(token)
-    raise ValueError(f"expected head or tail, got {token!r}")
-
-
 def parse_moves(lines) -> dict:
-    """key=value move lines -> dict; blank lines and # comments skipped."""
+    """key=value move lines -> dict; blank lines and # comments skipped, and
+    a key given twice refused."""
     moves = {}
     for raw in lines:
         line = raw.strip()
@@ -143,7 +139,10 @@ def parse_moves(lines) -> dict:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"malformed move line: {raw!r}")
-        moves[key.strip()] = value.strip()
+        key = key.strip()
+        if key in moves:
+            raise ValueError(f"move key {key!r} given twice")
+        moves[key] = value.strip()
     return moves
 
 
@@ -156,53 +155,78 @@ def _read_moves(path: str) -> dict:
         _usage_error(f"move file: {exc}")
 
 
+def _session_scripts(moves: dict, count: int) -> tuple[AliceScript, BobScript]:
+    """Scripts for ``count`` choices, head and tail read in any case; an
+    unknown key, parent or choice, both choice and toss, or an element with
+    parent S is a usage error (exit 2). Moves left out are drawn from the
+    session seed."""
+
+    def index_token(token, names=()):
+        if token.lower() in names:
+            return names.index(token.lower())
+        try:
+            value = int(token) if token.isdecimal() else count
+        except ValueError:  # more digits than int() converts
+            value = count
+        if value >= count:
+            _usage_error(f"move value {token!r} is not in 0..{count - 1}")
+        return value
+
+    unknown = moves.keys() - {"choice", "toss", "element", "reveal", "parent", "guess"}
+    if unknown:
+        _usage_error(f"unknown move keys {sorted(unknown)}")
+    alice = AliceScript(parent=moves.get("parent", PARENT_B))
+    if alice.parent not in (PARENT_B, PARENT_S):
+        _usage_error(f"move value {alice.parent!r} is not a parent ({PARENT_B} or {PARENT_S})")
+    if "choice" in moves and "toss" in moves:
+        _usage_error("a move file names choice or toss, not both")
+    if "choice" in moves or "toss" in moves:
+        alice.choice = index_token(moves.get("choice", moves.get("toss")), COIN_NAMES)
+    if moves.get("element", "random") != "random":
+        if alice.parent == PARENT_S:
+            _usage_error(f"a parent-{PARENT_S} commit has no element to pick")
+        alice.element = index_token(moves["element"])
+    if "reveal" in moves:
+        alice.reveal_choice = index_token(moves["reveal"], COIN_NAMES)
+    bob = BobScript()
+    if "guess" in moves:
+        bob.guess = index_token(moves["guess"], COIN_NAMES)
+    return alice, bob
+
+
 # --- cointoss --------------------------------------------------------------
 
 
 def cmd_cointoss(args: argparse.Namespace, out=None) -> int:
     out = out or sys.stdout
-    params = SchemeParams.paper_cointoss()
-    agreement = build_reveal_agreement(params)
+    agreement = build_reveal_agreement(SchemeParams.paper_cointoss())
     _check_out(args.out)  # before the prompts and the game
     if args.script:
         moves = _read_moves(args.script)
     else:
         try:
             moves = {
-                "toss": input("Alice, toss the coin (head/tail): "),
-                "guess": input("Bob, guess the toss (head/tail): "),
+                "toss": input("Alice, toss the coin (head/tail): ").strip(),
+                "guess": input("Bob, guess the toss (head/tail): ").strip(),
             }
             reveal = input("Alice, reveal (empty = honest, or head/tail to cheat): ").strip()
         except EOFError:
             _usage_error("end of input before every move was given")
         if reveal:
             moves["reveal"] = reveal
-    try:
-        unknown = moves.keys() - {"toss", "guess", "reveal", "element"}
-        if unknown:
-            raise ValueError(f"unknown move keys {sorted(unknown)}")
-        toss = _parse_coin(moves["toss"])
-        guess = _parse_coin(moves["guess"])
-        reveal_choice = _parse_coin(moves["reveal"]) if "reveal" in moves else None
-        element = None
-        if moves.get("element", "random") != "random":
-            element = int(moves["element"])
-            if not 0 <= element < params.num_choices:
-                raise ValueError(f"element {element} is not in 0..{params.num_choices - 1}")
-    except (KeyError, ValueError) as exc:
-        print(f"bad script: {exc}", file=out)
-        return 2
+    alice, bob = _session_scripts(moves, agreement.num_choices)
+    if alice.parent == PARENT_S:  # the game narrates parent-B products
+        _usage_error(f"the coin toss reveals with parent {PARENT_B}, not {PARENT_S}")
 
     print(f"scheme n=1 preset={PRESET_PAPER_COINTOSS} seed={args.seed}", file=out)
-    alice = AliceScript(choice=toss, element=element, reveal_choice=reveal_choice)
-    bob = BobScript(guess=guess)
     result = run_session(agreement, alice, bob, args.seed)
     for frame in result.transcript:
         message = decode_message(frame)
         if isinstance(message, Commit):
             print("Commit: Alice sends one element of her tossed outcome's set", file=out)
         elif isinstance(message, Guess):
-            print(f"Guess: Bob guesses {COIN_NAMES[message.choice]}", file=out)
+            guess = message.choice
+            print(f"Guess: Bob guesses {COIN_NAMES[guess]}", file=out)
         elif isinstance(message, Reveal):
             revealed = message.choice
             print(
@@ -351,43 +375,6 @@ def cmd_analyze(args: argparse.Namespace, out=None) -> int:
 # --- session -----------------------------------------------------------------
 
 
-def _session_scripts(moves: dict, count: int) -> tuple[AliceScript, BobScript]:
-    """Scripts for ``count`` choices; an unknown key, parent or choice, both
-    choice and toss, or an element with parent S is a usage error (exit 2)."""
-
-    def index_token(token, names=()):
-        if token in names:
-            return names.index(token)
-        try:
-            value = int(token) if token.isdecimal() else count
-        except ValueError:  # more digits than int() converts
-            value = count
-        if value >= count:
-            _usage_error(f"move value {token!r} is not in 0..{count - 1}")
-        return value
-
-    unknown = moves.keys() - {"choice", "toss", "element", "reveal", "parent", "guess"}
-    if unknown:
-        _usage_error(f"unknown move keys {sorted(unknown)}")
-    alice = AliceScript(parent=moves.get("parent", PARENT_B))
-    if alice.parent not in (PARENT_B, PARENT_S):
-        _usage_error(f"move value {alice.parent!r} is not a parent ({PARENT_B} or {PARENT_S})")
-    if "choice" in moves and "toss" in moves:
-        _usage_error("a move file names choice or toss, not both")
-    if "choice" in moves or "toss" in moves:
-        alice.choice = index_token(moves.get("choice", moves.get("toss")), COIN_NAMES)
-    if moves.get("element", "random") != "random":
-        if alice.parent == PARENT_S:
-            _usage_error(f"a parent-{PARENT_S} commit has no element to pick")
-        alice.element = index_token(moves["element"])
-    if "reveal" in moves:
-        alice.reveal_choice = index_token(moves["reveal"], COIN_NAMES)
-    bob = BobScript()
-    if "guess" in moves:
-        bob.guess = index_token(moves["guess"], COIN_NAMES)
-    return alice, bob
-
-
 def cmd_session(args: argparse.Namespace, out=None) -> int:
     out = out or sys.stdout
     agreement = _agreement(args)
@@ -401,33 +388,22 @@ def cmd_session(args: argparse.Namespace, out=None) -> int:
             listener = socket.create_server(("127.0.0.1", args.port))
             print(f"listening port={listener.getsockname()[1]}", file=out, flush=True)
             result = serve_session(endpoint, listener)
-            print(
-                f"verdict: {'accepted' if result.accepted else 'rejected'}"
-                f" outcome={result.outcome_index}"
-                f" recovered={result.recovered_element}",
-                file=out,
-            )
-            frames = endpoint.frames
-            exit_code = 0 if result.accepted else 1
+            outcome = f" outcome={result.outcome_index}"
         else:
             endpoint = AliceEndpoint(agreement, alice_script, alice_rng)
-            verdict = connect_session(endpoint, "127.0.0.1", args.port)
-            print(
-                f"verdict: {'accepted' if verdict.accepted else 'rejected'}"
-                f" recovered={verdict.recovered_element}",
-                file=out,
-            )
-            frames = endpoint.frames
-            exit_code = 0 if verdict.accepted else 1
+            result = connect_session(endpoint, "127.0.0.1", args.port)
+            outcome = ""  # the verdict frame carries no outcome
     except HandshakeError as exc:
         print(f"handshake failed: {exc}", file=out)
         return 2
     except (WireError, PhaseError, OSError) as exc:  # refused, timed out, or failed to bind
         print(f"session aborted: {type(exc).__name__}: {exc}", file=out)
         return 2
+    print(f"verdict: {'accepted' if result.accepted else 'rejected'}{outcome}"
+          f" recovered={result.recovered_element}", file=out)
     if args.out:
-        write_transcript(args.out, frames)
-    return exit_code
+        write_transcript(args.out, endpoint.frames)
+    return 0 if result.accepted else 1
 
 
 # --- argument parsing ---------------------------------------------------------

@@ -401,6 +401,17 @@ def test_cheat_report_consistency_logic():
     assert "estimate" not in exact_only.as_dict()
 
 
+def test_exact_zero_or_one_needs_an_equal_estimate():
+    # the plug-in standard error of 19 999 hits in 20 000 is 5.0e-5, so three
+    # of them would forgive a miss that an exact 1 cannot produce
+    estimate = 19_999 / 20_000
+    stderr = (estimate * (1 - estimate) / 20_000) ** 0.5
+    assert not CheatReport("s", 1.0, 20_000, estimate, stderr).consistent()
+    assert not CheatReport("s", 0.0, 20_000, 1 - estimate, stderr).consistent()
+    assert CheatReport("s", 1.0, 20_000, 1.0, 0.0).consistent()
+    assert CheatReport("s", 0.0, 20_000, 0.0, 0.0).consistent()
+
+
 def test_ensemble_mixture_validation():
     with pytest.raises(ValueError, match="semidefinite"):
         EnsembleMixture(0, HermitianMatrix(np.diag([1.5, -0.5]).astype(complex)))
@@ -842,15 +853,6 @@ def test_walsh_table_equals_flip_oracle_bit_for_bit():
         table = analysis._valid_mass_table(agreement)
         assert table.tobytes() == flip_valid_mass_table(agreement).tobytes(), params.masks
         assert set(np.unique(table)) <= {0.5, 1.0}
-
-
-@pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64])
-def test_cheat_means_sum_like_one_row(m):
-    # random values, so a different summation order shows in the last bit
-    # (a mean over axis 1 differs from these for m >= 8)
-    table = np.random.default_rng(m).random((m, m, m))
-    means = analysis._cheat_means(table)
-    assert means == [[float(np.mean(table[c, :, claim])) for claim in range(m)] for c in range(m)]
 
 
 @pytest.mark.parametrize("trials", [0, 300])

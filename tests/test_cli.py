@@ -49,6 +49,8 @@ def test_parse_moves():
     assert moves == {"toss": "head", "guess": "tail"}
     with pytest.raises(ValueError):
         parse_moves(["not a move"])
+    with pytest.raises(ValueError, match="'toss' given twice"):
+        parse_moves(["toss=head", "toss = tail"])
 
 
 def test_parse_args_round_trip():
@@ -80,6 +82,12 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         bad_moves.append(["session", "--role", "alice", "--n", "1", "--script", str(path)])
     malformed = tmp_path / "malformed.txt"
     malformed.write_text("toss head\n")  # a move line without "="
+    repeated = tmp_path / "repeated.txt"  # the last value used to win silently
+    repeated.write_text("toss=head\nguess=head\ntoss=tail\n")
+    repeated_choice = tmp_path / "repeated_choice.txt"
+    repeated_choice.write_text("choice=0\nchoice=1\n")
+    bad_moves.append(["cointoss", "--script", str(repeated)])
+    bad_moves.append(["session", "--role", "alice", "--n", "1", "--script", str(repeated_choice)])
     for script in (str(tmp_path / "missing.txt"), str(malformed)):
         bad_moves.append(["cointoss", "--script", script])
         bad_moves.append(["session", "--role", "alice", "--n", "1", "--script", script])
@@ -230,15 +238,39 @@ def test_cointoss_cheat_rejected_about_half_the_time(tmp_path):
     assert abs(rejected / len(seeds) - 0.5) <= 3 * (0.25 / len(seeds)) ** 0.5
 
 
-def test_cointoss_bad_script(tmp_path):
+def test_cointoss_bad_script(tmp_path, capsys):
+    # read as a session move file is: each is a usage error with nothing on stdout
     for moves in ("toss=sideways\nguess=head\n", "toss=head\nguess=head\nelement=5\n",
                   "toss=head\nguess=head\nelement=-1\n",
                   "toss=head\nguess=head\nreveel=tail\n",  # no such key
-                  "toss=head\nguess=head\nchoice=1\n"):  # a session key, not a cointoss one
+                  "toss=head\nguess=head\nchoice=1\n",  # a choice named twice
+                  "toss=head\nparent=S\n"):  # the game narrates parent-B products
         script = write_moves(tmp_path, moves)
+        with pytest.raises(SystemExit) as exc:
+            cmd_cointoss(run_config(seed=0, script=script))
+        assert exc.value.code == 2, moves
+        captured = capsys.readouterr()
+        assert captured.out == "", moves
+        assert captured.err.count("\n") == 1 and captured.err.startswith("qbcsim: error: "), moves
+
+
+def test_cointoss_reads_session_moves(tmp_path):
+    # head and tail in any case, numeric tokens and choice= play the same game
+    games = []
+    for moves in ("toss=head\nguess=tail\n", "toss=HEAD\nguess=Tail\n",
+                  "choice=0\nguess=1\n", "toss=0\nguess=tail\nparent=B\nelement=random\n"):
         out = io.StringIO()
-        assert cmd_cointoss(run_config(seed=0, script=script), out) == 2, moves
-        assert out.getvalue().startswith("bad script: "), moves
+        assert cmd_cointoss(run_config(seed=4, script=write_moves(tmp_path, moves)), out) == 0
+        games.append(out.getvalue())
+    assert len(set(games)) == 1
+    # moves left out are drawn from --seed, as in a session
+    script = write_moves(tmp_path, "")
+    out = io.StringIO()
+    assert cmd_cointoss(run_config(seed=4, script=script), out) == 0
+    local = run_session(build_reveal_agreement(SchemeParams.paper_cointoss()),
+                        AliceScript(), BobScript(), seed=4)
+    guessed = json.loads(local.transcript[1])["choice"]
+    assert f"Guess: Bob guesses {cli.COIN_NAMES[guessed]}\n" in out.getvalue()
 
 
 def test_cointoss_interactive_mode(monkeypatch):
