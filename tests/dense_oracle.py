@@ -9,7 +9,9 @@ figures from Walsh diagonals; the tests check it against this module, and
 this module against a Jacobi eigensolver and scipy matrix functions.
 
 It also keeps the index-XOR valid mass that the Walsh-transform masses
-of ``qbcsim.analysis`` replace, as the reference for their bits.
+of ``qbcsim.analysis`` replace, as the reference for their bits, and the
+Gram block per pair of sets that the support-pair checks of
+``qbcsim.scheme.audit_scheme`` replace, as the reference for theirs.
 """
 
 from __future__ import annotations
@@ -146,3 +148,30 @@ def flip_valid_mass_table(agreement: RevealAgreement) -> np.ndarray:
     index = np.arange(elements.shape[-1])
     return np.stack([(norm2 + np.sum((conj * elements[..., index ^ d]).real, axis=-1))
                      / (2.0 * norm2) for d in agreement.params.masks], axis=-1)
+
+
+def gram_block_residuals(amplitudes: np.ndarray, reveal_gram: np.ndarray):
+    """(within, split, products) of the stacked set rows [c, k, x] from one
+    Gram block per pair of sets c <= c', gram[c' - c, k, j] = <e_{c,k}|e_{c',j}>.
+
+    ``within`` is max |gram - I| within a set; ``split`` holds when every
+    element meets exactly two elements of every other set, each at 1/2;
+    ``products`` is max |gram - I| of the valid products, from
+    <e (x) G_c|e' (x) G_c'> = <e|e'><G_c|G_c'> and the reveal-state Gram.
+    """
+    identity = np.eye(len(amplitudes))
+    within = products = 0.0
+    split = True
+    for c in range(len(amplitudes)):
+        gram = amplitudes[c].conj() @ amplitudes[c:].transpose(0, 2, 1)
+        within = max(within, np.abs(gram[0] - identity).max())
+        magnitudes = np.abs(gram[1:])
+        partners = magnitudes > ATOL  # exactly two per foreign set, each 1/2
+        split &= bool(
+            (partners.sum(axis=-1) == 2).all() and (partners.sum(axis=-2) == 2).all()
+            and np.abs(magnitudes[partners] - 0.5).max(initial=0.0) <= ATOL
+        )
+        block = gram * reveal_gram[c, c:, None, None]
+        block[0] -= identity
+        products = max(products, np.abs(block).max())
+    return within, split, products

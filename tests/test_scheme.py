@@ -19,8 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from dense_oracle import gram_block_residuals
 from qbcsim import analysis, quantum, scheme
 from qbcsim.quantum import (
+    ATOL,
     INV_SQRT2,
     MeasurementBasis,
     StateVector,
@@ -406,6 +408,90 @@ def test_audit_scheme_flags_tampered_agreements(monkeypatch):
         products: "max |gram - I| = 2.50e-06"}
 
 
+def test_audit_flags_tampers_of_each_integer_fact(monkeypatch):
+    # tampers of default(1), masks (1, 2), each aimed at one fact the
+    # support-pair checks read; all but the last keep the failed sets that
+    # the dense Gram route gave
+    params = SchemeParams.default(1)
+    honest = build_reveal_agreement(params)
+    h = INV_SQRT2
+
+    def failures(set0=honest.sets[0].vectors, set1=honest.sets[1].vectors,
+                 reveals=honest.reveal_states):
+        sets = (MeasurementBasis(np.array(set0, dtype=complex)),
+                MeasurementBasis(np.array(set1, dtype=complex)))
+        tampered = dataclasses.replace(honest, sets=sets, reveal_states=reveals)
+        monkeypatch.setattr(scheme, "build_reveal_agreement", lambda _: tampered)
+        return {c.name: c.detail for c in audit_scheme(params) if not c.passed}
+
+    # a sign-flipped row (|00> - |01>)/sqrt(2): still two terms of 1/sqrt(2)
+    assert failures(set0=[[h, -h, 0, 0], [0, 0, h, h]]) == {"reveal-bases-complete": ""}
+    # set 1 from mask 0x3, which the scheme does not use: it still partitions
+    # the indices and splits every pair of set 0
+    assert failures(set1=[[h, 0, 0, h], [0, h, h, 0]]) == {"reveal-bases-complete": ""}
+    # set 1 holds the pairs of set 0 with opposite signs: no pair is split,
+    # and every cross overlap cancels, so the products stay orthogonal even
+    # when both choices share one reveal state
+    opposite = [[h, -h, 0, 0], [0, 0, h, -h]]
+    assert set(failures(set1=opposite)) == {
+        "cross-set-two-partners-overlap-half", "reveal-bases-complete"}
+    assert set(failures(set1=opposite, reveals=honest.reveal_states[:1] * 2)) == {
+        "cross-set-two-partners-overlap-half", "reveal-states-orthonormal",
+        "reveal-bases-complete"}
+    # orthonormal rows that do not cover the indices: the dense Gram route
+    # passed the set and product checks and failed only the cover and
+    # reveal-bases-complete; read from support pairs, all three fail with it
+    unmet = "needs two-term-equal-superposition-cover"
+    assert failures(set0=[[h, h, 0, 0], [h, -h, 0, 0]]) == {
+        "within-set-orthogonality": unmet, "two-term-equal-superposition-cover": "",
+        "cross-set-two-partners-overlap-half": unmet, "valid-products-orthogonal": unmet,
+        "reveal-bases-complete": ""}
+
+
+class AgreementRecorder(pytest.MonkeyPatch):
+    """A monkeypatch that applies every patch and keeps each agreement a
+    test hands the audit through ``scheme.build_reveal_agreement``."""
+
+    def __init__(self):
+        super().__init__()
+        self.agreements = []
+
+    def setattr(self, target, name, value, raising=True):
+        if name == "build_reveal_agreement":
+            self.agreements.append(value(None))
+        super().setattr(target, name, value, raising)
+
+
+def test_pair_residuals_match_dense_gram_blocks():
+    # the audit's support-pair checks against the dense Gram block per pair of
+    # sets: same pass/fail and residuals wherever the cover holds, on honest
+    # agreements and on every tamper of the two tamper tests
+    honest = [SchemeParams.paper_cointoss()] + [SchemeParams.default(n) for n in (1, 2, 3, 4)]
+    honest += [SchemeParams.random_masks(n, seed) for n in (1, 2, 3, 4) for seed in (0, 1, 2, 3)]
+    recorder = AgreementRecorder()
+    try:
+        test_audit_scheme_flags_tampered_agreements(recorder)
+        test_audit_flags_tampers_of_each_integer_fact(recorder)
+    finally:
+        recorder.undo()
+    assert len(recorder.agreements) == 14
+    covered = 0
+    for agreement in [build_reveal_agreement(p) for p in honest] + recorder.agreements:
+        amplitudes = np.array([s.vectors for s in agreement.sets])
+        reveals = np.array([r.amplitudes for r in agreement.reveal_states])
+        reveal_gram = reveals.conj() @ reveals.T
+        cover, within, split, products = scheme._pair_residuals(amplitudes, reveal_gram)
+        if not cover:
+            assert (within, split, products) == (np.inf, False, np.inf)
+            continue
+        covered += 1
+        dense_within, dense_split, dense_products = gram_block_residuals(amplitudes, reveal_gram)
+        assert split == dense_split
+        for got, want in ((within, dense_within), (products, dense_products)):
+            assert abs(got - want) <= 1e-15 and (got <= ATOL) == (want <= ATOL)
+    assert covered == len(honest) + 12
+
+
 def test_audit_scheme_all_pass():
     for params in (
         SchemeParams.paper_cointoss(),
@@ -449,8 +535,8 @@ def test_honest_products_are_distinguishable(cointoss_agreement):
             assert abs(dist[k] - 1.0) < 1e-12
 
 
-#: Derandomised examples per n: few where one audit costs the most.
-RANDOM_MASK_EXAMPLES = {1: 20, 2: 20, 3: 10, 4: 5, 5: 2, 6: 1}
+#: Derandomised examples per n; one example costs about 0.02 s at n=5 and 0.09 s at n=6.
+RANDOM_MASK_EXAMPLES = {1: 20, 2: 20, 3: 10, 4: 5, 5: 10, 6: 4}
 
 
 @pytest.mark.parametrize("n", range(1, MAX_N + 1))
