@@ -28,7 +28,6 @@ from .quantum import (
     INV_SQRT2,
     MeasurementBasis,
     StateVector,
-    apply_gate,
     as_generator,
     born_distribution,
     computational_basis,

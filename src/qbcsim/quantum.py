@@ -1,12 +1,12 @@
 """Dense statevector engine for small qubit registers.
 
-Everything in the package runs through this module: basis kets, two-term
-superpositions, tensor products, the {H, X, Z, CNOT} gate set, projective
-measurement, and the Walsh matrix W[x, y] = (-1)^popcount(x AND y).
-W / 2^(k/2) is the k-qubit Hadamard transform. W is the one parity table
-behind the Pauli-Z expectations (the Walsh transform of the basis
-probabilities) and the discrimination bounds (the set mixtures are diagonal
-in the Hadamard basis), so no eigensolver is needed.
+Everything in the package runs through this module: basis kets, tensor
+products, projective measurement, and the Walsh matrix
+W[x, y] = (-1)^popcount(x AND y). W / 2^(k/2) is the k-qubit Hadamard
+transform. W is the one parity table behind the Pauli-Z expectations (the
+Walsh transform of the basis probabilities) and the discrimination bounds
+(the set mixtures are diagonal in the Hadamard basis), so no eigensolver
+is needed.
 
 A measurement is orthonormal rows, the valid outcomes, plus one reject
 outcome when they do not span the space. The computational basis, the
@@ -17,9 +17,9 @@ Conventions
 * Qubit indices are 1-based. Qubit 1 is the leftmost symbol of a ket and
   maps to the most significant bit of the amplitude index, so ``|110>``
   has its unit amplitude at index 6.
-* All states are unit-norm complex128 vectors; constructors and gates
-  validate <psi|psi> to within ``ATOL / 2``, so the Born distribution of
-  every valid state passes ``born_distribution``'s check at ``ATOL = 1e-9``.
+* All states are unit-norm complex128 vectors; ``StateVector`` validates
+  <psi|psi> to within ``ATOL / 2``, so the Born distribution of every
+  valid state passes ``born_distribution``'s check at ``ATOL = 1e-9``.
 * Randomness is never implicit. Every stochastic operation takes a seed
   or a ``numpy.random.Generator`` (PCG64 via ``numpy.random.default_rng``),
   so runs are bit-reproducible.
@@ -38,13 +38,6 @@ ATOL = 1e-9
 
 #: 1/sqrt(2) correctly rounded to double precision.
 INV_SQRT2 = float(np.sqrt(0.5))
-
-GATE_NAMES = ("H", "X", "Z", "CNOT")
-
-_H = np.array([[1, 1], [1, -1]], dtype=complex) * INV_SQRT2
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_SINGLE_QUBIT = {"H": _H, "X": _X, "Z": _Z}
 
 
 def _frozen_array(values, shape=None) -> np.ndarray:
@@ -133,48 +126,6 @@ def make_basis_state(bits: str) -> StateVector:
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product a (x) b; qubits of ``a`` stay most significant."""
     return StateVector(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes))
-
-
-def _check_qubit(q: int, n: int):
-    if not 1 <= q <= n:
-        raise ValueError(f"qubit index {q} out of range 1..{n}")
-
-
-def apply_gate(state: StateVector, gate: str, qubits) -> StateVector:
-    """Apply one of H, X, Z (one target) or CNOT (control, target).
-
-    Qubit indices are 1-based with qubit 1 the leftmost ket symbol.
-    ``qubits`` is an int for single-qubit gates or a (control, target)
-    pair for CNOT.
-    """
-    n = state.num_qubits
-    if gate in _SINGLE_QUBIT:
-        q = qubits if isinstance(qubits, int) else tuple(qubits)[0]
-        _check_qubit(q, n)
-        tensor_form = state.amplitudes.reshape([2] * n)
-        # qubit q lives on axis q-1 of the C-ordered reshape
-        out = np.tensordot(_SINGLE_QUBIT[gate], tensor_form, axes=([1], [q - 1]))
-        out = np.moveaxis(out, 0, q - 1)
-        return StateVector(n, out.reshape(-1))
-    if gate == "CNOT":
-        control, target = qubits
-        _check_qubit(control, n)
-        _check_qubit(target, n)
-        if control == target:
-            raise ValueError("CNOT control and target must be distinct")
-        tensor_form = state.amplitudes.reshape([2] * n).copy()
-        sel = [slice(None)] * n
-        sel[control - 1] = 1
-        block = tensor_form[tuple(sel)]
-        tensor_form[tuple(sel)] = np.flip(block, axis=_flip_axis(control, target, n)).copy()
-        return StateVector(n, tensor_form.reshape(-1))
-    raise ValueError(f"unknown gate {gate!r}; supported: {GATE_NAMES}")
-
-
-def _flip_axis(control: int, target: int, n: int) -> int:
-    # after fixing the control axis, axes above it shift down by one
-    axis = target - 1
-    return axis - 1 if target > control else axis
 
 
 @dataclass(frozen=True, eq=False)

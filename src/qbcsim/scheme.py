@@ -7,8 +7,10 @@ Choice ``c`` is bound to:
   each an equal two-term superposition ``(|x> + |x XOR d_c>)/sqrt(2)``
   built from a nonzero pairing mask ``d_c`` (one element per XOR pair,
   ordered by the smaller pair member);
-* the receiver's n-qubit reveal state, generated by a Hadamard on
-  qubit 1 followed by CNOTs fanning out from qubit 1.
+* the receiver's n-qubit reveal state, written from its closed form
+  ``(|0,c2..cn> + (-1)^c1 |1,~c2..~cn>)/sqrt(2)``: the output of the
+  paper's generation circuit (a Hadamard on qubit 1, then CNOTs fanning
+  out from qubit 1) on |c>, against which the tests check it.
 
 Set c is held as its reveal measurement, one ``MeasurementBasis`` on
 Alice's (n+1)-qubit register: row k is element k, a valid outcome, and
@@ -38,10 +40,7 @@ from .quantum import (
     INV_SQRT2,
     MeasurementBasis,
     StateVector,
-    apply_gate,
     as_generator,
-    index_to_bits,
-    make_basis_state,
     walsh_matrix,
 )
 
@@ -120,20 +119,19 @@ def xor_pairs(params: SchemeParams, choice: int) -> tuple[tuple[int, int], ...]:
 
 
 def bob_reveal_state(params: SchemeParams, choice: int) -> StateVector:
-    """Run the generation circuit on the big-endian bits of ``choice``.
-
-    Inputs |c1>,|c2>,...,|cn> feed the circuit; Hadamard on qubit 1, then
-    CNOT from qubit 1 to each later qubit. The output is
-    (|0,c2..cn> + (-1)^c1 |1, ~c2..~cn>)/sqrt(2).
+    """(|0,c2..cn> + (-1)^c1 |1,~c2..~cn>)/sqrt(2) for the big-endian bits
+    c1..cn of ``choice``: the generation circuit's output on |c1..cn> (a
+    Hadamard on qubit 1, then CNOT from qubit 1 to each later qubit),
+    written from its two amplitudes; the tests check it against the circuit.
     """
     n = params.num_bob_qubits
     if not 0 <= choice < params.num_choices:
         raise ValueError(f"choice {choice} out of range 0..{params.num_choices - 1}")
-    state = make_basis_state(index_to_bits(choice, n))
-    state = apply_gate(state, "H", 1)
-    for target in range(2, n + 1):
-        state = apply_gate(state, "CNOT", (1, target))
-    return state
+    low = choice & (2 ** (n - 1) - 1)  # |0,c2..cn>; |1,~c2..~cn> is its complement
+    amplitudes = np.zeros(2**n, dtype=complex)
+    amplitudes[low] = INV_SQRT2
+    amplitudes[2**n - 1 - low] = -INV_SQRT2 if choice >> (n - 1) else INV_SQRT2
+    return StateVector(n, amplitudes)
 
 
 @dataclass(frozen=True)

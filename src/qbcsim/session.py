@@ -11,11 +11,12 @@ plus the parent-set indicator; Bob measures onto the 2^n valid products
 of the revealed choice plus one reject outcome, accepting only valid
 outcomes (on Alice's register, see ``bob_verify``).
 
-Messages travel as newline-delimited JSON frames. The quantum channel is
-simulated by serializing the full amplitude vector into the commit frame;
-a physical run would transmit qubits instead. The commit frame carries no
-choice, element, or parent fields -- those appear on the wire only from
-the reveal frame onward.
+Messages travel as newline-delimited JSON frames: a frame is one line
+ending in a newline, and a line cut off at end of stream is a
+FramingError. The quantum channel is simulated by serializing the full
+amplitude vector into the commit frame; a physical run would transmit
+qubits instead. The commit frame carries no choice, element, or parent
+fields -- those appear on the wire only from the reveal frame onward.
 
 One driver runs the handshake and the protocol steps, in the calling
 thread, for whichever endpoints run in this process, over in-memory
@@ -389,9 +390,12 @@ class _Endpoint:
         this agreement: any choice in range, a verdict's recovered element in
         range on accept and None on reject, a commit of the agreement's qubit
         count. PhaseError, before anything is decoded, unless a ``kind``
-        message is next; nothing is recorded on any error."""
+        message is next, then FramingError unless the frame is one line
+        ending in a newline; nothing is recorded on any error."""
         state = SessionState(self.agreement) if self.state is None else self.state
         state.expect(kind)
+        if not frame.endswith(b"\n"):  # a line cut off at end of stream
+            raise FramingError("frame does not end in a newline")
         message = decode_message(frame, self.scheme_hash)
         if not isinstance(message, kind):
             raise FramingError(f"expected a {kind.__name__.lower()} frame")

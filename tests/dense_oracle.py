@@ -11,7 +11,11 @@ this module against a Jacobi eigensolver and scipy matrix functions.
 It also keeps the index-XOR valid mass that the Walsh-transform masses
 of ``qbcsim.analysis`` replace, as the reference for their bits, and the
 Gram block per pair of sets that the support-pair checks of
-``qbcsim.scheme.audit_scheme`` replace, as the reference for theirs.
+``qbcsim.scheme.audit_scheme`` replace, as the reference for theirs, and
+the paper's generation circuit as dense operators (H on qubit 1, then
+CNOT(1, t) for t = 2..n, on |c>), the reference for the closed-form
+reveal states of ``qbcsim.scheme.bob_reveal_state``. The circuit uses
+nothing from ``qbcsim``.
 """
 
 from __future__ import annotations
@@ -175,3 +179,33 @@ def gram_block_residuals(amplitudes: np.ndarray, reveal_gram: np.ndarray):
         block[0] -= identity
         products = max(products, np.abs(block).max())
     return within, split, products
+
+
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+def hadamard_operator(n: int, qubit: int) -> np.ndarray:
+    """H on ``qubit`` of an n-qubit register (qubit 1 the most significant
+    bit), the Kronecker product I_(2^(qubit-1)) (x) H (x) I_(2^(n-qubit))."""
+    return np.kron(np.kron(np.eye(2 ** (qubit - 1)), _HADAMARD), np.eye(2 ** (n - qubit)))
+
+
+def cnot_operator(n: int, target: int) -> np.ndarray:
+    """CNOT(1, target) on an n-qubit register as the permutation matrix of
+    its index permutation: x -> x XOR bit(target) where x has bit 1 set."""
+    index = np.arange(2**n)
+    moved = np.where(index >> (n - 1), index ^ 1 << (n - target), index)
+    operator = np.zeros((2**n, 2**n), dtype=complex)
+    operator[moved, index] = 1
+    return operator
+
+
+def generation_circuit(n: int, choice: int) -> np.ndarray:
+    """Amplitudes of the generation circuit's output on |choice>: H on
+    qubit 1, then CNOT(1, t) for t = 2..n."""
+    state = np.zeros(2**n, dtype=complex)
+    state[choice] = 1
+    state = hadamard_operator(n, 1) @ state
+    for target in range(2, n + 1):
+        state = cnot_operator(n, target) @ state
+    return state

@@ -39,8 +39,9 @@ from qbcsim.analysis import (
     s_protocol_sweep,
 )
 from qbcsim import scheme
-from qbcsim.quantum import born_distribution, tensor, walsh_matrix
-from qbcsim.scheme import SchemeParams, audit_scheme, build_reveal_agreement
+from qbcsim.quantum import StateVector, born_distribution, tensor, walsh_matrix
+from qbcsim.scheme import SchemeParams, audit_scheme, build_reveal_agreement, scheme_hash
+from qbcsim.session import BobEndpoint, BobScript, Commit, Reveal, encode_message
 from dense_oracle import (
     EnsembleMixture,
     HermitianMatrix,
@@ -441,6 +442,27 @@ def test_alice_cheat_acceptance_values(cointoss_agreement):
         alice_cheat_acceptance(cointoss_agreement, 2, 0, 0)
     with pytest.raises(ValueError):
         alice_cheat_acceptance(cointoss_agreement, 0, 5, 1)
+
+
+def test_free_alice_plus_state_passes_every_reveal():
+    # the witness behind the binding caveat: |+>^(n+1) lies in every Q_c, so
+    # a commit frame carrying it is accepted under every parent-B reveal
+    schemes = [SchemeParams.paper_cointoss()]
+    schemes += [SchemeParams.default(n) for n in range(1, scheme.MAX_N + 1)]
+    for params in schemes:
+        agreement = build_reveal_agreement(params)
+        dim = 2**params.num_alice_qubits
+        plus = StateVector(params.num_alice_qubits, np.full(dim, dim**-0.5))
+        assert_allclose(analysis._valid_mass(plus.amplitudes, params.masks), 1.0,
+                        rtol=0, atol=1e-12)
+        digest = scheme_hash(params)
+        commit = encode_message(Commit(plus), digest)
+        for choice in range(params.num_choices):
+            for seed in range(5):
+                bob = BobEndpoint(agreement, BobScript(), seed)
+                bob.handle_commit(commit)
+                bob.handle_reveal(encode_message(Reveal(choice), digest))
+                assert bob.result.accepted, (params, choice, seed)
 
 
 @pytest.mark.parametrize("c_true, c_claimed, label", [

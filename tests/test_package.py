@@ -10,7 +10,7 @@ PUBLIC_NAMES = [
     "STRATEGY_UPDATE_ON_REJECT", "SchemeParams", "SessionResult",
     "SessionState", "StateVector", "Verdict", "VerificationResult",
     "alice_cheat_acceptance", "alice_cheat_report", "alice_commit", "alice_reveal",
-    "apply_gate", "as_generator", "audit_scheme", "block_cheat_report",
+    "as_generator", "audit_scheme", "block_cheat_report",
     "bob_guess", "bob_premature_strategy", "bob_reveal_state", "bob_verify",
     "born_distribution", "build_reveal_agreement",
     "computational_basis", "decode_message", "descriptor_text",

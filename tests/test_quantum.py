@@ -1,5 +1,7 @@
 """Unit tests for the statevector engine."""
 
+import functools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,7 +11,6 @@ from qbcsim.quantum import (
     INV_SQRT2,
     MeasurementBasis,
     StateVector,
-    apply_gate,
     as_generator,
     bits_to_index,
     born_distribution,
@@ -24,15 +25,7 @@ from qbcsim.quantum import (
     walsh_matrix,
 )
 
-from dense_oracle import HermitianMatrix, hermitian_eig
-
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_I = np.eye(2, dtype=complex)
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
+from dense_oracle import HermitianMatrix, cnot_operator, hadamard_operator, hermitian_eig
 
 
 def inner(a: StateVector, b: StateVector) -> complex:
@@ -49,31 +42,9 @@ def random_state(num_qubits: int, rng) -> StateVector:
     return StateVector(num_qubits, amps / np.linalg.norm(amps))
 
 
-def full_operator(gate_matrix, qubits, n):
-    """Oracle: embed a gate into the full 2^n space by explicit kron chain.
-
-    Works for single-qubit gates on qubit q and for CNOT on adjacent
-    (control, control+1). Non-adjacent CNOT is handled in its test by a
-    direct index permutation instead.
-    """
-    if gate_matrix.shape == (2, 2):
-        (q,) = qubits
-        op = np.eye(1)
-        for position in range(1, n + 1):
-            op = np.kron(op, gate_matrix if position == q else _I)
-        return op
-    control, target = qubits
-    assert target == control + 1
-    op = np.eye(1)
-    position = 1
-    while position <= n:
-        if position == control:
-            op = np.kron(op, _CNOT)
-            position += 2
-        else:
-            op = np.kron(op, _I)
-            position += 1
-    return op
+def plus_state() -> StateVector:
+    """|+> = H|0>, from the dense Hadamard of the circuit oracle."""
+    return StateVector(1, hadamard_operator(1, 1)[:, 0])
 
 
 def test_bits_index_round_trip():
@@ -144,7 +115,7 @@ def test_tensor_keeps_first_factor_most_significant():
 
 
 def test_inner_product():
-    plus = apply_gate(make_basis_state("0"), "H", 1)
+    plus = plus_state()
     assert abs(inner(plus, plus) - 1.0) < 1e-15
     assert abs(inner(make_basis_state("0"), make_basis_state("1"))) == 0.0
     assert abs(inner(plus, make_basis_state("0")) - INV_SQRT2) < 1e-15
@@ -152,70 +123,34 @@ def test_inner_product():
         inner(make_basis_state("0"), make_basis_state("00"))
 
 
-def test_hadamard_on_single_qubit():
-    plus = apply_gate(make_basis_state("0"), "H", 1)
-    assert_allclose(plus.amplitudes, [INV_SQRT2, INV_SQRT2], atol=1e-15)
-    back = apply_gate(plus, "H", 1)
-    assert_allclose(back.amplitudes, [1.0, 0.0], atol=1e-15)
+def test_oracle_gates_on_basis_states():
+    # the generation circuit's dense gates, on basis states: H on qubit 1
+    # and its inverse, then CNOT(1, t), as a truth table at n=2 and as the
+    # bit map "flip bit t when bit 1 is set" for every t up to n=4
+    for n in (1, 2, 3):
+        hadamard = hadamard_operator(n, 1)
+        assert_allclose(hadamard @ hadamard, np.eye(2**n), atol=1e-15)
+        for x in range(2**n):
+            low = x & (2 ** (n - 1) - 1)
+            sign = -1 if x >> (n - 1) else 1
+            expected = np.zeros(2**n)
+            expected[[low, low | 2 ** (n - 1)]] = [INV_SQRT2, sign * INV_SQRT2]
+            assert_allclose(hadamard[:, x], expected, atol=1e-15)
 
+    def cnot_image(n, target, bits):
+        image = cnot_operator(n, target) @ make_basis_state(bits).amplitudes
+        assert np.count_nonzero(image) == 1 and image.sum() == 1.0
+        return index_to_bits(int(np.argmax(image)), n)
 
-def test_x_and_z_gates():
-    flipped = apply_gate(make_basis_state("00"), "X", 2)
-    assert flipped.amplitudes[1] == 1.0
-    minus = apply_gate(apply_gate(make_basis_state("0"), "H", 1), "Z", 1)
-    assert_allclose(minus.amplitudes, [INV_SQRT2, -INV_SQRT2], atol=1e-15)
-
-
-def test_cnot_truth_table_both_orientations():
-    # control 1, target 2
     for bits, expected in (("00", "00"), ("01", "01"), ("10", "11"), ("11", "10")):
-        out = apply_gate(make_basis_state(bits), "CNOT", (1, 2))
-        assert out.amplitude(expected) == 1.0, bits
-    # control 2, target 1
-    for bits, expected in (("00", "00"), ("01", "11"), ("10", "10"), ("11", "01")):
-        out = apply_gate(make_basis_state(bits), "CNOT", (2, 1))
-        assert out.amplitude(expected) == 1.0, bits
-
-
-def test_cnot_non_adjacent_matches_index_permutation():
-    # oracle: CNOT(control=1, target=3) on 3 qubits maps index b1b2b3 to
-    # b1 b2 (b3 xor b1); build the permutation directly
-    rng = np.random.default_rng(7)
-    state = random_state(3, rng)
-    moved = apply_gate(state, "CNOT", (1, 3))
-    permuted = np.empty(8, dtype=complex)
-    for i in range(8):
-        b1, b2, b3 = (i >> 2) & 1, (i >> 1) & 1, i & 1
-        j = (b1 << 2) | (b2 << 1) | (b3 ^ b1)
-        permuted[j] = state.amplitudes[i]
-    assert_allclose(moved.amplitudes, permuted, atol=1e-15)
-
-
-def test_gates_match_dense_operator_oracle():
-    rng = np.random.default_rng(21)
-    for n in (1, 2, 3, 4):
-        state = random_state(n, rng)
-        for name, mat in (("H", _H), ("X", _X), ("Z", _Z)):
-            for q in range(1, n + 1):
-                fast = apply_gate(state, name, q)
-                dense = full_operator(mat, (q,), n) @ state.amplitudes
-                assert_allclose(fast.amplitudes, dense, atol=1e-12)
-        for control in range(1, n):
-            fast = apply_gate(state, "CNOT", (control, control + 1))
-            dense = full_operator(_CNOT, (control, control + 1), n) @ state.amplitudes
-            assert_allclose(fast.amplitudes, dense, atol=1e-12)
-
-
-def test_apply_gate_rejects_bad_input():
-    state = make_basis_state("00")
-    with pytest.raises(ValueError):
-        apply_gate(state, "T", 1)
-    with pytest.raises(ValueError):
-        apply_gate(state, "H", 3)
-    with pytest.raises(ValueError):
-        apply_gate(state, "CNOT", (1, 1))
-    with pytest.raises(ValueError):
-        apply_gate(state, "CNOT", (0, 2))
+        assert cnot_image(2, 2, bits) == expected, bits
+    for n in (2, 3, 4):
+        for target in range(2, n + 1):
+            for x in range(2**n):
+                bits = index_to_bits(x, n)
+                flipped = str(int(bits[target - 1]) ^ int(bits[0]))
+                expected = bits[:target - 1] + flipped + bits[target:]
+                assert cnot_image(n, target, bits) == expected, (n, target, bits)
 
 
 def test_measurement_basis_validation():
@@ -292,7 +227,7 @@ def test_as_generator():
 
 
 def test_born_distribution_plus_state():
-    plus = apply_gate(make_basis_state("0"), "H", 1)
+    plus = plus_state()
     dist = born_distribution(plus, computational_basis(2))
     assert_allclose(dist, [0.5, 0.5], atol=1e-15)
     with pytest.raises(ValueError):
@@ -309,7 +244,7 @@ def test_born_distribution_sums_to_one():
 
 
 def test_measure_is_seed_deterministic_and_unbiased():
-    plus = apply_gate(make_basis_state("0"), "H", 1)
+    plus = plus_state()
     basis = computational_basis(2)
     assert measure(plus, basis, 42) == measure(plus, basis, 42)
     rng = np.random.default_rng(11)
@@ -332,14 +267,9 @@ def test_hermitian_matrix_and_eig():
 
 
 def hadamard_all(k):
-    """H on every qubit of a k-qubit register, column x the image of |x>."""
-    columns = []
-    for x in range(2**k):
-        state = make_basis_state(index_to_bits(x, k))
-        for q in range(1, k + 1):
-            state = apply_gate(state, "H", q)
-        columns.append(state.amplitudes)
-    return np.array(columns).T
+    """H on every qubit of a k-qubit register, the product of the circuit
+    oracle's per-qubit dense operators."""
+    return functools.reduce(np.matmul, (hadamard_operator(k, q) for q in range(1, k + 1)))
 
 
 def test_walsh_matrix_is_scaled_hadamard_transform():
@@ -376,6 +306,6 @@ def test_state_from_text_rejects_malformed():
 
 def test_ket_string():
     assert ket_string(make_basis_state("01")) == "+1.0000|01>"
-    plus = apply_gate(make_basis_state("0"), "H", 1)
+    plus = plus_state()
     assert ket_string(plus) == "+0.7071|0> +0.7071|1>"
     assert ket_string(plus, max_terms=1).endswith("...")

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dense_oracle import gram_block_residuals
+from dense_oracle import generation_circuit, gram_block_residuals
 from qbcsim import analysis, quantum, scheme
 from qbcsim.quantum import (
     ATOL,
@@ -136,6 +136,18 @@ def test_reveal_state_closed_form():
         bob_reveal_state(SchemeParams.default(1), 2)
 
 
+def test_reveal_states_match_generation_circuit():
+    # the closed form against the paper's H + CNOT circuit as dense operators;
+    # the oracle's 1/sqrt(2) may differ from INV_SQRT2 by an ulp
+    schemes = [SchemeParams.default(n) for n in range(1, MAX_N + 1)]
+    for params in schemes + [SchemeParams.paper_cointoss()]:
+        n = params.num_bob_qubits
+        for c in range(params.num_choices):
+            circuit = generation_circuit(n, c)
+            assert_allclose(bob_reveal_state(params, c).amplitudes, circuit, rtol=0, atol=1e-15)
+            assert np.count_nonzero(circuit) == 2, (n, c)
+
+
 def test_reveal_states_cointoss_preset(cointoss_agreement):
     plus, minus = (r.amplitudes for r in cointoss_agreement.reveal_states)
     assert_allclose(plus, [np.sqrt(0.5), np.sqrt(0.5)], atol=1e-15)
@@ -167,13 +179,13 @@ def test_agreement_basis_shape(agreements):
 #: as complex128 bytes in choice order, keyed by (n, masks).
 AGREEMENT_PINS = {
     (1, (1, 2)): "671eeb26268792712b3f3f7d10900db630a70fa2695640bb4b39eba52015ef7c",
-    (2, (1, 2, 3, 4)): "5b343662e2d2ba256d029814840caff5442dfdf0fdf1c3f088cdc6b9de24690f",
+    (2, (1, 2, 3, 4)): "90f0609e045b98dcd7886a52ab8ccd309dd4f01da2d65c47fe4554363ab6c898",
     (3, tuple(range(1, 9))): "e78548d892bc6b90fc6f6c31793d56248949bc7714c5327c31d6ac5848a3d367",
     (4, tuple(range(1, 17))): "8a76061d11e3bfc9bd071349e1f0f830d7c03d2dbd0773fb69ce912cb7ac85e2",
     (5, tuple(range(1, 33))): "3ee35785adf5614e3d1c944f51c09f2e2c5555a31da720530fb36041d78921ee",
     (6, tuple(range(1, 65))): "997b94b3c96ef3265d9b49ccbcdc67581362d5a1d760311e1ac9b43abab78f27",
     (1, (1, 3)): "44d73408b4b5c500402306b08c799e9e6cfc495c4eb5925f6b6060d866cee618",
-    (2, (3, 1, 6, 5)): "317dc3b5cd856609691c2f99090b7a963f7603ac3ec1911716127b289f2d8382",
+    (2, (3, 1, 6, 5)): "623030fa77a29eb3e1f0c694c49226a7ab416283f6b4f1f6cd2e3cf398d4288d",
     (3, (1, 10, 2, 13, 12, 8, 9, 6)):
         "2a4a27951d2aa4e91ebcce59b96e57da9ce401f842c7efc7e2a1412dd67e1bd9",
     (5, SchemeParams.random_masks(5, 7).masks):

@@ -536,6 +536,34 @@ def test_unterminated_frame_over_limit_is_framing_error(cointoss_agreement):
     assert isinstance(_serve_raw_peer(bob, hello[:20]), HandshakeError)
 
 
+@pytest.mark.parametrize("kind", ["commit", "guess", "reveal", "verdict"])
+def test_frame_cut_before_newline_is_framing_error(agreements, kind):
+    # a frame without its newline is refused before it is decoded or
+    # recorded, so a transcript keeps one frame per line
+    endpoint, handler, frame = _receiver_of(agreements[2], kind)
+    before = snapshot(endpoint)
+    with pytest.raises(FramingError, match="newline"):
+        handler(frame[:-1])
+    assert snapshot(endpoint) == before
+    handler(frame)
+    assert endpoint.frames[-1 if kind == "verdict" else -2] == frame
+
+
+def test_served_reveal_cut_before_newline_is_framing_error(cointoss_agreement):
+    # a peer that sends the reveal without its newline and stops writing
+    agreement = cointoss_agreement
+    alice = AliceEndpoint(agreement, AliceScript(choice=1, element=0), 1)
+    twin = BobEndpoint(agreement, BobScript(guess=0), 2)
+    commit = alice.commit_frame()
+    guess = twin.handle_commit(commit)
+    reveal = alice.handle_guess(guess)
+    bob = BobEndpoint(agreement, BobScript(guess=0), 2)
+    hello = hello_frame(scheme_hash(agreement.params))
+    assert isinstance(_serve_raw_peer(bob, hello + commit + reveal[:-1]), FramingError)
+    assert bob.frames == [commit, guess] and bob.result is None
+    assert bob.state.phase is Phase.GUESSED
+
+
 def test_run_session_transport_equivalence(cointoss_agreement):
     alice = AliceScript(choice=0, element=0)
     bob = BobScript(guess=1)
