@@ -123,10 +123,13 @@ def test_inner_product():
         inner(make_basis_state("0"), make_basis_state("00"))
 
 
-def test_oracle_gates_on_basis_states():
-    # the generation circuit's dense gates, on basis states: H on qubit 1
-    # and its inverse, then CNOT(1, t), as a truth table at n=2 and as the
-    # bit map "flip bit t when bit 1 is set" for every t up to n=4
+def test_hadamard_on_single_qubit():
+    # the generation circuit's dense H on qubit 1: H|0> = |+>, H|+> = |0>,
+    # and on n <= 3 qubits every basis column and H H = I
+    plus = hadamard_operator(1, 1) @ make_basis_state("0").amplitudes
+    assert_allclose(plus, [INV_SQRT2, INV_SQRT2], atol=1e-15)
+    back = hadamard_operator(1, 1) @ plus
+    assert_allclose(back, [1.0, 0.0], atol=1e-15)
     for n in (1, 2, 3):
         hadamard = hadamard_operator(n, 1)
         assert_allclose(hadamard @ hadamard, np.eye(2**n), atol=1e-15)
@@ -137,20 +140,47 @@ def test_oracle_gates_on_basis_states():
             expected[[low, low | 2 ** (n - 1)]] = [INV_SQRT2, sign * INV_SQRT2]
             assert_allclose(hadamard[:, x], expected, atol=1e-15)
 
-    def cnot_image(n, target, bits):
-        image = cnot_operator(n, target) @ make_basis_state(bits).amplitudes
-        assert np.count_nonzero(image) == 1 and image.sum() == 1.0
-        return index_to_bits(int(np.argmax(image)), n)
 
+def cnot_image(operator: np.ndarray, n: int, bits: str) -> str:
+    """The basis state a permutation gate sends ``|bits>`` to."""
+    image = operator @ make_basis_state(bits).amplitudes
+    assert np.count_nonzero(np.abs(image) > 1e-12) == 1
+    assert abs(image.sum() - 1.0) < 1e-12
+    return index_to_bits(int(np.argmax(np.abs(image))), n)
+
+
+def test_cnot_truth_table_both_orientations():
+    # control 1, target 2: the oracle's CNOT(1, 2)
+    forward = cnot_operator(2, 2)
     for bits, expected in (("00", "00"), ("01", "01"), ("10", "11"), ("11", "10")):
-        assert cnot_image(2, 2, bits) == expected, bits
+        assert cnot_image(forward, 2, bits) == expected, bits
+    # control 2, target 1: CNOT(1, 2) conjugated by H on both qubits
+    both = hadamard_operator(2, 1) @ hadamard_operator(2, 2)
+    reverse = both @ forward @ both
+    for bits, expected in (("00", "00"), ("01", "11"), ("10", "10"), ("11", "01")):
+        assert cnot_image(reverse, 2, bits) == expected, bits
+
+
+def test_cnot_non_adjacent_matches_index_permutation():
+    # CNOT(control=1, target=3) on 3 qubits maps index b1b2b3 to
+    # b1 b2 (b3 xor b1); build the permutation directly
+    state = random_state(3, np.random.default_rng(7))
+    moved = cnot_operator(3, 3) @ state.amplitudes
+    permuted = np.empty(8, dtype=complex)
+    for i in range(8):
+        b1, b2, b3 = (i >> 2) & 1, (i >> 1) & 1, i & 1
+        j = (b1 << 2) | (b2 << 1) | (b3 ^ b1)
+        permuted[j] = state.amplitudes[i]
+    assert_allclose(moved, permuted, atol=1e-15)
+    # and CNOT(1, t) flips bit t when bit 1 is set, for every t up to n=4
     for n in (2, 3, 4):
         for target in range(2, n + 1):
             for x in range(2**n):
                 bits = index_to_bits(x, n)
                 flipped = str(int(bits[target - 1]) ^ int(bits[0]))
                 expected = bits[:target - 1] + flipped + bits[target:]
-                assert cnot_image(n, target, bits) == expected, (n, target, bits)
+                image = cnot_image(cnot_operator(n, target), n, bits)
+                assert image == expected, (n, target, bits)
 
 
 def test_measurement_basis_validation():
