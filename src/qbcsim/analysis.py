@@ -19,8 +19,13 @@ the m + m^2 parent-S Born rows 0.1-0.14 s; 200 or 2000 trials add under
 0.03 s, since each block report gathers its masses through one broadcast
 mask.
 
-Each sampler draws one uniform per sampled row from a single
-``rng.random(rows)`` call, and row i takes the i-th uniform. A
+Each sampler takes one uniform per sampled row from consecutive
+``rng.random(block)`` calls over blocks of ``_BLOCK_ROWS`` rows, which
+numpy draws exactly as one ``rng.random(rows)`` call, so row i takes the
+i-th uniform. Uniforms, gathers and comparisons live one 64 KiB block at a
+time, in cache and under glibc's 128 KiB mmap threshold; a per-trial array
+(800 KB at 10^5 trials) is mapped, its pages faulted in afresh, on every
+call. Each ``rng.integers`` call draws for all its rows at once. A
 verification is accepted when its uniform is below the exact valid mass.
 Rows are drawn only for what a trial reads: only the K-block trials still
 alive play the next block, and each parent-S point splits its trials by
@@ -228,10 +233,23 @@ def _choice_cdf(dist) -> np.ndarray:
     return cdf
 
 
+#: Rows per sampler block: a float64 block is 64 KiB (see the module docstring).
+_BLOCK_ROWS = 8192
+
+
+def _blocks(rows: int):
+    """A slice per sampler block over ``rows`` rows, in order."""
+    return (slice(start, start + _BLOCK_ROWS) for start in range(0, rows, _BLOCK_ROWS))
+
+
 def _sampled_acceptance(thresholds: np.ndarray, group_index: np.ndarray, rng) -> np.ndarray:
     """Sampled verification per row: row i is accepted iff the i-th uniform
-    of one ``rng.random`` call is below thresholds[group_index[i]]."""
-    return rng.random(len(group_index)) < thresholds[group_index]
+    ``rng`` draws is below thresholds[group_index[i]]."""
+    accepted = np.empty(len(group_index), dtype=bool)
+    for block in _blocks(len(group_index)):
+        rows = group_index[block]
+        accepted[block] = rng.random(len(rows)) < thresholds[rows]
+    return accepted
 
 
 def _survivors(masses: np.ndarray, trials: int, rounds: int, rng) -> int:
@@ -245,13 +263,13 @@ def _survivors(masses: np.ndarray, trials: int, rounds: int, rng) -> int:
     return alive
 
 
-def _declared_hits(cdfs: np.ndarray, committed: np.ndarray, choices: int,
-                   group_index: np.ndarray, rng) -> int:
-    """Rows whose declared choice is the committed one, where row i samples
-    an outcome o from cdfs[group_index[i]] with the i-th uniform of one
-    ``rng.random`` call, declares o when o < m = ``choices`` and otherwise
-    the next guess of one ``rng.integers(m)`` call; committed[g] is the
-    choice group g holds.
+def _declared_hits(cdfs: np.ndarray, committed: np.ndarray, choices: int, segments, rng) -> int:
+    """Rows whose declared choice is the committed one. ``segments`` holds
+    (offset, indices) pairs whose rows, in order, belong to the groups
+    offset + indices. Row i samples an outcome o from its group's cdf with
+    the i-th uniform ``rng`` draws, declares o when o < m = ``choices`` and
+    otherwise the next guess of one ``rng.integers(m)`` call; committed[g]
+    is the choice group g holds.
 
     No outcome is formed: u picks outcome c exactly when
     cdf[c - 1] <= u < cdf[c], and an outcome >= m exactly when
@@ -261,11 +279,16 @@ def _declared_hits(cdfs: np.ndarray, committed: np.ndarray, choices: int,
     upper = cdfs[groups, committed]
     lower = np.where(committed > 0, cdfs[groups, committed - 1], 0.0)
     guessing = cdfs[:, choices - 1]
-    u = rng.random(len(group_index))
-    declared = (lower[group_index] <= u) & (u < upper[group_index])
-    guessers = group_index[u >= guessing[group_index]]
-    guesses = rng.integers(choices, size=len(guessers))
-    return int(np.count_nonzero(declared) + np.count_nonzero(guesses == committed[guessers]))
+    hits = 0
+    held = [committed[:0]]  # the committed choice of each guessing row, in row order
+    for offset, indices in segments:
+        for block in _blocks(len(indices)):
+            group = offset + indices[block]
+            u = rng.random(len(group))
+            hits += int(np.count_nonzero((lower[group] <= u) & (u < upper[group])))
+            held.append(np.compress(u >= guessing[group], committed[group]))
+    held = np.concatenate(held)
+    return hits + int(np.count_nonzero(rng.integers(choices, size=len(held)) == held))
 
 
 def _block_acceptance(table: np.ndarray) -> float:
@@ -350,9 +373,10 @@ def bob_premature_strategy(agreement: RevealAgreement, strategy: str, trials: in
         draw = gen.integers(table.size, size=trials)  # one (c, k, guess) per trial, C order
         accepted = _sampled_acceptance(table.ravel(), draw, gen)
         fallback = gen.integers(m - 1, size=trials)  # index among remaining choices
-        cs, gs = draw // m**2, draw % m
-        declared = np.where(accepted, gs, fallback + (fallback >= gs))
-        hits = int(np.count_nonzero(declared == cs))
+        for block in _blocks(trials):
+            cs, gs, rest = draw[block] // m**2, draw[block] % m, fallback[block]
+            declared = np.where(accepted[block], gs, rest + (rest >= gs))
+            hits += int(np.count_nonzero(declared == cs))
     return _finish_report(strategy, exact, hits, trials, parameters)
 
 
@@ -431,8 +455,9 @@ def s_protocol_sweep(
         hits = 0
         if trials > 0:
             from_s = gen.binomial(trials, p_s)  # the parent-S rows come first
-            combo = np.r_[gen.integers(m, size=from_s), m + gen.integers(m * m, size=trials - from_s)]
-            hits = _declared_hits(cdfs, committed, m, combo, gen)
+            segments = ((0, gen.integers(m, size=from_s)),
+                        (m, gen.integers(m * m, size=trials - from_s)))
+            hits = _declared_hits(cdfs, committed, m, segments, gen)
         parameters = {"n": params.num_bob_qubits, "p_S": p_s}
         reports.append(_finish_report(f"assume-parent-S p_S={p_s:g}", exact, hits, trials, parameters))
     return tuple(reports)

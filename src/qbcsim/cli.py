@@ -23,7 +23,7 @@ an I/O failure like a session's socket error: the run ends with exit code
 Usage errors exit with code 2; so do scheme flags that name no valid
 scheme (such as ``--preset paper-cointoss``, the n=1 scheme, with any
 other --n), which ``audit`` instead reports as a failed check, a negative
---seed, a --trials outside 0..``MAX_TRIALS`` (5 000 000, about 300 MB of
+--seed, a --trials outside 0..``MAX_TRIALS`` (5 000 000, under 300 MB of
 samples), a --port outside 0..65535, a move file that cannot be read, has
 a line without ``=``, gives a key twice, names no choice, names both
 choice and toss, names an element with parent S or names a key or parent
@@ -413,10 +413,12 @@ def hex_mask(token: str) -> int:
     return int(token, 16)
 
 
-#: Largest ``--trials``. A sampled report holds about 48 bytes per trial
-#: (the update-on-reject sampler's per-trial arrays), measured as 37 MB peak
-#: RSS at 0 trials, 85 MB at 10^6 and 276 MB at the cap for n = 1 and 4, so
-#: the cap keeps a run under about 300 MB.
+#: Largest ``--trials``. The samplers hold their whole integer draws and a
+#: bool per trial; the rest of their per-row work runs in blocks. Peak RSS of
+#: ``analyze --json`` measured 39 / 61 / 179 MB at 0 / 10^6 / 5 x 10^6 trials
+#: for n = 1 and 42 / 66 / 181 MB for n = 4, about 28 bytes per trial at the
+#: cap, where the parent-S sweep sets the peak; so the cap keeps a run under
+#: 300 MB, as CI checks.
 MAX_TRIALS = 5_000_000
 
 

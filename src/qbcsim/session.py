@@ -202,6 +202,8 @@ def hello_frame(scheme_hash_hex: str) -> bytes:
 
 
 def parse_hello(data: bytes) -> str:
+    if not data.endswith(b"\n"):  # as every protocol frame must
+        raise HandshakeError("hello frame does not end in a newline")
     try:
         frame = json.loads(data.decode())
         if (frame["kind"] != "hello" or type(frame["v"]) is not int or frame["v"] != WIRE_VERSION

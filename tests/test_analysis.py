@@ -246,6 +246,17 @@ def test_negative_trial_counts_rejected(cointoss_agreement):
             report()
 
 
+@pytest.mark.parametrize("a, b", [(0, 0), (0, 5), (1, 1), (7, 3000), (8191, 8193), (65537, 3)])
+def test_split_uniform_draws_equal_one_draw(a, b):
+    # the samplers take their uniforms in blocks and rely on numpy keeping
+    # random(a) then random(b) the stream of random(a + b), generator state
+    # included; a numpy that breaks this must fail here
+    split, whole = np.random.default_rng(a + b), np.random.default_rng(a + b)
+    parts = np.concatenate([split.random(a), split.random(b)])
+    assert parts.tobytes() == whole.random(a + b).tobytes()
+    assert split.bit_generator.state == whole.bit_generator.state
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(n=st.integers(1, 4), groups=st.integers(1, 300), rows=st.integers(0, 3000),
        live_share=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
@@ -255,9 +266,10 @@ def test_one_draw_samplers_take_uniforms_in_row_order(n, groups, rows, live_shar
     # the per-row reference: row i takes uniform i of one random(rows) call
     # and samples outcome searchsorted(cdf[group_i], u_i, "right"); then one
     # integers(2^n) call gives the rows past the last choice their guesses,
-    # in row order. The samplers must give its acceptances (outcome below
-    # 2^n) and its hits of the declare-outcome-else-guess rule, and leave
-    # the generator where the reference leaves it
+    # in row order. The samplers, drawing in blocks of 7 rows and fed the
+    # rows as two segments, must give its acceptances (outcome below 2^n)
+    # and its hits of the declare-outcome-else-guess rule, and leave the
+    # generator where the reference leaves it
     data = np.random.default_rng(seed)
     weights = data.random((groups, 2**n + 1)) * (data.random((groups, 2**n + 1)) < 0.7)
     weights[np.arange(groups), data.integers(2**n + 1, size=groups)] += 0.5
@@ -269,6 +281,9 @@ def test_one_draw_samplers_take_uniforms_in_row_order(n, groups, rows, live_shar
     cdfs = analysis._choice_cdf(dists)
     thresholds = cdfs[:, 2**n - 1]
     committed = data.integers(2**n, size=groups)  # the choice each group holds
+    cut = int(data.integers(rows + 1))  # the second segment counts from its least group
+    offset = int(group_index[cut:].min()) if cut < rows else 0
+    segments = ((0, group_index[:cut]), (offset, group_index[cut:] - offset))
 
     def accepted(outcomes, reference):
         return outcomes < 2**n
@@ -280,7 +295,7 @@ def test_one_draw_samplers_take_uniforms_in_row_order(n, groups, rows, live_shar
 
     samplers = (
         (lambda gen: analysis._sampled_acceptance(thresholds, group_index, gen), accepted),
-        (lambda gen: analysis._declared_hits(cdfs, committed, 2**n, group_index, gen),
+        (lambda gen: analysis._declared_hits(cdfs, committed, 2**n, segments, gen),
          declared_hits),
     )
     for sampler, expected in samplers:
@@ -289,7 +304,9 @@ def test_one_draw_samplers_take_uniforms_in_row_order(n, groups, rows, live_shar
         outcomes = np.array([cdfs[g].searchsorted(u, side="right")
                              for g, u in zip(group_index, uniforms)], dtype=np.int64)
         want = expected(outcomes, reference)
-        got = sampler(one_draw)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "_BLOCK_ROWS", 7)
+            got = sampler(one_draw)
         assert type(got) is type(want) and np.array_equal(got, want)
         if isinstance(got, np.ndarray):
             assert got.dtype == want.dtype
@@ -297,10 +314,12 @@ def test_one_draw_samplers_take_uniforms_in_row_order(n, groups, rows, live_shar
 
 
 @pytest.mark.parametrize("groups", [3, 12])
-def test_sampled_counts_keep_choice_ties(groups):
+def test_sampled_counts_keep_choice_ties(groups, monkeypatch):
     # uniforms equal to a cumulative entry, and its neighbours, must pick the
     # outcome searchsorted(side="right") picks; a seeded stream never hits a
-    # tie, so the uniforms come from a stub generator
+    # tie, so the uniforms come from a stub generator, which hands them out
+    # in order over blocks of 7 rows and the guesses in one call
+    monkeypatch.setattr(analysis, "_BLOCK_ROWS", 7)
     base = np.array([[0.25, 0.25, 0.0, 0.5], [0.0, 0.5, 0.25, 0.25], [0.5, 0.0, 0.5, 0.0]])
     cdfs = analysis._choice_cdf(base[np.arange(groups) % 3])
     ties = np.unique(np.r_[cdfs[:, :-1].ravel(), 0.0])
@@ -313,22 +332,30 @@ def test_sampled_counts_keep_choice_ties(groups):
     guesses = data.integers(2, size=len(uniforms))
 
     class Stub:
+        taken, integer_calls = 0, 0
+
         def random(self, size):
-            assert size == len(uniforms)
-            return uniforms
+            assert size <= 7 and self.integer_calls == 0
+            self.taken += size
+            return uniforms[self.taken - size:self.taken]
 
         def integers(self, high, size):
             assert high == 2
+            self.integer_calls += 1
             return guesses[:size]
 
     outcome = np.array([cdfs[g].searchsorted(u, side="right")
                         for g, u in zip(group_index, uniforms)])
     declared = outcome.copy()
     declared[outcome >= 2] = guesses[:np.count_nonzero(outcome >= 2)]  # in row order
-    assert analysis._declared_hits(cdfs, committed, 2, group_index, Stub()) == \
+    stub = Stub()
+    assert analysis._declared_hits(cdfs, committed, 2, [(0, group_index)], stub) == \
         np.count_nonzero(declared == committed[group_index])
-    assert np.array_equal(analysis._sampled_acceptance(cdfs[:, 1], group_index, Stub()),
+    assert (stub.taken, stub.integer_calls) == (len(uniforms), 1)
+    stub = Stub()
+    assert np.array_equal(analysis._sampled_acceptance(cdfs[:, 1], group_index, stub),
                           outcome < 2)
+    assert (stub.taken, stub.integer_calls) == (len(uniforms), 0)
 
 
 class CountingGenerator(np.random.Generator):
@@ -376,6 +403,27 @@ def test_block_sampler_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 10**6
+
+
+@pytest.mark.parametrize("sampler", [
+    lambda agreement, trials: alice_cheat_report(agreement, 0, 1, trials, 0),
+    lambda agreement, trials: block_cheat_report(agreement, 8, trials, 0),
+    lambda agreement, trials: bob_premature_strategy(agreement, STRATEGY_DECLARE_PRIOR, trials, 0),
+    lambda agreement, trials: bob_premature_strategy(agreement, STRATEGY_UPDATE_ON_REJECT,
+                                                     trials, 0),
+    lambda agreement, trials: s_protocol_sweep(agreement, trials, 0),
+], ids=["alice-pair", "block-8", "declare-prior", "update-on-reject", "parent-s"])
+def test_sampler_memory_stays_under_24_bytes_per_trial(sampler, cointoss_agreement):
+    # per-row work runs in fixed blocks, so a sampler holds only its whole
+    # integers draws and a bool per row: at 10^6 trials of the paper preset
+    # every sampler must peak under 24 bytes per trial
+    tracemalloc.start()
+    try:
+        sampler(cointoss_agreement, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 10**6
 
 
 def test_block_acceptance_checked_once_per_report(monkeypatch):

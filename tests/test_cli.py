@@ -392,6 +392,17 @@ REPORT_PINS = [
      "b7c8e7dc65fc909bfcecf2cee8f714974c8f3221f03f3395be13affa8d022451"),
     (SchemeParams.default(5), 500, 3,
      "1d136087135695af8c78c451561b4c0d6c9b4a26b1972c4ce6ddf3e1ff853a46"),
+    # one row short of a sampler block, exactly one, and one past it,
+    # recorded before the samplers ran in blocks
+    (SchemeParams.paper_cointoss(), 8191, 0,
+     "c886315c9f0eb29e725389d0e3afacf18d9ae360e6ad09df5123c74510f4c44d"),
+    (SchemeParams.paper_cointoss(), 8192, 0,
+     "3a07ff920955bb3f772fe271a8b62783a5024911e7eb06b3497d90303563b678"),
+    (SchemeParams.paper_cointoss(), 8193, 0,
+     "ae2fed60cc00b86d5daeb3b04479d9d927b70a81f0bc0780d4989569a8b9c741"),
+    # random masks over several blocks, with a partial last one
+    (SchemeParams(3, (11, 4, 1, 15, 12, 2, 8, 5)), 30001, 0,
+     "7cbd377b92011fdb8bcab5fe330b79bc956ded5a5e371e1b3614155830638fcd"),
 ]
 
 

@@ -536,6 +536,18 @@ def test_unterminated_frame_over_limit_is_framing_error(cointoss_agreement):
     assert isinstance(_serve_raw_peer(bob, hello[:20]), HandshakeError)
 
 
+def test_hello_cut_before_newline_is_handshake_error(cointoss_agreement):
+    # a peer that sends its hello without the newline and stops writing
+    # fails the handshake, not the commit read after it
+    hello = hello_frame(scheme_hash(cointoss_agreement.params))
+    bob = BobEndpoint(cointoss_agreement, BobScript(), 0)
+    error = _serve_raw_peer(bob, hello[:-1])
+    assert isinstance(error, HandshakeError) and "hello" in str(error)
+    assert bob.frames == [] and bob.state is None
+    with pytest.raises(HandshakeError, match="hello frame does not end in a newline"):
+        parse_hello(hello[:-1])
+
+
 @pytest.mark.parametrize("kind", ["commit", "guess", "reveal", "verdict"])
 def test_frame_cut_before_newline_is_framing_error(agreements, kind):
     # a frame without its newline is refused before it is decoded or
