@@ -32,7 +32,8 @@ def main():
     agreement = build_reveal_agreement(params)
     for c in range(params.num_choices):
         print(f"commitment set {c}:")
-        elements = [agreement.sets[c].vector(k) for k in range(params.num_choices)]
+        measurement = agreement.measurement(c)  # valid outcome k is element k
+        elements = [measurement.vector(k) for k in range(params.num_choices)]
         for k, elem in enumerate(elements):
             print(f"  element {k}: {ket_string(elem)}")
         reveal = agreement.reveal_states[c]

@@ -2,7 +2,7 @@
 
 The package splits into four layers: ``quantum`` (statevector engine),
 ``scheme`` (the initial agreement: per choice, a commitment set held as
-its reveal measurement and a reveal state; audits), ``session`` (the
+its XOR pairs and a reveal state; audits), ``session`` (the
 two-party protocol over wire frames), and ``analysis``
 (binding/concealment figures and discrimination bounds). ``cli`` fronts
 all of it.

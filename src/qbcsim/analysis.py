@@ -4,9 +4,11 @@ Every scenario is computed two ways where feasible: an exact probability
 and a seeded Monte Carlo estimate of the same experiment. Bob's reveal
 state factors out of every valid-outcome mass, so exact figures are
 overlaps <psi|Q_c|psi> on the (n+1)-qubit register, Q_c = (I + X^{d_c})/2.
-``_valid_mass`` computes every such mass from one Walsh transform of the
-held states. The [c, k, c'] table of set elements under reveals holds
-every exact figure and the acceptance threshold of every sampled
+``_valid_mass`` computes such masses for any held state from one Walsh
+transform; a set element a|x> + b|y> needs none, as X^d maps it onto
+itself for d = x XOR y and off it otherwise, so ``_pair_valid_mass`` reads
+the agreement's pairs. The [c, k, c'] table of set elements under reveals
+holds every exact figure and the acceptance threshold of every sampled
 verification (cheat, block cheat, update-on-reject), so no reveal
 measurement is formed. ``run_full_analysis`` builds the table once; its
 off-diagonal entries, in the one order ``_off_diagonal`` fixes, are the
@@ -57,7 +59,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantum import as_generator, born_distribution, computational_basis, walsh_matrix
+from .quantum import (
+    _choice_cdf,
+    as_generator,
+    born_distribution,
+    computational_basis,
+    walsh_matrix,
+)
 from .scheme import RevealAgreement, SchemeParams
 
 STRATEGY_DECLARE_PRIOR = "declare-prior-guess"
@@ -134,16 +142,31 @@ def _valid_mass(amplitudes: np.ndarray, masks) -> np.ndarray:
     return (1.0 + spectrum @ walsh[list(masks)].T) / 2.0
 
 
+def _pair_valid_mass(pairs: np.ndarray, amplitudes: np.ndarray, masks) -> np.ndarray:
+    """Valid mass of each element a|x> + b|y>, held as its index pair (x, y)
+    and amplitudes (a, b) along the last axis of ``pairs`` and
+    ``amplitudes``, under each nonzero mask d_c in ``masks``, indexed
+    [..., len(masks)].
+
+    X^d maps the element onto itself when d = x XOR y and off its support
+    otherwise, so <e|X^d|e> is 2 Re(conj(a) b) or 0 and the mass is
+    (|e|^2 + <e|X^d|e>) / (2 |e|^2).
+    """
+    a, b = amplitudes[..., 0, None], amplitudes[..., 1, None]
+    norm2 = np.abs(a) ** 2 + np.abs(b) ** 2
+    on_pair = (pairs[..., 0, None] ^ pairs[..., 1, None]) == np.asarray(masks)
+    return (norm2 + np.where(on_pair, 2.0 * (a.conj() * b).real, 0.0)) / (2.0 * norm2)
+
+
 def _valid_mass_table(agreement: RevealAgreement) -> np.ndarray:
     """Valid mass of element k of set c under reveal c', indexed [c, k, c'].
 
     Every entry is exactly 1 or 1/2: an element of set c is
-    (|x> + |x XOR d_c>)/sqrt 2, whose Walsh spectrum is dyadic. Each entry
-    is also the acceptance threshold of every sampled verification of that
-    element under that reveal.
+    (|x> + |x XOR d_c>)/sqrt 2, which X^{d_c} fixes and every other mask
+    moves off its pair. Each entry is also the acceptance threshold of every
+    sampled verification of that element under that reveal.
     """
-    elements = np.array([s.vectors for s in agreement.sets])
-    return _valid_mass(elements, agreement.params.masks)
+    return _pair_valid_mass(agreement.pairs, agreement.amplitudes, agreement.params.masks)
 
 
 def _off_diagonal(shape) -> np.ndarray:
@@ -187,7 +210,7 @@ def alice_cheat_acceptance(
     _check_choices(params, c_true, c_claimed)
     if not 0 <= element < params.num_choices:
         raise ValueError(f"element index {element} out of range")
-    held = agreement.sets[c_true].vectors[element]
+    held = agreement.element(c_true, element).amplitudes
     return float(_valid_mass(held, [params.masks[c_claimed]])[0])
 
 
@@ -206,7 +229,8 @@ def alice_cheat_report(
     """
     params = agreement.params
     _check_choices(params, c_true, c_claimed)
-    masses = _valid_mass(agreement.sets[c_true].vectors, [params.masks[c_claimed]])[:, 0]
+    masses = _pair_valid_mass(agreement.pairs[c_true], agreement.amplitudes[c_true],
+                              [params.masks[c_claimed]])[:, 0]
     exact = float(np.mean(masses))
     hits = _survivors(masses, trials, 1, as_generator(rng)) if trials > 0 else 0
     return _alice_cheat_finish(params, c_true, c_claimed, exact, hits, trials)
@@ -222,15 +246,6 @@ def _alice_cheat_finish(params: SchemeParams, c_true: int, c_claimed: int, exact
         trials,
         {"n": params.num_bob_qubits, "c_true": c_true, "c_claimed": c_claimed},
     )
-
-
-def _choice_cdf(dist) -> np.ndarray:
-    """The cumulative table of each row of ``dist`` (along the last axis),
-    scaled to end at exactly 1: a uniform u picks outcome
-    ``cdf.searchsorted(u, "right")``."""
-    cdf = np.cumsum(dist, axis=-1)
-    cdf /= cdf[..., -1:]
-    return cdf
 
 
 #: Rows per sampler block: a float64 block is 64 KiB (see the module docstring).
@@ -426,15 +441,16 @@ def s_protocol_sweep(
     The rule declares outcome o when o < 2^n and guesses uniformly
     otherwise. The exact value sums every (parent, choice, element, outcome)
     branch; the sampled estimate replays the same experiment. Every point
-    reads one set of m + m^2 Born rows; each sampled point splits its
-    trials by parent with one binomial draw from ``rng``.
+    reads one set of m + m^2 Born rows, the set elements formed one at a
+    time from the agreement's pairs; each sampled point splits its trials
+    by parent with one binomial draw from ``rng``.
     """
     params = agreement.params
     m = params.num_choices
     comp = computational_basis(2 ** params.num_alice_qubits)
     # row c < m: the S state bound to choice c; row m + c*m + k: element k of set c
     states = [comp.vector(c) for c in range(m)]
-    states += [s.vector(k) for s in agreement.sets for k in range(m)]
+    states += [agreement.element(c, k) for c in range(m) for k in range(m)]
     dists = []
     for state in states:
         dists.append(born_distribution(state, comp))

@@ -239,7 +239,7 @@ def cmd_cointoss(args: argparse.Namespace, out=None) -> int:
             status = "accepted" if message.accepted else "rejected"
             landed = "outside every valid product"  # the reject outcome 2^n
             if message.accepted:  # element (x) reveal state: Bob's valid product
-                landed = ket_string(tensor(agreement.sets[revealed].vector(outcome),
+                landed = ket_string(tensor(agreement.element(revealed, outcome),
                                            agreement.reveal_states[revealed]))
             print(f"Verdict: {status}, outcome {outcome} -> {landed}", file=out)
             if message.recovered_element is not None:

@@ -144,7 +144,7 @@ class MeasurementBasis:
         if vecs.ndim != 2 or not 1 <= len(vecs) <= vecs.shape[1]:
             raise ValueError(f"need 1..d orthonormal rows of length d, got shape {vecs.shape}")
         gram = vecs @ vecs.conj().T
-        if np.abs(gram - np.eye(len(vecs))).max() > ATOL:
+        if np.abs(gram - _identity(len(vecs))).max() > ATOL:
             raise ValueError("basis vectors are not orthonormal")
         object.__setattr__(self, "vectors", vecs)
 
@@ -158,6 +158,15 @@ class MeasurementBasis:
         if not 0 <= k < len(self.vectors):
             raise ValueError(f"row {k} is not in 0..{len(self.vectors) - 1}")
         return StateVector(self.dimension.bit_length() - 1, self.vectors[k])
+
+
+@functools.cache
+def _identity(size: int) -> np.ndarray:
+    """The read-only size x size identity that a measurement's Gram is checked
+    against; built once per size, as a parent-B verify checks one per call."""
+    eye = np.eye(size)
+    eye.setflags(write=False)
+    return eye
 
 
 @functools.cache
@@ -191,10 +200,24 @@ def born_distribution(state: StateVector, basis: MeasurementBasis) -> np.ndarray
     return probs / total
 
 
+def _choice_cdf(dist) -> np.ndarray:
+    """The cumulative table of each row of ``dist`` (along the last axis),
+    scaled to end at exactly 1: a uniform u picks outcome
+    ``cdf.searchsorted(u, "right")``. It is the table ``Generator.choice``
+    builds from ``p``, so one uniform picks the outcome that choice would."""
+    cdf = np.cumsum(dist, axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
+
+
 def measure(state: StateVector, basis: MeasurementBasis, rng) -> int:
-    """Sample one outcome index with Born probabilities; deterministic per seed."""
-    probs = born_distribution(state, basis)
-    return int(as_generator(rng).choice(len(probs), p=probs))
+    """Sample one outcome index with Born probabilities; deterministic per seed.
+
+    One uniform picks the outcome from ``_choice_cdf``: the same draw and the
+    same outcome as ``rng.choice(len(p), p=p)``, without its checks of ``p``,
+    which ``born_distribution`` has already normalised and checked."""
+    cdf = _choice_cdf(born_distribution(state, basis))
+    return int(cdf.searchsorted(as_generator(rng).random(), "right"))
 
 
 @functools.cache

@@ -12,10 +12,15 @@ Choice ``c`` is bound to:
   paper's generation circuit (a Hadamard on qubit 1, then CNOTs fanning
   out from qubit 1) on |c>, against which the tests check it.
 
-Set c is held as its reveal measurement, one ``MeasurementBasis`` on
-Alice's (n+1)-qubit register: row k is element k, a valid outcome, and
-outcome ``2^n`` rejects. It is Bob's measurement onto the ``2^n`` valid
-products "set element (x) reveal state" plus reject, since
+Set c is held as its pairs: the index pairs [k, 2] that ``xor_pairs``
+yields and their amplitudes [k, 2], 2^n elements of two terms each, so
+the agreement is O(m^2) for m = 2^n choices. Dense rows are formed only
+where a dense measurement is used: ``measurement(c)`` is set c as Bob's
+reveal measurement on Alice's (n+1)-qubit register, one
+``MeasurementBasis`` whose row k is element k, a valid outcome, and whose
+outcome ``2^n`` rejects, and ``element(c, k)`` is one element. The
+measurement is Bob's measurement onto the ``2^n`` valid products
+"set element (x) reveal state" plus reject, since
 <e (x) G_c|psi (x) G_c> = <e|psi>: no product is ever formed.
 
 Distinct nonzero masks guarantee the concealment structure: every element
@@ -23,9 +28,9 @@ of one set overlaps exactly two elements of every other set, each with
 inner product 1/2.
 
 The module also provides structural audits over all of the above, from
-each row's support pair and one Walsh table of the stacked reveal states:
-their Pauli-Z expectations for every mask, indexed [choice, mask], beside
-X^(x)n, with the mask parity classes as boolean arrays.
+the pairs and one Walsh table of the stacked reveal states: their Pauli-Z
+expectations for every mask, indexed [choice, mask], beside X^(x)n, with
+the mask parity classes as boolean arrays.
 """
 
 from __future__ import annotations
@@ -134,37 +139,62 @@ def bob_reveal_state(params: SchemeParams, choice: int) -> StateVector:
     return StateVector(n, amplitudes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RevealAgreement:
-    """The full initial agreement: one value per choice in each tuple.
+    """The full initial agreement, indexed by choice.
 
-    ``sets[c]`` is set c as its reveal measurement on Alice's (n+1)-qubit
-    register: row ``k`` is element k of set c (valid outcome ``k``, read as
-    ``sets[c].vector(k)``), outcome ``2^n`` rejects. It is Bob's coupled
+    Element k of set c is ``amplitudes[c, k, 0] |x> + amplitudes[c, k, 1] |y>``
+    for ``(x, y) = pairs[c, k]``: (|x> + |x XOR d_c>)/sqrt(2) for the k-th XOR
+    pair. Both arrays are [c, k, 2] and read-only. ``measurement(c)`` forms
+    set c as its reveal measurement on Alice's (n+1)-qubit register (valid
+    outcome k is element k, outcome ``2^n`` rejects): Bob's coupled
     measurement onto e_{c,k} (x) G_c, as <e (x) G_c|psi (x) G_c> = <e|psi>.
-    ``reveal_states[c]`` is G_c, Bob's n-qubit reveal state.
+    ``reveal_states[c]`` is G_c, Bob's n-qubit reveal state. Equality is
+    identity, as the arrays have no single truth value.
     """
 
     params: SchemeParams
-    sets: tuple[MeasurementBasis, ...]
+    pairs: np.ndarray
+    amplitudes: np.ndarray
     reveal_states: tuple[StateVector, ...]
 
     @property
     def num_choices(self) -> int:
         return self.params.num_choices
 
+    def measurement(self, choice: int) -> MeasurementBasis:
+        """Set ``choice`` as Bob's reveal measurement, its dense rows formed
+        and checked orthonormal on each call."""
+        pairs = self.pairs[choice]
+        rows = np.zeros((len(pairs), 2**self.params.num_alice_qubits), dtype=complex)
+        rows[np.arange(len(pairs))[:, None], pairs] = self.amplitudes[choice]
+        return MeasurementBasis(rows)
+
+    def element(self, choice: int, k: int) -> StateVector:
+        """Element ``k`` of set ``choice`` as a StateVector on Alice's register."""
+        if not 0 <= k < self.num_choices:
+            raise ValueError(f"element {k} is not in 0..{self.num_choices - 1}")
+        amplitudes = np.zeros(2**self.params.num_alice_qubits, dtype=complex)
+        amplitudes[self.pairs[choice, k]] = self.amplitudes[choice, k]
+        return StateVector(self.params.num_alice_qubits, amplitudes)
+
 
 def build_reveal_agreement(params: SchemeParams) -> RevealAgreement:
     """Construct the sets, element k = (|x> + |y>)/sqrt(2) for the k-th XOR
-    pair (x, y), and the reveal states."""
-    sets = []
-    for c in range(params.num_choices):
-        pairs = xor_pairs(params, c)
-        rows = np.zeros((len(pairs), 2**params.num_alice_qubits), dtype=complex)
-        rows[np.arange(len(pairs))[:, None], pairs] = INV_SQRT2
-        sets.append(MeasurementBasis(rows))
-    reveal_states = tuple(bob_reveal_state(params, c) for c in range(params.num_choices))
-    return RevealAgreement(params, tuple(sets), reveal_states)
+    pair (x, y), and the reveal states. No dense row is formed: the pairs of
+    every mask are the indices x < x XOR d_c in ascending order, as
+    ``xor_pairs`` lists them."""
+    index = np.arange(2**params.num_alice_qubits)
+    partner = index ^ np.array(params.masks)[:, None]  # [c, x]
+    keep = index < partner
+    count = params.num_choices
+    pairs = np.stack((np.broadcast_to(index, keep.shape)[keep], partner[keep]), axis=-1)
+    pairs = pairs.reshape(count, count, 2)
+    amplitudes = np.full(pairs.shape, INV_SQRT2, dtype=complex)
+    pairs.setflags(write=False)
+    amplitudes.setflags(write=False)
+    reveal_states = tuple(bob_reveal_state(params, c) for c in range(count))
+    return RevealAgreement(params, pairs, amplitudes, reveal_states)
 
 
 # --- structural audit ----------------------------------------------------
@@ -181,27 +211,29 @@ def _pauli_expectations(reveals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x_values, z_values
 
 
-def _pair_residuals(amplitudes: np.ndarray, reveal_gram: np.ndarray):
-    """(cover, within, split, products) of the stacked set rows [c, k, x] from
-    their support pairs, with the reveal-state Gram <G_c|G_c'>. Cover: two
-    terms of magnitude 1/sqrt(2) per row and every index in every set, so
-    owner[c, x], the element of set c holding x, is defined; without it,
-    (False, inf, False, inf). within, products: max |gram - I| of the sets and
-    the valid products; split: each set splits all other sets' pairs, none of its own."""
-    count = len(amplitudes)
-    support = np.abs(amplitudes) > ATOL
-    if not ((support.sum(axis=-1) == 2).all() and support.any(axis=1).all()
-            and np.abs(np.abs(amplitudes[support]) - INV_SQRT2).max() <= ATOL):
+def _pair_residuals(pairs: np.ndarray, amplitudes: np.ndarray, reveal_gram: np.ndarray):
+    """(cover, within, split, products) of the sets held as index pairs and
+    amplitudes, both [c, k, 2], with the reveal-state Gram <G_c|G_c'>. Cover:
+    every amplitude of magnitude 1/sqrt(2) and every set's pairs a partition
+    of the indices 0..2m-1, so owner[c, x], the element of set c holding x,
+    is defined; without it, (False, inf, False, inf), whatever the indices
+    are. within, products: max |gram - I| of the sets and the valid products;
+    split: each set splits all other sets' pairs, none of its own."""
+    count = len(pairs)
+    dim = pairs[0].size
+    if not ((np.sort(pairs.reshape(count, dim), axis=-1) == np.arange(dim)).all()
+            and np.abs(np.abs(amplitudes) - INV_SQRT2).max() <= ATOL):
         return False, np.inf, False, np.inf
-    pairs = np.nonzero(support)[-1].reshape(count, count, 2)  # [c, k, (x, y)]
-    values = np.take_along_axis(amplitudes, pairs, axis=-1)
-    owner = support.argmax(axis=1)  # [c, x]
+    sets = np.arange(count)[:, None, None]
+    owner = np.empty((count, dim), dtype=np.intp)  # [c, x]
+    owner[sets, pairs] = np.arange(count)[:, None]
+    column = np.empty((count, dim), dtype=complex)  # [c', x]: the amplitude of x in set c'
+    column[sets, pairs] = amplitudes
     # disjoint supports: within a set only <e|e> can differ from the identity
-    norms = (np.abs(values) ** 2).sum(axis=-1)
+    norms = (np.abs(amplitudes) ** 2).sum(axis=-1)
     # (x, y) in set c meets two elements of set c' iff owner[c', x] != owner[c', y]
     split = owner[:, pairs[..., 0]] != owner[:, pairs[..., 1]]  # [c', c, k]
-    column = np.take_along_axis(amplitudes, owner[:, None], axis=1)[:, 0]  # [c', x]
-    terms = values.conj() * column[:, pairs]  # [c', c, k, (x, y)]
+    terms = amplitudes.conj() * column[:, pairs]  # [c', c, k, (x, y)]
     # <e (x) G_c|e' (x) G_c'> = <e|e'><G_c|G_c'>: an unsplit pair meets one e' in both terms
     products = np.abs(reveal_gram)[..., None] * np.where(
         split, np.abs(terms).max(axis=-1), np.abs(terms.sum(axis=-1)))
@@ -227,10 +259,10 @@ def audit_scheme(params: SchemeParams) -> list[AuditCheck]:
 
     agreement = build_reveal_agreement(params)
     count = params.num_choices
-    amplitudes = np.array([s.vectors for s in agreement.sets])  # [c, k, x]
     reveals = np.array([r.amplitudes for r in agreement.reveal_states])
     reveal_gram = reveals.conj() @ reveals.T  # <G_c|G_c'>
-    cover, within, split, products = _pair_residuals(amplitudes, reveal_gram)
+    cover, within, split, products = _pair_residuals(
+        agreement.pairs, agreement.amplitudes, reveal_gram)
     unmet = "" if cover else "needs two-term-equal-superposition-cover"
     record("within-set-orthogonality", within <= ATOL, unmet or f"max |gram - I| = {within:.2e}")
     record("two-term-equal-superposition-cover", cover)
@@ -267,11 +299,11 @@ def audit_scheme(params: SchemeParams) -> list[AuditCheck]:
     record("valid-products-orthogonal", products <= ATOL,
            unmet or f"max |gram - I| = {products:.2e}")
 
-    # row k of set c is (|x_k> + |x_k XOR d_c>)/sqrt(2) for the k-th XOR pair
-    pairs = np.array([xor_pairs(params, c) for c in range(count)])  # [c, k, 2]
-    expected = np.zeros_like(amplitudes)
-    np.put_along_axis(expected, pairs, INV_SQRT2, axis=-1)
-    record("reveal-bases-complete", np.array_equal(amplitudes, expected))
+    # element k of set c is (|x_k> + |x_k XOR d_c>)/sqrt(2) for the k-th XOR
+    # pair; the order within a pair does not change the element
+    expected = np.array([xor_pairs(params, c) for c in range(count)])  # [c, k, 2]
+    record("reveal-bases-complete", np.array_equal(np.sort(agreement.pairs, axis=-1), expected)
+           and (agreement.amplitudes == INV_SQRT2).all())
 
     return checks
 

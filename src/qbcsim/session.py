@@ -296,7 +296,7 @@ def alice_commit(
             element = int(as_generator(rng).integers(params.num_choices))
         if not 0 <= element < params.num_choices:
             raise ValueError(f"element index {element} out of range")
-        payload = agreement.sets[choice].vector(element)
+        payload = agreement.element(choice, element)
     elif parent == PARENT_S:
         if element is not None:
             raise ValueError(f"a parent-S commit has no element to pick, got {element}")
@@ -333,10 +333,12 @@ def alice_reveal(state: SessionState, claim: int | None = None) -> tuple[Session
 def bob_verify(state: SessionState, *, rng) -> tuple[SessionState, Verdict, VerificationResult]:
     """Measure, and accept iff the outcome is a valid product.
 
-    Parent B: Bob measures the held state onto the 2^n elements of the
-    revealed choice's set plus one reject outcome: his coupled measurement
-    onto the valid products e_{c,k} (x) G_c, as <e (x) G_c|psi (x) G_c> =
-    <e|psi>, with no (2n+1)-qubit product formed.
+    Parent B: Bob forms the revealed choice's reveal measurement from its
+    pairs (``RevealAgreement.measurement``, checked orthonormal) and
+    measures the held state onto the 2^n elements of the set plus one
+    reject outcome: his coupled measurement onto the valid products
+    e_{c,k} (x) G_c, as <e (x) G_c|psi (x) G_c> = <e|psi>, with no
+    (2n+1)-qubit product formed.
     Parent S: Bob measures the held state in the computational basis and
     accepts only the outcome bound to the revealed choice.
     The held state and the reveal are the transcript's commit and reveal.
@@ -344,7 +346,7 @@ def bob_verify(state: SessionState, *, rng) -> tuple[SessionState, Verdict, Veri
     state.expect(Verdict)
     commit, _, reveal = state.transcript
     if reveal.parent == PARENT_B:
-        basis = state.agreement.sets[reveal.choice]
+        basis = state.agreement.measurement(reveal.choice)
         outcome = measure(commit.state, basis, rng)
         accepted = outcome < len(basis.vectors)
     else:

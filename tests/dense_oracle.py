@@ -8,10 +8,11 @@ measurement. ``qbcsim.analysis.discrimination_bounds`` computes the same
 figures from Walsh diagonals; the tests check it against this module, and
 this module against a Jacobi eigensolver and scipy matrix functions.
 
-It also keeps the index-XOR valid mass that the Walsh-transform masses
-of ``qbcsim.analysis`` replace, as the reference for their bits, and the
-Gram block per pair of sets that the support-pair checks of
-``qbcsim.scheme.audit_scheme`` replace, as the reference for theirs, and
+It also keeps the index-XOR valid mass that the pair masses of
+``qbcsim.analysis`` replace, as the reference for their bits, and the
+Gram block per pair of sets, over dense rows written from the pairs, that
+the pair checks of ``qbcsim.scheme.audit_scheme`` replace, as the
+reference for theirs, and
 the paper's generation circuit as dense operators (H on qubit 1, then
 CNOT(1, t) for t = 2..n, on |c>), the reference for the closed-form
 reveal states of ``qbcsim.scheme.bob_reveal_state``. The circuit uses
@@ -30,6 +31,16 @@ from qbcsim.scheme import RevealAgreement, SchemeParams, build_reveal_agreement
 #: Eigenvalues below this are treated as zero on the support of an
 #: average state (rank-deficient mixtures are generic here).
 SUPPORT_CUTOFF = 1e-10
+
+
+def dense_sets(agreement: RevealAgreement) -> np.ndarray:
+    """Every set of ``agreement`` as dense rows [c, k, x], written from its
+    pairs and amplitudes apart from ``RevealAgreement.measurement``: the
+    rows the Gram blocks and the index-XOR table below read."""
+    pairs = agreement.pairs
+    rows = np.zeros(pairs.shape[:2] + (2 * pairs.shape[1],), dtype=complex)
+    np.put_along_axis(rows, pairs, agreement.amplitudes, axis=-1)
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +103,7 @@ class EnsembleMixture:
 
 def ensemble_mixture(params: SchemeParams, choice: int) -> EnsembleMixture:
     """Uniform mixture of projectors onto the elements of one set."""
-    elements = build_reveal_agreement(params).sets[choice].vectors
+    elements = dense_sets(build_reveal_agreement(params))[choice]
     rho = np.zeros((elements.shape[1],) * 2, dtype=complex)
     for elem in elements:
         rho += np.outer(elem, elem.conj())
@@ -147,7 +158,7 @@ def flip_valid_mass_table(agreement: RevealAgreement) -> np.ndarray:
     Q_c = (I + X^{d_c})/2 and X^d permutes indices by XOR, so the mass is
     (|psi|^2 + Re sum_x conj(psi_x) psi_{x^d}) / (2 |psi|^2).
     """
-    elements = np.array([s.vectors for s in agreement.sets])
+    elements = dense_sets(agreement)
     conj, norm2 = elements.conj(), np.sum(np.abs(elements) ** 2, axis=-1)
     index = np.arange(elements.shape[-1])
     return np.stack([(norm2 + np.sum((conj * elements[..., index ^ d]).real, axis=-1))

@@ -45,6 +45,7 @@ from qbcsim.session import BobEndpoint, BobScript, Commit, Reveal, encode_messag
 from dense_oracle import (
     EnsembleMixture,
     HermitianMatrix,
+    dense_sets,
     ensemble_mixture,
     flip_valid_mass_table,
     helstrom_bound,
@@ -111,7 +112,7 @@ def test_valid_mass_table_matches_born_oracle(agreements):
                 for k in range(m):
                     for claim in range(m):
                         oracle = acceptance_by_born_distribution(
-                            agreement, agreement.sets[c].vector(k), claim, bases[claim]
+                            agreement, agreement.element(c, k), claim, bases[claim]
                         )
                         assert abs(table[c, k, claim] - oracle) < 1e-12
             # the Walsh formula holds for any held state, not only set elements
@@ -139,9 +140,9 @@ def test_sampled_thresholds_within_an_ulp_of_born_rows(agreements):
         agreement = agreements[n]
         m = 2**n
         table = analysis._valid_mass_table(agreement)
+        measurements = [agreement.measurement(claim) for claim in range(m)]
         for c, k, claim in np.ndindex(table.shape):
-            dist = born_distribution(agreement.sets[c].vector(k),
-                                     agreement.sets[claim])
+            dist = born_distribution(agreement.element(c, k), measurements[claim])
             cdf = analysis._choice_cdf(dist)
             assert abs(table[c, k, claim] - cdf[m - 1]) <= 2.0**-52, (n, c, k, claim)
 
@@ -538,7 +539,7 @@ def test_alice_cheat_matches_inner_product_oracle(agreements):
                 for claim in range(2**n):
                     got = alice_cheat_acceptance(agreement, c, k, claim)
                     oracle = acceptance_by_inner_products(
-                        agreement, agreement.sets[c].vector(k), claim
+                        agreement, agreement.element(c, k), claim
                     )
                     assert abs(got - oracle) < 1e-10
 
@@ -581,7 +582,7 @@ def test_wrong_coupling_table(cointoss_agreement):
     for (c, k, claim), amplitudes in expected.items():
         assert (c, k, claim) in by_key
         product = tensor(
-            cointoss_agreement.sets[c].vector(k),
+            cointoss_agreement.element(c, k),
             cointoss_agreement.reveal_states[claim],
         )
         assert_allclose(product.amplitudes, amplitudes, atol=1e-12)
@@ -607,7 +608,7 @@ def enumerate_update_on_reject(agreement):
     total = 0.0
     for c in range(m):
         for k in range(m):
-            held = agreement.sets[c].vector(k)
+            held = agreement.element(c, k)
             for g in range(m):
                 p_acc = acceptance_by_inner_products(agreement, held, g)
                 if g == c:
@@ -778,7 +779,7 @@ def enumerate_s_protocol(agreement, p_s):
         success_for(np.eye(width)[c], c) for c in range(m)
     ) / m
     b_branch = sum(
-        success_for(agreement.sets[c].vectors[k], c)
+        success_for(agreement.element(c, k).amplitudes, c)
         for c in range(m)
         for k in range(m)
     ) / m**2
@@ -893,7 +894,7 @@ def test_table_and_direct_paths_agree_exactly(agreements):
     for n in (1, 2, 3, 4):
         agreement = agreements[n]
         table = analysis._valid_mass_table(agreement)
-        elements = [s.vectors for s in agreement.sets]
+        elements = dense_sets(agreement)
         for c in range(2**n):
             for claim in range(2**n):
                 masses = analysis._valid_mass(elements[c], [agreement.params.masks[claim]])[:, 0]

@@ -284,6 +284,32 @@ def test_measure_is_seed_deterministic_and_unbiased():
     assert abs(ones - trials / 2) <= 3 * sigma
 
 
+def test_measure_draws_as_generator_choice():
+    # Generator.choice is the oracle: one uniform through the same cumulative
+    # table gives the outcome and the generator state that
+    # rng.choice(len(p), p=p) gives, on Born distributions with zero entries
+    # and, when the rows do not span, a reject entry (itself zero at times)
+    rng = np.random.default_rng(19)
+    rejects = zeros = 0
+    for trial in range(2000):
+        n = 1 + trial % 3
+        dim = 2**n
+        amplitudes = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        amplitudes[rng.random(dim) < 0.4] = 0
+        amplitudes[rng.integers(dim)] += 1  # never the zero vector
+        state = StateVector(n, amplitudes / np.linalg.norm(amplitudes))
+        rows = np.eye(dim)[rng.permutation(dim)[:rng.integers(1, dim + 1)]]
+        basis = MeasurementBasis(rows)
+        p = born_distribution(state, basis)
+        rejects += len(p) > len(rows)
+        zeros += (p == 0).any()
+        got, want = np.random.default_rng(trial), np.random.default_rng(trial)
+        for _ in range(3):
+            assert measure(state, basis, got) == want.choice(len(p), p=p)
+            assert got.bit_generator.state == want.bit_generator.state
+    assert rejects > 500 and zeros > 500, (rejects, zeros)
+
+
 def test_hermitian_matrix_and_eig():
     with pytest.raises(ValueError, match="Hermitian"):
         HermitianMatrix(np.array([[0, 1], [0, 0]], dtype=complex))

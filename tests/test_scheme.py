@@ -4,13 +4,14 @@ The golden files under tests/golden hold hand-derived amplitude vectors
 for the preset n=1 coin-toss instance: the four set elements and the
 four valid products, each expanded by hand from its two factors.
 
-Bob's reveal measurement is held on Alice's (n+1)-qubit register. The
+Bob's reveal measurement is formed on Alice's (n+1)-qubit register. The
 explicit (2n+1)-qubit measurement onto element (x) reveal state, built
 here by ``product_measurement``, is the oracle it is checked against.
 """
 
 import dataclasses
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dense_oracle import generation_circuit, gram_block_residuals
+from dense_oracle import dense_sets, generation_circuit, gram_block_residuals
 from qbcsim import analysis, quantum, scheme
 from qbcsim.quantum import (
     ATOL,
@@ -55,7 +56,7 @@ def product_measurement(agreement, claimed: int) -> MeasurementBasis:
     (2n+1)-qubit product space, row k = element k of set ``claimed``
     tensored with reveal state ``claimed``, plus the reject outcome."""
     reveal = agreement.reveal_states[claimed]
-    return MeasurementBasis([tensor(agreement.sets[claimed].vector(k), reveal).amplitudes
+    return MeasurementBasis([tensor(agreement.element(claimed, k), reveal).amplitudes
                              for k in range(agreement.num_choices)])
 
 
@@ -107,8 +108,10 @@ def test_build_sets_matches_golden_files(cointoss_agreement):
     for c in range(2):
         for k in range(2):
             expected = load_golden(f"cointoss_set{c}_elem{k}")
-            got = cointoss_agreement.sets[c].vector(k)
+            got = cointoss_agreement.element(c, k)
             assert_allclose(got.amplitudes, expected.amplitudes, atol=1e-12)
+            row = cointoss_agreement.measurement(c).vector(k)
+            assert_allclose(row.amplitudes, expected.amplitudes, atol=1e-12)
 
 
 def test_valid_products_match_golden_files(cointoss_agreement):
@@ -155,15 +158,21 @@ def test_reveal_states_cointoss_preset(cointoss_agreement):
 
 
 def test_agreement_basis_shape(agreements):
-    # set c is its reveal measurement on Alice's register: the 2^n elements
-    # (+ reject), row k being (|x> + |y>)/sqrt(2) for the k-th XOR pair (x, y)
+    # set c is held as its XOR pairs and their amplitudes, [c, k, 2] each;
+    # measurement(c) is its reveal measurement on Alice's register, the 2^n
+    # elements (+ reject), row k being (|x> + |y>)/sqrt(2) for the k-th pair
     for n, agreement in agreements.items():
         count = 2**n
         dim = 2 ** (n + 1)
         assert [f.name for f in dataclasses.fields(agreement)] == [
-            "params", "sets", "reveal_states"]
-        assert len(agreement.sets) == len(agreement.reveal_states) == count
-        for c, basis in enumerate(agreement.sets):
+            "params", "pairs", "amplitudes", "reveal_states"]
+        assert agreement.pairs.shape == agreement.amplitudes.shape == (count, count, 2)
+        assert not agreement.pairs.flags.writeable and not agreement.amplitudes.flags.writeable
+        assert (agreement.amplitudes == INV_SQRT2).all()
+        assert len(agreement.reveal_states) == count
+        for c in range(count):
+            assert agreement.pairs[c].tolist() == [list(p) for p in xor_pairs(agreement.params, c)]
+            basis = agreement.measurement(c)
             assert isinstance(basis, MeasurementBasis)
             assert basis.dimension == dim
             assert basis.vectors.shape == (count, dim)
@@ -171,11 +180,29 @@ def test_agreement_basis_shape(agreements):
                 expected = np.zeros(dim, dtype=complex)
                 expected[[x, y]] = INV_SQRT2
                 assert basis.vector(k).amplitudes.tobytes() == expected.tobytes()
+                assert agreement.element(c, k).amplitudes.tobytes() == expected.tobytes()
             assert isinstance(agreement.reveal_states[c], StateVector)
             assert agreement.reveal_states[c].num_qubits == n
+        for k in (-1, count):
+            with pytest.raises(ValueError, match="element"):
+                agreement.element(0, k)
 
 
-#: SHA-256 over every set's rows and then every reveal state's amplitudes,
+def test_build_peak_memory_stays_quadratic():
+    # the pairs are O(m^2): building the n=6 agreement peaks far below the
+    # 8.4 MB that its 64 dense 64 x 128 complex sets would take
+    params = SchemeParams.default(6)
+    build_reveal_agreement(params)  # a first call's one-time allocations are not counted
+    tracemalloc.start()
+    try:
+        build_reveal_agreement(params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6, peak
+
+
+#: SHA-256 over every set's measurement rows and then every reveal state's amplitudes,
 #: as complex128 bytes in choice order, keyed by (n, masks).
 AGREEMENT_PINS = {
     (1, (1, 2)): "671eeb26268792712b3f3f7d10900db630a70fa2695640bb4b39eba52015ef7c",
@@ -201,8 +228,8 @@ def test_agreement_bytes_pinned():
     for params in schemes:
         agreement = build_reveal_agreement(params)
         digest = hashlib.sha256()
-        for basis in agreement.sets:
-            digest.update(basis.vectors.tobytes())
+        for c in range(agreement.num_choices):
+            digest.update(agreement.measurement(c).vectors.tobytes())
         for reveal in agreement.reveal_states:
             digest.update(reveal.amplitudes.tobytes())
         assert digest.hexdigest() == AGREEMENT_PINS[params.num_bob_qubits, params.masks]
@@ -217,12 +244,13 @@ def test_register_measurement_equals_product_measurement(agreements):
         for c in range(agreement.num_choices):
             reveal = agreement.reveal_states[c]
             oracle = product_measurement(agreement, c)
-            held = [agreement.sets[s].vector(k) for s in (c, (c + 1) % agreement.num_choices)
+            measurement = agreement.measurement(c)
+            held = [agreement.element(s, k) for s in (c, (c + 1) % agreement.num_choices)
                     for k in range(agreement.num_choices)]
             held += [random_state(n + 1, rng) for _ in range(5)]
             for psi in held:
                 assert_allclose(
-                    born_distribution(psi, agreement.sets[c]),
+                    born_distribution(psi, measurement),
                     born_distribution(tensor(psi, reveal), oracle),
                     atol=1e-12,
                 )
@@ -235,7 +263,7 @@ def test_factorised_product_gram_matches_explicit_gram(agreements):
         m = agreement.num_choices
         stacked = np.concatenate([product_measurement(agreement, c).vectors for c in range(m)])
         explicit = stacked.conj() @ stacked.T
-        elements = np.concatenate([s.vectors for s in agreement.sets])
+        elements = np.concatenate([agreement.measurement(c).vectors for c in range(m)])
         reveals = np.array([r.amplitudes for r in agreement.reveal_states])
         factorised = (elements.conj() @ elements.T) * np.kron(
             reveals.conj() @ reveals.T, np.ones((m, m))
@@ -300,8 +328,7 @@ def test_stabilizer_audit_rejects_non_eigen_state(monkeypatch):
 def test_cross_set_overlaps(cointoss_agreement):
     # |<e_{c,k}|e_{c',p}>| for every element and every other set: exactly
     # two partners, each of magnitude 1/2; the audit makes the same check
-    sets = cointoss_agreement.sets
-    elements = np.array([s.vectors for s in sets])  # [c, k, x]
+    elements = np.array([cointoss_agreement.measurement(c).vectors for c in range(2)])  # [c, k, x]
     magnitudes = np.abs(np.einsum("akx,bpx->abkp", elements.conj(), elements))
     rows = [magnitudes[a, b, k] for a in range(2) for b in range(2) if b != a for k in range(2)]
     assert len(rows) == 4  # 2 sets x 2 elements x 1 other set
@@ -315,8 +342,8 @@ def test_cross_set_overlaps(cointoss_agreement):
 
 def test_cross_set_overlap_values_by_hand(cointoss_agreement):
     # (|00>+|01>)/sqrt(2) vs (|00>+|11>)/sqrt(2): shared term |00> -> 1/2
-    a = cointoss_agreement.sets[0].vector(0)
-    b = cointoss_agreement.sets[1].vector(0)
+    a = cointoss_agreement.element(0, 0)
+    b = cointoss_agreement.element(1, 0)
     assert abs(inner(a, b) - 0.5) < 1e-12
 
 
@@ -352,24 +379,27 @@ def test_audit_scheme_flags_tampered_agreements(monkeypatch):
     def failed_checks(**changes):
         return set(failures(**changes))
 
-    sets = list(honest.sets)
-    sets[1] = sets[0]  # set 1 no longer overlaps set 0 at 1/2
-    assert failed_checks(sets=tuple(sets)) == {
+    pairs = honest.pairs.copy()
+    pairs[1] = pairs[0]  # set 1 no longer overlaps set 0 at 1/2
+    assert failed_checks(pairs=pairs) == {
         "cross-set-two-partners-overlap-half", "reveal-bases-complete"}
-    # an even superposition of set 0 meets all four of its elements at 1/2;
-    # the rows are no longer orthonormal, so they are put in past the check
-    rows = honest.sets[1].vectors.copy()
-    rows[0] = honest.sets[0].vectors.sum(axis=0) / 2
-    sets[1] = MeasurementBasis(honest.sets[1].vectors)
-    object.__setattr__(sets[1], "vectors", rows)
-    assert failed_checks(sets=tuple(sets)) == {
-        "within-set-orthogonality", "two-term-equal-superposition-cover",
-        "cross-set-two-partners-overlap-half", "valid-products-orthogonal", "reveal-bases-complete"}
-    # two rows of one set swapped: still a valid set of the same span, but
+    # two elements of one set swapped: still a valid set of the same span, but
     # element k is no longer the k-th XOR pair of the scheme
-    sets = list(honest.sets)
-    sets[2] = MeasurementBasis(honest.sets[2].vectors[[1, 0, 2, 3]])
-    assert failed_checks(sets=tuple(sets)) == {"reveal-bases-complete"}
+    pairs = honest.pairs.copy()
+    pairs[2] = pairs[2][[1, 0, 2, 3]]
+    assert failed_checks(pairs=pairs) == {"reveal-bases-complete"}
+    # an even superposition of the four elements of set 0, which meets each
+    # of them at 1/2, as element 0 of set 1 has no pair form; the dense route
+    # sees it in every check that the audit failed with it as a dense row:
+    # eight terms (no cover), within-set, cross-set and product residuals,
+    # and not the scheme's rows
+    rows = dense_sets(honest)
+    rows[1, 0] = rows[0].sum(axis=0) / 2
+    reveals = np.array([r.amplitudes for r in honest.reveal_states])
+    within, split, products = gram_block_residuals(rows, reveals.conj() @ reveals.T)
+    assert np.count_nonzero(rows[1, 0]) == 8
+    assert within > ATOL and not split and products > ATOL
+    assert not np.array_equal(rows, dense_sets(honest))
     reveals = list(honest.reveal_states)
     reveals[1] = reveals[0]  # products of choices 0 and 1 overlap
     assert failed_checks(reveal_states=tuple(reveals)) == {
@@ -422,42 +452,48 @@ def test_audit_scheme_flags_tampered_agreements(monkeypatch):
 
 def test_audit_flags_tampers_of_each_integer_fact(monkeypatch):
     # tampers of default(1), masks (1, 2), each aimed at one fact the
-    # support-pair checks read; all but the last keep the failed sets that
-    # the dense Gram route gave
+    # pair checks read, each set given as (pairs, amplitudes); the first
+    # four keep the failed sets that the dense Gram route gave
     params = SchemeParams.default(1)
     honest = build_reveal_agreement(params)
     h = INV_SQRT2
 
-    def failures(set0=honest.sets[0].vectors, set1=honest.sets[1].vectors,
-                 reveals=honest.reveal_states):
-        sets = (MeasurementBasis(np.array(set0, dtype=complex)),
-                MeasurementBasis(np.array(set1, dtype=complex)))
-        tampered = dataclasses.replace(honest, sets=sets, reveal_states=reveals)
+    def failures(set0=None, set1=None, reveals=honest.reveal_states):
+        pairs, amplitudes = honest.pairs.copy(), honest.amplitudes.copy()
+        for c, tampered_set in enumerate((set0, set1)):
+            if tampered_set is not None:
+                pairs[c], amplitudes[c] = tampered_set
+        tampered = dataclasses.replace(honest, pairs=pairs, amplitudes=amplitudes,
+                                       reveal_states=reveals)
         monkeypatch.setattr(scheme, "build_reveal_agreement", lambda _: tampered)
         return {c.name: c.detail for c in audit_scheme(params) if not c.passed}
 
-    # a sign-flipped row (|00> - |01>)/sqrt(2): still two terms of 1/sqrt(2)
-    assert failures(set0=[[h, -h, 0, 0], [0, 0, h, h]]) == {"reveal-bases-complete": ""}
+    # a sign-flipped element (|00> - |01>)/sqrt(2): still two terms of 1/sqrt(2)
+    assert failures(set0=([[0, 1], [2, 3]], [[h, -h], [h, h]])) == {"reveal-bases-complete": ""}
     # set 1 from mask 0x3, which the scheme does not use: it still partitions
     # the indices and splits every pair of set 0
-    assert failures(set1=[[h, 0, 0, h], [0, h, h, 0]]) == {"reveal-bases-complete": ""}
+    assert failures(set1=([[0, 3], [1, 2]], [[h, h], [h, h]])) == {"reveal-bases-complete": ""}
     # set 1 holds the pairs of set 0 with opposite signs: no pair is split,
     # and every cross overlap cancels, so the products stay orthogonal even
     # when both choices share one reveal state
-    opposite = [[h, -h, 0, 0], [0, 0, h, -h]]
+    opposite = ([[0, 1], [2, 3]], [[h, -h], [h, -h]])
     assert set(failures(set1=opposite)) == {
         "cross-set-two-partners-overlap-half", "reveal-bases-complete"}
     assert set(failures(set1=opposite, reveals=honest.reveal_states[:1] * 2)) == {
         "cross-set-two-partners-overlap-half", "reveal-states-orthonormal",
         "reveal-bases-complete"}
-    # orthonormal rows that do not cover the indices: the dense Gram route
-    # passed the set and product checks and failed only the cover and
-    # reveal-bases-complete; read from support pairs, all three fail with it
+    # elements that do not cover the indices fail the cover and every check
+    # that needs it: orthonormal (|00> +- |01>)/sqrt(2), which the dense Gram
+    # route passed in the set and product checks; a zero amplitude in one
+    # pair; a pair index outside 0..2m-1, which is never used as an index
     unmet = "needs two-term-equal-superposition-cover"
-    assert failures(set0=[[h, h, 0, 0], [h, -h, 0, 0]]) == {
+    uncovered = {
         "within-set-orthogonality": unmet, "two-term-equal-superposition-cover": "",
         "cross-set-two-partners-overlap-half": unmet, "valid-products-orthogonal": unmet,
         "reveal-bases-complete": ""}
+    assert failures(set0=([[0, 1], [0, 1]], [[h, h], [h, -h]])) == uncovered
+    assert failures(set0=([[0, 1], [2, 3]], [[h, 0], [h, h]])) == uncovered
+    assert failures(set0=([[0, 1], [2, 4]], [[h, h], [h, h]])) == uncovered
 
 
 class AgreementRecorder(pytest.MonkeyPatch):
@@ -475,9 +511,10 @@ class AgreementRecorder(pytest.MonkeyPatch):
 
 
 def test_pair_residuals_match_dense_gram_blocks():
-    # the audit's support-pair checks against the dense Gram block per pair of
-    # sets: same pass/fail and residuals wherever the cover holds, on honest
-    # agreements and on every tamper of the two tamper tests
+    # the audit's pair checks against the dense Gram block per pair of sets,
+    # its rows written from the pairs: same pass/fail and residuals wherever
+    # the cover holds, on honest agreements and on every tamper of the two
+    # tamper tests
     honest = [SchemeParams.paper_cointoss()] + [SchemeParams.default(n) for n in (1, 2, 3, 4)]
     honest += [SchemeParams.random_masks(n, seed) for n in (1, 2, 3, 4) for seed in (0, 1, 2, 3)]
     recorder = AgreementRecorder()
@@ -486,18 +523,19 @@ def test_pair_residuals_match_dense_gram_blocks():
         test_audit_flags_tampers_of_each_integer_fact(recorder)
     finally:
         recorder.undo()
-    assert len(recorder.agreements) == 14
+    assert len(recorder.agreements) == 15
     covered = 0
     for agreement in [build_reveal_agreement(p) for p in honest] + recorder.agreements:
-        amplitudes = np.array([s.vectors for s in agreement.sets])
         reveals = np.array([r.amplitudes for r in agreement.reveal_states])
         reveal_gram = reveals.conj() @ reveals.T
-        cover, within, split, products = scheme._pair_residuals(amplitudes, reveal_gram)
+        cover, within, split, products = scheme._pair_residuals(
+            agreement.pairs, agreement.amplitudes, reveal_gram)
         if not cover:
             assert (within, split, products) == (np.inf, False, np.inf)
             continue
         covered += 1
-        dense_within, dense_split, dense_products = gram_block_residuals(amplitudes, reveal_gram)
+        dense_within, dense_split, dense_products = gram_block_residuals(
+            dense_sets(agreement), reveal_gram)
         assert split == dense_split
         for got, want in ((within, dense_within), (products, dense_products)):
             assert abs(got - want) <= 1e-15 and (got <= ATOL) == (want <= ATOL)
@@ -539,11 +577,11 @@ def test_honest_products_are_distinguishable(cointoss_agreement):
     for c in range(2):
         basis = product_measurement(cointoss_agreement, c)
         for k in range(2):
-            held = cointoss_agreement.sets[c].vector(k)
+            held = cointoss_agreement.element(c, k)
             product = tensor(held, cointoss_agreement.reveal_states[c])
             dist = born_distribution(product, basis)
             assert abs(dist[k] - 1.0) < 1e-12
-            dist = born_distribution(held, cointoss_agreement.sets[c])
+            dist = born_distribution(held, cointoss_agreement.measurement(c))
             assert abs(dist[k] - 1.0) < 1e-12
 
 
