@@ -4,10 +4,9 @@ Every scenario is computed two ways where feasible: an exact probability
 and a seeded Monte Carlo estimate of the same experiment. Bob's reveal
 state factors out of every valid-outcome mass, so exact figures are
 overlaps <psi|Q_c|psi> on the (n+1)-qubit register, Q_c = (I + X^{d_c})/2.
-``_valid_mass`` computes such masses for any held state from one Walsh
-transform; a set element a|x> + b|y> needs none, as X^d maps it onto
-itself for d = x XOR y and off it otherwise, so ``_pair_valid_mass`` reads
-the agreement's pairs. The [c, k, c'] table of set elements under reveals
+For a set element a|x> + b|y> the mass needs no dense row, as X^d maps
+the element onto itself for d = x XOR y and off it otherwise, so
+``_pair_valid_mass`` reads the agreement's pairs. The [c, k, c'] table of set elements under reveals
 holds every exact figure and the acceptance threshold of every sampled
 verification (cheat, block cheat, update-on-reject), so no reveal
 measurement is formed. ``run_full_analysis`` builds the table once; its
@@ -124,24 +123,6 @@ def _finish_report(scenario, exact, hits, trials, parameters) -> CheatReport:
 # --- binding: Alice's cheat acceptance ------------------------------------
 
 
-def _valid_mass(amplitudes: np.ndarray, masks) -> np.ndarray:
-    """Valid-outcome mass <psi|Q_c|psi> / <psi|psi> of each state along the
-    last axis of ``amplitudes`` under each mask d_c in ``masks``, indexed
-    [..., len(masks)].
-
-    Q_c = (I + X^{d_c})/2, and X^d is diagonal in the Hadamard basis with
-    entries W[d, y] of the Walsh matrix W, so the mass is
-    (1 + sum_y W[d, y] p(y)) / 2 for the Hadamard-basis distribution
-    p = |psi W|^2 / (2^(n+1) |psi|^2): one transform per state serves every
-    mask.
-    """
-    dim = amplitudes.shape[-1]
-    walsh = walsh_matrix(dim.bit_length() - 1)
-    norm2 = np.sum(np.abs(amplitudes) ** 2, axis=-1, keepdims=True)
-    spectrum = np.abs(amplitudes @ walsh) ** 2 / (dim * norm2)
-    return (1.0 + spectrum @ walsh[list(masks)].T) / 2.0
-
-
 def _pair_valid_mass(pairs: np.ndarray, amplitudes: np.ndarray, masks) -> np.ndarray:
     """Valid mass of each element a|x> + b|y>, held as its index pair (x, y)
     and amplitudes (a, b) along the last axis of ``pairs`` and
@@ -210,8 +191,9 @@ def alice_cheat_acceptance(
     _check_choices(params, c_true, c_claimed)
     if not 0 <= element < params.num_choices:
         raise ValueError(f"element index {element} out of range")
-    held = agreement.element(c_true, element).amplitudes
-    return float(_valid_mass(held, [params.masks[c_claimed]])[0])
+    mass = _pair_valid_mass(agreement.pairs[c_true, element],
+                            agreement.amplitudes[c_true, element], [params.masks[c_claimed]])
+    return float(mass[0])
 
 
 def alice_cheat_report(

@@ -144,7 +144,7 @@ class MeasurementBasis:
         if vecs.ndim != 2 or not 1 <= len(vecs) <= vecs.shape[1]:
             raise ValueError(f"need 1..d orthonormal rows of length d, got shape {vecs.shape}")
         gram = vecs @ vecs.conj().T
-        if np.abs(gram - _identity(len(vecs))).max() > ATOL:
+        if np.abs(gram - np.eye(len(vecs))).max() > ATOL:
             raise ValueError("basis vectors are not orthonormal")
         object.__setattr__(self, "vectors", vecs)
 
@@ -158,15 +158,6 @@ class MeasurementBasis:
         if not 0 <= k < len(self.vectors):
             raise ValueError(f"row {k} is not in 0..{len(self.vectors) - 1}")
         return StateVector(self.dimension.bit_length() - 1, self.vectors[k])
-
-
-@functools.cache
-def _identity(size: int) -> np.ndarray:
-    """The read-only size x size identity that a measurement's Gram is checked
-    against; built once per size, as a parent-B verify checks one per call."""
-    eye = np.eye(size)
-    eye.setflags(write=False)
-    return eye
 
 
 @functools.cache

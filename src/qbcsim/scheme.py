@@ -180,16 +180,11 @@ class RevealAgreement:
 
 
 def build_reveal_agreement(params: SchemeParams) -> RevealAgreement:
-    """Construct the sets, element k = (|x> + |y>)/sqrt(2) for the k-th XOR
-    pair (x, y), and the reveal states. No dense row is formed: the pairs of
-    every mask are the indices x < x XOR d_c in ascending order, as
-    ``xor_pairs`` lists them."""
-    index = np.arange(2**params.num_alice_qubits)
-    partner = index ^ np.array(params.masks)[:, None]  # [c, x]
-    keep = index < partner
+    """Construct the sets, element k = (|x> + |y>)/sqrt(2) for the k-th pair
+    (x, y) that ``xor_pairs`` lists, and the reveal states. No dense row is
+    formed."""
     count = params.num_choices
-    pairs = np.stack((np.broadcast_to(index, keep.shape)[keep], partner[keep]), axis=-1)
-    pairs = pairs.reshape(count, count, 2)
+    pairs = np.array([xor_pairs(params, c) for c in range(count)])  # [c, k, 2]
     amplitudes = np.full(pairs.shape, INV_SQRT2, dtype=complex)
     pairs.setflags(write=False)
     amplitudes.setflags(write=False)

@@ -8,8 +8,9 @@ measurement. ``qbcsim.analysis.discrimination_bounds`` computes the same
 figures from Walsh diagonals; the tests check it against this module, and
 this module against a Jacobi eigensolver and scipy matrix functions.
 
-It also keeps the index-XOR valid mass that the pair masses of
-``qbcsim.analysis`` replace, as the reference for their bits, and the
+It also keeps the Walsh valid mass of any held state and the index-XOR
+valid mass, the references for the pair masses of ``qbcsim.analysis``
+(the second for their bits), and the
 Gram block per pair of sets, over dense rows written from the pairs, that
 the pair checks of ``qbcsim.scheme.audit_scheme`` replace, as the
 reference for theirs, and
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qbcsim.quantum import ATOL, _frozen_array
+from qbcsim.quantum import ATOL, _frozen_array, walsh_matrix
 from qbcsim.scheme import RevealAgreement, SchemeParams, build_reveal_agreement
 
 #: Eigenvalues below this are treated as zero on the support of an
@@ -149,6 +150,24 @@ def pgm_success(ensembles, priors) -> float:
         reshaped = root @ e.density.entries @ root
         success += p**2 * float(np.trace(e.density.entries @ reshaped).real)
     return success
+
+
+def walsh_valid_mass(amplitudes: np.ndarray, masks) -> np.ndarray:
+    """Valid-outcome mass <psi|Q_c|psi> / <psi|psi> of each state along the
+    last axis of ``amplitudes`` under each mask d_c in ``masks``, indexed
+    [..., len(masks)].
+
+    Q_c = (I + X^{d_c})/2, and X^d is diagonal in the Hadamard basis with
+    entries W[d, y] of the Walsh matrix W, so the mass is
+    (1 + sum_y W[d, y] p(y)) / 2 for the Hadamard-basis distribution
+    p = |psi W|^2 / (2^(n+1) |psi|^2): one transform per state serves every
+    mask, for any held state.
+    """
+    dim = amplitudes.shape[-1]
+    walsh = walsh_matrix(dim.bit_length() - 1)
+    norm2 = np.sum(np.abs(amplitudes) ** 2, axis=-1, keepdims=True)
+    spectrum = np.abs(amplitudes @ walsh) ** 2 / (dim * norm2)
+    return (1.0 + spectrum @ walsh[list(masks)].T) / 2.0
 
 
 def flip_valid_mass_table(agreement: RevealAgreement) -> np.ndarray:

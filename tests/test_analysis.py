@@ -50,6 +50,7 @@ from dense_oracle import (
     flip_valid_mass_table,
     helstrom_bound,
     pgm_success,
+    walsh_valid_mass,
 )
 from test_quantum import hadamard_all, inner, random_state
 from test_scheme import product_measurement
@@ -118,13 +119,13 @@ def test_valid_mass_table_matches_born_oracle(agreements):
             # the Walsh formula holds for any held state, not only set elements
             for claim in range(m):
                 held = random_state(n + 1, rng)
-                mass = analysis._valid_mass(held.amplitudes, [agreement.params.masks[claim]])
+                mass = walsh_valid_mass(held.amplitudes, [agreement.params.masks[claim]])
                 assert mass.shape == (1,)
                 oracle = acceptance_by_born_distribution(agreement, held, claim, bases[claim])
                 assert abs(mass[0] - oracle) < 1e-12
             # and one transform serves every mask at once
             held = random_state(n + 1, rng)
-            masses = analysis._valid_mass(held.amplitudes, agreement.params.masks)
+            masses = walsh_valid_mass(held.amplitudes, agreement.params.masks)
             assert masses.shape == (m,)
             for claim in range(m):
                 oracle = acceptance_by_born_distribution(agreement, held, claim, bases[claim])
@@ -502,7 +503,7 @@ def test_free_alice_plus_state_passes_every_reveal():
         agreement = build_reveal_agreement(params)
         dim = 2**params.num_alice_qubits
         plus = StateVector(params.num_alice_qubits, np.full(dim, dim**-0.5))
-        assert_allclose(analysis._valid_mass(plus.amplitudes, params.masks), 1.0,
+        assert_allclose(walsh_valid_mass(plus.amplitudes, params.masks), 1.0,
                         rtol=0, atol=1e-12)
         digest = scheme_hash(params)
         commit = encode_message(Commit(plus), digest)
@@ -897,7 +898,7 @@ def test_table_and_direct_paths_agree_exactly(agreements):
         elements = dense_sets(agreement)
         for c in range(2**n):
             for claim in range(2**n):
-                masses = analysis._valid_mass(elements[c], [agreement.params.masks[claim]])[:, 0]
+                masses = walsh_valid_mass(elements[c], [agreement.params.masks[claim]])[:, 0]
                 assert masses.tobytes() == table[c, :, claim].tobytes()
                 exact = alice_cheat_report(agreement, c, claim).exact
                 assert exact == float(np.mean(table[c, :, claim]))
@@ -913,7 +914,7 @@ def test_table_and_direct_paths_agree_exactly(agreements):
 
 
 def test_walsh_table_equals_flip_oracle_bit_for_bit():
-    # one Walsh transform per element changes no bit of the index-XOR table:
+    # the pair masses change no bit of the index-XOR table:
     # every entry is exactly 1 or 1/2 on both routes
     rng = np.random.default_rng(5)
     schemes = [SchemeParams.paper_cointoss()]
