@@ -36,7 +36,7 @@ def main():
         elements = [measurement.vector(k) for k in range(params.num_choices)]
         for k, elem in enumerate(elements):
             print(f"  element {k}: {ket_string(elem)}")
-        reveal = agreement.reveal_states[c]
+        reveal = agreement.reveal_state(c)
         print(f"  reveal state: {ket_string(reveal)}")
         # Bob's coupled measurement: element (x) reveal state per valid outcome
         products = [tensor(elem, reveal) for elem in elements]

@@ -240,7 +240,7 @@ def cmd_cointoss(args: argparse.Namespace, out=None) -> int:
             landed = "outside every valid product"  # the reject outcome 2^n
             if message.accepted:  # element (x) reveal state: Bob's valid product
                 landed = ket_string(tensor(agreement.element(revealed, outcome),
-                                           agreement.reveal_states[revealed]))
+                                           agreement.reveal_state(revealed)))
             print(f"Verdict: {status}, outcome {outcome} -> {landed}", file=out)
             if message.recovered_element is not None:
                 print(f"recovered element: {message.recovered_element}", file=out)

@@ -182,8 +182,15 @@ def born_distribution(state: StateVector, basis: MeasurementBasis) -> np.ndarray
     if state.dimension != basis.dimension:
         raise ValueError("state and basis dimensions differ")
     # |<b|s>| = |<s|b>|: conjugate the state, not the basis
-    probs = np.abs(basis.vectors @ state.amplitudes.conj()) ** 2
-    if len(probs) < basis.dimension:
+    return _outcome_distribution(np.abs(basis.vectors @ state.amplitudes.conj()) ** 2,
+                                 basis.dimension)
+
+
+def _outcome_distribution(probs: np.ndarray, dimension: int) -> np.ndarray:
+    """The valid-outcome masses ``probs`` of a measurement of ``dimension``,
+    then the complement mass max(0, 1 - sum) when the rows do not span the
+    space; ValueError unless the whole sums to 1 within ATOL, then normalised."""
+    if len(probs) < dimension:
         probs = np.concatenate((probs, [max(0.0, 1.0 - probs.sum())]))
     total = probs.sum()
     if abs(total - 1.0) > ATOL:
@@ -207,8 +214,13 @@ def measure(state: StateVector, basis: MeasurementBasis, rng) -> int:
     One uniform picks the outcome from ``_choice_cdf``: the same draw and the
     same outcome as ``rng.choice(len(p), p=p)``, without its checks of ``p``,
     which ``born_distribution`` has already normalised and checked."""
-    cdf = _choice_cdf(born_distribution(state, basis))
-    return int(cdf.searchsorted(as_generator(rng).random(), "right"))
+    return _draw_outcome(born_distribution(state, basis), rng)
+
+
+def _draw_outcome(dist: np.ndarray, rng) -> int:
+    """The outcome of the checked distribution ``dist`` that one uniform of
+    ``rng`` picks from ``_choice_cdf``."""
+    return int(_choice_cdf(dist).searchsorted(as_generator(rng).random(), "right"))
 
 
 @functools.cache
@@ -234,9 +246,9 @@ def walsh_matrix(k: int) -> np.ndarray:
 
 
 def state_to_text(state: StateVector) -> str:
-    lines = [f"qubits={state.num_qubits}"]
-    lines += [f"{a.real:.17g} {a.imag:.17g}" for a in state.amplitudes]
-    return "\n".join(lines) + "\n"
+    # one format call over the interleaved (re, im) float64 pairs
+    parts = tuple(state.amplitudes.view(float).tolist())
+    return f"qubits={state.num_qubits}\n" + ("%.17g %.17g\n" * state.dimension) % parts
 
 
 def state_from_text(text: str) -> StateVector:

@@ -7,36 +7,41 @@ Choice ``c`` is bound to:
   each an equal two-term superposition ``(|x> + |x XOR d_c>)/sqrt(2)``
   built from a nonzero pairing mask ``d_c`` (one element per XOR pair,
   ordered by the smaller pair member);
-* the receiver's n-qubit reveal state, written from its closed form
+* the receiver's n-qubit reveal state G_c, written from its closed form
   ``(|0,c2..cn> + (-1)^c1 |1,~c2..~cn>)/sqrt(2)``: the output of the
   paper's generation circuit (a Hadamard on qubit 1, then CNOTs fanning
   out from qubit 1) on |c>, against which the tests check it.
 
 Set c is held as its pairs: the index pairs [k, 2] that ``xor_pairs``
 yields and their amplitudes [k, 2], 2^n elements of two terms each, so
-the agreement is O(m^2) for m = 2^n choices. Dense rows are formed only
-where a dense measurement is used: ``measurement(c)`` is set c as Bob's
-reveal measurement on Alice's (n+1)-qubit register, one
-``MeasurementBasis`` whose row k is element k, a valid outcome, and whose
-outcome ``2^n`` rejects, and ``element(c, k)`` is one element. The
-measurement is Bob's measurement onto the ``2^n`` valid products
-"set element (x) reveal state" plus reject, since
-<e (x) G_c|psi (x) G_c> = <e|psi>: no product is ever formed.
+the agreement is O(m^2) for m = 2^n choices. The reveal states are one
+array [c, x], written by one writer of the closed form. No StateVector
+or MeasurementBasis is formed by the build: ``element(c, k)`` and
+``reveal_state(c)`` form and validate one state on demand, and
+``measurement(c)`` is set c as Bob's reveal measurement on Alice's
+(n+1)-qubit register, one ``MeasurementBasis`` whose row k is element k,
+a valid outcome, and whose outcome ``2^n`` rejects. The measurement is
+Bob's measurement onto the ``2^n`` valid products "set element (x) reveal
+state" plus reject, since <e (x) G_c|psi (x) G_c> = <e|psi>: no product
+is ever formed. A verify reads its distribution from the pairs in O(m)
+(``measurement_distribution``), with no dense row formed.
 
 Distinct nonzero masks guarantee the concealment structure: every element
 of one set overlaps exactly two elements of every other set, each with
 inner product 1/2.
 
 The module also provides structural audits over all of the above, from
-the pairs and one Walsh table of the stacked reveal states: their Pauli-Z
+the pairs and one Walsh table of the reveal-state array: their Pauli-Z
 expectations for every mask, indexed [choice, mask], beside X^(x)n, with
 the mask parity classes as boolean arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -45,6 +50,7 @@ from .quantum import (
     INV_SQRT2,
     MeasurementBasis,
     StateVector,
+    _outcome_distribution,
     as_generator,
     walsh_matrix,
 )
@@ -117,10 +123,23 @@ class SchemeParams:
 
 
 def xor_pairs(params: SchemeParams, choice: int) -> tuple[tuple[int, int], ...]:
-    """The basis-index pairs {x, x XOR d_c}, ordered by smaller member."""
+    """The basis-index pairs {x, x XOR d_c}, ordered by smaller member
+    (ascending x, each pair met at its smaller member)."""
     d = params.masks[choice]
-    reps = sorted(x for x in range(2**params.num_alice_qubits) if x < x ^ d)
-    return tuple((x, x ^ d) for x in reps)
+    return tuple((x, x ^ d) for x in range(2**params.num_alice_qubits) if x < x ^ d)
+
+
+def _reveal_table(n: int) -> np.ndarray:
+    """Every reveal state, row c = G_c ([c, x]):
+    (|c & (m/2 - 1)> + (-1)^c1 |its complement>)/sqrt(2) for m = 2^n, that
+    is (|0,c2..cn> + (-1)^c1 |1,~c2..~cn>)/sqrt(2), every other entry +0."""
+    m = 2**n
+    table = np.zeros((m, m), dtype=complex)
+    for rows, sign in ((table[: m // 2], 1), (table[m // 2:], -1)):  # c1 = 0, then 1
+        flat = rows.reshape(-1)  # row i of the half, column x, at i*m + x
+        flat[:: m + 1] = INV_SQRT2  # [i, i]: |0,c2..cn>
+        flat[m - 1:: m - 1] = sign * INV_SQRT2  # [i, m-1-i]: its complement
+    return table
 
 
 def bob_reveal_state(params: SchemeParams, choice: int) -> StateVector:
@@ -132,11 +151,7 @@ def bob_reveal_state(params: SchemeParams, choice: int) -> StateVector:
     n = params.num_bob_qubits
     if not 0 <= choice < params.num_choices:
         raise ValueError(f"choice {choice} out of range 0..{params.num_choices - 1}")
-    low = choice & (2 ** (n - 1) - 1)  # |0,c2..cn>; |1,~c2..~cn> is its complement
-    amplitudes = np.zeros(2**n, dtype=complex)
-    amplitudes[low] = INV_SQRT2
-    amplitudes[2**n - 1 - low] = -INV_SQRT2 if choice >> (n - 1) else INV_SQRT2
-    return StateVector(n, amplitudes)
+    return StateVector(n, _reveal_table(n)[choice])
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,18 +164,26 @@ class RevealAgreement:
     set c as its reveal measurement on Alice's (n+1)-qubit register (valid
     outcome k is element k, outcome ``2^n`` rejects): Bob's coupled
     measurement onto e_{c,k} (x) G_c, as <e (x) G_c|psi (x) G_c> = <e|psi>.
-    ``reveal_states[c]`` is G_c, Bob's n-qubit reveal state. Equality is
-    identity, as the arrays have no single truth value.
+    ``measurement_distribution(c, psi)`` is its Born distribution, read from
+    the pairs. ``reveals[c]`` holds G_c, Bob's n-qubit reveal state, in one
+    read-only array [c, x]; ``reveal_state(c)`` forms it as a StateVector.
+    ``descriptor_hash`` is the scheme hash, computed on first use. Equality
+    is identity, as the arrays have no single truth value.
     """
 
     params: SchemeParams
     pairs: np.ndarray
     amplitudes: np.ndarray
-    reveal_states: tuple[StateVector, ...]
+    reveals: np.ndarray
 
     @property
     def num_choices(self) -> int:
         return self.params.num_choices
+
+    @functools.cached_property
+    def descriptor_hash(self) -> str:
+        """``scheme_hash(params)``, computed once per agreement."""
+        return scheme_hash(self.params)
 
     def measurement(self, choice: int) -> MeasurementBasis:
         """Set ``choice`` as Bob's reveal measurement, its dense rows formed
@@ -178,18 +201,36 @@ class RevealAgreement:
         amplitudes[self.pairs[choice, k]] = self.amplitudes[choice, k]
         return StateVector(self.params.num_alice_qubits, amplitudes)
 
+    def reveal_state(self, choice: int) -> StateVector:
+        """G_``choice``, Bob's reveal state, as a StateVector on his register."""
+        if not 0 <= choice < self.num_choices:
+            raise ValueError(f"choice {choice} out of range 0..{self.num_choices - 1}")
+        return StateVector(self.params.num_bob_qubits, self.reveals[choice])
+
+    def measurement_distribution(self, choice: int, state: StateVector) -> np.ndarray:
+        """``born_distribution(state, measurement(choice))`` from the pairs in
+        O(m): <e_k|psi> = conj(a_k) psi[x_k] + conj(b_k) psi[y_k] for element
+        k = a_k|x_k> + b_k|y_k>, then the reject mass, checked and normalised
+        as ``born_distribution`` does."""
+        if state.num_qubits != self.params.num_alice_qubits:
+            raise ValueError("state and basis dimensions differ")
+        terms = self.amplitudes[choice].conj() * state.amplitudes[self.pairs[choice]]
+        return _outcome_distribution(np.abs(terms[:, 0] + terms[:, 1]) ** 2, state.dimension)
+
 
 def build_reveal_agreement(params: SchemeParams) -> RevealAgreement:
     """Construct the sets, element k = (|x> + |y>)/sqrt(2) for the k-th pair
-    (x, y) that ``xor_pairs`` lists, and the reveal states. No dense row is
-    formed."""
+    (x, y) that ``xor_pairs`` lists, and the reveal-state array. No dense
+    row, StateVector or MeasurementBasis is formed."""
     count = params.num_choices
-    pairs = np.array([xor_pairs(params, c) for c in range(count)])  # [c, k, 2]
+    # [c, k, 2]; fromiter over the flat indices, as np.array of nested tuples costs 2-3x at n >= 4
+    indices = chain.from_iterable(chain.from_iterable(xor_pairs(params, c) for c in range(count)))
+    pairs = np.fromiter(indices, dtype=int, count=2 * count**2).reshape(count, count, 2)
     amplitudes = np.full(pairs.shape, INV_SQRT2, dtype=complex)
-    pairs.setflags(write=False)
-    amplitudes.setflags(write=False)
-    reveal_states = tuple(bob_reveal_state(params, c) for c in range(count))
-    return RevealAgreement(params, pairs, amplitudes, reveal_states)
+    reveals = _reveal_table(params.num_bob_qubits)  # [c, x]
+    for array in (pairs, amplitudes, reveals):
+        array.setflags(write=False)
+    return RevealAgreement(params, pairs, amplitudes, reveals)
 
 
 # --- structural audit ----------------------------------------------------
@@ -254,7 +295,7 @@ def audit_scheme(params: SchemeParams) -> list[AuditCheck]:
 
     agreement = build_reveal_agreement(params)
     count = params.num_choices
-    reveals = np.array([r.amplitudes for r in agreement.reveal_states])
+    reveals = agreement.reveals
     reveal_gram = reveals.conj() @ reveals.T  # <G_c|G_c'>
     cover, within, split, products = _pair_residuals(
         agreement.pairs, agreement.amplitudes, reveal_gram)

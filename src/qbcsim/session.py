@@ -9,7 +9,9 @@ reduced-qubit variant, the computational basis state bound to it); Bob
 records a classical guess; Alice reveals the choice (honestly or not)
 plus the parent-set indicator; Bob measures onto the 2^n valid products
 of the revealed choice plus one reject outcome, accepting only valid
-outcomes (on Alice's register, see ``bob_verify``).
+outcomes (on Alice's register, read from the set's pairs, see
+``bob_verify``). Both endpoints name the agreement by its
+``descriptor_hash``, computed once per agreement.
 
 Messages travel as newline-delimited JSON frames: a frame is one line
 ending in a newline, and a line cut off at end of stream is a
@@ -40,13 +42,14 @@ import numpy as np
 
 from .quantum import (
     StateVector,
+    _draw_outcome,
     as_generator,
     computational_basis,
     measure,
     state_from_text,
     state_to_text,
 )
-from .scheme import RevealAgreement, SchemeParams, scheme_hash
+from .scheme import RevealAgreement, SchemeParams
 
 WIRE_VERSION = 1
 
@@ -333,12 +336,13 @@ def alice_reveal(state: SessionState, claim: int | None = None) -> tuple[Session
 def bob_verify(state: SessionState, *, rng) -> tuple[SessionState, Verdict, VerificationResult]:
     """Measure, and accept iff the outcome is a valid product.
 
-    Parent B: Bob forms the revealed choice's reveal measurement from its
-    pairs (``RevealAgreement.measurement``, checked orthonormal) and
-    measures the held state onto the 2^n elements of the set plus one
-    reject outcome: his coupled measurement onto the valid products
-    e_{c,k} (x) G_c, as <e (x) G_c|psi (x) G_c> = <e|psi>, with no
-    (2n+1)-qubit product formed.
+    Parent B: Bob measures the held state onto the 2^n elements of the
+    revealed set plus one reject outcome, his coupled measurement onto the
+    valid products e_{c,k} (x) G_c, as <e (x) G_c|psi (x) G_c> = <e|psi>.
+    The distribution is read from the set's pairs in O(m)
+    (``RevealAgreement.measurement_distribution``), with no dense row and
+    no (2n+1)-qubit product formed, and one uniform draws the outcome, as
+    ``measure`` draws it.
     Parent S: Bob measures the held state in the computational basis and
     accepts only the outcome bound to the revealed choice.
     The held state and the reveal are the transcript's commit and reveal.
@@ -346,9 +350,9 @@ def bob_verify(state: SessionState, *, rng) -> tuple[SessionState, Verdict, Veri
     state.expect(Verdict)
     commit, _, reveal = state.transcript
     if reveal.parent == PARENT_B:
-        basis = state.agreement.measurement(reveal.choice)
-        outcome = measure(commit.state, basis, rng)
-        accepted = outcome < len(basis.vectors)
+        dist = state.agreement.measurement_distribution(reveal.choice, commit.state)
+        outcome = _draw_outcome(dist, rng)
+        accepted = outcome < state.agreement.num_choices
     else:
         outcome = measure(commit.state, computational_basis(commit.state.dimension), rng)
         accepted = outcome == reveal.choice
@@ -385,7 +389,7 @@ class _Endpoint:
         self.agreement = agreement
         self.script = script
         self.rng = as_generator(rng)
-        self.scheme_hash = scheme_hash(agreement.params)
+        self.scheme_hash = agreement.descriptor_hash
         self.state: SessionState | None = None
         self.frames: list[bytes] = []
 

@@ -63,7 +63,7 @@ def test_criterion_1_table_reproduction():
                 ).max(),
                 np.abs(
                     tensor(
-                        agreement.element(c, k), agreement.reveal_states[c]
+                        agreement.element(c, k), agreement.reveal_state(c)
                     ).amplitudes
                     - product.amplitudes
                 ).max(),
@@ -91,7 +91,7 @@ def test_criterion_2_completeness():
             basis = product_measurement(agreement, c)
             for k in range(m):
                 product = tensor(
-                    agreement.element(c, k), agreement.reveal_states[c]
+                    agreement.element(c, k), agreement.reveal_state(c)
                 )
                 dist = born_distribution(product, basis)
                 dists[(c, k)] = dist

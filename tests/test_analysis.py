@@ -85,7 +85,7 @@ def jacobi_eigenvalues(matrix, sweeps=60):
 def acceptance_by_inner_products(agreement, held, claimed):
     """Oracle: sum of |<valid product|held (x) G_claimed>|^2 without using
     born_distribution."""
-    product = tensor(held, agreement.reveal_states[claimed])
+    product = tensor(held, agreement.reveal_state(claimed))
     basis = product_measurement(agreement, claimed)
     return sum(abs(inner(basis.vector(k), product)) ** 2 for k in range(len(basis.vectors)))
 
@@ -94,7 +94,7 @@ def acceptance_by_born_distribution(agreement, held, claimed, basis):
     """Oracle: Born distribution of held (x) G_claimed on ``basis``, the
     product-space reveal measurement of the claimed choice, summed over
     valid outcomes."""
-    product = tensor(held, agreement.reveal_states[claimed])
+    product = tensor(held, agreement.reveal_state(claimed))
     return born_distribution(product, basis)[:len(basis.vectors)].sum()
 
 
@@ -584,7 +584,7 @@ def test_wrong_coupling_table(cointoss_agreement):
         assert (c, k, claim) in by_key
         product = tensor(
             cointoss_agreement.element(c, k),
-            cointoss_agreement.reveal_states[claim],
+            cointoss_agreement.reveal_state(claim),
         )
         assert_allclose(product.amplitudes, amplitudes, atol=1e-12)
 

@@ -349,6 +349,36 @@ def test_state_text_round_trip_is_exact():
         assert again == state  # bit-exact through the 17g format
 
 
+def old_state_text(num_qubits, amplitudes) -> str:
+    """Oracle: the commit-frame text as one f-string line per amplitude."""
+    lines = [f"qubits={num_qubits}"] + [f"{a.real:.17g} {a.imag:.17g}" for a in amplitudes]
+    return "\n".join(lines) + "\n"
+
+
+def test_state_text_matches_line_format():
+    # the one-format-call text equals the per-line f-strings byte for byte,
+    # signed zeros, subnormals and the extremes of the float64 range included,
+    # and every value parses back exactly
+    tiny = 5e-324  # the smallest subnormal
+    states = [random_state(n, np.random.default_rng(n)) for n in (1, 2, 3, 6)]
+    states.append(StateVector(2, [1, complex(-0.0, tiny), complex(-0.0, -0.0), -2.5e-310]))
+    for state in states:
+        text = state_to_text(state)
+        assert text == old_state_text(state.num_qubits, state.amplitudes)
+        assert state_from_text(text).amplitudes.tobytes() == state.amplitudes.tobytes()
+    # amplitudes no state can hold reach the formatter through a stand-in
+    extremes = np.array([complex(1e308, -1e308), complex(-0.0, -tiny),
+                         complex(np.finfo(float).max, -np.finfo(float).tiny), 0j])
+    stand_in = StateVector.__new__(StateVector)
+    object.__setattr__(stand_in, "num_qubits", 2)
+    object.__setattr__(stand_in, "amplitudes", extremes)
+    text = state_to_text(stand_in)
+    assert text == old_state_text(2, extremes)
+    parsed = [complex(float(re), float(im)) for re, im in
+              (line.split() for line in text.splitlines()[1:])]
+    assert np.array(parsed).tobytes() == extremes.tobytes()
+
+
 def test_state_from_text_rejects_malformed():
     with pytest.raises(ValueError, match="header"):
         state_from_text("0.5 0\n")

@@ -55,7 +55,7 @@ def product_measurement(agreement, claimed: int) -> MeasurementBasis:
     """Oracle: Bob's coupled reveal measurement for ``claimed`` in the
     (2n+1)-qubit product space, row k = element k of set ``claimed``
     tensored with reveal state ``claimed``, plus the reject outcome."""
-    reveal = agreement.reveal_states[claimed]
+    reveal = agreement.reveal_state(claimed)
     return MeasurementBasis([tensor(agreement.element(claimed, k), reveal).amplitudes
                              for k in range(agreement.num_choices)])
 
@@ -152,7 +152,7 @@ def test_reveal_states_match_generation_circuit():
 
 
 def test_reveal_states_cointoss_preset(cointoss_agreement):
-    plus, minus = (r.amplitudes for r in cointoss_agreement.reveal_states)
+    plus, minus = cointoss_agreement.reveals
     assert_allclose(plus, [np.sqrt(0.5), np.sqrt(0.5)], atol=1e-15)
     assert_allclose(minus, [np.sqrt(0.5), -np.sqrt(0.5)], atol=1e-15)
 
@@ -165,11 +165,12 @@ def test_agreement_basis_shape(agreements):
         count = 2**n
         dim = 2 ** (n + 1)
         assert [f.name for f in dataclasses.fields(agreement)] == [
-            "params", "pairs", "amplitudes", "reveal_states"]
+            "params", "pairs", "amplitudes", "reveals"]
         assert agreement.pairs.shape == agreement.amplitudes.shape == (count, count, 2)
-        assert not agreement.pairs.flags.writeable and not agreement.amplitudes.flags.writeable
+        assert agreement.reveals.shape == (count, count)
+        assert not any(array.flags.writeable for array in (
+            agreement.pairs, agreement.amplitudes, agreement.reveals))
         assert (agreement.amplitudes == INV_SQRT2).all()
-        assert len(agreement.reveal_states) == count
         for c in range(count):
             assert agreement.pairs[c].tolist() == [list(p) for p in xor_pairs(agreement.params, c)]
             basis = agreement.measurement(c)
@@ -181,11 +182,88 @@ def test_agreement_basis_shape(agreements):
                 expected[[x, y]] = INV_SQRT2
                 assert basis.vector(k).amplitudes.tobytes() == expected.tobytes()
                 assert agreement.element(c, k).amplitudes.tobytes() == expected.tobytes()
-            assert isinstance(agreement.reveal_states[c], StateVector)
-            assert agreement.reveal_states[c].num_qubits == n
+            reveal = agreement.reveal_state(c)
+            assert isinstance(reveal, StateVector) and reveal.num_qubits == n
+            assert reveal.amplitudes.tobytes() == agreement.reveals[c].tobytes()
         for k in (-1, count):
             with pytest.raises(ValueError, match="element"):
                 agreement.element(0, k)
+            with pytest.raises(ValueError, match="choice"):
+                agreement.reveal_state(k)
+
+
+def test_build_forms_no_state_vector(monkeypatch):
+    # the build writes arrays only: no StateVector and no MeasurementBasis is
+    # constructed, and each is formed (and validated) on demand
+    built = []
+    for cls in (StateVector, MeasurementBasis):
+        original = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda obj, original=original: built.append(obj) or original(obj))
+    for n in range(1, MAX_N + 1):
+        build_reveal_agreement(SchemeParams.default(n))
+    agreement = build_reveal_agreement(SchemeParams.paper_cointoss())
+    assert built == []
+    agreement.reveal_state(1)
+    assert [type(obj) for obj in built] == [StateVector]
+
+
+def closed_form_stack(params) -> np.ndarray:
+    """Oracle: reveal state c written choice by choice from its closed form,
+    (|0,c2..cn> + (-1)^c1 |1,~c2..~cn>)/sqrt(2), into zeroed rows, stacked."""
+    n = params.num_bob_qubits
+    rows = []
+    for c in range(params.num_choices):
+        low = c & (2 ** (n - 1) - 1)
+        amplitudes = np.zeros(2**n, dtype=complex)
+        amplitudes[low] = INV_SQRT2
+        amplitudes[2**n - 1 - low] = -INV_SQRT2 if c >> (n - 1) else INV_SQRT2
+        rows.append(amplitudes)
+    return np.array(rows)
+
+
+def test_reveals_equal_closed_form_stack():
+    # byte for byte, signed zeros included, for every preset and pinned mask
+    # set; reveal_state(c) and bob_reveal_state read the same rows
+    schemes = [SchemeParams.default(n) for n in range(1, MAX_N + 1)]
+    schemes += [SchemeParams.paper_cointoss(), SchemeParams.random_masks(2, 5),
+                SchemeParams.random_masks(3, 11), SchemeParams.random_masks(5, 7)]
+    for params in schemes:
+        agreement = build_reveal_agreement(params)
+        assert agreement.reveals.tobytes() == closed_form_stack(params).tobytes()
+        for c in range(params.num_choices):
+            expected = agreement.reveals[c].tobytes()
+            assert agreement.reveal_state(c).amplitudes.tobytes() == expected
+            assert bob_reveal_state(params, c).amplitudes.tobytes() == expected
+
+
+def test_measurement_distribution_equals_dense_born_rows():
+    # the verify's O(m) pair route against the dense measurement: byte for
+    # byte for set elements and |+>^(n+1) under every reveal, n = 1..6. Up to
+    # n = 4 every element is held under every reveal; at n = 5 and 6 (all
+    # 32 x 1025 + 64 x 4097 checks take about 9 s) each reveal meets four
+    # sets, its own among them, and every element is held under four
+    # reveals. Random states may differ from the dense product in the last bit
+    schemes = [SchemeParams.default(n) for n in range(1, MAX_N + 1)]
+    schemes += [SchemeParams.paper_cointoss(), SchemeParams.random_masks(3, 11)]
+    rng = np.random.default_rng(29)
+    for params in schemes:
+        agreement = build_reveal_agreement(params)
+        m, n = params.num_choices, params.num_bob_qubits
+        elements = [[agreement.element(c, k) for k in range(m)] for c in range(m)]
+        plus = StateVector(n + 1, np.full(2 * m, 1 / np.sqrt(2 * m)))
+        noisy = [random_state(n + 1, rng) for _ in range(3)]
+        for claim in range(m):
+            measurement = agreement.measurement(claim)
+            sets = range(m) if n < 5 else {(claim + step) % m for step in (0, 1, 21, 42)}
+            for psi in [plus] + [e for c in sets for e in elements[c]]:
+                got = agreement.measurement_distribution(claim, psi)
+                assert got.tobytes() == born_distribution(psi, measurement).tobytes()
+            for psi in noisy:
+                assert_allclose(agreement.measurement_distribution(claim, psi),
+                                born_distribution(psi, measurement), rtol=1e-14, atol=1e-16)
+    with pytest.raises(ValueError, match="dimensions"):
+        agreement.measurement_distribution(0, make_basis_state("0"))
 
 
 def test_build_peak_memory_stays_quadratic():
@@ -202,7 +280,7 @@ def test_build_peak_memory_stays_quadratic():
     assert peak < 10**6, peak
 
 
-#: SHA-256 over every set's measurement rows and then every reveal state's amplitudes,
+#: SHA-256 over every set's measurement rows and then the reveal-state array [c, x],
 #: as complex128 bytes in choice order, keyed by (n, masks).
 AGREEMENT_PINS = {
     (1, (1, 2)): "671eeb26268792712b3f3f7d10900db630a70fa2695640bb4b39eba52015ef7c",
@@ -230,8 +308,7 @@ def test_agreement_bytes_pinned():
         digest = hashlib.sha256()
         for c in range(agreement.num_choices):
             digest.update(agreement.measurement(c).vectors.tobytes())
-        for reveal in agreement.reveal_states:
-            digest.update(reveal.amplitudes.tobytes())
+        digest.update(agreement.reveals.tobytes())
         assert digest.hexdigest() == AGREEMENT_PINS[params.num_bob_qubits, params.masks]
 
 
@@ -242,7 +319,7 @@ def test_register_measurement_equals_product_measurement(agreements):
     rng = np.random.default_rng(31)
     for n, agreement in agreements.items():
         for c in range(agreement.num_choices):
-            reveal = agreement.reveal_states[c]
+            reveal = agreement.reveal_state(c)
             oracle = product_measurement(agreement, c)
             measurement = agreement.measurement(c)
             held = [agreement.element(s, k) for s in (c, (c + 1) % agreement.num_choices)
@@ -264,7 +341,7 @@ def test_factorised_product_gram_matches_explicit_gram(agreements):
         stacked = np.concatenate([product_measurement(agreement, c).vectors for c in range(m)])
         explicit = stacked.conj() @ stacked.T
         elements = np.concatenate([agreement.measurement(c).vectors for c in range(m)])
-        reveals = np.array([r.amplitudes for r in agreement.reveal_states])
+        reveals = agreement.reveals
         factorised = (elements.conj() @ elements.T) * np.kron(
             reveals.conj() @ reveals.T, np.ones((m, m))
         )
@@ -298,7 +375,7 @@ def test_stabilizer_audit_passes_for_reveal_states(agreements):
     # X^(x)n has eigenvalue (-1)^c1 on reveal state c, every even-parity Z
     # mask is a +-1 eigenoperator, and every odd one has expectation 0
     for n, agreement in agreements.items():
-        reveals = np.array([r.amplitudes for r in agreement.reveal_states])
+        reveals = agreement.reveals
         x_values, z_values = scheme._pauli_expectations(reveals)
         even = np.array([bin(z).count("1") % 2 == 0 for z in range(2**n)])
         for c in range(agreement.num_choices):
@@ -315,9 +392,9 @@ def test_stabilizer_audit_rejects_non_eigen_state(monkeypatch):
     # |00> in place of reveal state 3: its X^(x)2 expectation is 0
     params = SchemeParams.default(2)
     honest = build_reveal_agreement(params)
-    reveals = list(honest.reveal_states)
-    reveals[3] = make_basis_state("00")
-    tampered = dataclasses.replace(honest, reveal_states=tuple(reveals))
+    reveals = honest.reveals.copy()
+    reveals[3] = make_basis_state("00").amplitudes
+    tampered = dataclasses.replace(honest, reveals=reveals)
     monkeypatch.setattr(scheme, "build_reveal_agreement", lambda _: tampered)
     checks = {check.name: check for check in audit_scheme(params)}
     assert not checks["stabilizer-eigenoperators"].passed
@@ -395,24 +472,24 @@ def test_audit_scheme_flags_tampered_agreements(monkeypatch):
     # and not the scheme's rows
     rows = dense_sets(honest)
     rows[1, 0] = rows[0].sum(axis=0) / 2
-    reveals = np.array([r.amplitudes for r in honest.reveal_states])
+    reveals = honest.reveals
     within, split, products = gram_block_residuals(rows, reveals.conj() @ reveals.T)
     assert np.count_nonzero(rows[1, 0]) == 8
     assert within > ATOL and not split and products > ATOL
     assert not np.array_equal(rows, dense_sets(honest))
-    reveals = list(honest.reveal_states)
+    reveals = honest.reveals.copy()
     reveals[1] = reveals[0]  # products of choices 0 and 1 overlap
-    assert failed_checks(reveal_states=tuple(reveals)) == {
+    assert failed_checks(reveals=reveals) == {
         "reveal-states-orthonormal", "valid-products-orthogonal"}
 
     # reveal states that are not stabilizer states of the scheme; each
     # failed set and detail text is the one recorded before the stabilizer
     # checks were read from one Walsh table
     def reveal_failures(*replaced):
-        reveals = list(honest.reveal_states)
+        reveals = honest.reveals.copy()
         for c, amplitudes in replaced:
-            reveals[c] = StateVector(2, amplitudes)
-        return failures(reveal_states=tuple(reveals))
+            reveals[c] = StateVector(2, amplitudes).amplitudes
+        return failures(reveals=reveals)
 
     half = 2**-0.5
     basis_01, plus_plus, zero_plus = [0, 1, 0, 0], [0.5] * 4, [half, half, 0, 0]
@@ -458,13 +535,13 @@ def test_audit_flags_tampers_of_each_integer_fact(monkeypatch):
     honest = build_reveal_agreement(params)
     h = INV_SQRT2
 
-    def failures(set0=None, set1=None, reveals=honest.reveal_states):
+    def failures(set0=None, set1=None, reveals=honest.reveals):
         pairs, amplitudes = honest.pairs.copy(), honest.amplitudes.copy()
         for c, tampered_set in enumerate((set0, set1)):
             if tampered_set is not None:
                 pairs[c], amplitudes[c] = tampered_set
         tampered = dataclasses.replace(honest, pairs=pairs, amplitudes=amplitudes,
-                                       reveal_states=reveals)
+                                       reveals=reveals)
         monkeypatch.setattr(scheme, "build_reveal_agreement", lambda _: tampered)
         return {c.name: c.detail for c in audit_scheme(params) if not c.passed}
 
@@ -479,7 +556,7 @@ def test_audit_flags_tampers_of_each_integer_fact(monkeypatch):
     opposite = ([[0, 1], [2, 3]], [[h, -h], [h, -h]])
     assert set(failures(set1=opposite)) == {
         "cross-set-two-partners-overlap-half", "reveal-bases-complete"}
-    assert set(failures(set1=opposite, reveals=honest.reveal_states[:1] * 2)) == {
+    assert set(failures(set1=opposite, reveals=honest.reveals[[0, 0]])) == {
         "cross-set-two-partners-overlap-half", "reveal-states-orthonormal",
         "reveal-bases-complete"}
     # elements that do not cover the indices fail the cover and every check
@@ -526,7 +603,7 @@ def test_pair_residuals_match_dense_gram_blocks():
     assert len(recorder.agreements) == 15
     covered = 0
     for agreement in [build_reveal_agreement(p) for p in honest] + recorder.agreements:
-        reveals = np.array([r.amplitudes for r in agreement.reveal_states])
+        reveals = agreement.reveals
         reveal_gram = reveals.conj() @ reveals.T
         cover, within, split, products = scheme._pair_residuals(
             agreement.pairs, agreement.amplitudes, reveal_gram)
@@ -578,7 +655,7 @@ def test_honest_products_are_distinguishable(cointoss_agreement):
         basis = product_measurement(cointoss_agreement, c)
         for k in range(2):
             held = cointoss_agreement.element(c, k)
-            product = tensor(held, cointoss_agreement.reveal_states[c])
+            product = tensor(held, cointoss_agreement.reveal_state(c))
             dist = born_distribution(product, basis)
             assert abs(dist[k] - 1.0) < 1e-12
             dist = born_distribution(held, cointoss_agreement.measurement(c))

@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbcsim import scheme
 from qbcsim.quantum import (
     ATOL,
     MeasurementBasis,
     computational_basis,
     make_basis_state,
+    measure,
 )
 from qbcsim.scheme import SchemeParams, build_reveal_agreement, scheme_hash
 from qbcsim.session import (
@@ -285,6 +287,53 @@ def test_parent_s_verify_builds_no_basis(monkeypatch, n):
         state, _, result = bob_verify(state, rng=choice)
         assert result.accepted and result.outcome_index == choice
     assert built == []
+
+
+@pytest.mark.parametrize("n", [1, 4, 6])
+def test_parent_b_verify_reads_the_pairs(monkeypatch, n):
+    # a parent-B verify forms no measurement: it reads the revealed set's
+    # pairs, and its outcome is the one the dense reveal measurement draws
+    # with the same seed, reject outcome 2^n included
+    agreement = build_reveal_agreement(SchemeParams.default(n))
+    m = agreement.num_choices
+    built = []
+    original = MeasurementBasis.__post_init__
+    monkeypatch.setattr(MeasurementBasis, "__post_init__",
+                        lambda basis: built.append(basis) or original(basis))
+    outcomes = []
+    for seed in range(12):
+        choice, element = (7 * seed) % m, (5 * seed + 1) % m
+        claim = choice if seed % 2 else (choice + 1 + seed) % m
+        state, commit = alice_commit(agreement, choice, element, rng=seed)
+        state, _ = bob_guess(state, 0)
+        state, _ = alice_reveal(state, claim)
+        state, _, result = bob_verify(state, rng=seed)
+        outcomes.append((claim == choice, result.outcome_index))
+        assert result.accepted == (result.outcome_index < m)
+        if claim == choice:
+            assert result.accepted and result.recovered_element == element
+    assert built == []
+    for seed, (honest, outcome) in enumerate(outcomes):
+        choice, element = (7 * seed) % m, (5 * seed + 1) % m
+        claim = choice if honest else (choice + 1 + seed) % m
+        dense = agreement.measurement(claim)
+        assert outcome == measure(agreement.element(choice, element), dense, seed)
+    assert {outcome for _, outcome in outcomes} & {m}  # a cheat was rejected
+
+
+def test_sessions_hash_the_descriptor_once(monkeypatch):
+    # both endpoints of every session read the agreement's descriptor_hash:
+    # one SHA-256 per agreement, on first use, not two per session
+    calls = []
+    real = scheme.scheme_hash
+    monkeypatch.setattr(scheme, "scheme_hash", lambda params: calls.append(params) or real(params))
+    agreement = build_reveal_agreement(SchemeParams.default(2))
+    assert calls == []
+    for seed, transport in enumerate(["in-process", "in-process", "tcp"]):
+        result = run_session(agreement, AliceScript(choice=seed), BobScript(), seed, transport)
+        assert result.verdict.accepted
+    assert calls == [agreement.params]
+    assert json.loads(result.transcript[0])["scheme_hash"] == real(agreement.params)
 
 
 def test_pre_reveal_frames_hide_private_fields(cointoss_agreement):
