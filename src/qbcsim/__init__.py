@@ -47,7 +47,6 @@ from .scheme import (
     RevealAgreement,
     SchemeParams,
     audit_scheme,
-    bob_reveal_state,
     build_reveal_agreement,
     descriptor_text,
     scheme_hash,

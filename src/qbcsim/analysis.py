@@ -4,21 +4,16 @@ Every scenario is computed two ways where feasible: an exact probability
 and a seeded Monte Carlo estimate of the same experiment. Bob's reveal
 state factors out of every valid-outcome mass, so exact figures are
 overlaps <psi|Q_c|psi> on the (n+1)-qubit register, Q_c = (I + X^{d_c})/2.
-For a set element a|x> + b|y> the mass needs no dense row, as X^d maps
-the element onto itself for d = x XOR y and off it otherwise, so
-``_pair_valid_mass`` reads the agreement's pairs. The [c, k, c'] table of set elements under reveals
-holds every exact figure and the acceptance threshold of every sampled
-verification (cheat, block cheat, update-on-reject), so no reveal
-measurement is formed. ``run_full_analysis`` builds the table once; its
-off-diagonal entries, in the one order ``_off_diagonal`` fixes, are the
-wrong-coupling rows, and only a sampled cheat pair makes a report of its
-own (the same masses bit for bit). Born distributions are left to the
-parent-S sweep, over the computational basis, at p_S = 0, 0.1, ..., 1.
-At n=6, on a shared 2-core machine, the table takes about 0.03 s of a
-0.35-0.4 s exact report, the 258 048 wrong-coupling row dicts 0.2 s and
-the m + m^2 parent-S Born rows 0.1-0.14 s; 200 or 2000 trials add under
-0.03 s, since each block report gathers its masses through one broadcast
-mask.
+Every figure of a set element reads ``agreement.valid_masses``, the
+[c, k, c'] table of set elements under reveals that the agreement
+computes from its pairs on first use: it holds every exact figure and the
+acceptance threshold of every sampled verification (cheat, block cheat,
+update-on-reject), so no reveal measurement is formed. Its off-diagonal
+entries, in the one order ``_off_diagonal`` fixes, are the wrong-coupling
+rows and the masses each block report checks and samples; only a sampled
+cheat pair makes a cheat report of its own. Born distributions are left
+to the parent-S sweep, over the computational basis, at
+p_S = 0, 0.1, ..., 1.
 
 Each sampler takes one uniform per sampled row from consecutive
 ``rng.random(block)`` calls over blocks of ``_BLOCK_ROWS`` rows, which
@@ -123,33 +118,6 @@ def _finish_report(scenario, exact, hits, trials, parameters) -> CheatReport:
 # --- binding: Alice's cheat acceptance ------------------------------------
 
 
-def _pair_valid_mass(pairs: np.ndarray, amplitudes: np.ndarray, masks) -> np.ndarray:
-    """Valid mass of each element a|x> + b|y>, held as its index pair (x, y)
-    and amplitudes (a, b) along the last axis of ``pairs`` and
-    ``amplitudes``, under each nonzero mask d_c in ``masks``, indexed
-    [..., len(masks)].
-
-    X^d maps the element onto itself when d = x XOR y and off its support
-    otherwise, so <e|X^d|e> is 2 Re(conj(a) b) or 0 and the mass is
-    (|e|^2 + <e|X^d|e>) / (2 |e|^2).
-    """
-    a, b = amplitudes[..., 0, None], amplitudes[..., 1, None]
-    norm2 = np.abs(a) ** 2 + np.abs(b) ** 2
-    on_pair = (pairs[..., 0, None] ^ pairs[..., 1, None]) == np.asarray(masks)
-    return (norm2 + np.where(on_pair, 2.0 * (a.conj() * b).real, 0.0)) / (2.0 * norm2)
-
-
-def _valid_mass_table(agreement: RevealAgreement) -> np.ndarray:
-    """Valid mass of element k of set c under reveal c', indexed [c, k, c'].
-
-    Every entry is exactly 1 or 1/2: an element of set c is
-    (|x> + |x XOR d_c>)/sqrt 2, which X^{d_c} fixes and every other mask
-    moves off its pair. Each entry is also the acceptance threshold of every
-    sampled verification of that element under that reveal.
-    """
-    return _pair_valid_mass(agreement.pairs, agreement.amplitudes, agreement.params.masks)
-
-
 def _off_diagonal(shape) -> np.ndarray:
     """Boolean mask of the (c, k, c') entries with c' != c, a read-only
     broadcast of the m x m off-diagonal over k. Indexing with it reads the
@@ -191,9 +159,7 @@ def alice_cheat_acceptance(
     _check_choices(params, c_true, c_claimed)
     if not 0 <= element < params.num_choices:
         raise ValueError(f"element index {element} out of range")
-    mass = _pair_valid_mass(agreement.pairs[c_true, element],
-                            agreement.amplitudes[c_true, element], [params.masks[c_claimed]])
-    return float(mass[0])
+    return float(agreement.valid_masses[c_true, element, c_claimed])
 
 
 def alice_cheat_report(
@@ -205,14 +171,13 @@ def alice_cheat_report(
 ) -> CheatReport:
     """Cheat acceptance averaged over a uniform element, exact and sampled.
 
-    The element masses, table[c_true, :, c_claimed] bit for bit, are both
-    the exact figure's terms and the sampled verification's acceptance
+    The element masses, valid_masses[c_true, :, c_claimed], are both the
+    exact figure's terms and the sampled verification's acceptance
     thresholds.
     """
     params = agreement.params
     _check_choices(params, c_true, c_claimed)
-    masses = _pair_valid_mass(agreement.pairs[c_true], agreement.amplitudes[c_true],
-                              [params.masks[c_claimed]])[:, 0]
+    masses = agreement.valid_masses[c_true, :, c_claimed]
     exact = float(np.mean(masses))
     hits = _survivors(masses, trials, 1, as_generator(rng)) if trials > 0 else 0
     return _alice_cheat_finish(params, c_true, c_claimed, exact, hits, trials)
@@ -288,39 +253,27 @@ def _declared_hits(cdfs: np.ndarray, committed: np.ndarray, choices: int, segmen
     return hits + int(np.count_nonzero(rng.integers(choices, size=len(held)) == held))
 
 
-def _block_acceptance(table: np.ndarray) -> float:
-    """The one cheat acceptance of a block: the mean off-diagonal entry of
-    ``table``, after checking that the entries agree."""
-    values = table[_off_diagonal(table.shape)]
-    lo, hi = values.min(), values.max()
-    if hi - lo > 1e-12:
-        raise ValueError(f"cheat acceptance varies across scenarios: [{lo}, {hi}]")
-    return float(np.mean(values))
-
-
-def block_cheat_report(agreement: RevealAgreement, blocks: int, trials: int = 0, rng=None, *,
-                       table: np.ndarray | None = None,
-                       acceptance: float | None = None) -> CheatReport:
+def block_cheat_report(agreement: RevealAgreement, blocks: int, trials: int = 0,
+                       rng=None) -> CheatReport:
     """K-block cheat survival, exact and by independent-product simulation.
 
     The exact figure is the per-block acceptance to the power K. Like the
     single-block 1/2, the 2^-K law holds for an Alice who commits genuine
-    set elements; |+>^(n+1) in every block passes every reveal.
-    ``acceptance`` is the per-block acceptance ``_block_acceptance`` gives,
-    taken from ``table`` when None. Each block samples one off-diagonal
-    (c, k, c') entry of the table and accepts below its mass.
+    set elements; |+>^(n+1) in every block passes every reveal. The
+    per-block acceptance is the mean off-diagonal (c, k, c') entry of
+    ``agreement.valid_masses``, after checking that those entries agree;
+    each sampled block draws one of them and accepts below its mass.
     """
     if blocks < 1:
         raise ValueError("block count must be at least 1")
-    table = _valid_mass_table(agreement) if table is None else table
-    if acceptance is None:
-        acceptance = _block_acceptance(table)
-    exact = acceptance ** blocks
+    table = agreement.valid_masses
+    masses = table[_off_diagonal(table.shape)]
+    lo, hi = masses.min(), masses.max()
+    if hi - lo > 1e-12:
+        raise ValueError(f"cheat acceptance varies across scenarios: [{lo}, {hi}]")
+    exact = float(np.mean(masses)) ** blocks
     params = agreement.params
-    hits = 0
-    if trials > 0:
-        masses = table[_off_diagonal(table.shape)]
-        hits = _survivors(masses, trials, blocks, as_generator(rng))
+    hits = _survivors(masses, trials, blocks, as_generator(rng)) if trials > 0 else 0
     return _finish_report(
         f"block-cheat K={blocks}",
         exact,
@@ -333,8 +286,8 @@ def block_cheat_report(agreement: RevealAgreement, blocks: int, trials: int = 0,
 # --- concealment: Bob's premature strategies ------------------------------
 
 
-def bob_premature_strategy(agreement: RevealAgreement, strategy: str, trials: int = 0, rng=None,
-                           *, table: np.ndarray | None = None) -> CheatReport:
+def bob_premature_strategy(agreement: RevealAgreement, strategy: str, trials: int = 0,
+                           rng=None) -> CheatReport:
     """Success probability of identifying the committed choice pre-reveal.
 
     declare-prior-guess: couple an arbitrary guess, ignore the outcome,
@@ -359,7 +312,7 @@ def bob_premature_strategy(agreement: RevealAgreement, strategy: str, trials: in
         return _finish_report(strategy, exact, hits, trials, parameters)
 
     # update-on-reject: average over (c, k, guess) of the two branches
-    table = _valid_mass_table(agreement) if table is None else table
+    table = agreement.valid_masses
     c, _, g = np.indices(table.shape)
     correct_on_reject = np.where(g == c, 0.0, 1.0 / (m - 1))
     # a running sum keeps the sequential (c, k, guess) order of the branch sum
@@ -474,7 +427,7 @@ def run_full_analysis(agreement: RevealAgreement, trials: int = 0, seed: int = 0
     params = agreement.params
     m = params.num_choices
     gen = np.random.default_rng(seed)
-    table = _valid_mass_table(agreement)  # every exact figure; every sampled threshold but a cheat pair's
+    table = agreement.valid_masses
     report: dict = {
         "scheme": {
             "n": params.num_bob_qubits,
@@ -496,11 +449,8 @@ def run_full_analysis(agreement: RevealAgreement, trials: int = 0, seed: int = 0
         for c, claim in itertools.permutations(range(m), 2)
     ]
 
-    acceptance = _block_acceptance(table)
     report["block_fidelity"] = [
-        block_cheat_report(agreement, blocks, trials, gen, table=table,
-                           acceptance=acceptance).as_dict()
-        for blocks in range(1, 9)
+        block_cheat_report(agreement, blocks, trials, gen).as_dict() for blocks in range(1, 9)
     ]
 
     held, element, coupled, mass = WRONG_COUPLING_KEYS
@@ -508,7 +458,7 @@ def run_full_analysis(agreement: RevealAgreement, trials: int = 0, seed: int = 0
                                 for c, k, claim, value in _wrong_coupling_rows(table)]
 
     report["strategies"] = [
-        bob_premature_strategy(agreement, strategy, trials, gen, table=table).as_dict()
+        bob_premature_strategy(agreement, strategy, trials, gen).as_dict()
         for strategy in STRATEGIES
     ]
 

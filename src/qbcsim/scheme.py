@@ -24,7 +24,9 @@ a valid outcome, and whose outcome ``2^n`` rejects. The measurement is
 Bob's measurement onto the ``2^n`` valid products "set element (x) reveal
 state" plus reject, since <e (x) G_c|psi (x) G_c> = <e|psi>: no product
 is ever formed. A verify reads its distribution from the pairs in O(m)
-(``measurement_distribution``), with no dense row formed.
+(``measurement_distribution``), with no dense row formed. The analysis
+reads ``valid_masses``, the [c, k, c'] valid mass of every element under
+every reveal, also from the pairs; the build leaves it to first use.
 
 Distinct nonzero masks guarantee the concealment structure: every element
 of one set overlaps exactly two elements of every other set, each with
@@ -129,6 +131,14 @@ def xor_pairs(params: SchemeParams, choice: int) -> tuple[tuple[int, int], ...]:
     return tuple((x, x ^ d) for x in range(2**params.num_alice_qubits) if x < x ^ d)
 
 
+def _xor_pair_array(params: SchemeParams) -> np.ndarray:
+    """Every set's ``xor_pairs`` as one array [c, k, 2]."""
+    count = params.num_choices
+    # fromiter over the flat indices, as np.array of nested tuples costs 2-3x at n >= 4
+    indices = chain.from_iterable(chain.from_iterable(xor_pairs(params, c) for c in range(count)))
+    return np.fromiter(indices, dtype=int, count=2 * count**2).reshape(count, count, 2)
+
+
 def _reveal_table(n: int) -> np.ndarray:
     """Every reveal state, row c = G_c ([c, x]):
     (|c & (m/2 - 1)> + (-1)^c1 |its complement>)/sqrt(2) for m = 2^n, that
@@ -140,18 +150,6 @@ def _reveal_table(n: int) -> np.ndarray:
         flat[:: m + 1] = INV_SQRT2  # [i, i]: |0,c2..cn>
         flat[m - 1:: m - 1] = sign * INV_SQRT2  # [i, m-1-i]: its complement
     return table
-
-
-def bob_reveal_state(params: SchemeParams, choice: int) -> StateVector:
-    """(|0,c2..cn> + (-1)^c1 |1,~c2..~cn>)/sqrt(2) for the big-endian bits
-    c1..cn of ``choice``: the generation circuit's output on |c1..cn> (a
-    Hadamard on qubit 1, then CNOT from qubit 1 to each later qubit),
-    written from its two amplitudes; the tests check it against the circuit.
-    """
-    n = params.num_bob_qubits
-    if not 0 <= choice < params.num_choices:
-        raise ValueError(f"choice {choice} out of range 0..{params.num_choices - 1}")
-    return StateVector(n, _reveal_table(n)[choice])
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,8 +165,10 @@ class RevealAgreement:
     ``measurement_distribution(c, psi)`` is its Born distribution, read from
     the pairs. ``reveals[c]`` holds G_c, Bob's n-qubit reveal state, in one
     read-only array [c, x]; ``reveal_state(c)`` forms it as a StateVector.
-    ``descriptor_hash`` is the scheme hash, computed on first use. Equality
-    is identity, as the arrays have no single truth value.
+    ``descriptor_hash`` is the scheme hash and ``valid_masses`` [c, k, c']
+    the valid mass of every element under every reveal, each computed on
+    first use. Equality is identity, as the arrays have no single truth
+    value.
     """
 
     params: SchemeParams
@@ -184,6 +184,27 @@ class RevealAgreement:
     def descriptor_hash(self) -> str:
         """``scheme_hash(params)``, computed once per agreement."""
         return scheme_hash(self.params)
+
+    @functools.cached_property
+    def valid_masses(self) -> np.ndarray:
+        """Valid mass of element k of set c under reveal c', indexed
+        [c, k, c'], read-only and computed once per agreement.
+
+        X^d maps the element a|x> + b|y> onto itself when d = x XOR y and off
+        its support otherwise, so <e|X^d|e> is 2 Re(conj(a) b) or 0 and the
+        mass <e|Q_c'|e> / |e|^2, Q_c' = (I + X^{d_c'})/2, is
+        (|e|^2 + <e|X^{d_c'}|e>) / (2 |e|^2). For the sets built here every
+        entry is exactly 1 (c' = c) or 1/2, and each is also the acceptance
+        threshold of every sampled verification of that element under that
+        reveal.
+        """
+        a, b = self.amplitudes[..., 0, None], self.amplitudes[..., 1, None]
+        norm2 = np.abs(a) ** 2 + np.abs(b) ** 2
+        masks = np.asarray(self.params.masks)
+        on_pair = (self.pairs[..., 0, None] ^ self.pairs[..., 1, None]) == masks
+        table = (norm2 + np.where(on_pair, 2.0 * (a.conj() * b).real, 0.0)) / (2.0 * norm2)
+        table.setflags(write=False)
+        return table
 
     def measurement(self, choice: int) -> MeasurementBasis:
         """Set ``choice`` as Bob's reveal measurement, its dense rows formed
@@ -222,10 +243,7 @@ def build_reveal_agreement(params: SchemeParams) -> RevealAgreement:
     """Construct the sets, element k = (|x> + |y>)/sqrt(2) for the k-th pair
     (x, y) that ``xor_pairs`` lists, and the reveal-state array. No dense
     row, StateVector or MeasurementBasis is formed."""
-    count = params.num_choices
-    # [c, k, 2]; fromiter over the flat indices, as np.array of nested tuples costs 2-3x at n >= 4
-    indices = chain.from_iterable(chain.from_iterable(xor_pairs(params, c) for c in range(count)))
-    pairs = np.fromiter(indices, dtype=int, count=2 * count**2).reshape(count, count, 2)
+    pairs = _xor_pair_array(params)  # [c, k, 2]
     amplitudes = np.full(pairs.shape, INV_SQRT2, dtype=complex)
     reveals = _reveal_table(params.num_bob_qubits)  # [c, x]
     for array in (pairs, amplitudes, reveals):
@@ -337,7 +355,7 @@ def audit_scheme(params: SchemeParams) -> list[AuditCheck]:
 
     # element k of set c is (|x_k> + |x_k XOR d_c>)/sqrt(2) for the k-th XOR
     # pair; the order within a pair does not change the element
-    expected = np.array([xor_pairs(params, c) for c in range(count)])  # [c, k, 2]
+    expected = _xor_pair_array(params)
     record("reveal-bases-complete", np.array_equal(np.sort(agreement.pairs, axis=-1), expected)
            and (agreement.amplitudes == INV_SQRT2).all())
 

@@ -9,14 +9,14 @@ figures from Walsh diagonals; the tests check it against this module, and
 this module against a Jacobi eigensolver and scipy matrix functions.
 
 It also keeps the Walsh valid mass of any held state and the index-XOR
-valid mass, the references for the pair masses of ``qbcsim.analysis``
-(the second for their bits), and the
+valid mass, the references for ``RevealAgreement.valid_masses`` (the
+second for its bits), and the
 Gram block per pair of sets, over dense rows written from the pairs, that
 the pair checks of ``qbcsim.scheme.audit_scheme`` replace, as the
 reference for theirs, and
 the paper's generation circuit as dense operators (H on qubit 1, then
 CNOT(1, t) for t = 2..n, on |c>), the reference for the closed-form
-reveal states of ``qbcsim.scheme.bob_reveal_state``. The circuit uses
+reveal states, ``RevealAgreement.reveal_state``. The circuit uses
 nothing from ``qbcsim``.
 """
 

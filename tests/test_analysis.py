@@ -11,6 +11,7 @@ and explicit branch enumerations for the strategies.
 
 import ast
 import collections
+import dataclasses
 import inspect
 import json
 import math
@@ -106,7 +107,7 @@ def test_valid_mass_table_matches_born_oracle(agreements):
             agreements[n],
             build_reveal_agreement(SchemeParams.random_masks(n, rng)),
         ):
-            table = analysis._valid_mass_table(agreement)
+            table = agreement.valid_masses
             assert table.shape == (m, m, m)
             bases = [product_measurement(agreement, claim) for claim in range(m)]
             for c in range(m):
@@ -140,7 +141,7 @@ def test_sampled_thresholds_within_an_ulp_of_born_rows(agreements):
     for n in (1, 2, 3, 4):
         agreement = agreements[n]
         m = 2**n
-        table = analysis._valid_mass_table(agreement)
+        table = agreement.valid_masses
         measurements = [agreement.measurement(claim) for claim in range(m)]
         for c, k, claim in np.ndindex(table.shape):
             dist = born_distribution(agreement.element(c, k), measurements[claim])
@@ -166,9 +167,23 @@ def test_exact_masses_equal_closed_form(agreements):
             assert block_cheat_report(agreement, blocks).exact == 2.0**-blocks
 
 
+def count_valid_masses(monkeypatch, calls):
+    """Count each computation of ``RevealAgreement.valid_masses``, not each
+    read of it, in ``calls`` under ("valid_masses", the reading function)."""
+    prop = vars(scheme.RevealAgreement)["valid_masses"]
+    real = prop.func
+
+    def counting(agreement):
+        # frame 1 is the cached property's __get__, frame 2 the reader
+        calls["valid_masses", sys._getframe(2).f_code.co_name] += 1
+        return real(agreement)
+
+    monkeypatch.setattr(prop, "func", counting)
+
+
 def test_exact_analysis_calls_born_only_from_s_protocol(agreements, monkeypatch):
-    # one exact report: the m + m^2 parent-S Born rows once, the valid-mass
-    # table once, and no agreement rebuilt
+    # one exact report on a fresh agreement: the m + m^2 parent-S Born rows
+    # once, the valid-mass table computed once, and no agreement rebuilt
     calls = collections.Counter()
 
     def counting(name, real):
@@ -177,8 +192,9 @@ def test_exact_analysis_calls_born_only_from_s_protocol(agreements, monkeypatch)
             return real(*args)
         return wrapper
 
-    for name in ("born_distribution", "_valid_mass_table"):
-        monkeypatch.setattr(analysis, name, counting(name, getattr(analysis, name)))
+    monkeypatch.setattr(analysis, "born_distribution",
+                        counting("born_distribution", analysis.born_distribution))
+    count_valid_masses(monkeypatch, calls)
     monkeypatch.setattr(scheme, "build_reveal_agreement",
                         counting("build_reveal_agreement", scheme.build_reveal_agreement))
     # so no agreement can be rebuilt past the patch
@@ -186,20 +202,22 @@ def test_exact_analysis_calls_born_only_from_s_protocol(agreements, monkeypatch)
     for n in (1, 2, 3, 4):
         m = 2**n
         calls.clear()
-        run_full_analysis(agreements[n], trials=0)
+        agreement = dataclasses.replace(agreements[n])  # the fixture's may hold the table
+        run_full_analysis(agreement, trials=0)
         assert calls == {
             ("born_distribution", "s_protocol_sweep"): m + m**2,
-            ("_valid_mass_table", "run_full_analysis"): 1,
+            ("valid_masses", "run_full_analysis"): 1,
         }
 
 
 def test_sampled_analysis_builds_each_born_row_once(agreements, monkeypatch):
     # trials > 0 adds no Born row to the m + m^2 parent-S rows of an exact
     # report: the cheat, block and strategy samplers read their thresholds
-    # from the one valid-mass table; no sampler calls Generator.choice
+    # from the agreement's one valid-mass table, computed once on a fresh
+    # agreement; no sampler calls Generator.choice
     calls = collections.Counter()
     pairs = collections.Counter()
-    real_born, real_table = analysis.born_distribution, analysis._valid_mass_table
+    real_born = analysis.born_distribution
 
     def caller():
         frame = sys._getframe(2)
@@ -212,20 +230,16 @@ def test_sampled_analysis_builds_each_born_row_once(agreements, monkeypatch):
         pairs[id(state), id(basis)] += 1
         return real_born(state, basis)
 
-    def counting_table(agreement):
-        calls["_valid_mass_table", caller()] += 1
-        return real_table(agreement)
-
     monkeypatch.setattr(analysis, "born_distribution", counting_born)
-    monkeypatch.setattr(analysis, "_valid_mass_table", counting_table)
+    count_valid_masses(monkeypatch, calls)
     for n in (1, 2, 3, 4):
         m = 2**n
         calls.clear()
         pairs.clear()
-        run_full_analysis(agreements[n], trials=20, seed=3)
+        run_full_analysis(dataclasses.replace(agreements[n]), trials=20, seed=3)
         assert calls == {
             ("born_distribution", "s_protocol_sweep"): m + m**2,
-            ("_valid_mass_table", "run_full_analysis"): 1,
+            ("valid_masses", "run_full_analysis"): 1,
         }
         assert sum(pairs.values()) == len(pairs)  # no Born row computed twice
     tree = ast.parse(inspect.getsource(analysis))
@@ -387,9 +401,7 @@ def test_block_sampler_plays_only_surviving_trials(blocks, trials, seed):
         alive[playing] = reference.random(len(playing)) < masses[draw]
         survivors.append(int(np.count_nonzero(alive)))
     gen = CountingGenerator(np.random.PCG64(seed))
-    agreement = build_reveal_agreement(SchemeParams.default(2))  # m = 4, as the table
-    report = block_cheat_report(agreement, blocks, trials, gen, table=table, acceptance=0.5)
-    assert report.estimate == survivors[-1] / trials
+    assert analysis._survivors(masses, trials, blocks, gen) == survivors[-1]
     assert gen.bit_generator.state == reference.bit_generator.state
     assert gen.uniforms == trials + sum(survivors[:-1])
 
@@ -428,17 +440,31 @@ def test_sampler_memory_stays_under_24_bytes_per_trial(sampler, cointoss_agreeme
     assert peak < 24 * 10**6
 
 
-def test_block_acceptance_checked_once_per_report(monkeypatch):
-    # the K = 1..8 block reports share one spread check and mean of the table
-    calls = []
-    original = analysis._block_acceptance
-    monkeypatch.setattr(analysis, "_block_acceptance",
-                        lambda table: calls.append(1) or original(table))
+def test_report_block_rows_equal_standalone_reports():
+    # the K = 1..8 block rows of a sampled report are the standalone reports' exacts
     agreement = build_reveal_agreement(SchemeParams.default(2))
     report = run_full_analysis(agreement, 200, seed=5)
-    assert len(calls) == 1
     assert [row["exact"] for row in report["block_fidelity"]] == \
         [block_cheat_report(agreement, blocks).exact for blocks in range(1, 9)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_block_reports_reject_uneven_cheat_acceptance(n):
+    # set 1 carries set 0's pairs, so its elements pass reveal 0 with mass 1
+    # while the other off-diagonal entries are 1/2: every block report, and
+    # the full report through them, must refuse to raise one figure to the K
+    honest = build_reveal_agreement(SchemeParams.default(n))
+    pairs = honest.pairs.copy()
+    pairs[1] = pairs[0]
+    tampered = dataclasses.replace(honest, pairs=pairs)
+    assert tampered.valid_masses[1, 0, 0] == 1.0 and tampered.valid_masses[0, 0, 1] == 0.5
+    reports = [lambda blocks=blocks: block_cheat_report(tampered, blocks) for blocks in range(1, 9)]
+    reports += [lambda: block_cheat_report(tampered, 3, 100, 0),
+                lambda: run_full_analysis(tampered),
+                lambda: run_full_analysis(tampered, 50, seed=1)]
+    for report in reports:
+        with pytest.raises(ValueError, match="cheat acceptance varies across scenarios"):
+            report()
 
 
 def test_cheat_report_consistency_logic():
@@ -894,7 +920,7 @@ def test_table_and_direct_paths_agree_exactly(agreements):
     # last bit, and the direct per-element masses stay the oracle
     for n in (1, 2, 3, 4):
         agreement = agreements[n]
-        table = analysis._valid_mass_table(agreement)
+        table = agreement.valid_masses
         elements = dense_sets(agreement)
         for c in range(2**n):
             for claim in range(2**n):
@@ -922,7 +948,7 @@ def test_walsh_table_equals_flip_oracle_bit_for_bit():
         schemes += [SchemeParams.default(n)] + [SchemeParams.random_masks(n, rng) for _ in range(3)]
     for params in schemes:
         agreement = build_reveal_agreement(params)
-        table = analysis._valid_mass_table(agreement)
+        table = agreement.valid_masses
         assert table.tobytes() == flip_valid_mass_table(agreement).tobytes(), params.masks
         assert set(np.unique(table)) <= {0.5, 1.0}
 

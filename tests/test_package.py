@@ -11,7 +11,7 @@ PUBLIC_NAMES = [
     "SessionState", "StateVector", "Verdict", "VerificationResult",
     "alice_cheat_acceptance", "alice_cheat_report", "alice_commit", "alice_reveal",
     "as_generator", "audit_scheme", "block_cheat_report",
-    "bob_guess", "bob_premature_strategy", "bob_reveal_state", "bob_verify",
+    "bob_guess", "bob_premature_strategy", "bob_verify",
     "born_distribution", "build_reveal_agreement",
     "computational_basis", "decode_message", "descriptor_text",
     "discrimination_bounds", "encode_message", "ket_string",

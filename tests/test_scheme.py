@@ -36,12 +36,12 @@ from qbcsim.scheme import (
     MAX_N,
     SchemeParams,
     audit_scheme,
-    bob_reveal_state,
     build_reveal_agreement,
     descriptor_text,
     scheme_hash,
     xor_pairs,
 )
+from qbcsim.session import PARENT_S, AliceScript, BobScript, run_session
 from test_quantum import inner, random_state
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -126,8 +126,9 @@ def test_reveal_state_closed_form():
     # expected: (|0,c2..cn> + (-1)^c1 |1,~c2..~cn>)/sqrt(2)
     for n in (1, 2, 3, 4):
         params = SchemeParams.default(n)
+        agreement = build_reveal_agreement(params)
         for c in range(params.num_choices):
-            state = bob_reveal_state(params, c)
+            state = agreement.reveal_state(c)
             c1 = (c >> (n - 1)) & 1
             tail = c & ((1 << (n - 1)) - 1)
             flipped = tail ^ ((1 << (n - 1)) - 1)
@@ -136,7 +137,7 @@ def test_reveal_state_closed_form():
             expected[(1 << (n - 1)) | flipped] += (-1) ** c1 * np.sqrt(0.5)
             assert_allclose(state.amplitudes, expected, atol=1e-12), (n, c)
     with pytest.raises(ValueError):
-        bob_reveal_state(SchemeParams.default(1), 2)
+        build_reveal_agreement(SchemeParams.default(1)).reveal_state(2)
 
 
 def test_reveal_states_match_generation_circuit():
@@ -145,9 +146,10 @@ def test_reveal_states_match_generation_circuit():
     schemes = [SchemeParams.default(n) for n in range(1, MAX_N + 1)]
     for params in schemes + [SchemeParams.paper_cointoss()]:
         n = params.num_bob_qubits
+        agreement = build_reveal_agreement(params)
         for c in range(params.num_choices):
             circuit = generation_circuit(n, c)
-            assert_allclose(bob_reveal_state(params, c).amplitudes, circuit, rtol=0, atol=1e-15)
+            assert_allclose(agreement.reveal_state(c).amplitudes, circuit, rtol=0, atol=1e-15)
             assert np.count_nonzero(circuit) == 2, (n, c)
 
 
@@ -208,6 +210,24 @@ def test_build_forms_no_state_vector(monkeypatch):
     assert [type(obj) for obj in built] == [StateVector]
 
 
+def test_valid_masses_read_only_and_lazy():
+    # neither a build nor an in-process session of any kind computes the
+    # valid-mass table; the first read computes it, once, read-only
+    agreement = build_reveal_agreement(SchemeParams.default(2))
+    assert "valid_masses" not in vars(agreement)
+    for alice in (AliceScript(choice=3, element=1), AliceScript(choice=3, reveal_choice=0),
+                  AliceScript(choice=2, parent=PARENT_S)):
+        run_session(agreement, alice, BobScript(guess=1), seed=0)
+    assert "valid_masses" not in vars(agreement)
+    table = agreement.valid_masses
+    assert vars(agreement)["valid_masses"] is table and agreement.valid_masses is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0, 0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        agreement.valid_masses = table
+
+
 def closed_form_stack(params) -> np.ndarray:
     """Oracle: reveal state c written choice by choice from its closed form,
     (|0,c2..cn> + (-1)^c1 |1,~c2..~cn>)/sqrt(2), into zeroed rows, stacked."""
@@ -224,7 +244,7 @@ def closed_form_stack(params) -> np.ndarray:
 
 def test_reveals_equal_closed_form_stack():
     # byte for byte, signed zeros included, for every preset and pinned mask
-    # set; reveal_state(c) and bob_reveal_state read the same rows
+    # set; reveal_state(c) reads the same rows
     schemes = [SchemeParams.default(n) for n in range(1, MAX_N + 1)]
     schemes += [SchemeParams.paper_cointoss(), SchemeParams.random_masks(2, 5),
                 SchemeParams.random_masks(3, 11), SchemeParams.random_masks(5, 7)]
@@ -234,7 +254,6 @@ def test_reveals_equal_closed_form_stack():
         for c in range(params.num_choices):
             expected = agreement.reveals[c].tobytes()
             assert agreement.reveal_state(c).amplitudes.tobytes() == expected
-            assert bob_reveal_state(params, c).amplitudes.tobytes() == expected
 
 
 def test_measurement_distribution_equals_dense_born_rows():
@@ -675,7 +694,7 @@ def test_random_masks_pass_audit_and_half_law(n):
         params = SchemeParams.random_masks(n, seed)
         failed = [c.name for c in audit_scheme(params) if not c.passed]
         assert failed == [], (params.masks, failed)
-        table = analysis._valid_mass_table(build_reveal_agreement(params))
+        table = build_reveal_agreement(params).valid_masses
         c, _, claim = np.indices(table.shape)
         assert (table[c != claim] == 0.5).all(), params.masks
         # concealment: every Helstrom pair is exactly 3/4, and the square-root
