@@ -32,8 +32,8 @@ def main():
     agreement = build_reveal_agreement(params)
     for c in range(params.num_choices):
         print(f"commitment set {c}:")
-        measurement = agreement.measurement(c)  # valid outcome k is element k
-        elements = [measurement.vector(k) for k in range(params.num_choices)]
+        # valid outcome k of Bob's reveal measurement is element k
+        elements = [agreement.element(c, k) for k in range(params.num_choices)]
         for k, elem in enumerate(elements):
             print(f"  element {k}: {ket_string(elem)}")
         reveal = agreement.reveal_state(c)

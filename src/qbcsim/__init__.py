@@ -32,7 +32,6 @@ from .quantum import (
     born_distribution,
     computational_basis,
     ket_string,
-    make_basis_state,
     measure,
     state_from_text,
     state_to_text,

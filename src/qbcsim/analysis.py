@@ -119,11 +119,12 @@ def _finish_report(scenario, exact, hits, trials, parameters) -> CheatReport:
 
 
 def _off_diagonal(shape) -> np.ndarray:
-    """Boolean mask of the (c, k, c') entries with c' != c, a read-only
-    broadcast of the m x m off-diagonal over k. Indexing with it reads the
-    entries in C order: c, then k, then c'."""
-    held, _, claim = shape
-    return np.broadcast_to(~np.eye(held, claim, dtype=bool)[:, None], shape)
+    """Boolean mask of the (c, k, c') entries with c' != c: the m x m
+    off-diagonal repeated over k, materialised, as numpy gathers through a
+    broadcast mask about twice as slowly. Indexing with it reads the entries
+    in C order: c, then k, then c'."""
+    held, elements, claim = shape
+    return np.repeat(~np.eye(held, claim, dtype=bool)[:, None], elements, axis=1)
 
 
 def _wrong_coupling_rows(table: np.ndarray):

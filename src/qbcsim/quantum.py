@@ -40,23 +40,15 @@ ATOL = 1e-9
 INV_SQRT2 = float(np.sqrt(0.5))
 
 
-def _frozen_array(values, shape=None) -> np.ndarray:
+def _frozen_array(values) -> np.ndarray:
     arr = np.array(values, dtype=complex)
-    if shape is not None:
-        arr = arr.reshape(shape)
     arr.setflags(write=False)
     return arr
 
 
-def bits_to_index(bits: str) -> int:
-    """Map a bit string to its amplitude index (bit 1 most significant)."""
-    if not bits or any(ch not in "01" for ch in bits):
-        raise ValueError(f"not a bit string: {bits!r}")
-    return int(bits, 2)
-
-
 def index_to_bits(index: int, num_qubits: int) -> str:
-    """Inverse of :func:`bits_to_index` for a register of known width."""
+    """The bit string of amplitude index ``index`` (bit 1 most significant)
+    on a register of ``num_qubits`` qubits."""
     if not 0 <= index < 2**num_qubits:
         raise ValueError(f"index {index} out of range for {num_qubits} qubits")
     return format(index, f"0{num_qubits}b")
@@ -105,22 +97,8 @@ class StateVector:
     def dimension(self) -> int:
         return 2**self.num_qubits
 
-    def amplitude(self, bits: str) -> complex:
-        """Amplitude of the basis state labelled by ``bits``."""
-        if len(bits) != self.num_qubits:
-            raise ValueError("bit string length does not match register size")
-        return complex(self.amplitudes[bits_to_index(bits)])
-
     def __repr__(self):  # keep reprs short; full kets via ket_string()
         return f"StateVector({self.num_qubits} qubits, {ket_string(self, max_terms=4)})"
-
-
-def make_basis_state(bits: str) -> StateVector:
-    """Computational basis ket |bits>, e.g. ``make_basis_state("01")``."""
-    index = bits_to_index(bits)
-    amps = np.zeros(2 ** len(bits), dtype=complex)
-    amps[index] = 1.0
-    return StateVector(len(bits), amps)
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
@@ -272,17 +250,17 @@ def state_from_text(text: str) -> StateVector:
     return StateVector(n, amps)
 
 
-def ket_string(state: StateVector, digits: int = 4, max_terms: int | None = None) -> str:
-    """Human-readable ket expansion, zero terms omitted."""
+def ket_string(state: StateVector, max_terms: int | None = None) -> str:
+    """Human-readable ket expansion to four decimals, zero terms omitted."""
     terms = []
     for i, a in enumerate(state.amplitudes):
         if abs(a) < 1e-12:
             continue
         label = index_to_bits(i, state.num_qubits)
         if abs(a.imag) < 1e-12:
-            coeff = f"{a.real:+.{digits}f}"
+            coeff = f"{a.real:+.4f}"
         else:
-            coeff = f"+({a.real:.{digits}f}{a.imag:+.{digits}f}i)"
+            coeff = f"+({a.real:.4f}{a.imag:+.4f}i)"
         terms.append(f"{coeff}|{label}>")
     if max_terms is not None and len(terms) > max_terms:
         terms = terms[:max_terms] + ["..."]

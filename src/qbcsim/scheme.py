@@ -17,13 +17,12 @@ yields and their amplitudes [k, 2], 2^n elements of two terms each, so
 the agreement is O(m^2) for m = 2^n choices. The reveal states are one
 array [c, x], written by one writer of the closed form. No StateVector
 or MeasurementBasis is formed by the build: ``element(c, k)`` and
-``reveal_state(c)`` form and validate one state on demand, and
-``measurement(c)`` is set c as Bob's reveal measurement on Alice's
-(n+1)-qubit register, one ``MeasurementBasis`` whose row k is element k,
-a valid outcome, and whose outcome ``2^n`` rejects. The measurement is
-Bob's measurement onto the ``2^n`` valid products "set element (x) reveal
-state" plus reject, since <e (x) G_c|psi (x) G_c> = <e|psi>: no product
-is ever formed. A verify reads its distribution from the pairs in O(m)
+``reveal_state(c)`` form and validate one state on demand. Set c is Bob's
+reveal measurement on Alice's (n+1)-qubit register, whose valid outcome k
+is element k and whose outcome ``2^n`` rejects: his measurement onto the
+``2^n`` valid products "set element (x) reveal state" plus reject, since
+<e (x) G_c|psi (x) G_c> = <e|psi>, so no product is ever formed. A verify
+reads its distribution from the pairs in O(m)
 (``measurement_distribution``), with no dense row formed. The analysis
 reads ``valid_masses``, the [c, k, c'] valid mass of every element under
 every reveal, also from the pairs; the build leaves it to first use.
@@ -50,7 +49,6 @@ import numpy as np
 from .quantum import (
     ATOL,
     INV_SQRT2,
-    MeasurementBasis,
     StateVector,
     _outcome_distribution,
     as_generator,
@@ -158,10 +156,10 @@ class RevealAgreement:
 
     Element k of set c is ``amplitudes[c, k, 0] |x> + amplitudes[c, k, 1] |y>``
     for ``(x, y) = pairs[c, k]``: (|x> + |x XOR d_c>)/sqrt(2) for the k-th XOR
-    pair. Both arrays are [c, k, 2] and read-only. ``measurement(c)`` forms
-    set c as its reveal measurement on Alice's (n+1)-qubit register (valid
-    outcome k is element k, outcome ``2^n`` rejects): Bob's coupled
-    measurement onto e_{c,k} (x) G_c, as <e (x) G_c|psi (x) G_c> = <e|psi>.
+    pair. Both arrays are [c, k, 2] and read-only. Set c is its reveal
+    measurement on Alice's (n+1)-qubit register (valid outcome k is element
+    k, outcome ``2^n`` rejects): Bob's coupled measurement onto
+    e_{c,k} (x) G_c, as <e (x) G_c|psi (x) G_c> = <e|psi>.
     ``measurement_distribution(c, psi)`` is its Born distribution, read from
     the pairs. ``reveals[c]`` holds G_c, Bob's n-qubit reveal state, in one
     read-only array [c, x]; ``reveal_state(c)`` forms it as a StateVector.
@@ -206,14 +204,6 @@ class RevealAgreement:
         table.setflags(write=False)
         return table
 
-    def measurement(self, choice: int) -> MeasurementBasis:
-        """Set ``choice`` as Bob's reveal measurement, its dense rows formed
-        and checked orthonormal on each call."""
-        pairs = self.pairs[choice]
-        rows = np.zeros((len(pairs), 2**self.params.num_alice_qubits), dtype=complex)
-        rows[np.arange(len(pairs))[:, None], pairs] = self.amplitudes[choice]
-        return MeasurementBasis(rows)
-
     def element(self, choice: int, k: int) -> StateVector:
         """Element ``k`` of set ``choice`` as a StateVector on Alice's register."""
         if not 0 <= k < self.num_choices:
@@ -229,8 +219,9 @@ class RevealAgreement:
         return StateVector(self.params.num_bob_qubits, self.reveals[choice])
 
     def measurement_distribution(self, choice: int, state: StateVector) -> np.ndarray:
-        """``born_distribution(state, measurement(choice))`` from the pairs in
-        O(m): <e_k|psi> = conj(a_k) psi[x_k] + conj(b_k) psi[y_k] for element
+        """The Born distribution of ``state`` under set ``choice`` as Bob's
+        reveal measurement, from the pairs in O(m):
+        <e_k|psi> = conj(a_k) psi[x_k] + conj(b_k) psi[y_k] for element
         k = a_k|x_k> + b_k|y_k>, then the reject mass, checked and normalised
         as ``born_distribution`` does."""
         if state.num_qubits != self.params.num_alice_qubits:

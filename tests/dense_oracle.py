@@ -36,8 +36,9 @@ SUPPORT_CUTOFF = 1e-10
 
 def dense_sets(agreement: RevealAgreement) -> np.ndarray:
     """Every set of ``agreement`` as dense rows [c, k, x], written from its
-    pairs and amplitudes apart from ``RevealAgreement.measurement``: the
-    rows the Gram blocks and the index-XOR table below read."""
+    pairs and amplitudes: set c as Bob's reveal measurement, row k being
+    element k, and the rows the Gram blocks and the index-XOR table below
+    read."""
     pairs = agreement.pairs
     rows = np.zeros(pairs.shape[:2] + (2 * pairs.shape[1],), dtype=complex)
     np.put_along_axis(rows, pairs, agreement.amplitudes, axis=-1)

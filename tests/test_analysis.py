@@ -54,7 +54,7 @@ from dense_oracle import (
     walsh_valid_mass,
 )
 from test_quantum import hadamard_all, inner, random_state
-from test_scheme import product_measurement
+from test_scheme import product_measurement, set_measurement
 
 
 def jacobi_eigenvalues(matrix, sweeps=60):
@@ -142,7 +142,7 @@ def test_sampled_thresholds_within_an_ulp_of_born_rows(agreements):
         agreement = agreements[n]
         m = 2**n
         table = agreement.valid_masses
-        measurements = [agreement.measurement(claim) for claim in range(m)]
+        measurements = [set_measurement(agreement, claim) for claim in range(m)]
         for c, k, claim in np.ndindex(table.shape):
             dist = born_distribution(agreement.element(c, k), measurements[claim])
             cdf = analysis._choice_cdf(dist)

@@ -281,6 +281,20 @@ def test_cointoss_interactive_mode(monkeypatch):
     assert "Bob wins: yes" in out.getvalue()
 
 
+def test_cointoss_interactive_cheating_reveal(monkeypatch, tmp_path):
+    # a reveal prompt answered with the other coin plays the scripted cheat
+    answers = iter(["head", "tail", "tail"])
+    monkeypatch.setattr("builtins.input", lambda prompt: next(answers))
+    out = io.StringIO()
+    assert cmd_cointoss(run_config(seed=3), out) == 0
+    text = out.getvalue()
+    assert "Reveal: Alice reveals tail (parent B)\n" in text
+    scripted = io.StringIO()
+    script = write_moves(tmp_path, "toss=head\nguess=tail\nreveal=tail\n")
+    assert cmd_cointoss(run_config(seed=3, script=script), scripted) == 0
+    assert text == scripted.getvalue()
+
+
 @pytest.mark.parametrize("answered", [0, 1, 2])
 def test_cointoss_end_of_input_is_usage_error(monkeypatch, capsys, answered):
     # input closed at any of the three prompts, as by `qbcsim cointoss < /dev/null`

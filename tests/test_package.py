@@ -15,7 +15,7 @@ PUBLIC_NAMES = [
     "born_distribution", "build_reveal_agreement",
     "computational_basis", "decode_message", "descriptor_text",
     "discrimination_bounds", "encode_message", "ket_string",
-    "make_basis_state", "measure", "run_full_analysis",
+    "measure", "run_full_analysis",
     "run_session", "s_protocol_sweep", "scheme_hash", "session_rngs",
     "state_from_text", "state_to_text", "tensor",
     "walsh_matrix", "write_transcript", "xor_pairs",

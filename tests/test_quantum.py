@@ -12,12 +12,10 @@ from qbcsim.quantum import (
     MeasurementBasis,
     StateVector,
     as_generator,
-    bits_to_index,
     born_distribution,
     computational_basis,
     index_to_bits,
     ket_string,
-    make_basis_state,
     measure,
     state_from_text,
     state_to_text,
@@ -42,23 +40,23 @@ def random_state(num_qubits: int, rng) -> StateVector:
     return StateVector(num_qubits, amps / np.linalg.norm(amps))
 
 
+def ket(bits: str) -> StateVector:
+    """The basis ket |bits>: row int(bits, 2) of the shared computational basis."""
+    return computational_basis(2 ** len(bits)).vector(int(bits, 2))
+
+
 def plus_state() -> StateVector:
     """|+> = H|0>, from the dense Hadamard of the circuit oracle."""
     return StateVector(1, hadamard_operator(1, 1)[:, 0])
 
 
 def test_bits_index_round_trip():
-    assert bits_to_index("110") == 6
     assert index_to_bits(6, 3) == "110"
     for i in range(16):
-        assert bits_to_index(index_to_bits(i, 4)) == i
+        assert int(index_to_bits(i, 4), 2) == i
 
 
 def test_bits_index_rejects_garbage():
-    with pytest.raises(ValueError):
-        bits_to_index("10a")
-    with pytest.raises(ValueError):
-        bits_to_index("")
     with pytest.raises(ValueError):
         index_to_bits(8, 3)
     with pytest.raises(ValueError):
@@ -85,31 +83,30 @@ def test_state_vector_rejects_non_finite():
 
 
 def test_state_vector_is_read_only():
-    state = make_basis_state("01")
+    state = ket("01")
     with pytest.raises(ValueError):
         state.amplitudes[0] = 1.0
 
 
 def test_state_vector_equality_is_bit_exact():
-    a = make_basis_state("01")
-    b = make_basis_state("01")
-    c = make_basis_state("10")
+    a = ket("01")
+    b = ket("01")
+    c = ket("10")
     assert a == b
     assert a != c
     assert a != "not a state"
 
 
-def test_make_basis_state_places_unit_amplitude():
-    state = make_basis_state("110")
+def test_basis_ket_places_unit_amplitude():
+    state = ket("110")
     assert state.num_qubits == 3
     assert state.amplitudes[6] == 1.0
     assert np.count_nonzero(state.amplitudes) == 1
-    assert state.amplitude("110") == 1.0
 
 
 def test_tensor_keeps_first_factor_most_significant():
     # |1> (x) |0> must be |10>, amplitude index 2
-    product = tensor(make_basis_state("1"), make_basis_state("0"))
+    product = tensor(ket("1"), ket("0"))
     assert product.num_qubits == 2
     assert product.amplitudes[2] == 1.0
 
@@ -117,16 +114,16 @@ def test_tensor_keeps_first_factor_most_significant():
 def test_inner_product():
     plus = plus_state()
     assert abs(inner(plus, plus) - 1.0) < 1e-15
-    assert abs(inner(make_basis_state("0"), make_basis_state("1"))) == 0.0
-    assert abs(inner(plus, make_basis_state("0")) - INV_SQRT2) < 1e-15
+    assert abs(inner(ket("0"), ket("1"))) == 0.0
+    assert abs(inner(plus, ket("0")) - INV_SQRT2) < 1e-15
     with pytest.raises(ValueError):
-        inner(make_basis_state("0"), make_basis_state("00"))
+        inner(ket("0"), ket("00"))
 
 
 def test_hadamard_on_single_qubit():
     # the generation circuit's dense H on qubit 1: H|0> = |+>, H|+> = |0>,
     # and on n <= 3 qubits every basis column and H H = I
-    plus = hadamard_operator(1, 1) @ make_basis_state("0").amplitudes
+    plus = hadamard_operator(1, 1) @ ket("0").amplitudes
     assert_allclose(plus, [INV_SQRT2, INV_SQRT2], atol=1e-15)
     back = hadamard_operator(1, 1) @ plus
     assert_allclose(back, [1.0, 0.0], atol=1e-15)
@@ -143,7 +140,7 @@ def test_hadamard_on_single_qubit():
 
 def cnot_image(operator: np.ndarray, n: int, bits: str) -> str:
     """The basis state a permutation gate sends ``|bits>`` to."""
-    image = operator @ make_basis_state(bits).amplitudes
+    image = operator @ ket(bits).amplitudes
     assert np.count_nonzero(np.abs(image) > 1e-12) == 1
     assert abs(image.sum() - 1.0) < 1e-12
     return index_to_bits(int(np.argmax(np.abs(image))), n)
@@ -201,13 +198,13 @@ def test_computational_basis_is_shared_and_binds_rows():
         with pytest.raises(ValueError):
             basis.vectors[0, 0] = 0
         for c in range(2**k):
-            expected = make_basis_state(index_to_bits(c, k)).amplitudes
+            expected = np.eye(2**k, dtype=complex)[c]
             assert basis.vector(c).amplitudes.tobytes() == expected.tobytes()
 
 
 def pair(x, y):
     """(|x> + |y>)/sqrt(2) for distinct bit strings of one length."""
-    amplitudes = make_basis_state(x).amplitudes + make_basis_state(y).amplitudes
+    amplitudes = ket(x).amplitudes + ket(y).amplitudes
     return StateVector(len(x), amplitudes * INV_SQRT2)
 
 
@@ -222,10 +219,10 @@ def test_partial_basis_measures_rows_plus_complement():
         with pytest.raises(ValueError, match="not in 0..1"):
             basis.vector(k)
     with pytest.raises(ValueError, match="orthonormal"):
-        MeasurementBasis([make_basis_state("00").amplitudes, pair("00", "11").amplitudes])
+        MeasurementBasis([ket("00").amplitudes, pair("00", "11").amplitudes])
     for shape_error in (
-        [make_basis_state("00").amplitudes, make_basis_state("0").amplitudes],  # row lengths
-        make_basis_state("00").amplitudes,  # one bare row, not a row list
+        [ket("00").amplitudes, ket("0").amplitudes],  # row lengths
+        ket("00").amplitudes,  # one bare row, not a row list
         np.eye(3, 2, dtype=complex),  # more rows than their length
         np.zeros((0, 4), dtype=complex),  # no row
     ):
@@ -236,7 +233,7 @@ def test_partial_basis_measures_rows_plus_complement():
     probs = born_distribution(state, basis)
     assert probs.shape == (3,)
     assert_allclose(probs, [0.25, 0.25, 0.5], atol=1e-15)
-    assert_allclose(born_distribution(make_basis_state("11"), basis), [0.5, 0.0, 0.5], atol=1e-15)
+    assert_allclose(born_distribution(ket("11"), basis), [0.5, 0.0, 0.5], atol=1e-15)
     outcomes = {measure(state, basis, seed) for seed in range(40)}
     assert outcomes == {0, 1, 2}
     assert all(measure(pair("00", "01"), basis, s) == 1 for s in range(5))
@@ -391,7 +388,12 @@ def test_state_from_text_rejects_malformed():
 
 
 def test_ket_string():
-    assert ket_string(make_basis_state("01")) == "+1.0000|01>"
+    assert ket_string(ket("01")) == "+1.0000|01>"
     plus = plus_state()
     assert ket_string(plus) == "+0.7071|0> +0.7071|1>"
     assert ket_string(plus, max_terms=1).endswith("...")
+    # a term with an imaginary part prints both parts, parenthesised after a "+"
+    state = StateVector(2, np.array([0.6, 0, 0, -0.48 + 0.64j]))
+    assert ket_string(state) == "+0.6000|00> +(-0.4800+0.6400i)|11>"
+    assert ket_string(StateVector(1, np.array([0.8j, -0.6j]))) == \
+        "+(0.0000+0.8000i)|0> +(-0.0000-0.6000i)|1>"

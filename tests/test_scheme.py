@@ -28,7 +28,6 @@ from qbcsim.quantum import (
     MeasurementBasis,
     StateVector,
     born_distribution,
-    make_basis_state,
     state_from_text,
     tensor,
 )
@@ -42,13 +41,19 @@ from qbcsim.scheme import (
     xor_pairs,
 )
 from qbcsim.session import PARENT_S, AliceScript, BobScript, run_session
-from test_quantum import inner, random_state
+from test_quantum import inner, ket, random_state
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def load_golden(name: str) -> StateVector:
     return state_from_text((GOLDEN / f"{name}.txt").read_text())
+
+
+def set_measurement(agreement, claimed: int) -> MeasurementBasis:
+    """Set ``claimed`` as Bob's reveal measurement on Alice's register, from
+    its dense rows: valid outcome k is element k, outcome 2^n rejects."""
+    return MeasurementBasis(dense_sets(agreement)[claimed])
 
 
 def product_measurement(agreement, claimed: int) -> MeasurementBasis:
@@ -110,7 +115,7 @@ def test_build_sets_matches_golden_files(cointoss_agreement):
             expected = load_golden(f"cointoss_set{c}_elem{k}")
             got = cointoss_agreement.element(c, k)
             assert_allclose(got.amplitudes, expected.amplitudes, atol=1e-12)
-            row = cointoss_agreement.measurement(c).vector(k)
+            row = set_measurement(cointoss_agreement, c).vector(k)
             assert_allclose(row.amplitudes, expected.amplitudes, atol=1e-12)
 
 
@@ -161,8 +166,8 @@ def test_reveal_states_cointoss_preset(cointoss_agreement):
 
 def test_agreement_basis_shape(agreements):
     # set c is held as its XOR pairs and their amplitudes, [c, k, 2] each;
-    # measurement(c) is its reveal measurement on Alice's register, the 2^n
-    # elements (+ reject), row k being (|x> + |y>)/sqrt(2) for the k-th pair
+    # its reveal measurement on Alice's register has the 2^n elements
+    # (+ reject), row k being (|x> + |y>)/sqrt(2) for the k-th pair
     for n, agreement in agreements.items():
         count = 2**n
         dim = 2 ** (n + 1)
@@ -175,7 +180,7 @@ def test_agreement_basis_shape(agreements):
         assert (agreement.amplitudes == INV_SQRT2).all()
         for c in range(count):
             assert agreement.pairs[c].tolist() == [list(p) for p in xor_pairs(agreement.params, c)]
-            basis = agreement.measurement(c)
+            basis = set_measurement(agreement, c)
             assert isinstance(basis, MeasurementBasis)
             assert basis.dimension == dim
             assert basis.vectors.shape == (count, dim)
@@ -273,7 +278,7 @@ def test_measurement_distribution_equals_dense_born_rows():
         plus = StateVector(n + 1, np.full(2 * m, 1 / np.sqrt(2 * m)))
         noisy = [random_state(n + 1, rng) for _ in range(3)]
         for claim in range(m):
-            measurement = agreement.measurement(claim)
+            measurement = set_measurement(agreement, claim)
             sets = range(m) if n < 5 else {(claim + step) % m for step in (0, 1, 21, 42)}
             for psi in [plus] + [e for c in sets for e in elements[c]]:
                 got = agreement.measurement_distribution(claim, psi)
@@ -282,7 +287,7 @@ def test_measurement_distribution_equals_dense_born_rows():
                 assert_allclose(agreement.measurement_distribution(claim, psi),
                                 born_distribution(psi, measurement), rtol=1e-14, atol=1e-16)
     with pytest.raises(ValueError, match="dimensions"):
-        agreement.measurement_distribution(0, make_basis_state("0"))
+        agreement.measurement_distribution(0, ket("0"))
 
 
 def test_build_peak_memory_stays_quadratic():
@@ -299,7 +304,7 @@ def test_build_peak_memory_stays_quadratic():
     assert peak < 10**6, peak
 
 
-#: SHA-256 over every set's measurement rows and then the reveal-state array [c, x],
+#: SHA-256 over every set's dense rows [c, k, x] and then the reveal-state array [c, x],
 #: as complex128 bytes in choice order, keyed by (n, masks).
 AGREEMENT_PINS = {
     (1, (1, 2)): "671eeb26268792712b3f3f7d10900db630a70fa2695640bb4b39eba52015ef7c",
@@ -324,9 +329,7 @@ def test_agreement_bytes_pinned():
     assert [(p.num_bob_qubits, p.masks) for p in schemes] == list(AGREEMENT_PINS)
     for params in schemes:
         agreement = build_reveal_agreement(params)
-        digest = hashlib.sha256()
-        for c in range(agreement.num_choices):
-            digest.update(agreement.measurement(c).vectors.tobytes())
+        digest = hashlib.sha256(dense_sets(agreement).tobytes())
         digest.update(agreement.reveals.tobytes())
         assert digest.hexdigest() == AGREEMENT_PINS[params.num_bob_qubits, params.masks]
 
@@ -340,7 +343,7 @@ def test_register_measurement_equals_product_measurement(agreements):
         for c in range(agreement.num_choices):
             reveal = agreement.reveal_state(c)
             oracle = product_measurement(agreement, c)
-            measurement = agreement.measurement(c)
+            measurement = set_measurement(agreement, c)
             held = [agreement.element(s, k) for s in (c, (c + 1) % agreement.num_choices)
                     for k in range(agreement.num_choices)]
             held += [random_state(n + 1, rng) for _ in range(5)]
@@ -359,7 +362,7 @@ def test_factorised_product_gram_matches_explicit_gram(agreements):
         m = agreement.num_choices
         stacked = np.concatenate([product_measurement(agreement, c).vectors for c in range(m)])
         explicit = stacked.conj() @ stacked.T
-        elements = np.concatenate([agreement.measurement(c).vectors for c in range(m)])
+        elements = dense_sets(agreement).reshape(m * m, -1)
         reveals = agreement.reveals
         factorised = (elements.conj() @ elements.T) * np.kron(
             reveals.conj() @ reveals.T, np.ones((m, m))
@@ -412,7 +415,7 @@ def test_stabilizer_audit_rejects_non_eigen_state(monkeypatch):
     params = SchemeParams.default(2)
     honest = build_reveal_agreement(params)
     reveals = honest.reveals.copy()
-    reveals[3] = make_basis_state("00").amplitudes
+    reveals[3] = ket("00").amplitudes
     tampered = dataclasses.replace(honest, reveals=reveals)
     monkeypatch.setattr(scheme, "build_reveal_agreement", lambda _: tampered)
     checks = {check.name: check for check in audit_scheme(params)}
@@ -424,7 +427,7 @@ def test_stabilizer_audit_rejects_non_eigen_state(monkeypatch):
 def test_cross_set_overlaps(cointoss_agreement):
     # |<e_{c,k}|e_{c',p}>| for every element and every other set: exactly
     # two partners, each of magnitude 1/2; the audit makes the same check
-    elements = np.array([cointoss_agreement.measurement(c).vectors for c in range(2)])  # [c, k, x]
+    elements = dense_sets(cointoss_agreement)  # [c, k, x]
     magnitudes = np.abs(np.einsum("akx,bpx->abkp", elements.conj(), elements))
     rows = [magnitudes[a, b, k] for a in range(2) for b in range(2) if b != a for k in range(2)]
     assert len(rows) == 4  # 2 sets x 2 elements x 1 other set
@@ -677,7 +680,7 @@ def test_honest_products_are_distinguishable(cointoss_agreement):
             product = tensor(held, cointoss_agreement.reveal_state(c))
             dist = born_distribution(product, basis)
             assert abs(dist[k] - 1.0) < 1e-12
-            dist = born_distribution(held, cointoss_agreement.measurement(c))
+            dist = born_distribution(held, set_measurement(cointoss_agreement, c))
             assert abs(dist[k] - 1.0) < 1e-12
 
 

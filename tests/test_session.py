@@ -17,7 +17,6 @@ from qbcsim.quantum import (
     ATOL,
     MeasurementBasis,
     computational_basis,
-    make_basis_state,
     measure,
 )
 from qbcsim.scheme import SchemeParams, build_reveal_agreement, scheme_hash
@@ -39,6 +38,7 @@ from qbcsim.session import (
     PhaseError,
     Reveal,
     SchemeMismatchError,
+    SessionState,
     Verdict,
     VersionMismatchError,
     WireError,
@@ -56,7 +56,8 @@ from qbcsim.session import (
     session_rngs,
     write_transcript,
 )
-from test_quantum import random_state
+from test_quantum import ket, random_state
+from test_scheme import set_measurement
 
 HASH = "0" * 64
 
@@ -189,6 +190,15 @@ def test_wrong_phase_errors(cointoss_agreement):
     state, _ = bob_guess(state, 0)
     with pytest.raises(PhaseError):
         bob_guess(state, 0)  # guess twice
+    # a state that holds no commitment of Alice's, fresh or Bob's own view
+    # after his guess, has nothing to reveal
+    bob = BobEndpoint(cointoss_agreement, BobScript(guess=1), 2)
+    bob.handle_commit(AliceEndpoint(cointoss_agreement, AliceScript(), 1).commit_frame())
+    for uncommitted in (SessionState(cointoss_agreement), bob.state):
+        before = list(uncommitted.transcript)
+        with pytest.raises(PhaseError, match="no commitment"):
+            alice_reveal(uncommitted)
+        assert uncommitted.transcript == before
 
 
 def test_commit_input_validation(cointoss_agreement):
@@ -204,6 +214,11 @@ def test_commit_input_validation(cointoss_agreement):
     state, _ = alice_commit(cointoss_agreement, 0, 0, rng=0)
     with pytest.raises(ValueError):
         bob_guess(state, 2)
+    state, _ = bob_guess(state, 1)
+    for claim in (-1, 2):
+        with pytest.raises(ValueError, match=f"claimed choice {claim} out of range"):
+            alice_reveal(state, claim)
+        assert state.phase is Phase.GUESSED and len(state.transcript) == 2
 
 
 def test_random_element_is_uniform(cointoss_agreement):
@@ -250,7 +265,7 @@ def test_cheating_reveal_accepted_half_the_time(cointoss_agreement):
 def test_parent_s_paths(cointoss_agreement):
     # honest: deterministic accept; dishonest reveal: deterministic reject
     state, commit = alice_commit(cointoss_agreement, 1, rng=0, parent=PARENT_S)
-    assert commit.state == make_basis_state("01")
+    assert commit.state == ket("01")
     state, _ = bob_guess(state, 0)
     state, reveal = alice_reveal(state)
     assert reveal.parent == PARENT_S
@@ -316,7 +331,7 @@ def test_parent_b_verify_reads_the_pairs(monkeypatch, n):
     for seed, (honest, outcome) in enumerate(outcomes):
         choice, element = (7 * seed) % m, (5 * seed + 1) % m
         claim = choice if honest else (choice + 1 + seed) % m
-        dense = agreement.measurement(claim)
+        dense = set_measurement(agreement, claim)
         assert outcome == measure(agreement.element(choice, element), dense, seed)
     assert {outcome for _, outcome in outcomes} & {m}  # a cheat was rejected
 
@@ -376,10 +391,13 @@ def test_out_of_range_choice_frames_are_wire_errors(cointoss_agreement):
 
 
 def snapshot(endpoint):
-    """What a refused frame must leave unchanged: frames, outcome and phase."""
-    phase = None if endpoint.state is None else endpoint.state.phase
+    """What a refused frame must leave unchanged: frames, outcome, phase and
+    the transcript of messages."""
+    state = endpoint.state
     outcome = endpoint.result if isinstance(endpoint, BobEndpoint) else endpoint.verdict
-    return list(endpoint.frames), outcome, phase
+    if state is None:
+        return list(endpoint.frames), outcome, None, None
+    return list(endpoint.frames), outcome, state.phase, list(state.transcript)
 
 
 def test_endpoint_handlers_check_phase_first(cointoss_agreement):
@@ -444,7 +462,7 @@ def test_near_unit_commits_are_wire_errors_or_verified(cointoss_agreement, paren
         with pytest.raises(AmplitudeCountError) as raised:
             bob.handle_commit(_commit_frame(held * scale, digest))
         assert isinstance(raised.value, WireError)
-        assert snapshot(bob) == ([], None, None)
+        assert snapshot(bob) == ([], None, None, None)
     inside = 0.99 * ATOL / 2
     for norm2 in (1 + inside, 1 - inside):
         bob = BobEndpoint(agreement, BobScript(guess=0), 2)
@@ -468,6 +486,37 @@ def _receiver_of(agreement, kind: str):
     if kind == "reveal":
         return bob, bob.handle_reveal, frame
     return alice, alice.handle_verdict, bob.handle_reveal(frame)
+
+
+@pytest.mark.parametrize("kind", ["commit", "guess", "reveal", "verdict"])
+def test_frames_of_another_kind_are_framing_errors(agreements, kind):
+    # each receiving handler, in the phase that takes its kind, refuses a
+    # well-formed frame of this scheme of any other kind and records nothing
+    agreement = agreements[2]
+    digest = agreement.descriptor_hash
+    frames = {"commit": encode_message(Commit(agreement.element(1, 2)), digest),
+              "guess": encode_message(Guess(0), digest),
+              "reveal": encode_message(Reveal(1), digest),
+              "verdict": encode_message(Verdict(True, 2), digest)}
+    for other, frame in frames.items():
+        if other == kind:
+            continue
+        endpoint, handler, _ = _receiver_of(agreement, kind)
+        before = snapshot(endpoint)
+        with pytest.raises(FramingError, match=f"expected a {kind} frame"):
+            handler(frame)
+        assert snapshot(endpoint) == before, other
+
+
+def test_commit_of_another_register_size_is_amplitude_count_error(agreements):
+    # an n=2 agreement commits 3 qubits: a commit of 2 or 4 is refused
+    agreement = agreements[2]
+    for qubits in (2, 4):
+        bob, handle_commit, _ = _receiver_of(agreement, "commit")
+        frame = encode_message(Commit(ket("0" * qubits)), agreement.descriptor_hash)
+        with pytest.raises(AmplitudeCountError, match=f"carries {qubits} qubits"):
+            handle_commit(frame)
+        assert snapshot(bob) == ([], None, None, None)
 
 
 JSON_VALUES = st.recursive(
