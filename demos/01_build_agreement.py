@@ -5,7 +5,9 @@ element, the reveal states, the valid products, and finishes with the
 structural audit. Run with: python3 demos/01_build_agreement.py
 """
 
-from qbcsim.quantum import ket_string, tensor
+import numpy as np
+
+from qbcsim.quantum import StateVector, ket_string
 from qbcsim.scheme import (
     SchemeParams,
     audit_scheme,
@@ -36,10 +38,12 @@ def main():
         elements = [agreement.element(c, k) for k in range(params.num_choices)]
         for k, elem in enumerate(elements):
             print(f"  element {k}: {ket_string(elem)}")
-        reveal = agreement.reveal_state(c)
+        reveal = StateVector(params.num_bob_qubits, agreement.reveals[c])
         print(f"  reveal state: {ket_string(reveal)}")
         # Bob's coupled measurement: element (x) reveal state per valid outcome
-        products = [tensor(elem, reveal) for elem in elements]
+        products = [StateVector(elem.num_qubits + reveal.num_qubits,
+                                np.kron(elem.amplitudes, reveal.amplitudes))
+                    for elem in elements]
         for k, product in enumerate(products):
             print(f"  valid product {k}: {ket_string(product)}")
         print(

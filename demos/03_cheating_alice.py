@@ -11,11 +11,7 @@ the valid subspace Q_c of every choice and passes every reveal.
 
 import numpy as np
 
-from qbcsim.analysis import (
-    alice_cheat_acceptance,
-    alice_cheat_report,
-    block_cheat_report,
-)
+from qbcsim.analysis import alice_cheat_report, block_cheat_report
 from qbcsim.scheme import SchemeParams, build_reveal_agreement
 
 
@@ -24,7 +20,7 @@ def main():
         agreement = build_reveal_agreement(SchemeParams.default(n))
         m = 2**n
         values = [
-            alice_cheat_acceptance(agreement, c, k, claim)
+            agreement.valid_masses[c, k, claim]
             for c in range(m)
             for claim in range(m)
             if claim != c

@@ -15,7 +15,6 @@ from .analysis import (
     STRATEGIES,
     STRATEGY_DECLARE_PRIOR,
     STRATEGY_UPDATE_ON_REJECT,
-    alice_cheat_acceptance,
     alice_cheat_report,
     block_cheat_report,
     bob_premature_strategy,
@@ -32,10 +31,8 @@ from .quantum import (
     born_distribution,
     computational_basis,
     ket_string,
-    measure,
     state_from_text,
     state_to_text,
-    tensor,
     walsh_matrix,
 )
 from .scheme import (

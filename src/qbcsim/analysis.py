@@ -138,31 +138,6 @@ def _wrong_coupling_rows(table: np.ndarray):
 WRONG_COUPLING_KEYS = ("held_choice", "element", "coupled_choice", "valid_mass")
 
 
-def _check_choices(params: SchemeParams, c_true: int, c_claimed: int) -> None:
-    """Raise ValueError unless both choices index a set of ``params``."""
-    for label, value in (("c_true", c_true), ("c_claimed", c_claimed)):
-        if not 0 <= value < params.num_choices:
-            raise ValueError(f"{label} {value} out of range")
-
-
-def alice_cheat_acceptance(
-    agreement: RevealAgreement, c_true: int, element: int, c_claimed: int
-) -> float:
-    """Exact acceptance probability when Alice reveals ``c_claimed`` after
-    committing the given element of the set bound to ``c_true``.
-
-    Equal choices are allowed as the honest control and return 1. The
-    wrong-claim value 1/2 holds for an Alice who commits a genuine set
-    element; a state outside every set, such as |+>^(n+1), lies in every
-    Q_c and passes every reveal.
-    """
-    params = agreement.params
-    _check_choices(params, c_true, c_claimed)
-    if not 0 <= element < params.num_choices:
-        raise ValueError(f"element index {element} out of range")
-    return float(agreement.valid_masses[c_true, element, c_claimed])
-
-
 def alice_cheat_report(
     agreement: RevealAgreement,
     c_true: int,
@@ -174,10 +149,15 @@ def alice_cheat_report(
 
     The element masses, valid_masses[c_true, :, c_claimed], are both the
     exact figure's terms and the sampled verification's acceptance
-    thresholds.
+    thresholds. Equal choices are allowed as the honest control and give 1.
+    The wrong-claim value 1/2 holds for an Alice who commits a genuine set
+    element; a state outside every set, such as |+>^(n+1), lies in every
+    Q_c and passes every reveal.
     """
     params = agreement.params
-    _check_choices(params, c_true, c_claimed)
+    for label, value in (("c_true", c_true), ("c_claimed", c_claimed)):
+        if not 0 <= value < params.num_choices:
+            raise ValueError(f"{label} {value} out of range")
     masses = agreement.valid_masses[c_true, :, c_claimed]
     exact = float(np.mean(masses))
     hits = _survivors(masses, trials, 1, as_generator(rng)) if trials > 0 else 0

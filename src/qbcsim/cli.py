@@ -5,33 +5,52 @@ Subcommands:
 * ``cointoss``: the two-player coin-toss game, one in-process session
   on the preset n=1 instance, scripted or interactive; its moves are
   read as a session's are, and a parent-S reveal is refused.
-* ``audit``: run every structural invariant of an agreement; nonzero
-  exit on any failure.
+* ``audit``: run every structural invariant of an agreement.
 * ``analyze``: the full security battery, human-readable or JSON to
-  stdout and JSON to a file; exits 1, naming the rows on stderr, when a
-  Monte Carlo estimate lies more than three standard errors from its
-  exact value.
-* ``session``: one side of a two-process TCP session; exits 0 when the
-  reveal is accepted, 1 when it is rejected, and 2 on a failed handshake,
-  a malformed or out-of-phase frame, or a socket error: a refused
-  connection, a port that cannot be bound, or a peer silent for 30 s.
+  stdout and JSON to a file.
+* ``session``: one side of a two-process TCP session.
 
-A stdout whose reader has gone, as with ``qbcsim analyze | head -1``, is
-an I/O failure like a session's socket error: the run ends with exit code
-2 and prints nothing more, no traceback either.
+Exit codes (the README's copy of this table names the test or CI step
+that holds each row):
 
-Usage errors exit with code 2; so do scheme flags that name no valid
+==== ==================================================================
+code when
+==== ==================================================================
+0    ``cointoss`` finishes; ``audit`` passes every check; ``analyze``
+     finishes with every Monte Carlo row consistent; ``session``: the
+     reveal is accepted, on both sides
+1    ``session``: the reveal is rejected, on both sides
+1    ``audit``: a check fails, ``mask-validity`` included when the
+     scheme flags name no valid scheme
+1    ``analyze``: a Monte Carlo flag, an estimate more than three
+     standard errors from its exact value, or off an exact 0 or 1; the
+     flagged rows are named on stderr and stdout keeps the whole report
+2    usage: a line ``qbcsim: error: ...`` on stderr and nothing on
+     stdout (the cases are listed below)
+2    handshake: the peers' scheme hashes differ
+2    wire: a malformed frame, a frame line over the limit, or a commit
+     that is not a valid state of the agreement's register
+2    phase: a frame of another kind than the phase expects, as a guess
+     where a commit is due (reported as a ``FramingError``)
+2    socket: a refused connection, a port that cannot be bound, or a
+     peer that does not connect or answer within 30 s
+2    closed stdout: its reader has gone, as with
+     ``qbcsim analyze | head -1``; the run prints nothing more, no
+     traceback either
+==== ==================================================================
+
+Usage errors: an unknown flag or value; scheme flags that name no valid
 scheme (such as ``--preset paper-cointoss``, the n=1 scheme, with any
-other --n), which ``audit`` instead reports as a failed check, a negative
+other --n), which ``audit`` instead reports as a failed check; a negative
 --seed, a --trials outside 0..``MAX_TRIALS`` (5 000 000, under 300 MB of
-samples), a --port outside 0..65535, a move file that cannot be read, has
+samples), a --port outside 0..65535; a move file that cannot be read, has
 a line without ``=``, gives a key twice, names no choice, names both
 choice and toss, names an element with parent S or names a key or parent
-that does not exist, a cointoss move file with parent S, end of input at a
-cointoss prompt, and an ``--out`` path that
-cannot be written (checked before any report is computed or frame
-exchanged; the file is written only after a run that finishes, so one
-that aborts leaves an existing file as it was).
+that does not exist; a cointoss move file with parent S; end of input at a
+cointoss prompt; and an ``--out`` path that cannot be written (checked
+before any report is computed or frame exchanged; the file is written
+only after a run that finishes, so one that aborts leaves an existing
+file as it was).
 The audit is deterministic and takes no seed; every other subcommand
 draws all its randomness from --seed (default 0), and identical
 invocations produce byte-identical output. No environment variables are
@@ -49,8 +68,10 @@ import socket
 import sys
 from typing import NoReturn
 
+import numpy as np
+
 from .analysis import WRONG_COUPLING_KEYS, run_full_analysis
-from .quantum import ket_string, tensor
+from .quantum import StateVector, ket_string
 from .scheme import (
     MAX_N,
     PRESET_DEFAULT_MASKS,
@@ -239,8 +260,9 @@ def cmd_cointoss(args: argparse.Namespace, out=None) -> int:
             status = "accepted" if message.accepted else "rejected"
             landed = "outside every valid product"  # the reject outcome 2^n
             if message.accepted:  # element (x) reveal state: Bob's valid product
-                landed = ket_string(tensor(agreement.element(revealed, outcome),
-                                           agreement.reveal_state(revealed)))
+                n = agreement.params.num_bob_qubits
+                landed = ket_string(StateVector(2 * n + 1, np.kron(
+                    agreement.element(revealed, outcome).amplitudes, agreement.reveals[revealed])))
             print(f"Verdict: {status}, outcome {outcome} -> {landed}", file=out)
             if message.recovered_element is not None:
                 print(f"recovered element: {message.recovered_element}", file=out)

@@ -1,16 +1,18 @@
-"""Dense statevector engine for small qubit registers.
+"""Statevectors, one dense measurement and the outcome draw.
 
-Everything in the package runs through this module: basis kets, tensor
-products, projective measurement, and the Walsh matrix
-W[x, y] = (-1)^popcount(x AND y). W / 2^(k/2) is the k-qubit Hadamard
-transform. W is the one parity table behind the Pauli-Z expectations (the
-Walsh transform of the basis probabilities) and the discrimination bounds
-(the set mixtures are diagonal in the Hadamard basis), so no eigensolver
-is needed.
-
-A measurement is orthonormal rows, the valid outcomes, plus one reject
-outcome when they do not span the space. The computational basis, the
-reduced-qubit variant's measurement, is built once per dimension and shared.
+A ``StateVector`` is a validated unit-norm amplitude vector, the form in
+which states cross the wire and the golden files (``state_to_text``,
+``state_from_text``) and are printed (``ket_string``). The one dense
+measurement is the computational basis of the reduced-qubit variant:
+``born_distribution`` gives its outcome probabilities, orthonormal rows plus
+one reject outcome when they do not span the space. The commitment sets are
+measured from their pairs instead (``scheme``); both distributions are
+checked by ``_outcome_distribution`` and drawn by ``_draw_outcome``, one
+uniform each. The Walsh matrix W[x, y] = (-1)^popcount(x AND y), whose
+W / 2^(k/2) is the k-qubit Hadamard transform, is the one parity table
+behind the Pauli-Z expectations (the Walsh transform of the basis
+probabilities) and the discrimination bounds (the set mixtures are diagonal
+in the Hadamard basis), so no eigensolver is needed.
 
 Conventions
 -----------
@@ -44,14 +46,6 @@ def _frozen_array(values) -> np.ndarray:
     arr = np.array(values, dtype=complex)
     arr.setflags(write=False)
     return arr
-
-
-def index_to_bits(index: int, num_qubits: int) -> str:
-    """The bit string of amplitude index ``index`` (bit 1 most significant)
-    on a register of ``num_qubits`` qubits."""
-    if not 0 <= index < 2**num_qubits:
-        raise ValueError(f"index {index} out of range for {num_qubits} qubits")
-    return format(index, f"0{num_qubits}b")
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,11 +93,6 @@ class StateVector:
 
     def __repr__(self):  # keep reprs short; full kets via ket_string()
         return f"StateVector({self.num_qubits} qubits, {ket_string(self, max_terms=4)})"
-
-
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Tensor product a (x) b; qubits of ``a`` stay most significant."""
-    return StateVector(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,18 +175,15 @@ def _choice_cdf(dist) -> np.ndarray:
     return cdf
 
 
-def measure(state: StateVector, basis: MeasurementBasis, rng) -> int:
-    """Sample one outcome index with Born probabilities; deterministic per seed.
-
-    One uniform picks the outcome from ``_choice_cdf``: the same draw and the
-    same outcome as ``rng.choice(len(p), p=p)``, without its checks of ``p``,
-    which ``born_distribution`` has already normalised and checked."""
-    return _draw_outcome(born_distribution(state, basis), rng)
-
-
 def _draw_outcome(dist: np.ndarray, rng) -> int:
-    """The outcome of the checked distribution ``dist`` that one uniform of
-    ``rng`` picks from ``_choice_cdf``."""
+    """Sample one outcome index of the distribution ``dist``; deterministic
+    per seed.
+
+    One uniform of ``rng`` picks the outcome from ``_choice_cdf``: the same
+    draw and the same outcome as ``rng.choice(len(dist), p=dist)``, without
+    its checks of ``dist``, which ``born_distribution`` and
+    ``RevealAgreement.measurement_distribution`` have already normalised and
+    checked."""
     return int(_choice_cdf(dist).searchsorted(as_generator(rng).random(), "right"))
 
 
@@ -256,7 +242,7 @@ def ket_string(state: StateVector, max_terms: int | None = None) -> str:
     for i, a in enumerate(state.amplitudes):
         if abs(a) < 1e-12:
             continue
-        label = index_to_bits(i, state.num_qubits)
+        label = format(i, f"0{state.num_qubits}b")  # qubit 1 most significant
         if abs(a.imag) < 1e-12:
             coeff = f"{a.real:+.4f}"
         else:

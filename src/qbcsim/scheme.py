@@ -16,10 +16,10 @@ Set c is held as its pairs: the index pairs [k, 2] that ``xor_pairs``
 yields and their amplitudes [k, 2], 2^n elements of two terms each, so
 the agreement is O(m^2) for m = 2^n choices. The reveal states are one
 array [c, x], written by one writer of the closed form. No StateVector
-or MeasurementBasis is formed by the build: ``element(c, k)`` and
-``reveal_state(c)`` form and validate one state on demand. Set c is Bob's
-reveal measurement on Alice's (n+1)-qubit register, whose valid outcome k
-is element k and whose outcome ``2^n`` rejects: his measurement onto the
+or MeasurementBasis is formed by the build: ``element(c, k)`` forms and
+validates one element on demand. Set c is Bob's reveal measurement on
+Alice's (n+1)-qubit register, whose valid outcome k is element k and
+whose outcome ``2^n`` rejects: his measurement onto the
 ``2^n`` valid products "set element (x) reveal state" plus reject, since
 <e (x) G_c|psi (x) G_c> = <e|psi>, so no product is ever formed. A verify
 reads its distribution from the pairs in O(m)
@@ -162,7 +162,7 @@ class RevealAgreement:
     e_{c,k} (x) G_c, as <e (x) G_c|psi (x) G_c> = <e|psi>.
     ``measurement_distribution(c, psi)`` is its Born distribution, read from
     the pairs. ``reveals[c]`` holds G_c, Bob's n-qubit reveal state, in one
-    read-only array [c, x]; ``reveal_state(c)`` forms it as a StateVector.
+    read-only array [c, x].
     ``descriptor_hash`` is the scheme hash and ``valid_masses`` [c, k, c']
     the valid mass of every element under every reveal, each computed on
     first use. Equality is identity, as the arrays have no single truth
@@ -211,12 +211,6 @@ class RevealAgreement:
         amplitudes = np.zeros(2**self.params.num_alice_qubits, dtype=complex)
         amplitudes[self.pairs[choice, k]] = self.amplitudes[choice, k]
         return StateVector(self.params.num_alice_qubits, amplitudes)
-
-    def reveal_state(self, choice: int) -> StateVector:
-        """G_``choice``, Bob's reveal state, as a StateVector on his register."""
-        if not 0 <= choice < self.num_choices:
-            raise ValueError(f"choice {choice} out of range 0..{self.num_choices - 1}")
-        return StateVector(self.params.num_bob_qubits, self.reveals[choice])
 
     def measurement_distribution(self, choice: int, state: StateVector) -> np.ndarray:
         """The Born distribution of ``state`` under set ``choice`` as Bob's

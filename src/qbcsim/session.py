@@ -44,8 +44,8 @@ from .quantum import (
     StateVector,
     _draw_outcome,
     as_generator,
+    born_distribution,
     computational_basis,
-    measure,
     state_from_text,
     state_to_text,
 )
@@ -341,21 +341,23 @@ def bob_verify(state: SessionState, *, rng) -> tuple[SessionState, Verdict, Veri
     valid products e_{c,k} (x) G_c, as <e (x) G_c|psi (x) G_c> = <e|psi>.
     The distribution is read from the set's pairs in O(m)
     (``RevealAgreement.measurement_distribution``), with no dense row and
-    no (2n+1)-qubit product formed, and one uniform draws the outcome, as
-    ``measure`` draws it.
+    no (2n+1)-qubit product formed.
     Parent S: Bob measures the held state in the computational basis and
     accepts only the outcome bound to the revealed choice.
-    The held state and the reveal are the transcript's commit and reveal.
+    Either way one uniform draws the outcome (``_draw_outcome``). The held
+    state and the reveal are the transcript's commit and reveal.
     """
     state.expect(Verdict)
     commit, _, reveal = state.transcript
-    if reveal.parent == PARENT_B:
-        dist = state.agreement.measurement_distribution(reveal.choice, commit.state)
-        outcome = _draw_outcome(dist, rng)
-        accepted = outcome < state.agreement.num_choices
-    else:
-        outcome = measure(commit.state, computational_basis(commit.state.dimension), rng)
-        accepted = outcome == reveal.choice
+    psi = commit.state
+    if reveal.parent == PARENT_B:  # every element of the set, then reject
+        dist = state.agreement.measurement_distribution(reveal.choice, psi)
+        valid = range(state.agreement.num_choices)
+    else:  # only the basis state bound to the revealed choice
+        dist = born_distribution(psi, computational_basis(psi.dimension))
+        valid = (reveal.choice,)
+    outcome = _draw_outcome(dist, rng)
+    accepted = outcome in valid
     recovered = outcome if accepted else None
     result = VerificationResult(accepted, outcome, recovered)
     return state, state.record(Verdict(accepted, recovered)), result

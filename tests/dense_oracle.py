@@ -16,7 +16,7 @@ the pair checks of ``qbcsim.scheme.audit_scheme`` replace, as the
 reference for theirs, and
 the paper's generation circuit as dense operators (H on qubit 1, then
 CNOT(1, t) for t = 2..n, on |c>), the reference for the closed-form
-reveal states, ``RevealAgreement.reveal_state``. The circuit uses
+reveal states, ``RevealAgreement.reveals``. The circuit uses
 nothing from ``qbcsim``.
 """
 

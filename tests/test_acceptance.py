@@ -16,13 +16,12 @@ from test_analysis import (
     enumerate_update_on_reject,
     jacobi_eigenvalues,
 )
-from test_scheme import product_measurement
+from test_scheme import coupled, product_measurement
 from dense_oracle import EnsembleMixture, HermitianMatrix, ensemble_mixture, helstrom_bound
 
 from qbcsim.analysis import (
     STRATEGY_DECLARE_PRIOR,
     STRATEGY_UPDATE_ON_REJECT,
-    alice_cheat_acceptance,
     alice_cheat_report,
     block_cheat_report,
     bob_premature_strategy,
@@ -30,7 +29,7 @@ from qbcsim.analysis import (
     run_full_analysis,
     s_protocol_sweep,
 )
-from qbcsim.quantum import born_distribution, state_from_text, tensor
+from qbcsim.quantum import born_distribution, state_from_text
 from qbcsim.scheme import SchemeParams, audit_scheme, build_reveal_agreement
 from qbcsim.session import AliceScript, BobScript, HandshakeError, run_session
 
@@ -62,9 +61,7 @@ def test_criterion_1_table_reproduction():
                     agreement.element(c, k).amplitudes - element.amplitudes
                 ).max(),
                 np.abs(
-                    tensor(
-                        agreement.element(c, k), agreement.reveal_state(c)
-                    ).amplitudes
+                    coupled(agreement, agreement.element(c, k), c).amplitudes
                     - product.amplitudes
                 ).max(),
             )
@@ -90,9 +87,7 @@ def test_criterion_2_completeness():
         for c in range(m):
             basis = product_measurement(agreement, c)
             for k in range(m):
-                product = tensor(
-                    agreement.element(c, k), agreement.reveal_state(c)
-                )
+                product = coupled(agreement, agreement.element(c, k), c)
                 dist = born_distribution(product, basis)
                 dists[(c, k)] = dist
                 worst = max(worst, abs(dist[k] - 1.0))
@@ -137,7 +132,7 @@ def test_criterion_3_binding():
                 if claim == c:
                     continue
                 for k in range(m):
-                    value = alice_cheat_acceptance(agreement, c, k, claim)
+                    value = agreement.valid_masses[c, k, claim]
                     worst = max(worst, abs(value - 0.5))
     cointoss = build_reveal_agreement(SchemeParams.paper_cointoss())
     block_worst = max(

@@ -31,7 +31,6 @@ from qbcsim.analysis import (
     STRATEGY_DECLARE_PRIOR,
     STRATEGY_UPDATE_ON_REJECT,
     CheatReport,
-    alice_cheat_acceptance,
     alice_cheat_report,
     block_cheat_report,
     bob_premature_strategy,
@@ -40,7 +39,7 @@ from qbcsim.analysis import (
     s_protocol_sweep,
 )
 from qbcsim import scheme
-from qbcsim.quantum import StateVector, born_distribution, tensor, walsh_matrix
+from qbcsim.quantum import StateVector, born_distribution, walsh_matrix
 from qbcsim.scheme import SchemeParams, audit_scheme, build_reveal_agreement, scheme_hash
 from qbcsim.session import BobEndpoint, BobScript, Commit, Reveal, encode_message
 from dense_oracle import (
@@ -54,7 +53,7 @@ from dense_oracle import (
     walsh_valid_mass,
 )
 from test_quantum import hadamard_all, inner, random_state
-from test_scheme import product_measurement, set_measurement
+from test_scheme import coupled, product_measurement, set_measurement
 
 
 def jacobi_eigenvalues(matrix, sweeps=60):
@@ -86,7 +85,7 @@ def jacobi_eigenvalues(matrix, sweeps=60):
 def acceptance_by_inner_products(agreement, held, claimed):
     """Oracle: sum of |<valid product|held (x) G_claimed>|^2 without using
     born_distribution."""
-    product = tensor(held, agreement.reveal_state(claimed))
+    product = coupled(agreement, held, claimed)
     basis = product_measurement(agreement, claimed)
     return sum(abs(inner(basis.vector(k), product)) ** 2 for k in range(len(basis.vectors)))
 
@@ -95,7 +94,7 @@ def acceptance_by_born_distribution(agreement, held, claimed, basis):
     """Oracle: Born distribution of held (x) G_claimed on ``basis``, the
     product-space reveal measurement of the claimed choice, summed over
     valid outcomes."""
-    product = tensor(held, agreement.reveal_state(claimed))
+    product = coupled(agreement, held, claimed)
     return born_distribution(product, basis)[:len(basis.vectors)].sum()
 
 
@@ -159,8 +158,7 @@ def test_exact_masses_equal_closed_form(agreements):
                 if claim == c:
                     continue
                 assert alice_cheat_report(agreement, c, claim).exact == 0.5
-                for k in range(m):
-                    assert alice_cheat_acceptance(agreement, c, k, claim) == 0.5
+                assert (agreement.valid_masses[c, :, claim] == 0.5).all()
         rows = run_full_analysis(agreement)["wrong_coupling"]
         assert all(row["valid_mass"] == 0.5 for row in rows)
         for blocks in range(1, 9):
@@ -510,14 +508,11 @@ def test_ensemble_mixture_closed_form():
 
 
 def test_alice_cheat_acceptance_values(cointoss_agreement):
+    table = cointoss_agreement.valid_masses
     for c in range(2):
         for k in range(2):
-            assert abs(alice_cheat_acceptance(cointoss_agreement, c, k, 1 - c) - 0.5) < 1e-12
-            assert abs(alice_cheat_acceptance(cointoss_agreement, c, k, c) - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        alice_cheat_acceptance(cointoss_agreement, 2, 0, 0)
-    with pytest.raises(ValueError):
-        alice_cheat_acceptance(cointoss_agreement, 0, 5, 1)
+            assert abs(table[c, k, 1 - c] - 0.5) < 1e-12
+            assert abs(table[c, k, c] - 1.0) < 1e-12
 
 
 def test_free_alice_plus_state_passes_every_reveal():
@@ -546,10 +541,9 @@ def test_free_alice_plus_state_passes_every_reveal():
 ])
 def test_cheat_report_rejects_choices_out_of_range(agreements, c_true, c_claimed, label):
     # a negative index must not wrap to another set, nor a large one escape
-    # as IndexError: the report and the per-element acceptance share one check
+    # as IndexError, sampled or not
     agreement = agreements[2]
     calls = [
-        lambda: alice_cheat_acceptance(agreement, c_true, 0, c_claimed),
         lambda: alice_cheat_report(agreement, c_true, c_claimed),
         lambda: alice_cheat_report(agreement, c_true, c_claimed, trials=10, rng=1),
     ]
@@ -564,7 +558,7 @@ def test_alice_cheat_matches_inner_product_oracle(agreements):
         for c in range(2**n):
             for k in range(2**n):
                 for claim in range(2**n):
-                    got = alice_cheat_acceptance(agreement, c, k, claim)
+                    got = agreement.valid_masses[c, k, claim]
                     oracle = acceptance_by_inner_products(
                         agreement, agreement.element(c, k), claim
                     )
@@ -608,10 +602,7 @@ def test_wrong_coupling_table(cointoss_agreement):
     }
     for (c, k, claim), amplitudes in expected.items():
         assert (c, k, claim) in by_key
-        product = tensor(
-            cointoss_agreement.element(c, k),
-            cointoss_agreement.reveal_state(claim),
-        )
+        product = coupled(cointoss_agreement, cointoss_agreement.element(c, k), claim)
         assert_allclose(product.amplitudes, amplitudes, atol=1e-12)
 
 
@@ -930,7 +921,7 @@ def test_table_and_direct_paths_agree_exactly(agreements):
                 assert exact == float(np.mean(table[c, :, claim]))
         rows = run_full_analysis(agreement)["wrong_coupling"]
         assert rows == [{"held_choice": c, "element": k, "coupled_choice": claim,
-                         "valid_mass": alice_cheat_acceptance(agreement, c, k, claim)}
+                         "valid_mass": float(table[c, k, claim])}
                         for c, k, claim in np.ndindex(table.shape) if c != claim]
         assert [list(row) for row in rows] == [["held_choice", "element", "coupled_choice",
                                                 "valid_mass"]] * len(rows)

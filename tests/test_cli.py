@@ -25,7 +25,9 @@ from qbcsim.cli import (
 )
 from qbcsim.quantum import INV_SQRT2
 from qbcsim.scheme import PRESET_PAPER_COINTOSS, SchemeParams, build_reveal_agreement, scheme_hash
-from qbcsim.session import AliceScript, BobScript, frame_limit, hello_frame, run_session
+from qbcsim.session import (
+    AliceScript, BobScript, Guess, encode_message, frame_limit, hello_frame, run_session,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -160,6 +162,13 @@ def test_session_subcommand_refused_connection_exits_2(capsys):
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
     assert len(lines) == 1 and lines[0].startswith("session aborted: ConnectionRefusedError: ")
+    assert "Traceback" not in captured.err
+    # and a verifier whose port cannot be bound, as one already listening
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        port = taken.getsockname()[1]
+        assert main(["session", "--role", "bob", "--n", "1", "--port", str(port)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("session aborted: OSError: ")
     assert "Traceback" not in captured.err
 
 
@@ -641,6 +650,9 @@ def test_session_subcommand_bad_frame_exits_2():
     near_unit = {"v": 1, "kind": "commit", "scheme_hash": digest, "state": state}
     last = _bob_last_line_after(json.dumps(near_unit).encode() + b"\n")
     assert last.startswith("session aborted: AmplitudeCountError: state not normalized")
+    # out of phase: a guess where the commit is due
+    guess = encode_message(Guess(0), digest)
+    assert _bob_last_line_after(guess) == "session aborted: FramingError: expected a commit frame"
 
 
 def test_session_subcommand_over_limit_frame_exits_2():

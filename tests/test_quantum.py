@@ -11,15 +11,13 @@ from qbcsim.quantum import (
     INV_SQRT2,
     MeasurementBasis,
     StateVector,
+    _draw_outcome,
     as_generator,
     born_distribution,
     computational_basis,
-    index_to_bits,
     ket_string,
-    measure,
     state_from_text,
     state_to_text,
-    tensor,
     walsh_matrix,
 )
 
@@ -51,16 +49,11 @@ def plus_state() -> StateVector:
 
 
 def test_bits_index_round_trip():
-    assert index_to_bits(6, 3) == "110"
+    # ket_string labels amplitude index i with its bits, qubit 1 most significant
+    assert ket_string(ket("110")) == "+1.0000|110>"
     for i in range(16):
-        assert int(index_to_bits(i, 4), 2) == i
-
-
-def test_bits_index_rejects_garbage():
-    with pytest.raises(ValueError):
-        index_to_bits(8, 3)
-    with pytest.raises(ValueError):
-        index_to_bits(-1, 3)
+        label = ket_string(computational_basis(16).vector(i))
+        assert label.startswith("+1.0000|") and int(label[8:-1], 2) == i
 
 
 def test_state_vector_validation():
@@ -104,13 +97,6 @@ def test_basis_ket_places_unit_amplitude():
     assert np.count_nonzero(state.amplitudes) == 1
 
 
-def test_tensor_keeps_first_factor_most_significant():
-    # |1> (x) |0> must be |10>, amplitude index 2
-    product = tensor(ket("1"), ket("0"))
-    assert product.num_qubits == 2
-    assert product.amplitudes[2] == 1.0
-
-
 def test_inner_product():
     plus = plus_state()
     assert abs(inner(plus, plus) - 1.0) < 1e-15
@@ -143,7 +129,7 @@ def cnot_image(operator: np.ndarray, n: int, bits: str) -> str:
     image = operator @ ket(bits).amplitudes
     assert np.count_nonzero(np.abs(image) > 1e-12) == 1
     assert abs(image.sum() - 1.0) < 1e-12
-    return index_to_bits(int(np.argmax(np.abs(image))), n)
+    return format(int(np.argmax(np.abs(image))), f"0{n}b")
 
 
 def test_cnot_truth_table_both_orientations():
@@ -173,7 +159,7 @@ def test_cnot_non_adjacent_matches_index_permutation():
     for n in (2, 3, 4):
         for target in range(2, n + 1):
             for x in range(2**n):
-                bits = index_to_bits(x, n)
+                bits = format(x, f"0{n}b")
                 flipped = str(int(bits[target - 1]) ^ int(bits[0]))
                 expected = bits[:target - 1] + flipped + bits[target:]
                 image = cnot_image(cnot_operator(n, target), n, bits)
@@ -234,9 +220,10 @@ def test_partial_basis_measures_rows_plus_complement():
     assert probs.shape == (3,)
     assert_allclose(probs, [0.25, 0.25, 0.5], atol=1e-15)
     assert_allclose(born_distribution(ket("11"), basis), [0.5, 0.0, 0.5], atol=1e-15)
-    outcomes = {measure(state, basis, seed) for seed in range(40)}
+    outcomes = {_draw_outcome(probs, seed) for seed in range(40)}
     assert outcomes == {0, 1, 2}
-    assert all(measure(pair("00", "01"), basis, s) == 1 for s in range(5))
+    assert all(_draw_outcome(born_distribution(pair("00", "01"), basis), s) == 1
+               for s in range(5))
     # a complete basis gets no complement entry
     assert born_distribution(state, computational_basis(4)).shape == (4,)
 
@@ -271,21 +258,22 @@ def test_born_distribution_sums_to_one():
 
 
 def test_measure_is_seed_deterministic_and_unbiased():
-    plus = plus_state()
-    basis = computational_basis(2)
-    assert measure(plus, basis, 42) == measure(plus, basis, 42)
+    # the verify's one-uniform draw on the computational-basis Born row of |+>
+    dist = born_distribution(plus_state(), computational_basis(2))
+    assert _draw_outcome(dist, 42) == _draw_outcome(dist, 42)
     rng = np.random.default_rng(11)
     trials = 4000
-    ones = sum(measure(plus, basis, rng) for _ in range(trials))
+    ones = sum(_draw_outcome(dist, rng) for _ in range(trials))
     sigma = 0.5 * np.sqrt(trials)
     assert abs(ones - trials / 2) <= 3 * sigma
 
 
 def test_measure_draws_as_generator_choice():
-    # Generator.choice is the oracle: one uniform through the same cumulative
-    # table gives the outcome and the generator state that
-    # rng.choice(len(p), p=p) gives, on Born distributions with zero entries
-    # and, when the rows do not span, a reject entry (itself zero at times)
+    # Generator.choice is the oracle of the verify's draw, _draw_outcome: one
+    # uniform through the same cumulative table gives the outcome and the
+    # generator state that rng.choice(len(p), p=p) gives, on Born
+    # distributions with zero entries and, when the rows do not span, a
+    # reject entry (itself zero at times)
     rng = np.random.default_rng(19)
     rejects = zeros = 0
     for trial in range(2000):
@@ -302,7 +290,7 @@ def test_measure_draws_as_generator_choice():
         zeros += (p == 0).any()
         got, want = np.random.default_rng(trial), np.random.default_rng(trial)
         for _ in range(3):
-            assert measure(state, basis, got) == want.choice(len(p), p=p)
+            assert _draw_outcome(p, got) == want.choice(len(p), p=p)
             assert got.bit_generator.state == want.bit_generator.state
     assert rejects > 500 and zeros > 500, (rejects, zeros)
 

@@ -29,7 +29,6 @@ from qbcsim.quantum import (
     StateVector,
     born_distribution,
     state_from_text,
-    tensor,
 )
 from qbcsim.scheme import (
     MAX_N,
@@ -56,12 +55,18 @@ def set_measurement(agreement, claimed: int) -> MeasurementBasis:
     return MeasurementBasis(dense_sets(agreement)[claimed])
 
 
+def coupled(agreement, psi: StateVector, claimed: int) -> StateVector:
+    """psi (x) G_claimed in the (2n+1)-qubit product space, the qubits of
+    ``psi`` most significant."""
+    return StateVector(psi.num_qubits + agreement.params.num_bob_qubits,
+                       np.kron(psi.amplitudes, agreement.reveals[claimed]))
+
+
 def product_measurement(agreement, claimed: int) -> MeasurementBasis:
     """Oracle: Bob's coupled reveal measurement for ``claimed`` in the
     (2n+1)-qubit product space, row k = element k of set ``claimed``
     tensored with reveal state ``claimed``, plus the reject outcome."""
-    reveal = agreement.reveal_state(claimed)
-    return MeasurementBasis([tensor(agreement.element(claimed, k), reveal).amplitudes
+    return MeasurementBasis([coupled(agreement, agreement.element(claimed, k), claimed).amplitudes
                              for k in range(agreement.num_choices)])
 
 
@@ -133,16 +138,13 @@ def test_reveal_state_closed_form():
         params = SchemeParams.default(n)
         agreement = build_reveal_agreement(params)
         for c in range(params.num_choices):
-            state = agreement.reveal_state(c)
             c1 = (c >> (n - 1)) & 1
             tail = c & ((1 << (n - 1)) - 1)
             flipped = tail ^ ((1 << (n - 1)) - 1)
             expected = np.zeros(2**n, dtype=complex)
             expected[tail] = np.sqrt(0.5)
             expected[(1 << (n - 1)) | flipped] += (-1) ** c1 * np.sqrt(0.5)
-            assert_allclose(state.amplitudes, expected, atol=1e-12), (n, c)
-    with pytest.raises(ValueError):
-        build_reveal_agreement(SchemeParams.default(1)).reveal_state(2)
+            assert_allclose(agreement.reveals[c], expected, atol=1e-12), (n, c)
 
 
 def test_reveal_states_match_generation_circuit():
@@ -154,7 +156,7 @@ def test_reveal_states_match_generation_circuit():
         agreement = build_reveal_agreement(params)
         for c in range(params.num_choices):
             circuit = generation_circuit(n, c)
-            assert_allclose(agreement.reveal_state(c).amplitudes, circuit, rtol=0, atol=1e-15)
+            assert_allclose(agreement.reveals[c], circuit, rtol=0, atol=1e-15)
             assert np.count_nonzero(circuit) == 2, (n, c)
 
 
@@ -189,14 +191,9 @@ def test_agreement_basis_shape(agreements):
                 expected[[x, y]] = INV_SQRT2
                 assert basis.vector(k).amplitudes.tobytes() == expected.tobytes()
                 assert agreement.element(c, k).amplitudes.tobytes() == expected.tobytes()
-            reveal = agreement.reveal_state(c)
-            assert isinstance(reveal, StateVector) and reveal.num_qubits == n
-            assert reveal.amplitudes.tobytes() == agreement.reveals[c].tobytes()
         for k in (-1, count):
             with pytest.raises(ValueError, match="element"):
                 agreement.element(0, k)
-            with pytest.raises(ValueError, match="choice"):
-                agreement.reveal_state(k)
 
 
 def test_build_forms_no_state_vector(monkeypatch):
@@ -211,7 +208,7 @@ def test_build_forms_no_state_vector(monkeypatch):
         build_reveal_agreement(SchemeParams.default(n))
     agreement = build_reveal_agreement(SchemeParams.paper_cointoss())
     assert built == []
-    agreement.reveal_state(1)
+    agreement.element(1, 0)
     assert [type(obj) for obj in built] == [StateVector]
 
 
@@ -248,17 +245,13 @@ def closed_form_stack(params) -> np.ndarray:
 
 
 def test_reveals_equal_closed_form_stack():
-    # byte for byte, signed zeros included, for every preset and pinned mask
-    # set; reveal_state(c) reads the same rows
+    # byte for byte, signed zeros included, for every preset and pinned mask set
     schemes = [SchemeParams.default(n) for n in range(1, MAX_N + 1)]
     schemes += [SchemeParams.paper_cointoss(), SchemeParams.random_masks(2, 5),
                 SchemeParams.random_masks(3, 11), SchemeParams.random_masks(5, 7)]
     for params in schemes:
         agreement = build_reveal_agreement(params)
         assert agreement.reveals.tobytes() == closed_form_stack(params).tobytes()
-        for c in range(params.num_choices):
-            expected = agreement.reveals[c].tobytes()
-            assert agreement.reveal_state(c).amplitudes.tobytes() == expected
 
 
 def test_measurement_distribution_equals_dense_born_rows():
@@ -341,7 +334,6 @@ def test_register_measurement_equals_product_measurement(agreements):
     rng = np.random.default_rng(31)
     for n, agreement in agreements.items():
         for c in range(agreement.num_choices):
-            reveal = agreement.reveal_state(c)
             oracle = product_measurement(agreement, c)
             measurement = set_measurement(agreement, c)
             held = [agreement.element(s, k) for s in (c, (c + 1) % agreement.num_choices)
@@ -350,7 +342,7 @@ def test_register_measurement_equals_product_measurement(agreements):
             for psi in held:
                 assert_allclose(
                     born_distribution(psi, measurement),
-                    born_distribution(tensor(psi, reveal), oracle),
+                    born_distribution(coupled(agreement, psi, c), oracle),
                     atol=1e-12,
                 )
 
@@ -677,8 +669,7 @@ def test_honest_products_are_distinguishable(cointoss_agreement):
         basis = product_measurement(cointoss_agreement, c)
         for k in range(2):
             held = cointoss_agreement.element(c, k)
-            product = tensor(held, cointoss_agreement.reveal_state(c))
-            dist = born_distribution(product, basis)
+            dist = born_distribution(coupled(cointoss_agreement, held, c), basis)
             assert abs(dist[k] - 1.0) < 1e-12
             dist = born_distribution(held, set_measurement(cointoss_agreement, c))
             assert abs(dist[k] - 1.0) < 1e-12

@@ -16,8 +16,10 @@ from qbcsim import scheme
 from qbcsim.quantum import (
     ATOL,
     MeasurementBasis,
+    StateVector,
+    _draw_outcome,
+    born_distribution,
     computational_basis,
-    measure,
 )
 from qbcsim.scheme import SchemeParams, build_reveal_agreement, scheme_hash
 from qbcsim.session import (
@@ -304,6 +306,36 @@ def test_parent_s_verify_builds_no_basis(monkeypatch, n):
     assert built == []
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_parent_s_reveal_of_a_superposition(n):
+    # a cheat no script sends: Alice commits a set element, or |+>^(n+1), and
+    # reveals it with parent S. Bob's outcome is the one Generator.choice
+    # draws from |psi|^2 with the same seed, it lies on the held state's
+    # support, and he accepts exactly when it is the revealed choice
+    agreement = build_reveal_agreement(SchemeParams.default(n))
+    m = agreement.num_choices
+    digest = agreement.descriptor_hash
+    held = [(agreement.element(c, k), agreement.pairs[c, k].tolist())
+            for c in range(m) for k in range(m)]
+    held.append((StateVector(n + 1, np.full(2 * m, (2 * m) ** -0.5)), range(2 * m)))
+    verdicts = set()
+    for index, (psi, support) in enumerate(held):
+        commit = encode_message(Commit(psi), digest)
+        for claim in range(m):
+            seed = index * m + claim
+            bob = BobEndpoint(agreement, BobScript(guess=0), seed)
+            bob.handle_commit(commit)
+            verdict = decode_message(bob.handle_reveal(encode_message(Reveal(claim, PARENT_S),
+                                                                      digest)))
+            outcome = bob.result.outcome_index
+            p = np.abs(psi.amplitudes) ** 2
+            assert outcome == np.random.default_rng(seed).choice(2 * m, p=p), (n, index, claim)
+            assert outcome in support
+            assert bob.result.accepted == verdict.accepted == (outcome == claim)
+            verdicts.add(verdict.accepted)
+    assert verdicts == {True, False}
+
+
 @pytest.mark.parametrize("n", [1, 4, 6])
 def test_parent_b_verify_reads_the_pairs(monkeypatch, n):
     # a parent-B verify forms no measurement: it reads the revealed set's
@@ -332,7 +364,8 @@ def test_parent_b_verify_reads_the_pairs(monkeypatch, n):
         choice, element = (7 * seed) % m, (5 * seed + 1) % m
         claim = choice if honest else (choice + 1 + seed) % m
         dense = set_measurement(agreement, claim)
-        assert outcome == measure(agreement.element(choice, element), dense, seed)
+        dist = born_distribution(agreement.element(choice, element), dense)
+        assert outcome == _draw_outcome(dist, seed)
     assert {outcome for _, outcome in outcomes} & {m}  # a cheat was rejected
 
 
