@@ -28,10 +28,10 @@ code when
 2    usage: a line ``qbcsim: error: ...`` on stderr and nothing on
      stdout (the cases are listed below)
 2    handshake: the peers' scheme hashes differ
-2    wire: a malformed frame, a frame line over the limit, or a commit
-     that is not a valid state of the agreement's register
-2    phase: a frame of another kind than the phase expects, as a guess
-     where a commit is due (reported as a ``FramingError``)
+2    wire: a malformed frame, a frame line over the limit, a frame of
+     another kind than the phase expects (as a guess where a commit is
+     due), or a commit that is not a valid state of the agreement's
+     register
 2    socket: a refused connection, a port that cannot be bound, or a
      peer that does not connect or answer within 30 s
 2    closed stdout: its reader has gone, as with
@@ -92,7 +92,6 @@ from .session import (
     Commit,
     Guess,
     HandshakeError,
-    PhaseError,
     Reveal,
     Verdict,
     WireError,
@@ -418,7 +417,7 @@ def cmd_session(args: argparse.Namespace, out=None) -> int:
     except HandshakeError as exc:
         print(f"handshake failed: {exc}", file=out)
         return 2
-    except (WireError, PhaseError, OSError) as exc:  # refused, timed out, or failed to bind
+    except (WireError, OSError) as exc:  # refused, timed out, or failed to bind
         print(f"session aborted: {type(exc).__name__}: {exc}", file=out)
         return 2
     print(f"verdict: {'accepted' if result.accepted else 'rejected'}{outcome}"

@@ -13,9 +13,9 @@ Choice ``c`` is bound to:
   out from qubit 1) on |c>, against which the tests check it.
 
 Set c is held as its pairs: the index pairs [k, 2] that ``xor_pairs``
-yields and their amplitudes [k, 2], 2^n elements of two terms each, so
-the agreement is O(m^2) for m = 2^n choices. The reveal states are one
-array [c, x], written by one writer of the closed form. No StateVector
+yields, 2^n elements of two terms each, so the agreement is O(m^2) for
+m = 2^n choices. The reveal states are one array [c, x], written by one
+writer of the closed form. No StateVector
 or MeasurementBasis is formed by the build: ``element(c, k)`` forms and
 validates one element on demand. Set c is Bob's reveal measurement on
 Alice's (n+1)-qubit register, whose valid outcome k is element k and
@@ -154,9 +154,9 @@ def _reveal_table(n: int) -> np.ndarray:
 class RevealAgreement:
     """The full initial agreement, indexed by choice.
 
-    Element k of set c is ``amplitudes[c, k, 0] |x> + amplitudes[c, k, 1] |y>``
-    for ``(x, y) = pairs[c, k]``: (|x> + |x XOR d_c>)/sqrt(2) for the k-th XOR
-    pair. Both arrays are [c, k, 2] and read-only. Set c is its reveal
+    Every element is (|x> + |y>)/sqrt(2): element k of set c has
+    ``(x, y) = pairs[c, k]``, the k-th XOR pair, y = x XOR d_c, in one
+    read-only array [c, k, 2]. Set c is its reveal
     measurement on Alice's (n+1)-qubit register (valid outcome k is element
     k, outcome ``2^n`` rejects): Bob's coupled measurement onto
     e_{c,k} (x) G_c, as <e (x) G_c|psi (x) G_c> = <e|psi>.
@@ -171,7 +171,6 @@ class RevealAgreement:
 
     params: SchemeParams
     pairs: np.ndarray
-    amplitudes: np.ndarray
     reveals: np.ndarray
 
     @property
@@ -188,19 +187,15 @@ class RevealAgreement:
         """Valid mass of element k of set c under reveal c', indexed
         [c, k, c'], read-only and computed once per agreement.
 
-        X^d maps the element a|x> + b|y> onto itself when d = x XOR y and off
-        its support otherwise, so <e|X^d|e> is 2 Re(conj(a) b) or 0 and the
-        mass <e|Q_c'|e> / |e|^2, Q_c' = (I + X^{d_c'})/2, is
-        (|e|^2 + <e|X^{d_c'}|e>) / (2 |e|^2). For the sets built here every
-        entry is exactly 1 (c' = c) or 1/2, and each is also the acceptance
-        threshold of every sampled verification of that element under that
-        reveal.
+        X^d maps the element onto itself when d = x XOR y and off its
+        support otherwise, so its mass under Q_c' = (I + X^{d_c'})/2 is 1 when
+        its pair differs by d_c' (c' = c) and 1/2 otherwise. Each entry is
+        also the acceptance threshold of every sampled verification of that
+        element under that reveal.
         """
-        a, b = self.amplitudes[..., 0, None], self.amplitudes[..., 1, None]
-        norm2 = np.abs(a) ** 2 + np.abs(b) ** 2
         masks = np.asarray(self.params.masks)
         on_pair = (self.pairs[..., 0, None] ^ self.pairs[..., 1, None]) == masks
-        table = (norm2 + np.where(on_pair, 2.0 * (a.conj() * b).real, 0.0)) / (2.0 * norm2)
+        table = np.where(on_pair, 1.0, 0.5)
         table.setflags(write=False)
         return table
 
@@ -209,18 +204,18 @@ class RevealAgreement:
         if not 0 <= k < self.num_choices:
             raise ValueError(f"element {k} is not in 0..{self.num_choices - 1}")
         amplitudes = np.zeros(2**self.params.num_alice_qubits, dtype=complex)
-        amplitudes[self.pairs[choice, k]] = self.amplitudes[choice, k]
+        amplitudes[self.pairs[choice, k]] = INV_SQRT2
         return StateVector(self.params.num_alice_qubits, amplitudes)
 
     def measurement_distribution(self, choice: int, state: StateVector) -> np.ndarray:
         """The Born distribution of ``state`` under set ``choice`` as Bob's
         reveal measurement, from the pairs in O(m):
-        <e_k|psi> = conj(a_k) psi[x_k] + conj(b_k) psi[y_k] for element
-        k = a_k|x_k> + b_k|y_k>, then the reject mass, checked and normalised
-        as ``born_distribution`` does."""
+        <e_k|psi> = psi[x_k]/sqrt(2) + psi[y_k]/sqrt(2) for the k-th pair
+        (x_k, y_k), then the reject mass, checked and normalised as
+        ``born_distribution`` does."""
         if state.num_qubits != self.params.num_alice_qubits:
             raise ValueError("state and basis dimensions differ")
-        terms = self.amplitudes[choice].conj() * state.amplitudes[self.pairs[choice]]
+        terms = INV_SQRT2 * state.amplitudes[self.pairs[choice]]
         return _outcome_distribution(np.abs(terms[:, 0] + terms[:, 1]) ** 2, state.dimension)
 
 
@@ -229,11 +224,10 @@ def build_reveal_agreement(params: SchemeParams) -> RevealAgreement:
     (x, y) that ``xor_pairs`` lists, and the reveal-state array. No dense
     row, StateVector or MeasurementBasis is formed."""
     pairs = _xor_pair_array(params)  # [c, k, 2]
-    amplitudes = np.full(pairs.shape, INV_SQRT2, dtype=complex)
     reveals = _reveal_table(params.num_bob_qubits)  # [c, x]
-    for array in (pairs, amplitudes, reveals):
+    for array in (pairs, reveals):
         array.setflags(write=False)
-    return RevealAgreement(params, pairs, amplitudes, reveals)
+    return RevealAgreement(params, pairs, reveals)
 
 
 # --- structural audit ----------------------------------------------------
@@ -250,35 +244,31 @@ def _pauli_expectations(reveals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x_values, z_values
 
 
-def _pair_residuals(pairs: np.ndarray, amplitudes: np.ndarray, reveal_gram: np.ndarray):
-    """(cover, within, split, products) of the sets held as index pairs and
-    amplitudes, both [c, k, 2], with the reveal-state Gram <G_c|G_c'>. Cover:
-    every amplitude of magnitude 1/sqrt(2) and every set's pairs a partition
-    of the indices 0..2m-1, so owner[c, x], the element of set c holding x,
-    is defined; without it, (False, inf, False, inf), whatever the indices
-    are. within, products: max |gram - I| of the sets and the valid products;
-    split: each set splits all other sets' pairs, none of its own."""
+def _pair_residuals(pairs: np.ndarray, reveal_gram: np.ndarray):
+    """(cover, within, split, products) of the sets held as index pairs
+    [c, k, 2], every element (|x> + |y>)/sqrt(2), with the reveal-state Gram
+    <G_c|G_c'>. Cover: every set's pairs a partition of the indices
+    0..2m-1, so owner[c, x], the element of set c holding x, is defined;
+    without it, (False, inf, False, inf), whatever the indices are. within,
+    products: max |gram - I| of the sets and the valid products; split: each
+    set splits all other sets' pairs, none of its own."""
     count = len(pairs)
     dim = pairs[0].size
-    if not ((np.sort(pairs.reshape(count, dim), axis=-1) == np.arange(dim)).all()
-            and np.abs(np.abs(amplitudes) - INV_SQRT2).max() <= ATOL):
+    if not (np.sort(pairs.reshape(count, dim), axis=-1) == np.arange(dim)).all():
         return False, np.inf, False, np.inf
-    sets = np.arange(count)[:, None, None]
     owner = np.empty((count, dim), dtype=np.intp)  # [c, x]
-    owner[sets, pairs] = np.arange(count)[:, None]
-    column = np.empty((count, dim), dtype=complex)  # [c', x]: the amplitude of x in set c'
-    column[sets, pairs] = amplitudes
+    owner[np.arange(count)[:, None, None], pairs] = np.arange(count)[:, None]
     # disjoint supports: within a set only <e|e> can differ from the identity
-    norms = (np.abs(amplitudes) ** 2).sum(axis=-1)
+    norm = 2 * INV_SQRT2**2
     # (x, y) in set c meets two elements of set c' iff owner[c', x] != owner[c', y]
     split = owner[:, pairs[..., 0]] != owner[:, pairs[..., 1]]  # [c', c, k]
-    terms = amplitudes.conj() * column[:, pairs]  # [c', c, k, (x, y)]
-    # <e (x) G_c|e' (x) G_c'> = <e|e'><G_c|G_c'>: an unsplit pair meets one e' in both terms
-    products = np.abs(reveal_gram)[..., None] * np.where(
-        split, np.abs(terms).max(axis=-1), np.abs(terms.sum(axis=-1)))
-    products[np.diag_indices(count)] = np.abs(norms * reveal_gram.diagonal()[:, None] - 1)
+    # <e (x) G_c|e' (x) G_c'> = <e|e'><G_c|G_c'>: a split pair meets e' in one
+    # term, at INV_SQRT2**2, an unsplit pair in both, at its norm; each block
+    # [c', c] takes the largest over its pairs
+    products = np.abs(reveal_gram) * np.where(split.all(axis=-1), INV_SQRT2**2, norm)
+    products[np.diag_indices(count)] = np.abs(norm * reveal_gram.diagonal() - 1)
     own = np.eye(count, dtype=bool)[..., None]
-    return True, np.abs(norms - 1).max(), bool((split != own).all()), products.max()
+    return True, abs(norm - 1), bool((split != own).all()), products.max()
 
 
 @dataclass(frozen=True)
@@ -300,8 +290,7 @@ def audit_scheme(params: SchemeParams) -> list[AuditCheck]:
     count = params.num_choices
     reveals = agreement.reveals
     reveal_gram = reveals.conj() @ reveals.T  # <G_c|G_c'>
-    cover, within, split, products = _pair_residuals(
-        agreement.pairs, agreement.amplitudes, reveal_gram)
+    cover, within, split, products = _pair_residuals(agreement.pairs, reveal_gram)
     unmet = "" if cover else "needs two-term-equal-superposition-cover"
     record("within-set-orthogonality", within <= ATOL, unmet or f"max |gram - I| = {within:.2e}")
     record("two-term-equal-superposition-cover", cover)
@@ -341,8 +330,7 @@ def audit_scheme(params: SchemeParams) -> list[AuditCheck]:
     # element k of set c is (|x_k> + |x_k XOR d_c>)/sqrt(2) for the k-th XOR
     # pair; the order within a pair does not change the element
     expected = _xor_pair_array(params)
-    record("reveal-bases-complete", np.array_equal(np.sort(agreement.pairs, axis=-1), expected)
-           and (agreement.amplitudes == INV_SQRT2).all())
+    record("reveal-bases-complete", np.array_equal(np.sort(agreement.pairs, axis=-1), expected))
 
     return checks
 

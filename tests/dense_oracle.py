@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qbcsim.quantum import ATOL, _frozen_array, walsh_matrix
+from qbcsim.quantum import ATOL, INV_SQRT2, _frozen_array, walsh_matrix
 from qbcsim.scheme import RevealAgreement, SchemeParams, build_reveal_agreement
 
 #: Eigenvalues below this are treated as zero on the support of an
@@ -35,13 +35,13 @@ SUPPORT_CUTOFF = 1e-10
 
 
 def dense_sets(agreement: RevealAgreement) -> np.ndarray:
-    """Every set of ``agreement`` as dense rows [c, k, x], written from its
-    pairs and amplitudes: set c as Bob's reveal measurement, row k being
+    """Every set of ``agreement`` as dense rows [c, k, x], 1/sqrt(2) at both
+    indices of each pair: set c as Bob's reveal measurement, row k being
     element k, and the rows the Gram blocks and the index-XOR table below
     read."""
     pairs = agreement.pairs
     rows = np.zeros(pairs.shape[:2] + (2 * pairs.shape[1],), dtype=complex)
-    np.put_along_axis(rows, pairs, agreement.amplitudes, axis=-1)
+    np.put_along_axis(rows, pairs, INV_SQRT2, axis=-1)
     return rows
 
 

@@ -879,6 +879,26 @@ def test_samplers_match_exact_distribution(n):
         assert abs(wilson_hilferty) <= SAMPLER_Z, (family, ratio)
 
 
+def test_declared_guesses_are_uniform_over_every_choice():
+    # a report's rows guess with the same share whatever the committed
+    # choice, so its hit counts are the same under any guess distribution
+    # and the test above cannot see a biased guess. Here every row guesses:
+    # two groups put all their mass on outcomes >= m, both committed to the
+    # last choice m - 1, so the hits are Binomial(N, 1/m) under a uniform
+    # guess and 0 under one that never names m - 1
+    m, rows = 4, 20_000
+    dists = np.zeros((2, 2 * m + 1))
+    dists[0, m:] = 1 / (m + 1)  # spread over the outcomes m..2m, reject included
+    dists[1, -1] = 1.0  # reject only
+    cdfs = analysis._choice_cdf(dists)
+    committed = np.array([m - 1, m - 1])
+    group_index = np.arange(rows) % 2
+    rng = np.random.default_rng(0)
+    hits = analysis._declared_hits(cdfs, committed, m, [(0, group_index)], rng)
+    p = 1 / m
+    assert abs(hits - rows * p) <= SAMPLER_Z * math.sqrt(rows * p * (1 - p)), hits
+
+
 def test_run_full_analysis_structure(cointoss_agreement):
     report = run_full_analysis(cointoss_agreement, trials=0, seed=0)
     assert set(report) == {

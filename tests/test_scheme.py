@@ -167,19 +167,17 @@ def test_reveal_states_cointoss_preset(cointoss_agreement):
 
 
 def test_agreement_basis_shape(agreements):
-    # set c is held as its XOR pairs and their amplitudes, [c, k, 2] each;
-    # its reveal measurement on Alice's register has the 2^n elements
-    # (+ reject), row k being (|x> + |y>)/sqrt(2) for the k-th pair
+    # set c is held as its XOR pairs, [c, k, 2]; its reveal measurement on
+    # Alice's register has the 2^n elements (+ reject), row k being
+    # (|x> + |y>)/sqrt(2) for the k-th pair
     for n, agreement in agreements.items():
         count = 2**n
         dim = 2 ** (n + 1)
         assert [f.name for f in dataclasses.fields(agreement)] == [
-            "params", "pairs", "amplitudes", "reveals"]
-        assert agreement.pairs.shape == agreement.amplitudes.shape == (count, count, 2)
+            "params", "pairs", "reveals"]
+        assert agreement.pairs.shape == (count, count, 2)
         assert agreement.reveals.shape == (count, count)
-        assert not any(array.flags.writeable for array in (
-            agreement.pairs, agreement.amplitudes, agreement.reveals))
-        assert (agreement.amplitudes == INV_SQRT2).all()
+        assert not any(array.flags.writeable for array in (agreement.pairs, agreement.reveals))
         for c in range(count):
             assert agreement.pairs[c].tolist() == [list(p) for p in xor_pairs(agreement.params, c)]
             basis = set_measurement(agreement, c)
@@ -295,6 +293,20 @@ def test_build_peak_memory_stays_quadratic():
     finally:
         tracemalloc.stop()
     assert peak < 10**6, peak
+
+
+def test_audit_peak_memory():
+    # the pair checks form no complex [c', c, k, 2] gather: the n=6 audit
+    # peaks below the 8.4 MB that one such array alone would take
+    params = SchemeParams.default(6)
+    audit_scheme(params)  # a first call's one-time allocations are not counted
+    tracemalloc.start()
+    try:
+        audit_scheme(params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10**6, peak
 
 
 #: SHA-256 over every set's dense rows [c, k, x] and then the reveal-state array [c, x],
@@ -543,48 +555,32 @@ def test_audit_scheme_flags_tampered_agreements(monkeypatch):
 
 def test_audit_flags_tampers_of_each_integer_fact(monkeypatch):
     # tampers of default(1), masks (1, 2), each aimed at one fact the
-    # pair checks read, each set given as (pairs, amplitudes); the first
-    # four keep the failed sets that the dense Gram route gave
+    # pair checks read, each set given as its pairs
     params = SchemeParams.default(1)
     honest = build_reveal_agreement(params)
-    h = INV_SQRT2
 
-    def failures(set0=None, set1=None, reveals=honest.reveals):
-        pairs, amplitudes = honest.pairs.copy(), honest.amplitudes.copy()
+    def failures(set0=None, set1=None):
+        pairs = honest.pairs.copy()
         for c, tampered_set in enumerate((set0, set1)):
             if tampered_set is not None:
-                pairs[c], amplitudes[c] = tampered_set
-        tampered = dataclasses.replace(honest, pairs=pairs, amplitudes=amplitudes,
-                                       reveals=reveals)
+                pairs[c] = tampered_set
+        tampered = dataclasses.replace(honest, pairs=pairs)
         monkeypatch.setattr(scheme, "build_reveal_agreement", lambda _: tampered)
         return {c.name: c.detail for c in audit_scheme(params) if not c.passed}
 
-    # a sign-flipped element (|00> - |01>)/sqrt(2): still two terms of 1/sqrt(2)
-    assert failures(set0=([[0, 1], [2, 3]], [[h, -h], [h, h]])) == {"reveal-bases-complete": ""}
     # set 1 from mask 0x3, which the scheme does not use: it still partitions
     # the indices and splits every pair of set 0
-    assert failures(set1=([[0, 3], [1, 2]], [[h, h], [h, h]])) == {"reveal-bases-complete": ""}
-    # set 1 holds the pairs of set 0 with opposite signs: no pair is split,
-    # and every cross overlap cancels, so the products stay orthogonal even
-    # when both choices share one reveal state
-    opposite = ([[0, 1], [2, 3]], [[h, -h], [h, -h]])
-    assert set(failures(set1=opposite)) == {
-        "cross-set-two-partners-overlap-half", "reveal-bases-complete"}
-    assert set(failures(set1=opposite, reveals=honest.reveals[[0, 0]])) == {
-        "cross-set-two-partners-overlap-half", "reveal-states-orthonormal",
-        "reveal-bases-complete"}
-    # elements that do not cover the indices fail the cover and every check
-    # that needs it: orthonormal (|00> +- |01>)/sqrt(2), which the dense Gram
-    # route passed in the set and product checks; a zero amplitude in one
-    # pair; a pair index outside 0..2m-1, which is never used as an index
+    assert failures(set1=[[0, 3], [1, 2]]) == {"reveal-bases-complete": ""}
+    # pairs that do not partition the indices fail the cover and every check
+    # that needs it: one pair held twice; a pair index outside 0..2m-1, which
+    # is never used as an index
     unmet = "needs two-term-equal-superposition-cover"
     uncovered = {
         "within-set-orthogonality": unmet, "two-term-equal-superposition-cover": "",
         "cross-set-two-partners-overlap-half": unmet, "valid-products-orthogonal": unmet,
         "reveal-bases-complete": ""}
-    assert failures(set0=([[0, 1], [0, 1]], [[h, h], [h, -h]])) == uncovered
-    assert failures(set0=([[0, 1], [2, 3]], [[h, 0], [h, h]])) == uncovered
-    assert failures(set0=([[0, 1], [2, 4]], [[h, h], [h, h]])) == uncovered
+    assert failures(set0=[[0, 1], [0, 1]]) == uncovered
+    assert failures(set0=[[0, 1], [2, 4]]) == uncovered
 
 
 class AgreementRecorder(pytest.MonkeyPatch):
@@ -614,13 +610,12 @@ def test_pair_residuals_match_dense_gram_blocks():
         test_audit_flags_tampers_of_each_integer_fact(recorder)
     finally:
         recorder.undo()
-    assert len(recorder.agreements) == 15
+    assert len(recorder.agreements) == 11
     covered = 0
     for agreement in [build_reveal_agreement(p) for p in honest] + recorder.agreements:
         reveals = agreement.reveals
         reveal_gram = reveals.conj() @ reveals.T
-        cover, within, split, products = scheme._pair_residuals(
-            agreement.pairs, agreement.amplitudes, reveal_gram)
+        cover, within, split, products = scheme._pair_residuals(agreement.pairs, reveal_gram)
         if not cover:
             assert (within, split, products) == (np.inf, False, np.inf)
             continue
@@ -630,7 +625,7 @@ def test_pair_residuals_match_dense_gram_blocks():
         assert split == dense_split
         for got, want in ((within, dense_within), (products, dense_products)):
             assert abs(got - want) <= 1e-15 and (got <= ATOL) == (want <= ATOL)
-    assert covered == len(honest) + 12
+    assert covered == len(honest) + 9
 
 
 def test_audit_scheme_all_pass():
