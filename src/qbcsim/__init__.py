@@ -62,7 +62,6 @@ from .session import (
     Verdict,
     alice_commit,
     alice_reveal,
-    bob_guess,
     bob_verify,
     decode_message,
     encode_message,

@@ -294,10 +294,10 @@ def bob_premature_strategy(agreement: RevealAgreement, strategy: str, trials: in
 
     # update-on-reject: average over (c, k, guess) of the two branches
     table = agreement.valid_masses
-    c, _, g = np.indices(table.shape)
-    correct_on_reject = np.where(g == c, 0.0, 1.0 / (m - 1))
-    # a running sum keeps the sequential (c, k, guess) order of the branch sum
-    exact = np.cumsum(table * (g == c) + (1.0 - table) * correct_on_reject)[-1] / m**3
+    same = np.eye(m, dtype=bool)[:, None, :]  # [c, 1, guess]
+    # right on accept when guess = c, on reject 1 time in m - 1 otherwise; a
+    # running sum keeps the sequential (c, k, guess) order of the branch sum
+    exact = np.cumsum(np.where(same, table, (1.0 - table) * (1.0 / (m - 1))))[-1] / m**3
     hits = 0
     if trials > 0:
         gen = as_generator(rng)

@@ -30,8 +30,8 @@ code when
 2    handshake: the peers' scheme hashes differ
 2    wire: a malformed frame, a frame line over the limit, a frame of
      another kind than the phase expects (as a guess where a commit is
-     due), or a commit that is not a valid state of the agreement's
-     register
+     due), a choice outside 0..2^n - 1, or a commit that is not a valid
+     state of the agreement's register
 2    socket: a refused connection, a port that cannot be bound, or a
      peer that does not connect or answer within 30 s
 2    closed stdout: its reader has gone, as with

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import operator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -64,7 +65,8 @@ PRESET_DEFAULT_MASKS = "default-masks"
 
 
 def _checked_num_bob_qubits(n: int) -> int:
-    """``n`` if supported, else ValueError; checked before 2**n is formed."""
+    """int ``n`` if supported, else TypeError or ValueError; checked before 2**n is formed."""
+    n = operator.index(n)
     if not 1 <= n <= MAX_N:
         raise ValueError(f"num_bob_qubits must be in 1..{MAX_N}, got {n}")
     return n
@@ -75,7 +77,7 @@ class SchemeParams:
     """Scheme parameters: receiver qubit count and the pairing masks.
 
     ``masks[c]`` is the nonzero (n+1)-bit integer that pairs basis strings
-    for choice ``c``. Masks must be pairwise distinct.
+    for choice ``c``. Masks must be pairwise distinct integers.
     """
 
     num_bob_qubits: int
@@ -84,7 +86,7 @@ class SchemeParams:
 
     def __post_init__(self):
         n = _checked_num_bob_qubits(self.num_bob_qubits)
-        masks = tuple(int(m) for m in self.masks)
+        masks = tuple(map(operator.index, self.masks))  # a float is a TypeError, not rounded
         if len(masks) != 2**n:
             raise ValueError(f"need {2**n} masks for {2**n} choices, got {len(masks)}")
         for d in masks:
@@ -92,6 +94,7 @@ class SchemeParams:
                 raise ValueError(f"mask {d:#x} out of range (nonzero, {n + 1} bits)")
         if len(set(masks)) != len(masks):
             raise ValueError("masks must be pairwise distinct")
+        object.__setattr__(self, "num_bob_qubits", n)
         object.__setattr__(self, "masks", masks)
 
     @property
@@ -119,7 +122,7 @@ class SchemeParams:
         gen = as_generator(rng)
         pool = np.arange(1, 2 ** (_checked_num_bob_qubits(num_bob_qubits) + 1))
         picked = gen.choice(pool, size=2**num_bob_qubits, replace=False)
-        return cls(num_bob_qubits, tuple(int(d) for d in picked))
+        return cls(num_bob_qubits, tuple(picked))
 
 
 def xor_pairs(params: SchemeParams, choice: int) -> tuple[tuple[int, int], ...]:

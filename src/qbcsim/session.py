@@ -19,6 +19,9 @@ FramingError. The quantum channel is simulated by serializing the full
 amplitude vector into the commit frame; a physical run would transmit
 qubits instead. The commit frame carries no choice, element, or parent
 fields -- those appear on the wire only from the reveal frame onward.
+Every message, made locally or received, passes one gate,
+``SessionState.record``, so no protocol step makes a message that a
+verifier refuses, and an endpoint adds only the byte-level checks.
 
 One driver runs the handshake and the protocol steps, in the calling
 thread, for whichever endpoints run in this process, over in-memory
@@ -78,7 +81,8 @@ class SchemeMismatchError(WireError):
 
 
 class ChoiceRangeError(WireError):
-    """Frame names a choice outside 0..2^n - 1 of this agreement."""
+    """Message, received or made locally, names a choice that is not an int
+    in 0..2^n - 1, or a recovered element that does not fit its verdict."""
 
 
 class PhaseError(RuntimeError):
@@ -217,7 +221,7 @@ def parse_hello(data: bytes) -> str:
         raise HandshakeError("peer did not send a valid hello frame") from None
 
 
-# --- session state and the four protocol operations ----------------------
+# --- session state, its one gate, and the protocol steps -----------------
 
 
 @dataclass(frozen=True)
@@ -270,10 +274,29 @@ class SessionState:
             raise PhaseError(f"a {kind.__name__.lower()} is out of phase in {self.phase.value}")
 
     def record(self, message: Message) -> Message:
-        """Append and return ``message``, which must be the next in protocol order."""
-        self.expect(type(message))
+        """Append and return ``message`` if it is the next in protocol order
+        (else PhaseError) and of this agreement: a choice an int in 0..m - 1,
+        a recovered element one on accept and None on reject (else
+        ChoiceRangeError), a commit of its register (else AmplitudeCountError)."""
+        kind = type(message)
+        self.expect(kind)
+        if kind is Guess or kind is Reveal:
+            _check_choice(f"{kind.__name__.lower()} choice", message.choice, self.agreement)
+        elif kind is Verdict and message.accepted:
+            _check_choice("recovered element", message.recovered_element, self.agreement)
+        elif kind is Verdict and message.recovered_element is not None:
+            raise ChoiceRangeError(f"a reject recovers null, not {message.recovered_element!r}")
+        elif kind is Commit and message.state.num_qubits != self.agreement.params.num_alice_qubits:
+            raise AmplitudeCountError(f"commit carries {message.state.num_qubits} qubits, "
+                                      f"agreement needs {self.agreement.params.num_alice_qubits}")
         self.transcript.append(message)
         return message
+
+
+def _check_choice(what: str, choice, agreement: RevealAgreement) -> None:
+    """ChoiceRangeError unless ``choice`` is an int (as on the wire) in 0..m - 1."""
+    if type(choice) is not int or not 0 <= choice < agreement.num_choices:
+        raise ChoiceRangeError(f"{what} {choice!r} is not an int in 0..{agreement.num_choices - 1}")
 
 
 def alice_commit(
@@ -292,13 +315,10 @@ def alice_commit(
     pick: ``element`` must then be None.
     """
     params = agreement.params
-    if not 0 <= choice < params.num_choices:
-        raise ValueError(f"choice {choice} out of range")
+    _check_choice("choice", choice, agreement)
     if parent == PARENT_B:
         if element is None:
             element = int(as_generator(rng).integers(params.num_choices))
-        if not 0 <= element < params.num_choices:
-            raise ValueError(f"element index {element} out of range")
         payload = agreement.element(choice, element)
     elif parent == PARENT_S:
         if element is not None:
@@ -311,26 +331,16 @@ def alice_commit(
     return state, state.record(Commit(payload))
 
 
-def bob_guess(state: SessionState, guess: int) -> tuple[SessionState, Guess]:
-    """Record Bob's classical guess of the committed choice."""
-    if not 0 <= guess < state.agreement.params.num_choices:
-        raise ValueError(f"guess {guess} out of range")
-    return state, state.record(Guess(guess))
-
-
 def alice_reveal(state: SessionState, claim: int | None = None) -> tuple[SessionState, Reveal]:
     """Publish the (claimed) choice and parent set.
 
     ``claim`` defaults to the honest committed choice; passing a different
-    choice models a cheating reveal.
+    choice models a cheating reveal. ``record`` checks the claim.
     """
     private = state.alice_private
     if private is None:
         raise PhaseError("session has no commitment to reveal")
-    choice = private.choice if claim is None else claim
-    if not 0 <= choice < state.agreement.params.num_choices:
-        raise ValueError(f"claimed choice {choice} out of range")
-    return state, state.record(Reveal(choice, private.parent))
+    return state, state.record(Reveal(private.choice if claim is None else claim, private.parent))
 
 
 def bob_verify(state: SessionState, *, rng) -> tuple[SessionState, Verdict, VerificationResult]:
@@ -391,41 +401,28 @@ class _Endpoint:
         self.agreement = agreement
         self.script = script
         self.rng = as_generator(rng)
-        self.scheme_hash = agreement.descriptor_hash
         self.state: SessionState | None = None
         self.frames: list[bytes] = []
 
     def _receive(self, frame: bytes, kind: type) -> Message:
-        """Decode and record a frame that must carry a ``kind`` message of
-        this agreement: any choice in range, a verdict's recovered element in
-        range on accept and None on reject, a commit of the agreement's qubit
-        count. PhaseError, before anything is decoded, unless a ``kind``
-        message is next, then FramingError unless the frame is one line
-        ending in a newline; nothing is recorded on any error."""
+        """Decode a frame that must carry a ``kind`` message, and record it.
+        PhaseError, before anything is decoded, unless a ``kind`` message is
+        next, then FramingError unless the frame is one line ending in a
+        newline; nothing is recorded on any error."""
         state = SessionState(self.agreement) if self.state is None else self.state
         state.expect(kind)
         if not frame.endswith(b"\n"):  # a line cut off at end of stream
             raise FramingError("frame does not end in a newline")
-        message = decode_message(frame, self.scheme_hash)
+        message = decode_message(frame, self.agreement.descriptor_hash)
         if not isinstance(message, kind):
             raise FramingError(f"expected a {kind.__name__.lower()} frame")
-        m = self.agreement.params.num_choices
-        if isinstance(message, (Guess, Reveal)) and not 0 <= message.choice < m:
-            raise ChoiceRangeError(f"{kind.__name__.lower()} choice {message.choice} not in 0..{m - 1}")
-        if isinstance(message, Verdict) and message.recovered_element not in (
-                range(m) if message.accepted else (None,)):
-            raise ChoiceRangeError(f"{message}: an accept recovers 0..{m - 1}, a reject null")
-        qubits = self.agreement.params.num_alice_qubits
-        if isinstance(message, Commit) and message.state.num_qubits != qubits:
-            raise AmplitudeCountError(
-                f"commit carries {message.state.num_qubits} qubits, agreement needs {qubits}")
         state.record(message)
         self.state = state
         self.frames.append(frame)
         return message
 
     def _send(self, message: Message) -> bytes:
-        frame = encode_message(message, self.scheme_hash)
+        frame = encode_message(message, self.agreement.descriptor_hash)
         self.frames.append(frame)
         return frame
 
@@ -465,8 +462,7 @@ class BobEndpoint(_Endpoint):
         guess = self.script.guess
         if guess is None:
             guess = int(self.rng.integers(self.agreement.params.num_choices))
-        _, message = bob_guess(self.state, guess)
-        return self._send(message)
+        return self._send(self.state.record(Guess(guess)))
 
     def handle_reveal(self, frame: bytes) -> bytes:
         self._receive(frame, Reveal)
@@ -499,9 +495,9 @@ def _drive(alice: AliceEndpoint | None = None, alice_link: _Link | None = None,
     for the endpoints that run in this process (None for a remote peer)."""
     local = [(end, link) for end, link in ((alice, alice_link), (bob, bob_link)) if end]
     for endpoint, link in local:
-        link.send(hello_frame(endpoint.scheme_hash))
+        link.send(hello_frame(endpoint.agreement.descriptor_hash))
     for endpoint, link in local:
-        if parse_hello(link.read()) != endpoint.scheme_hash:
+        if parse_hello(link.read()) != endpoint.agreement.descriptor_hash:
             raise HandshakeError("scheme descriptor hashes differ")
     if alice:
         alice_link.send(alice.commit_frame())

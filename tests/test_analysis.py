@@ -438,6 +438,21 @@ def test_sampler_memory_stays_under_24_bytes_per_trial(sampler, cointoss_agreeme
     assert peak < 24 * 10**6
 
 
+def test_update_on_reject_peak_memory():
+    # the exact figure's running sum holds at most two m^3 float arrays at
+    # once (4.2 MB at n=6): with the valid-mass table already built, it must
+    # peak under 8 MB, where three m^3 index arrays beside them took 12.6 MB
+    agreement = build_reveal_agreement(SchemeParams.default(6))
+    agreement.valid_masses
+    tracemalloc.start()
+    try:
+        bob_premature_strategy(agreement, STRATEGY_UPDATE_ON_REJECT)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10**6
+
+
 def test_report_block_rows_equal_standalone_reports():
     # the K = 1..8 block rows of a sampled report are the standalone reports' exacts
     agreement = build_reveal_agreement(SchemeParams.default(2))

@@ -26,7 +26,8 @@ from qbcsim.cli import (
 from qbcsim.quantum import INV_SQRT2
 from qbcsim.scheme import PRESET_PAPER_COINTOSS, SchemeParams, build_reveal_agreement, scheme_hash
 from qbcsim.session import (
-    AliceScript, BobScript, Guess, encode_message, frame_limit, hello_frame, run_session,
+    AliceScript, BobScript, Commit, Guess, Reveal, encode_message, frame_limit, hello_frame,
+    run_session,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -655,6 +656,15 @@ def test_session_subcommand_bad_frame_exits_2():
     assert _bob_last_line_after(guess) == "session aborted: FramingError: expected a commit frame"
 
 
+def test_session_subcommand_reveal_out_of_range_exits_2():
+    # a valid commit, then, after bob's guess, a reveal of choice m = 2
+    agreement = build_reveal_agreement(SchemeParams.paper_cointoss())
+    commit = encode_message(Commit(agreement.element(0, 1)), agreement.descriptor_hash)
+    reveal = encode_message(Reveal(2), agreement.descriptor_hash)
+    last = _bob_last_line_after(commit, reveal)
+    assert last == "session aborted: ChoiceRangeError: reveal choice 2 is not an int in 0..1"
+
+
 def test_session_subcommand_over_limit_frame_exits_2():
     # an unterminated line one byte over the frame limit
     limit = frame_limit(SchemeParams.paper_cointoss())
@@ -662,10 +672,11 @@ def test_session_subcommand_over_limit_frame_exits_2():
     assert last == f"session aborted: FramingError: frame line exceeds {limit} bytes"
 
 
-def _bob_last_line_after(frame: bytes) -> str:
-    """Run ``qbcsim session --role bob``, send a hello and then ``frame``
-    from a raw socket; check that bob exits 2 without a traceback and
-    return the last line it printed."""
+def _bob_last_line_after(*frames: bytes) -> str:
+    """Run ``qbcsim session --role bob``, send a hello and then ``frames``
+    from a raw socket, reading bob's answer to each frame before the next;
+    check that bob exits 2 without a traceback and return the last line it
+    printed."""
     bob_proc = subprocess.Popen(
         [
             sys.executable, "-m", "qbcsim.cli", "session",
@@ -681,7 +692,10 @@ def _bob_last_line_after(frame: bytes) -> str:
     with socket.create_connection(("127.0.0.1", port), timeout=30) as conn:
         reader = conn.makefile("rb")
         reader.readline()  # bob's hello
-        conn.sendall(hello_frame(digest) + frame)
+        conn.sendall(hello_frame(digest) + frames[0])
+        for frame in frames[1:]:
+            reader.readline()  # bob's answer to the frame before
+            conn.sendall(frame)
         bob_out, bob_err = bob_proc.communicate(timeout=30)
         reader.close()
     assert bob_proc.returncode == 2

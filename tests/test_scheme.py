@@ -90,6 +90,18 @@ def test_scheme_params_validation():
         SchemeParams(1, (3, 3))
 
 
+def test_scheme_params_take_integers_alone():
+    # a float mask was once rounded (so two peers disagreeing on it agreed on
+    # the hash) and a float n failed only at the build; numpy integers work
+    for n, masks in ((1, (1, 2.5)), (1.0, (1, 2))):
+        with pytest.raises(TypeError):
+            SchemeParams(n, masks)
+    params = SchemeParams(np.int64(1), (np.int64(1), 3))
+    assert params == SchemeParams(1, (1, 3))
+    assert type(params.num_bob_qubits) is int and all(type(d) is int for d in params.masks)
+    assert scheme_hash(params) == scheme_hash(SchemeParams(1, (1, 3)))
+
+
 def test_scheme_params_presets():
     preset = SchemeParams.paper_cointoss()
     assert (preset.num_bob_qubits, preset.masks) == (1, (1, 3))

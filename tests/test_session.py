@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbcsim import scheme
+from qbcsim import session as session_module
 from qbcsim.quantum import (
     ATOL,
     MeasurementBasis,
@@ -46,7 +47,6 @@ from qbcsim.session import (
     WireError,
     alice_commit,
     alice_reveal,
-    bob_guess,
     bob_verify,
     decode_message,
     encode_message,
@@ -167,7 +167,7 @@ def test_phase_ladder_and_transcript(cointoss_agreement):
     assert commit.state == cointoss_agreement.element(0, 1)
     assert len(state.transcript) == 1
 
-    state, guess = bob_guess(state, 1)
+    state.record(Guess(1))
     assert state.phase is Phase.GUESSED
     assert len(state.transcript) == 2
 
@@ -189,9 +189,9 @@ def test_wrong_phase_errors(cointoss_agreement):
         alice_reveal(state)  # reveal before guess
     with pytest.raises(PhaseError):
         bob_verify(state, rng=0)
-    state, _ = bob_guess(state, 0)
+    state.record(Guess(0))
     with pytest.raises(PhaseError):
-        bob_guess(state, 0)  # guess twice
+        state.record(Guess(0))  # guess twice
     # a state that holds no commitment of Alice's, fresh or Bob's own view
     # after his guess, has nothing to reveal
     bob = BobEndpoint(cointoss_agreement, BobScript(guess=1), 2)
@@ -215,10 +215,10 @@ def test_commit_input_validation(cointoss_agreement):
             alice_commit(cointoss_agreement, 1, element, rng=0, parent=PARENT_S)
     state, _ = alice_commit(cointoss_agreement, 0, 0, rng=0)
     with pytest.raises(ValueError):
-        bob_guess(state, 2)
-    state, _ = bob_guess(state, 1)
+        state.record(Guess(2))
+    state.record(Guess(1))
     for claim in (-1, 2):
-        with pytest.raises(ValueError, match=f"claimed choice {claim} out of range"):
+        with pytest.raises(ValueError, match=f"reveal choice {claim} is not an int in 0..1"):
             alice_reveal(state, claim)
         assert state.phase is Phase.GUESSED and len(state.transcript) == 2
 
@@ -238,7 +238,7 @@ def test_honest_verify_recovers_element(cointoss_agreement):
     for c in range(2):
         for k in range(2):
             state, _ = alice_commit(cointoss_agreement, c, k, rng=1)
-            state, _ = bob_guess(state, 0)
+            state.record(Guess(0))
             state, _ = alice_reveal(state)
             state, verdict, result = bob_verify(state, rng=k + 10 * c)
             assert verdict.accepted
@@ -252,7 +252,7 @@ def test_cheating_reveal_accepted_half_the_time(cointoss_agreement):
     accepted = 0
     for _ in range(trials):
         state, _ = alice_commit(cointoss_agreement, 0, rng=rng)
-        state, _ = bob_guess(state, 0)
+        state.record(Guess(0))
         state, _ = alice_reveal(state, claim=1)
         state, _, result = bob_verify(state, rng=rng)
         accepted += result.accepted
@@ -268,14 +268,14 @@ def test_parent_s_paths(cointoss_agreement):
     # honest: deterministic accept; dishonest reveal: deterministic reject
     state, commit = alice_commit(cointoss_agreement, 1, rng=0, parent=PARENT_S)
     assert commit.state == ket("01")
-    state, _ = bob_guess(state, 0)
+    state.record(Guess(0))
     state, reveal = alice_reveal(state)
     assert reveal.parent == PARENT_S
     state, _, result = bob_verify(state, rng=0)
     assert result.accepted and result.recovered_element == 1
 
     state, _ = alice_commit(cointoss_agreement, 1, rng=0, parent=PARENT_S)
-    state, _ = bob_guess(state, 0)
+    state.record(Guess(0))
     state, _ = alice_reveal(state, claim=0)
     state, _, result = bob_verify(state, rng=0)
     assert not result.accepted
@@ -299,7 +299,7 @@ def test_parent_s_verify_builds_no_basis(monkeypatch, n):
     monkeypatch.setattr(MeasurementBasis, "__post_init__", counted)
     for choice in (0, 1):
         state, _ = alice_commit(agreement, choice, rng=choice, parent=PARENT_S)
-        state, _ = bob_guess(state, 0)
+        state.record(Guess(0))
         state, _ = alice_reveal(state)
         state, _, result = bob_verify(state, rng=choice)
         assert result.accepted and result.outcome_index == choice
@@ -352,7 +352,7 @@ def test_parent_b_verify_reads_the_pairs(monkeypatch, n):
         choice, element = (7 * seed) % m, (5 * seed + 1) % m
         claim = choice if seed % 2 else (choice + 1 + seed) % m
         state, commit = alice_commit(agreement, choice, element, rng=seed)
-        state, _ = bob_guess(state, 0)
+        state.record(Guess(0))
         state, _ = alice_reveal(state, claim)
         state, _, result = bob_verify(state, rng=seed)
         outcomes.append((claim == choice, result.outcome_index))
@@ -421,6 +421,83 @@ def test_out_of_range_choice_frames_are_wire_errors(cointoss_agreement):
         with pytest.raises(ChoiceRangeError):
             alice.handle_verdict(encode_message(Verdict(accepted, recovered), digest))
         assert snapshot(alice) == before and alice.state.phase is Phase.REVEALED
+
+
+#: Messages that do not belong to an n=2 agreement (m = 4, a 3-qubit
+#: register), with the class the gate raises. ``wire`` is False for a value
+#: that no frame decodes to: the decoder refuses a JSON bool choice and
+#: cannot make a numpy integer.
+GATED = [
+    pytest.param("guess", Guess(-1), ChoiceRangeError, True, id="guess--1"),
+    pytest.param("guess", Guess(4), ChoiceRangeError, True, id="guess-m"),
+    pytest.param("guess", Guess(True), ChoiceRangeError, False, id="guess-bool"),
+    pytest.param("guess", Guess(np.int64(0)), ChoiceRangeError, False, id="guess-int64"),
+    pytest.param("reveal", Reveal(-1), ChoiceRangeError, True, id="reveal--1"),
+    pytest.param("reveal", Reveal(4), ChoiceRangeError, True, id="reveal-m"),
+    pytest.param("reveal", Reveal(True), ChoiceRangeError, False, id="reveal-bool"),
+    pytest.param("reveal", Reveal(np.int64(0)), ChoiceRangeError, False, id="reveal-int64"),
+    pytest.param("verdict", Verdict(True, 4), ChoiceRangeError, True, id="verdict-accept-m"),
+    pytest.param("verdict", Verdict(True, None), ChoiceRangeError, True, id="verdict-accept-null"),
+    pytest.param("verdict", Verdict(False, 0), ChoiceRangeError, True, id="verdict-reject-0"),
+    pytest.param("commit", Commit(ket("0000")), AmplitudeCountError, True, id="commit-4-qubits"),
+]
+
+
+@pytest.mark.parametrize("kind, message, error, wire", GATED)
+def test_one_gate_for_local_and_received_messages(monkeypatch, agreements, kind, message,
+                                                  error, wire):
+    # a bad message is refused with the same class whether the protocol step
+    # makes it or a frame brings it to the endpoint, and neither route
+    # records it or keeps its frame
+    agreement = agreements[2]
+    state = SessionState(agreement)
+    if kind != "commit":
+        state, _ = alice_commit(agreement, 1, 2, rng=1)
+    if kind in ("reveal", "verdict"):
+        state.record(Guess(0))
+    if kind == "verdict":
+        alice_reveal(state)
+    before = list(state.transcript)
+    with pytest.raises(error) as local:
+        if kind == "reveal":
+            alice_reveal(state, message.choice)
+        else:
+            state.record(message)
+    assert type(local.value) is error and state.transcript == before
+
+    endpoint, handler, honest = _receiver_of(agreement, kind)
+    if wire:
+        frame = encode_message(message, agreement.descriptor_hash)
+    else:  # the frame the decoder turns into this message
+        frame = honest
+        monkeypatch.setattr(session_module, "decode_message", lambda data, expected: message)
+    before = snapshot(endpoint)
+    with pytest.raises(error) as received:
+        handler(frame)
+    assert type(received.value) is error and snapshot(endpoint) == before
+
+
+def test_numpy_and_bool_scripts_are_refused_before_their_frame(cointoss_agreement):
+    # a numpy or bool choice once went on the wire as a JSON error or a
+    # "choice":true frame that the verifier refuses; the gate stops it first
+    agreement = cointoss_agreement
+    with pytest.raises(ChoiceRangeError):
+        run_session(agreement, AliceScript(choice=np.int64(1)), BobScript(), 0)
+    alice = AliceEndpoint(agreement, AliceScript(choice=np.int64(1)), 1)
+    with pytest.raises(ChoiceRangeError):
+        alice.commit_frame()
+    assert snapshot(alice) == ([], None, None, None)
+    bob = BobEndpoint(agreement, BobScript(guess=np.int64(1)), 2)
+    commit = AliceEndpoint(agreement, AliceScript(choice=1), 1).commit_frame()
+    with pytest.raises(ChoiceRangeError):
+        bob.handle_commit(commit)
+    assert bob.frames == [commit] and bob.state.phase is Phase.COMMITTED
+    for claim in (True, np.int64(1)):
+        alice = AliceEndpoint(agreement, AliceScript(choice=1, reveal_choice=claim), 1)
+        guess = BobEndpoint(agreement, BobScript(guess=0), 2).handle_commit(alice.commit_frame())
+        with pytest.raises(ChoiceRangeError):
+            alice.handle_guess(guess)
+        assert alice.frames[-1] == guess and alice.state.phase is Phase.GUESSED
 
 
 def snapshot(endpoint):
@@ -790,7 +867,7 @@ def test_block_with_one_dishonest_reveal(cointoss_agreement):
         for j in range(K):
             claim = 1 if j == 0 else None  # cheat in the first commit only
             state, _ = alice_commit(cointoss_agreement, 0, rng=rng)
-            state, _ = bob_guess(state, 0)
+            state.record(Guess(0))
             state, _ = alice_reveal(state, claim=claim)
             state, _, result = bob_verify(state, rng=rng)
             ok = ok and result.accepted
