@@ -13,9 +13,13 @@ Written, each CLI run as its stdout, then its stderr and exit code:
 * the seed-23 flagged run, which exits 1;
 * scripted coin tosses with their transcripts;
 * 960 seeded in-process sessions (n = 1, 3, 6; default and seeded random
-  masks; parents B and S, honest and cheating) and 24 over TCP, each as
+  masks; parents B and S, honest and cheating) and 36 over TCP, each as
   its frames, verdict and ``VerificationResult``;
 * the five demos' stdout.
+
+Each TCP session is also run in process with the same seed and scripts;
+if its frames, verdict or ``VerificationResult`` differ, the script exits
+non-zero, as the transports must give one transcript.
 """
 
 import contextlib
@@ -55,6 +59,8 @@ def session_lines(n: int, params: SchemeParams, seeds, transport: str):
                    "S cheat": AliceScript(choice=c, parent=PARENT_S, reveal_choice=claim)}
         for label, script in scripts.items():
             result = run_session(agreement, script, BobScript(), seed, transport)
+            if transport == "tcp" and result != run_session(agreement, script, BobScript(), seed):
+                sys.exit(f"n={n} seed={seed} {label}: the TCP session differs from in process")
             yield f"# n={n} masks={params.masks} seed={seed} {label} {transport}\n"
             yield from (frame.decode() for frame in result.transcript)
             yield f"{result.verdict!r}\n{result.verification!r}\n"
@@ -84,7 +90,7 @@ def main(out: Path) -> None:
         for n in (1, 3, 6):
             for params in (SchemeParams.default(n), SchemeParams.random_masks(n, 5)):
                 fh.writelines(session_lines(n, params, range(40), "in-process"))
-        for n in (1, 6):
+        for n in (1, 3, 6):
             fh.writelines(session_lines(n, SchemeParams.default(n), range(3), "tcp"))
 
     for demo in sorted(DEMOS.glob("*.py")):

@@ -65,7 +65,10 @@ PRESET_DEFAULT_MASKS = "default-masks"
 
 
 def _checked_num_bob_qubits(n: int) -> int:
-    """int ``n`` if supported, else TypeError or ValueError; checked before 2**n is formed."""
+    """int ``n`` if supported, else TypeError (a bool too) or ValueError;
+    checked before 2**n is formed."""
+    if type(n) is bool:
+        raise TypeError("num_bob_qubits must be an integer, not a bool")
     n = operator.index(n)
     if not 1 <= n <= MAX_N:
         raise ValueError(f"num_bob_qubits must be in 1..{MAX_N}, got {n}")
@@ -77,7 +80,8 @@ class SchemeParams:
     """Scheme parameters: receiver qubit count and the pairing masks.
 
     ``masks[c]`` is the nonzero (n+1)-bit integer that pairs basis strings
-    for choice ``c``. Masks must be pairwise distinct integers.
+    for choice ``c``. Masks must be pairwise distinct integers; numpy
+    integers are taken and a bool, for n or a mask, is a TypeError.
     """
 
     num_bob_qubits: int
@@ -86,11 +90,15 @@ class SchemeParams:
 
     def __post_init__(self):
         n = _checked_num_bob_qubits(self.num_bob_qubits)
-        masks = tuple(map(operator.index, self.masks))  # a float is a TypeError, not rounded
+        given = tuple(self.masks)
+        if bool in map(type, given):  # True would pass as the int 1
+            raise TypeError("masks must be integers, not bools")
+        masks = tuple(map(operator.index, given))  # a float is a TypeError, not rounded
         if len(masks) != 2**n:
             raise ValueError(f"need {2**n} masks for {2**n} choices, got {len(masks)}")
+        top = 2 ** (n + 1)
         for d in masks:
-            if not 1 <= d < 2 ** (n + 1):
+            if not 1 <= d < top:
                 raise ValueError(f"mask {d:#x} out of range (nonzero, {n + 1} bits)")
         if len(set(masks)) != len(masks):
             raise ValueError("masks must be pairwise distinct")

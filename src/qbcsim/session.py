@@ -35,6 +35,7 @@ from __future__ import annotations
 import enum
 import json
 import socket
+import struct
 from collections import deque
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
@@ -277,9 +278,15 @@ class SessionState:
         """Append and return ``message`` if it is the next in protocol order
         (else PhaseError) and of this agreement: a choice an int in 0..m - 1,
         a recovered element one on accept and None on reject (else
-        ChoiceRangeError), a commit of its register (else AmplitudeCountError)."""
+        ChoiceRangeError), a commit of its register (else AmplitudeCountError),
+        a reveal's parent B or S and a verdict's accept flag a bool (else
+        FramingError, as the decoder refuses their frames)."""
         kind = type(message)
         self.expect(kind)
+        if kind is Reveal and message.parent not in (PARENT_B, PARENT_S):
+            raise FramingError(f"unknown parent indicator {message.parent!r}")
+        if kind is Verdict and type(message.accepted) is not bool:
+            raise FramingError(f"accept flag must be a bool, got {message.accepted!r}")
         if kind is Guess or kind is Reveal:
             _check_choice(f"{kind.__name__.lower()} choice", message.choice, self.agreement)
         elif kind is Verdict and message.accepted:
@@ -536,6 +543,10 @@ def _socket_link(conn: socket.socket, endpoint: _Endpoint) -> Iterator[_Link]:
         yield _Link(conn.sendall, read)
 
 
+#: SO_LINGER value {l_onoff=1, l_linger=0}: close() resets the connection.
+_ABORT_ON_CLOSE = struct.pack("ii", 1, 0)
+
+
 def session_rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     """Per-party RNG streams spawned from one session seed (alice, bob)."""
     alice_ss, bob_ss = np.random.SeedSequence(seed).spawn(2)
@@ -559,6 +570,17 @@ def run_session(
     socket buffer, so no send waits for a read). ``bob_agreement`` lets
     tests configure a mismatched verifier; the handshake then fails with
     HandshakeError.
+
+    Over TCP, Alice's end is closed first and abortively (SO_LINGER on,
+    zero timeout, so the close sends RST), and the listener is bound to
+    port 0 without SO_REUSEADDR. A graceful close would leave one
+    TIME_WAIT socket on the listener's port for 60 s per session, and
+    the port-0 bind of a SO_REUSEADDR socket slows past a millisecond
+    among thousands of them. The reset loses nothing only because both
+    ends live in this process and the driver has read every frame before
+    any close (or has raised, which aborts the session anyway);
+    ``serve_session`` and ``connect_session`` face another process that
+    may still be reading, and close gracefully.
     """
     alice_rng, bob_rng = session_rngs(seed)
     alice = AliceEndpoint(agreement, alice_script, alice_rng)
@@ -568,13 +590,16 @@ def run_session(
         _drive(alice, _Link(to_bob.append, to_alice.popleft),
                bob, _Link(to_alice.append, to_bob.popleft))
     elif transport == "tcp":
-        with (
-            socket.create_server(("127.0.0.1", 0)) as listener,
-            _socket_link(socket.create_connection(listener.getsockname(), timeout=30),
-                         alice) as alice_link,
-            _socket_link(listener.accept()[0], bob) as bob_link,
-        ):
-            _drive(alice, alice_link, bob, bob_link)
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen()
+            with (
+                socket.create_connection(listener.getsockname(), timeout=30) as alice_conn,
+                _socket_link(listener.accept()[0], bob) as bob_link,
+                _socket_link(alice_conn, alice) as alice_link,
+            ):
+                alice_conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, _ABORT_ON_CLOSE)
+                _drive(alice, alice_link, bob, bob_link)
     else:
         raise ValueError(f"unknown transport {transport!r}")
     return SessionResult(tuple(bob.frames), alice.verdict, bob.result)

@@ -92,10 +92,15 @@ def test_scheme_params_validation():
 
 def test_scheme_params_take_integers_alone():
     # a float mask was once rounded (so two peers disagreeing on it agreed on
-    # the hash) and a float n failed only at the build; numpy integers work
-    for n, masks in ((1, (1, 2.5)), (1.0, (1, 2))):
+    # the hash) and a float n failed only at the build; a bool n or mask read
+    # as 1, as the wire never does; numpy integers work
+    for n, masks in ((1, (1, 2.5)), (1.0, (1, 2)), (True, (1, 3)), (1, (True, 3)),
+                     (1, (np.int64(2), True))):
         with pytest.raises(TypeError):
             SchemeParams(n, masks)
+    for factory in (SchemeParams.default, lambda n: SchemeParams.random_masks(n, 0)):
+        with pytest.raises(TypeError, match="bool"):
+            factory(True)
     params = SchemeParams(np.int64(1), (np.int64(1), 3))
     assert params == SchemeParams(1, (1, 3))
     assert type(params.num_bob_qubits) is int and all(type(d) is int for d in params.masks)

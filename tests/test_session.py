@@ -6,6 +6,7 @@ import math
 import socket
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -477,6 +478,29 @@ def test_one_gate_for_local_and_received_messages(monkeypatch, agreements, kind,
     assert type(received.value) is error and snapshot(endpoint) == before
 
 
+def test_record_refuses_a_bad_parent_and_a_non_bool_accept(cointoss_agreement):
+    # the gate refuses, with the decoder's class, what no frame decodes to:
+    # a reveal of an unknown parent and a verdict whose accept flag is 1 or 0
+    digest = cointoss_agreement.descriptor_hash
+    state, _ = alice_commit(cointoss_agreement, 0, 1, rng=0)
+    state.record(Guess(1))
+    reveal = Reveal(0, "Q")
+    with pytest.raises(FramingError, match="parent"):
+        decode_message(encode_message(reveal, digest))
+    before = list(state.transcript)
+    with pytest.raises(FramingError, match="parent"):
+        state.record(reveal)
+    assert state.transcript == before and state.phase is Phase.GUESSED
+    state.record(Reveal(0))
+    before = list(state.transcript)
+    for verdict in (Verdict(1, 0), Verdict(0, None)):
+        with pytest.raises(FramingError, match="accept"):
+            decode_message(encode_message(verdict, digest))
+        with pytest.raises(FramingError, match="accept"):
+            state.record(verdict)
+        assert state.transcript == before and state.phase is Phase.REVEALED
+
+
 def test_numpy_and_bool_scripts_are_refused_before_their_frame(cointoss_agreement):
     # a numpy or bool choice once went on the wire as a JSON error or a
     # "choice":true frame that the verifier refuses; the gate stops it first
@@ -826,9 +850,21 @@ def test_run_session_random_scripts_deterministic(cointoss_agreement):
     assert a.transcript == b.transcript
 
 
+PROC_NET_TCP = Path("/proc/net/tcp")
+
+
+def loopback_time_waits() -> int:
+    """TCP sockets in TIME_WAIT (state 06) with an end on 127.0.0.1."""
+    with open(PROC_NET_TCP) as table:
+        rows = [line.split() for line in table.readlines()[1:]]
+    return sum(row[3] == "06" and (row[1].startswith("0100007F:") or row[2].startswith("0100007F:"))
+               for row in rows)
+
+
 def test_handshake_mismatch_aborts(cointoss_agreement):
     other = build_reveal_agreement(SchemeParams.default(2))
-    for transport in ("in-process", "tcp"):
+    before = loopback_time_waits() if PROC_NET_TCP.exists() else None
+    for transport in ["in-process"] + ["tcp"] * 25:
         with pytest.raises(HandshakeError):
             run_session(
                 cointoss_agreement,
@@ -838,6 +874,21 @@ def test_handshake_mismatch_aborts(cointoss_agreement):
                 transport=transport,
                 bob_agreement=other,
             )
+    # an aborted TCP session ends in a reset too, with no TIME_WAIT left
+    if before is not None:
+        assert loopback_time_waits() - before < 20
+
+
+@pytest.mark.skipif(not PROC_NET_TCP.exists(), reason="no /proc/net/tcp to count TIME_WAITs")
+def test_tcp_sessions_leave_no_time_wait(cointoss_agreement):
+    # a graceful close leaves one TIME_WAIT socket per session on the
+    # listener's port for 60 s; Alice's abortive close leaves none
+    scripts = (AliceScript(), AliceScript(choice=0, reveal_choice=1),
+               AliceScript(choice=1, parent=PARENT_S))
+    before = loopback_time_waits()
+    for seed in range(200):
+        run_session(cointoss_agreement, scripts[seed % 3], BobScript(), seed, "tcp")
+    assert loopback_time_waits() - before < 20
 
 
 def test_session_rngs_deterministic():
