@@ -294,10 +294,11 @@ def bob_premature_strategy(agreement: RevealAgreement, strategy: str, trials: in
 
     # update-on-reject: average over (c, k, guess) of the two branches
     table = agreement.valid_masses
-    same = np.eye(m, dtype=bool)[:, None, :]  # [c, 1, guess]
-    # right on accept when guess = c, on reject 1 time in m - 1 otherwise; a
-    # running sum keeps the sequential (c, k, guess) order of the branch sum
-    exact = np.cumsum(np.where(same, table, (1.0 - table) * (1.0 / (m - 1))))[-1] / m**3
+    # right on accept when guess = c, on reject 1 time in m - 1 otherwise;
+    # grouped so that every partial sum is a multiple of 1/2, and so exact
+    diag = np.einsum("ckc->", table)
+    off = table.sum() - diag
+    exact = (diag + (m**3 - m**2 - off) / (m - 1)) / m**3
     hits = 0
     if trials > 0:
         gen = as_generator(rng)

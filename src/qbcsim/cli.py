@@ -32,8 +32,9 @@ code when
      another kind than the phase expects (as a guess where a commit is
      due), a choice outside 0..2^n - 1, or a commit that is not a valid
      state of the agreement's register
-2    socket: a refused connection, a port that cannot be bound, or a
-     peer that does not connect or answer within 30 s
+2    socket: a refused connection, a port that cannot be bound, a peer
+     that does not connect within 30 s, or a session whose frames are not
+     all read 30 s after its connect or accept, however the peer sends them
 2    closed stdout: its reader has gone, as with
      ``qbcsim analyze | head -1``; the run prints nothing more, no
      traceback either

@@ -33,9 +33,11 @@ two-process sessions given the same seed emit byte-identical transcripts.
 from __future__ import annotations
 
 import enum
+import io
 import json
 import socket
 import struct
+import time
 from collections import deque
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
@@ -525,14 +527,38 @@ def frame_limit(params: SchemeParams) -> int:
     return 128 * 2**params.num_alice_qubits + 1024
 
 
+#: Seconds a socket session may take from its connect or accept to its last
+#: read, whatever the peer sends; past it the next read is a TimeoutError.
+SESSION_DEADLINE_S = 30
+
+
+class _DeadlineReader(io.RawIOBase):
+    """The read side of a socket, ending ``SESSION_DEADLINE_S`` after it is
+    made: each recv may take only the time left, so a peer that trickles
+    bytes cannot hold a session past it."""
+
+    def __init__(self, conn: socket.socket):
+        self.conn, self.deadline = conn, time.monotonic() + SESSION_DEADLINE_S
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        left = self.deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError(f"session took longer than {SESSION_DEADLINE_S} s")
+        self.conn.settimeout(left)
+        return self.conn.recv_into(buffer)
+
+
 @contextmanager
 def _socket_link(conn: socket.socket, endpoint: _Endpoint) -> Iterator[_Link]:
-    """A link over a connected socket, closed on exit. A line that reaches
-    the frame limit without its newline is a FramingError, so a peer cannot
-    stream an endless line."""
+    """A link over a connected socket, closed on exit, whose reads end at
+    the session deadline. A line that reaches the frame limit without its
+    newline is a FramingError, so a peer cannot stream an endless line."""
     limit = frame_limit(endpoint.agreement.params)
-    with conn, conn.makefile("rb") as reader:
-        conn.settimeout(30)
+    with conn, io.BufferedReader(_DeadlineReader(conn)) as reader:
+        conn.settimeout(SESSION_DEADLINE_S)  # for the sends before the first read
 
         def read() -> bytes:
             line = reader.readline(limit)
@@ -594,7 +620,8 @@ def run_session(
             listener.bind(("127.0.0.1", 0))
             listener.listen()
             with (
-                socket.create_connection(listener.getsockname(), timeout=30) as alice_conn,
+                socket.create_connection(listener.getsockname(),
+                                         timeout=SESSION_DEADLINE_S) as alice_conn,
                 _socket_link(listener.accept()[0], bob) as bob_link,
                 _socket_link(alice_conn, alice) as alice_link,
             ):
@@ -609,7 +636,7 @@ def serve_session(bob: BobEndpoint, listener: socket.socket) -> VerificationResu
     """Accept one connection on ``listener`` and run the verifier side
     through the session driver, the committing peer remote."""
     with listener:
-        listener.settimeout(30)
+        listener.settimeout(SESSION_DEADLINE_S)
         conn, _ = listener.accept()
     with _socket_link(conn, bob) as link:
         _drive(bob=bob, bob_link=link)
@@ -619,7 +646,8 @@ def serve_session(bob: BobEndpoint, listener: socket.socket) -> VerificationResu
 def connect_session(alice: AliceEndpoint, host: str, port: int) -> Verdict:
     """Connect to a waiting verifier and run the committing side through
     the session driver, the verifying peer remote."""
-    with _socket_link(socket.create_connection((host, port), timeout=30), alice) as link:
+    conn = socket.create_connection((host, port), timeout=SESSION_DEADLINE_S)
+    with _socket_link(conn, alice) as link:
         _drive(alice=alice, alice_link=link)
     return alice.verdict
 

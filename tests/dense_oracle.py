@@ -11,9 +11,9 @@ this module against a Jacobi eigensolver and scipy matrix functions.
 It also keeps the Walsh valid mass of any held state and the index-XOR
 valid mass, the references for ``RevealAgreement.valid_masses`` (the
 second for its bits), and the
-Gram block per pair of sets, over dense rows written from the pairs, that
-the pair checks of ``qbcsim.scheme.audit_scheme`` replace, as the
-reference for theirs, and
+Gram block per pair of sets, over dense rows written from the pairs,
+whose orthogonality and two partners at 1/2 the tests derive from the
+facts that ``qbcsim.scheme.audit_scheme`` checks, and
 the paper's generation circuit as dense operators (H on qubit 1, then
 CNOT(1, t) for t = 2..n, on |c>), the reference for the closed-form
 reveal states, ``RevealAgreement.reveals``. The circuit uses

@@ -17,7 +17,14 @@ from test_analysis import (
     jacobi_eigenvalues,
 )
 from test_scheme import coupled, product_measurement
-from dense_oracle import EnsembleMixture, HermitianMatrix, ensemble_mixture, helstrom_bound
+from dense_oracle import (
+    EnsembleMixture,
+    HermitianMatrix,
+    dense_sets,
+    ensemble_mixture,
+    gram_block_residuals,
+    helstrom_bound,
+)
 
 from qbcsim.analysis import (
     STRATEGY_DECLARE_PRIOR,
@@ -29,7 +36,7 @@ from qbcsim.analysis import (
     run_full_analysis,
     s_protocol_sweep,
 )
-from qbcsim.quantum import born_distribution, state_from_text
+from qbcsim.quantum import ATOL, born_distribution, state_from_text
 from qbcsim.scheme import SchemeParams, audit_scheme, build_reveal_agreement
 from qbcsim.session import AliceScript, BobScript, HandshakeError, run_session
 
@@ -182,9 +189,15 @@ def test_criterion_5_structure_suite():
             names_seen.add(check.name)
             if not check.passed:
                 failed.append((params.num_bob_qubits, check.name, check.detail))
+        # orthogonality and the two partners at 1/2, from the dense Gram blocks
+        agreement = build_reveal_agreement(params)
+        reveals = agreement.reveals
+        within, split, products = gram_block_residuals(dense_sets(agreement),
+                                                       reveals.conj() @ reveals.T)
+        if not (within <= ATOL and split and products <= ATOL):
+            failed.append((params.num_bob_qubits, "dense Gram blocks", (within, split, products)))
     required = {
-        "within-set-orthogonality",
-        "cross-set-two-partners-overlap-half",
+        "two-term-equal-superposition-cover",
         "reveal-states-orthonormal",
         "stabilizer-eigenoperators",
         "odd-z-masks-not-eigenoperators",

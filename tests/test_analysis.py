@@ -439,9 +439,9 @@ def test_sampler_memory_stays_under_24_bytes_per_trial(sampler, cointoss_agreeme
 
 
 def test_update_on_reject_peak_memory():
-    # the exact figure's running sum holds at most two m^3 float arrays at
-    # once (4.2 MB at n=6): with the valid-mass table already built, it must
-    # peak under 8 MB, where three m^3 index arrays beside them took 12.6 MB
+    # the exact figure's grouped sums form no m^3 temporary: with the
+    # valid-mass table already built, it must peak under 1 MB, below one
+    # m^3 float array (2.1 MB at n=6)
     agreement = build_reveal_agreement(SchemeParams.default(6))
     agreement.valid_masses
     tracemalloc.start()
@@ -450,7 +450,7 @@ def test_update_on_reject_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 10**6
+    assert peak < 10**6, peak
 
 
 def test_report_block_rows_equal_standalone_reports():
@@ -657,8 +657,12 @@ def test_update_on_reject_matches_enumeration(agreements):
         report = bob_premature_strategy(agreement, STRATEGY_UPDATE_ON_REJECT)
         oracle = enumerate_update_on_reject(agreement)
         assert abs(report.exact - oracle) < 1e-12
-        # closed form under the mask construction: 3/2^(n+1)
-        assert abs(report.exact - 3.0 / 2 ** (n + 1)) < 1e-9
+    # the law 3/(2m) under any distinct masks, to the last bit
+    for n in range(1, scheme.MAX_N + 1):
+        for params in (SchemeParams.default(n), SchemeParams.random_masks(n, 5)):
+            report = bob_premature_strategy(build_reveal_agreement(params),
+                                            STRATEGY_UPDATE_ON_REJECT)
+            assert report.exact == 1.5 / 2**n, params.masks
     mc = bob_premature_strategy(
         agreements[1], STRATEGY_UPDATE_ON_REJECT, trials=20_000, rng=9
     )
@@ -915,7 +919,8 @@ def test_declared_guesses_are_uniform_over_every_choice():
 
 
 def test_run_full_analysis_structure(cointoss_agreement):
-    report = run_full_analysis(cointoss_agreement, trials=0, seed=0)
+    report = run_full_analysis(cointoss_agreement)  # samples nothing by default
+    assert report["trials"] == 0
     assert set(report) == {
         "scheme",
         "seed",

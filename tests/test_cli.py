@@ -63,6 +63,7 @@ def test_parse_args_round_trip():
     assert args.subcommand == "analyze"
     assert args.masks == [1, 2, 3, 4]
     assert args.seed == 7 and args.trials == 10
+    assert build_parser().parse_args(["session", "--role", "bob"]).port == 0
 
 
 def test_usage_errors_exit_2(capsys, tmp_path):
@@ -342,8 +343,8 @@ def test_audit_passes_and_fails():
     out = io.StringIO()
     assert cmd_audit(run_config(subcommand="audit", preset=PRESET_PAPER_COINTOSS), out) == 0
     text = out.getvalue()
-    assert "result: pass (8/8)" in text
-    assert text.count("check ") == 8
+    assert "result: pass (5/5)" in text
+    assert text.count("check ") == 5
 
     out = io.StringIO()
     assert cmd_audit(run_config(subcommand="audit", n=1, masks=(3, 3)), out) == 1
@@ -392,30 +393,29 @@ def test_report_json_equals_json_dumps(trials):
         assert report_json(report) == json.dumps(report, sort_keys=True, indent=2), params
 
 
-#: SHA-256 of ``report_json(run_full_analysis(...))``. The exact-only
-#: entries were recorded before the valid-mass table and the report rows
-#: were rebuilt for speed; the sampled ones when block-cheat trials first
-#: played only while alive and the parent-S sweep first drew only what its
-#: rows read.
+#: SHA-256 of ``report_json(run_full_analysis(...))``. The entries past
+#: n=1 were recorded when the update-on-reject figure first met its law
+#: 3/(2m) exactly, which moved that one field and nothing else (the n=1
+#: entries predate it: the running sum was exact there).
 REPORT_PINS = [
     (SchemeParams.default(3), 0, 0,
-     "7081b8beb99411407a16683634624d50f6a2cd46e982d46b861417888d831fcd"),
+     "5fdf032dba74cb420a413987e644306f657b0baae2a8c827fd1bffdc2ee4451d"),
     (SchemeParams.default(4), 0, 0,
-     "eb11d1837f6ef5e053470b513e327000c5ef3cd9fbe7a7e47092766d1cb32434"),
+     "8eaa9866db68e9d20afada019d9c8265751a4673f47b58a54355e48d0fc30148"),
     (SchemeParams.default(5), 0, 0,
-     "3218032c371b2f29b0d58bb0a85657b774d6fb1a4d76c0ec67150257daffe260"),
+     "ddd8589d88286425e7b63cdcfc8d458eb01bc2f382430e5cba3d394139a3b34f"),
     (SchemeParams(4, (22, 21, 2, 4, 10, 14, 16, 24, 27, 8, 7, 12, 28, 1, 31, 11)), 0, 0,
-     "4369e464e692fcc5d5104bdbe8d9d081950ee443c9bb2bdf29fed4211c36aa1b"),
+     "16ae0a1ba728fdb6abcbd77f634b03d39c56d2d8ef0aef5eaf1db37c4807247f"),
     (SchemeParams.default(3), 500, 7,
-     "477dcc347e430819069c0338ab4dd5b50e051644513bbc913da437277b112da1"),
+     "b15244d0fd2eebf018601cfef4ce7a451134c799e3b1d6027ea309cea3371de0"),
     # the monte-carlo benchmark's shape
     (SchemeParams.paper_cointoss(), 100_000, 0,
      "7303e391d41f94ef2cf9808ccd0bfb5fc8f46ed494986aae03cddbf788cd90ae"),
     # the shape of the CI n=4 smoke step
     (SchemeParams.default(4), 2000, 0,
-     "b7c8e7dc65fc909bfcecf2cee8f714974c8f3221f03f3395be13affa8d022451"),
+     "a029bcd76535057d6d4d9018a8c8871ab9f337fcd6d54efed2d0b374b9e32532"),
     (SchemeParams.default(5), 500, 3,
-     "1d136087135695af8c78c451561b4c0d6c9b4a26b1972c4ce6ddf3e1ff853a46"),
+     "10684c37b94d2d9f1ac48f02ae9a3844a09c67c63e2f15cfd8c3edd8655bad4c"),
     # one row short of a sampler block, exactly one, and one past it,
     # recorded before the samplers ran in blocks
     (SchemeParams.paper_cointoss(), 8191, 0,
@@ -426,7 +426,7 @@ REPORT_PINS = [
      "ae2fed60cc00b86d5daeb3b04479d9d927b70a81f0bc0780d4989569a8b9c741"),
     # random masks over several blocks, with a partial last one
     (SchemeParams(3, (11, 4, 1, 15, 12, 2, 8, 5)), 30001, 0,
-     "7cbd377b92011fdb8bcab5fe330b79bc956ded5a5e371e1b3614155830638fcd"),
+     "5601b9cd7127ae0b6e0de06e3ecded277eb3cd8d1866e3f7b9b807fbbefce042"),
 ]
 
 
@@ -505,21 +505,21 @@ def test_main_dispatch(capsys):
     assert "result: pass" in captured.out
 
 
-#: SHA-256 of ``qbcsim audit`` stdout, recorded before the stabilizer
-#: checks were read from one Walsh table of the stacked reveal states.
+#: SHA-256 of ``qbcsim audit`` stdout, recorded when the audit became its
+#: five checks.
 AUDIT_PINS = [
-    (["--n", "1"], "587c9afa0acde820c5a4d8e1bd78a7d41da96a6da08e2266be8073d1675c2b58"),
-    (["--n", "2"], "d8217a3f92d847d44e95519917e2658b055f9b38ba7141f648d59ae39082ca05"),
-    (["--n", "3"], "2c66043054ee7f71457f32cb1cdc1510d2443142ffd0826838bcd3c6afa84eaa"),
-    (["--n", "4"], "1172604749593150687f83c78243871ca913bc86d8dd58bff0aef0911327e1bf"),
-    (["--n", "5"], "609f2cc54239ff11c6a311f31d7cb8279731720008f69bcf513ecdea4cc28e9e"),
-    (["--n", "6"], "1ed8dc28cafe30cefad67a52ed0ef287ea9c262adb06a74abde73360a8d5095b"),
+    (["--n", "1"], "eca9ea2d0e0498e67fbe459c9ecc82eadaf3b22864ab66b88fffb74892668009"),
+    (["--n", "2"], "2e03063259b72eee0846f38c96575154977741fb81d6624e7f2b103c545b0a3e"),
+    (["--n", "3"], "7be556142ea920d732b2d9db9d40e3bb9ab0153d7aefc2bcd37e1537444255dd"),
+    (["--n", "4"], "8d84745690ead5fe447d15e007c2250c44adb55aeef4ef001da5f9dc2db04304"),
+    (["--n", "5"], "b27a808e485b7fb3f6af74b811667788f9dea457c26c8cd2014ceeb76e2fd6b9"),
+    (["--n", "6"], "1e998529e8798328cf7b7ac9354477514b252ae408f067a9f85b893d17b9e4b8"),
     (["--n", "1", "--preset", PRESET_PAPER_COINTOSS],
-     "27c524599e39486190802f23d75c1e7b84dc3728467822bf84f55e602cd79515"),
-    (["--masks", "0x1", "0x3"], "75e87d2f727a1492ddb1a2f8015c119d90551b870b05a2ddf502c8948222cb5c"),
+     "a8d16c830b5d1b12df336cd0d7e4e68a9d54efaeadf6a5fc1a0795a50d5398cd"),
+    (["--masks", "0x1", "0x3"], "756edd1bde160cd548eac0d586111e82beee1c9d1e672f5752dc0eacf0d399eb"),
     # the masks of SchemeParams.random_masks(4, 7)
     (["--n", "4", "--masks", *"0x10 0xc 0xf 0x1c 0x2 0x6 0x1 0x11 0x1f 0x1a 0x12 0x8 0x13 0xb 0x18 0xd"
-      .split()], "8a7c94c19cd50dde8b2050787bc338622bb1c7536003d250a037b0b1e7e19385"),
+      .split()], "bcfa185afe551f71f12e19b3d7dd8ab7a5dd83a9c3e4d49e95470347ac30d786"),
 ]
 
 
@@ -611,6 +611,33 @@ def test_session_subcommand_two_processes(tmp_path):
         seed=21,
     )
     assert b"".join(local.transcript) == bob_transcript.read_bytes()
+
+
+def test_session_subcommand_cheating_reveal_exits_1(tmp_path, capsys):
+    # the CI step "Two-process cheating parent-B session at MAX_N": Alice
+    # commits element 5 of set 37 and reveals choice 12, Bob's verify lands
+    # on the reject outcome 64, and both sides exit 1 with one transcript
+    moves = write_moves(tmp_path, "choice=37\nelement=5\nreveal=12\n")
+    bob_transcript, alice_transcript = tmp_path / "bob.ndjson", tmp_path / "alice.ndjson"
+    bob_proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "qbcsim.cli", "session", "--role", "bob", "--n", "6",
+            "--port", "0", "--seed", "1", "--out", str(bob_transcript),
+        ],
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        port = bob_proc.stdout.readline().split("port=")[1].strip()
+        assert main(["session", "--role", "alice", "--n", "6", "--port", port, "--seed", "1",
+                     "--script", moves, "--out", str(alice_transcript)]) == 1
+        bob_out, _ = bob_proc.communicate(timeout=30)
+    finally:
+        bob_proc.kill()  # nothing to do once it has exited
+    assert bob_proc.returncode == 1
+    assert capsys.readouterr().out == "verdict: rejected recovered=None\n"
+    assert bob_out == "verdict: rejected outcome=64 recovered=None\n"
+    assert alice_transcript.read_bytes() == bob_transcript.read_bytes()
 
 
 def test_session_subcommand_handshake_mismatch(tmp_path):

@@ -313,8 +313,8 @@ def test_build_peak_memory_stays_quadratic():
 
 
 def test_audit_peak_memory():
-    # the pair checks form no complex [c', c, k, 2] gather: the n=6 audit
-    # peaks below the 8.4 MB that one such array alone would take
+    # the audit forms no m^3 array: the n=6 audit peaks below the 8.4 MB
+    # that one complex [c', c, k, 2] gather alone would take
     params = SchemeParams.default(6)
     audit_scheme(params)  # a first call's one-time allocations are not counted
     tracemalloc.start()
@@ -447,7 +447,8 @@ def test_stabilizer_audit_rejects_non_eigen_state(monkeypatch):
 
 def test_cross_set_overlaps(cointoss_agreement):
     # |<e_{c,k}|e_{c',p}>| for every element and every other set: exactly
-    # two partners, each of magnitude 1/2; the audit makes the same check
+    # two partners, each of magnitude 1/2, which the audit's cover, XOR and
+    # the distinct masks imply (test_audit_facts_imply_dense_gram_blocks)
     elements = dense_sets(cointoss_agreement)  # [c, k, x]
     magnitudes = np.abs(np.einsum("akx,bpx->abkp", elements.conj(), elements))
     rows = [magnitudes[a, b, k] for a in range(2) for b in range(2) if b != a for k in range(2)]
@@ -456,8 +457,6 @@ def test_cross_set_overlaps(cointoss_agreement):
         partners = row[row > 1e-9]
         assert len(partners) == 2
         assert np.abs(partners - 0.5).max() < 1e-12
-    checks = {c.name: c.passed for c in audit_scheme(cointoss_agreement.params)}
-    assert checks["cross-set-two-partners-overlap-half"]
 
 
 def test_cross_set_overlap_values_by_hand(cointoss_agreement):
@@ -500,9 +499,8 @@ def test_audit_scheme_flags_tampered_agreements(monkeypatch):
         return set(failures(**changes))
 
     pairs = honest.pairs.copy()
-    pairs[1] = pairs[0]  # set 1 no longer overlaps set 0 at 1/2
-    assert failed_checks(pairs=pairs) == {
-        "cross-set-two-partners-overlap-half", "reveal-bases-complete"}
+    pairs[1] = pairs[0]  # set 1 no longer overlaps set 0 at 1/2: its pairs XOR to d_0
+    assert failed_checks(pairs=pairs) == {"reveal-bases-complete"}
     # two elements of one set swapped: still a valid set of the same span, but
     # element k is no longer the k-th XOR pair of the scheme
     pairs = honest.pairs.copy()
@@ -510,9 +508,8 @@ def test_audit_scheme_flags_tampered_agreements(monkeypatch):
     assert failed_checks(pairs=pairs) == {"reveal-bases-complete"}
     # an even superposition of the four elements of set 0, which meets each
     # of them at 1/2, as element 0 of set 1 has no pair form; the dense route
-    # sees it in every check that the audit failed with it as a dense row:
-    # eight terms (no cover), within-set, cross-set and product residuals,
-    # and not the scheme's rows
+    # sees it in eight terms (no cover), and in the within-set, cross-set and
+    # product residuals that the cover implies, and not the scheme's rows
     rows = dense_sets(honest)
     rows[1, 0] = rows[0].sum(axis=0) / 2
     reveals = honest.reveals
@@ -522,8 +519,7 @@ def test_audit_scheme_flags_tampered_agreements(monkeypatch):
     assert not np.array_equal(rows, dense_sets(honest))
     reveals = honest.reveals.copy()
     reveals[1] = reveals[0]  # products of choices 0 and 1 overlap
-    assert failed_checks(reveals=reveals) == {
-        "reveal-states-orthonormal", "valid-products-orthogonal"}
+    assert failed_checks(reveals=reveals) == {"reveal-states-orthonormal"}
 
     # reveal states that are not stabilizer states of the scheme; each
     # failed set and detail text is the one recorded before the stabilizer
@@ -537,37 +533,32 @@ def test_audit_scheme_flags_tampered_agreements(monkeypatch):
     half = 2**-0.5
     basis_01, plus_plus, zero_plus = [0, 1, 0, 0], [0.5] * 4, [half, half, 0, 0]
     tilt = (np.pi / 2 - 1e-5) / 2  # X^(x)2 expectation 1 - 5e-11, Z on qubit 2 about 1e-5
-    orthonormal, products = "reveal-states-orthonormal", "valid-products-orthogonal"
+    orthonormal = "reveal-states-orthonormal"
     stabilizer, odd = "stabilizer-eigenoperators", "odd-z-masks-not-eigenoperators"
     # a computational basis state: X^(x)2 expectation 0, Z on each qubit +1
     assert reveal_failures((2, basis_01)) == {
         orthonormal: "max |gram - I| = 7.07e-01",
         stabilizer: "X^n expectation 0.0 is not +-1 for choice 2",
-        odd: "",
-        products: "max |gram - I| = 3.54e-01"}
+        odd: ""}
     # |++>: X^(x)2 passes, Z^(x)2 has expectation 0, no odd mask fails
     assert reveal_failures((1, plus_plus)) == {
         orthonormal: "max |gram - I| = 7.07e-01",
-        stabilizer: "even-parity Z mask 0x3 expectation 0.0 is not +-1 for choice 1",
-        products: "max |gram - I| = 3.54e-01"}
+        stabilizer: "even-parity Z mask 0x3 expectation 0.0 is not +-1 for choice 1"}
     # |0+>: fails X^(x)2 first; Z on qubit 1 (z1 = 1) has expectation 1
     assert reveal_failures((2, zero_plus)) == {
         orthonormal: "max |gram - I| = 5.00e-01",
         stabilizer: "X^n expectation 0.0 is not +-1 for choice 2",
-        odd: "",
-        products: "max |gram - I| = 2.50e-01"}
+        odd: ""}
     # the detail names the first failing choice, here the even mask of choice 1
     assert reveal_failures((1, plus_plus), (2, zero_plus)) == {
         orthonormal: "max |gram - I| = 7.07e-01",
         stabilizer: "even-parity Z mask 0x3 expectation 0.0 is not +-1 for choice 1",
-        odd: "",
-        products: "max |gram - I| = 3.54e-01"}
+        odd: ""}
     # a tilted reveal state 0 passes X^(x)2 within ATOL, but a z1 = 0 odd mask
     # has expectation above ATOL
     assert reveal_failures((0, [np.cos(tilt), 0, 0, np.sin(tilt)])) == {
         orthonormal: "max |gram - I| = 5.00e-06",
-        odd: "",
-        products: "max |gram - I| = 2.50e-06"}
+        odd: ""}
 
 
 def test_audit_flags_tampers_of_each_integer_fact(monkeypatch):
@@ -588,16 +579,50 @@ def test_audit_flags_tampers_of_each_integer_fact(monkeypatch):
     # set 1 from mask 0x3, which the scheme does not use: it still partitions
     # the indices and splits every pair of set 0
     assert failures(set1=[[0, 3], [1, 2]]) == {"reveal-bases-complete": ""}
-    # pairs that do not partition the indices fail the cover and every check
-    # that needs it: one pair held twice; a pair index outside 0..2m-1, which
-    # is never used as an index
-    unmet = "needs two-term-equal-superposition-cover"
-    uncovered = {
-        "within-set-orthogonality": unmet, "two-term-equal-superposition-cover": "",
-        "cross-set-two-partners-overlap-half": unmet, "valid-products-orthogonal": unmet,
-        "reveal-bases-complete": ""}
+    # pairs that do not partition the indices fail the cover, and these two
+    # the pair order or XOR too: one pair held twice; a pair index outside
+    # 0..2m-1, which is never used as an index
+    uncovered = {"two-term-equal-superposition-cover": "", "reveal-bases-complete": ""}
     assert failures(set0=[[0, 1], [0, 1]]) == uncovered
     assert failures(set0=[[0, 1], [2, 4]]) == uncovered
+
+
+def test_each_audit_check_fails_alone(monkeypatch):
+    # every audit check is a fact of its own: for each, one tampered
+    # agreement fails that check and no other
+    def failed_checks(params, **changes):
+        tampered = dataclasses.replace(build_reveal_agreement(params), **changes)
+        monkeypatch.setattr(scheme, "build_reveal_agreement", lambda _: tampered)
+        return {c.name for c in audit_scheme(params) if not c.passed}
+
+    params = SchemeParams.default(1)
+    # indices 4 and 5 lie outside 0..3, though the pair XORs to d_0 = 1 in order
+    pairs = build_reveal_agreement(params).pairs.copy()
+    pairs[0] = [[0, 1], [4, 5]]
+    assert failed_checks(params, pairs=pairs) == {"two-term-equal-superposition-cover"}
+    # set 1 from mask 0x3, which the scheme does not use
+    pairs = build_reveal_agreement(params).pairs.copy()
+    pairs[1] = [[0, 3], [1, 2]]
+    assert failed_checks(params, pairs=pairs) == {"reveal-bases-complete"}
+    params = SchemeParams.default(2)
+    reveals = build_reveal_agreement(params).reveals.copy()
+    reveals[1] = reveals[0]
+    assert failed_checks(params, reveals=reveals) == {"reveal-states-orthonormal"}
+    # the Hadamard basis: orthonormal, each state a +-1 eigenstate of X^(x)2,
+    # but Z^(x)2 has expectation 0
+    assert failed_checks(params, reveals=quantum.walsh_matrix(2) / 2) == {
+        "stabilizer-eigenoperators"}
+    # G_0 and G_{m/2} rotated by 1e-5 rad within their plane: a unitary, so
+    # the Gram stays exact, and X^(x)n and the even masks move by O(1e-10),
+    # within ATOL, but an odd z1 = 0 mask reads about 2e-5
+    for n in (2, 3):
+        params = SchemeParams.default(n)
+        reveals = build_reveal_agreement(params).reveals.copy()
+        first, half = reveals[0].copy(), reveals[2 ** (n - 1)].copy()
+        angle = 1e-5
+        reveals[0] = np.cos(angle) * first + np.sin(angle) * half
+        reveals[2 ** (n - 1)] = np.cos(angle) * half - np.sin(angle) * first
+        assert failed_checks(params, reveals=reveals) == {"odd-z-masks-not-eigenoperators"}
 
 
 class AgreementRecorder(pytest.MonkeyPatch):
@@ -614,35 +639,43 @@ class AgreementRecorder(pytest.MonkeyPatch):
         super().setattr(target, name, value, raising)
 
 
-def test_pair_residuals_match_dense_gram_blocks():
-    # the audit's pair checks against the dense Gram block per pair of sets,
-    # its rows written from the pairs: same pass/fail and residuals wherever
-    # the cover holds, on honest agreements and on every tamper of the two
-    # tamper tests
+def test_audit_facts_imply_dense_gram_blocks():
+    # what the audit no longer checks follows from what it does, on the
+    # dense Gram blocks written from the pairs: the cover alone makes every
+    # set orthonormal (disjoint supports); with the XOR and order of
+    # reveal-bases-complete and the distinct masks, every element meets two
+    # elements of every other set at 1/2; and with orthonormal reveal states,
+    # <e (x) G|e' (x) G'> = <e|e'><G|G'> makes the valid products orthonormal.
+    # Over honest agreements and every tamper that the tamper tests hand the
+    # audit, each of which still fails a check
     honest = [SchemeParams.paper_cointoss()] + [SchemeParams.default(n) for n in (1, 2, 3, 4)]
     honest += [SchemeParams.random_masks(n, seed) for n in (1, 2, 3, 4) for seed in (0, 1, 2, 3)]
     recorder = AgreementRecorder()
     try:
         test_audit_scheme_flags_tampered_agreements(recorder)
         test_audit_flags_tampers_of_each_integer_fact(recorder)
+        test_each_audit_check_fails_alone(recorder)
     finally:
         recorder.undo()
-    assert len(recorder.agreements) == 11
+    assert len(recorder.agreements) == 17
+    cases = [(build_reveal_agreement(p), True) for p in honest]
+    cases += [(tampered, False) for tampered in recorder.agreements]
     covered = 0
-    for agreement in [build_reveal_agreement(p) for p in honest] + recorder.agreements:
-        reveals = agreement.reveals
-        reveal_gram = reveals.conj() @ reveals.T
-        cover, within, split, products = scheme._pair_residuals(agreement.pairs, reveal_gram)
-        if not cover:
-            assert (within, split, products) == (np.inf, False, np.inf)
-            continue
-        covered += 1
-        dense_within, dense_split, dense_products = gram_block_residuals(
-            dense_sets(agreement), reveal_gram)
-        assert split == dense_split
-        for got, want in ((within, dense_within), (products, dense_products)):
-            assert abs(got - want) <= 1e-15 and (got <= ATOL) == (want <= ATOL)
-    assert covered == len(honest) + 9
+    with pytest.MonkeyPatch.context() as patch:
+        for agreement, is_honest in cases:
+            patch.setattr(scheme, "build_reveal_agreement", lambda _: agreement)
+            passed = {c.name: c.passed for c in audit_scheme(agreement.params)}
+            assert all(passed.values()) == is_honest
+            if not passed["two-term-equal-superposition-cover"]:
+                continue  # a pair index may lie outside the dense rows
+            covered += 1
+            reveals = agreement.reveals
+            within, split, products = gram_block_residuals(dense_sets(agreement),
+                                                           reveals.conj() @ reveals.T)
+            assert within <= ATOL
+            assert split or not passed["reveal-bases-complete"]
+            assert products <= ATOL or not passed["reveal-states-orthonormal"]
+    assert covered == len(honest) + 14
 
 
 def test_audit_scheme_all_pass():
@@ -656,13 +689,10 @@ def test_audit_scheme_all_pass():
         assert failed == [], failed
     names = [c.name for c in audit_scheme(SchemeParams.paper_cointoss())]
     assert names == [
-        "within-set-orthogonality",
         "two-term-equal-superposition-cover",
-        "cross-set-two-partners-overlap-half",
         "reveal-states-orthonormal",
         "stabilizer-eigenoperators",
         "odd-z-masks-not-eigenoperators",
-        "valid-products-orthogonal",
         "reveal-bases-complete",
     ]
 

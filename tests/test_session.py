@@ -49,6 +49,7 @@ from qbcsim.session import (
     alice_commit,
     alice_reveal,
     bob_verify,
+    connect_session,
     decode_message,
     encode_message,
     frame_limit,
@@ -760,12 +761,85 @@ def _serve_raw_peer(bob, payload: bytes) -> Exception:
 def test_unterminated_frame_over_limit_is_framing_error(cointoss_agreement):
     hello = hello_frame(scheme_hash(cointoss_agreement.params))
     limit = frame_limit(cointoss_agreement.params)
+    assert limit == 128 * 4 + 1024 == 1536
     bob = BobEndpoint(cointoss_agreement, BobScript(), 0)
-    assert isinstance(_serve_raw_peer(bob, hello + b"{" * (limit + 1)), FramingError)
+    error = _serve_raw_peer(bob, hello + b"{" * (limit + 1))
+    assert isinstance(error, FramingError) and "exceeds" in str(error)
+    assert bob.frames == [] and bob.state is None
+    # a line of exactly the limit, its newline included, reaches the decoder
+    bob = BobEndpoint(cointoss_agreement, BobScript(), 0)
+    error = _serve_raw_peer(bob, hello + b"{" * (limit - 1) + b"\n")
+    assert isinstance(error, FramingError) and "not a JSON line" in str(error)
     assert bob.frames == [] and bob.state is None
     # a hello cut short is still a handshake failure
     bob = BobEndpoint(cointoss_agreement, BobScript(), 0)
     assert isinstance(_serve_raw_peer(bob, hello[:20]), HandshakeError)
+
+
+def _trickle(conn: socket.socket, data: bytes, stop: threading.Event) -> None:
+    """Send ``data`` one byte every 20 ms until ``stop`` is set or the
+    peer hangs up."""
+    try:
+        for byte in data:
+            if stop.wait(0.02):
+                return
+            conn.sendall(bytes([byte]))
+    except OSError:
+        return
+
+
+#: The session deadline the two trickle tests patch in, and the time past it
+#: that the endpoint may take to give up; a valid hello trickled at 20 ms a
+#: byte takes about 1.9 s, so a timeout per read would hold far longer.
+TRICKLE_DEADLINE_S, TRICKLE_MARGIN_S = 0.3, 0.5
+
+
+def test_trickling_alice_meets_the_session_deadline(monkeypatch, cointoss_agreement):
+    # every byte of a valid hello comes well within any timeout per read, but
+    # the verifier gives up at the one deadline of the session, with no verdict
+    monkeypatch.setattr(session_module, "SESSION_DEADLINE_S", TRICKLE_DEADLINE_S)
+    bob = BobEndpoint(cointoss_agreement, BobScript(), 0)
+    stop = threading.Event()
+    listener = socket.create_server(("127.0.0.1", 0))
+    with socket.create_connection(listener.getsockname(), timeout=5) as conn:
+        hello = hello_frame(scheme_hash(cointoss_agreement.params))
+        thread = threading.Thread(target=_trickle, args=(conn, hello, stop))
+        thread.start()
+        start = time.monotonic()
+        try:
+            with pytest.raises(TimeoutError):
+                serve_session(bob, listener)
+            elapsed = time.monotonic() - start
+        finally:
+            stop.set()
+            thread.join()
+    assert elapsed < TRICKLE_DEADLINE_S + TRICKLE_MARGIN_S, elapsed
+    assert bob.frames == [] and bob.state is None and bob.result is None
+
+
+def test_trickling_bob_meets_the_session_deadline(monkeypatch, cointoss_agreement):
+    # the same for the committing side against a verifier that trickles its hello
+    monkeypatch.setattr(session_module, "SESSION_DEADLINE_S", TRICKLE_DEADLINE_S)
+    alice = AliceEndpoint(cointoss_agreement, AliceScript(choice=0), 0)
+    stop = threading.Event()
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        def trickling_bob():
+            conn, _ = listener.accept()
+            with conn:
+                _trickle(conn, hello_frame(scheme_hash(cointoss_agreement.params)), stop)
+
+        thread = threading.Thread(target=trickling_bob)
+        thread.start()
+        start = time.monotonic()
+        try:
+            with pytest.raises(TimeoutError):
+                connect_session(alice, *listener.getsockname())
+            elapsed = time.monotonic() - start
+        finally:
+            stop.set()
+            thread.join()
+    assert elapsed < TRICKLE_DEADLINE_S + TRICKLE_MARGIN_S, elapsed
+    assert alice.frames == [] and alice.state is None and alice.verdict is None
 
 
 def test_hello_cut_before_newline_is_handshake_error(cointoss_agreement):
