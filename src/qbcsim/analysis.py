@@ -43,6 +43,26 @@ runs. Functions report numbers side by side and do not editorialize.
 Priors are uniform over choices and elements wherever a strategy needs
 them; that matches the arbitrary-guess baseline the scheme is judged
 against.
+
+Every exact figure of the report meets a closed-form law in m = 2^n, to
+the last bit (every law is dyadic; ``tests/dense_oracle.py`` keeps the
+table and the tests compare each figure with ``==``):
+
+============================================  ========================
+figure                                        law
+============================================  ========================
+valid mass of element k of set c, reveal c'   (1 + delta_cc')/2
+alice-cheat, c' != c                          1/2
+block-cheat, K blocks                         2^-K
+declare-prior guess, and chance               1/m
+update-on-reject                              3/(2m)
+Helstrom, every pair of sets                  3/4
+square-root measurement, uniform priors       |supp S|/(m 2^n)
+parent-S sweep at p_S                         p_S + (1 - p_S)/m
+============================================  ========================
+
+|supp S| counts the Hadamard indices y with sum_c W[d_c, y] > -m: 2^(n+1)
+unless the masks are exactly an odd class (see ``discrimination_bounds``).
 """
 
 from __future__ import annotations

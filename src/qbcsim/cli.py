@@ -7,7 +7,11 @@ Subcommands:
   read as a session's are, and a parent-S reveal is refused.
 * ``audit``: run every structural invariant of an agreement.
 * ``analyze``: the full security battery, human-readable or JSON to
-  stdout and JSON to a file.
+  stdout and JSON to a file. The JSON is byte for byte
+  ``json.dumps(report, sort_keys=True, indent=2)``, written by
+  ``report_json``: the standard encoder writes the report around its row
+  lists and one template per row shape, and each list is filled in from
+  its templates.
 * ``session``: one side of a two-process TCP session.
 
 Exit codes (the README's copy of this table names the test or CI step
@@ -62,16 +66,20 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import math
 import operator
 import os
+import re
 import socket
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import NoReturn
 
 import numpy as np
 
-from .analysis import WRONG_COUPLING_KEYS, run_full_analysis
+from .analysis import run_full_analysis
 from .quantum import StateVector, ket_string
 from .scheme import (
     MAX_N,
@@ -298,28 +306,162 @@ def cmd_audit(args: argparse.Namespace, out=None) -> int:
 
 # --- analyze -----------------------------------------------------------------
 
-#: The keys of a wrong-coupling row in the order ``sort_keys`` writes them.
-_ROW_KEYS = sorted(WRONG_COUPLING_KEYS)
-_row_values = operator.itemgetter(*_ROW_KEYS)
-#: One wrong-coupling row as ``json.dumps(..., sort_keys=True, indent=2)``
-#: writes it inside the top-level report; ``%r`` is ``int.__repr__`` and
-#: ``float.__repr__``, the encoder's number formats.
-_WRONG_COUPLING_ROW = ("    {\n"
-                       + ",\n".join(f"      {json.dumps(key)}: %r" for key in _ROW_KEYS)
-                       + "\n    }")
+#: The report's row lists, each by its keys from the top of the report.
+_ROW_LISTS = (("alice_cheat",), ("block_fidelity",), ("discrimination", "helstrom_pairs"),
+              ("s_protocol",), ("strategies",), ("wrong_coupling",))
+#: A marker "\0<i>" as the encoder writes it in a value; the encoder
+#: escapes NUL, so a marker matches no other string of a row or template.
+_MARKER = re.compile(r'(?<=: )"\\u0000(\d+)"')
 
 
 def report_json(report: dict) -> str:
     """``json.dumps(report, sort_keys=True, indent=2)``, byte for byte.
 
-    The pure-Python indenting encoder takes most of an n=6 report on its
-    m^2 (m - 1) wrong-coupling rows, so those are formatted with one template
-    each and spliced in where the encoder wrote a placeholder for them.
+    The pure-Python indenting encoder spends most of a report on its row
+    lists, so the encoder writes the report with a marker in place of each
+    list, and each list is written from templates spliced in at its marker.
+    A template is one row shape (its keys, and the keys of its dict values)
+    as the encoder writes it at the row's depth, cut at its leaves; it is
+    derived once per shape and depth in a call. A run of rows of one shape
+    is then one ``%`` over the run's leaves, column by column as the encoder
+    writes them: each distinct float's text is computed once per report.
     """
-    placeholder = "\0wrong_coupling"  # escaped by the encoder, so no other value matches
-    text = json.dumps({**report, "wrong_coupling": placeholder}, sort_keys=True, indent=2)
-    rows = ",\n".join([_WRONG_COUPLING_ROW % _row_values(row) for row in report["wrong_coupling"]])
-    return text.replace(json.dumps(placeholder), f"[\n{rows}\n  ]" if rows else "[]", 1)
+    marked = {**report, "discrimination": dict(report["discrimination"])}  # the report stays
+    lists = []
+    for *parents, key in _ROW_LISTS:
+        node = functools.reduce(operator.getitem, parents, marked)
+        lists.append(node[key])
+        node[key] = f"\0{len(lists) - 1}"
+    pieces = _MARKER.split(json.dumps(marked, sort_keys=True, indent=2))
+    templates, floats, parts = {}, {}, pieces[:1]
+    for index, text in zip(map(int, pieces[1::2]), pieces[2::2]):
+        parts += _rows_json(lists[index], len(_ROW_LISTS[index]), templates, floats)
+        parts.append(text)
+    return "".join(parts)
+
+
+def _encoded(value, level: int) -> str:
+    """``value`` as the encoder writes it ``level`` levels into a report,
+    from its first character: nested in ``level`` lists, with their lines cut."""
+    for _ in range(level):
+        value = [value]
+    text = json.dumps(value, sort_keys=True, indent=2)
+    return text.split("\n", level)[-1].rsplit("\n", level)[0][2 * level:]
+
+
+def _shape(row: dict) -> tuple:
+    """A row's sorted keys, each with the shape of its value if that is a
+    dict, or None for a leaf (any other value)."""
+    return tuple((key, _shape(row[key]) if type(row[key]) is dict else None) for key in sorted(row))
+
+
+def _template(shape: tuple, level: int) -> tuple[list, list]:
+    """A row of ``shape`` as the encoder writes it ``level`` levels into a
+    report, indent included, cut at its leaves: the ``%``-escaped text around
+    the leaves, and the leaf at each cut, leaves numbered depth first."""
+    leaves = itertools.count()
+
+    def skeleton(shape):
+        return {key: f"\0{next(leaves)}" if sub is None else skeleton(sub) for key, sub in shape}
+
+    pieces = _MARKER.split("  " * level + _encoded(skeleton(shape), level))
+    return [piece.replace("%", "%%") for piece in pieces[::2]], list(map(int, pieces[1::2]))
+
+
+def _columns(rows: list, shape: tuple, level: int) -> list | None:
+    """(types, values, level) of each leaf of ``rows``, depth first, or None
+    unless every row has exactly the keys of ``shape``."""
+    columns = []
+    for key, sub in shape:
+        try:
+            values = list(map(operator.itemgetter(key), rows))
+        except KeyError:
+            return None
+        types = set(map(type, values))
+        if sub is not None:
+            nested = _columns(values, sub, level + 1) if types == {dict} else None
+            if nested is None:
+                return None
+            columns += nested
+        else:
+            columns.append((types, values, level + 1))
+    # every row has the shape's keys, so no row has others if the sizes add up
+    return columns if sum(map(len, rows)) == len(shape) * len(rows) else None
+
+
+def _runs(rows: list, level: int):
+    """(shape, row count, leaf columns) of each run of rows of one shape, in
+    order. Only a list whose rows differ in shape, as a sampled alice_cheat
+    list's first row does, takes the shape of every row."""
+    shape = _shape(rows[0])
+    columns = _columns(rows, shape, level)
+    if columns is not None:
+        yield shape, len(rows), columns
+        return
+    for shape, run in itertools.groupby(rows, _shape):
+        run = list(run)
+        yield shape, len(run), _columns(run, shape, level)
+
+
+def _leaf_texts(types: set, values: list, level: int, floats: dict) -> tuple[str, list | None]:
+    """One leaf column as its ``%`` spec and the values it formats, each
+    written as the encoder writes it: ints by ``%d``, strings escaped, and
+    floats through ``floats``, the text of each distinct float. A column of
+    one float is its text and None: it goes into the template itself."""
+    kind = next(iter(types)) if len(types) == 1 else None
+    if kind is int:
+        return "%d", values
+    if kind is str:
+        return "%s", list(map(encode_basestring_ascii, values))
+    if kind is float:
+        distinct = set(values)
+        if all(map(math.isfinite, distinct)):  # no NaN or infinity, which repr would name
+            if 0.0 in distinct:  # 0.0 == -0.0, so one memo entry would serve both
+                return "%s", list(map(float.__repr__, values))
+            new = distinct.difference(floats)
+            floats.update(zip(new, map(float.__repr__, new)))
+            if len(distinct) == 1:
+                return floats[values[0]], None
+            return "%s", list(map(floats.__getitem__, values))
+    return "%s", [_encoded(value, level) if isinstance(value, (dict, list, tuple))
+                  else json.dumps(value) for value in values]
+
+
+#: Rows per ``%``: a run's template is written out for this many rows, and
+#: longer runs are formatted a block of rows at a time.
+_BLOCK_ROWS = 1024
+
+
+def _rows_json(rows: list, level: int, templates: dict, floats: dict) -> list[str]:
+    """A row list as the encoder writes it ``level`` levels into a report,
+    in parts to be joined."""
+    if not rows:
+        return ["[]"]
+    parts = ["[\n"]
+    for shape, count, columns in _runs(rows, level + 1):
+        if (shape, level + 1) not in templates:
+            templates[shape, level + 1] = _template(shape, level + 1)
+        pieces, slots = templates[shape, level + 1]
+        specs, formatted = [], []
+        for leaf in slots:
+            spec, values = _leaf_texts(*columns[leaf], floats)
+            specs.append(spec)
+            if values is not None:
+                formatted.append(values)
+        row = "".join(itertools.chain.from_iterable(zip(pieces, specs))) + pieces[-1]
+        width, blocks = len(formatted), {}  # a template per block size
+        for start in range(0, count, _BLOCK_ROWS):
+            size = min(count - start, _BLOCK_ROWS)
+            if size not in blocks:
+                blocks[size] = ",\n".join([row] * size)
+            flat = [None] * (size * width)  # the block's values, row by row
+            for i, values in enumerate(formatted):
+                flat[i::width] = values[start:start + size]
+            if len(parts) > 1:
+                parts.append(",\n")
+            parts.append(blocks[size] % tuple(flat))
+    parts.append("\n" + "  " * level + "]")
+    return parts
 
 
 def _mc_suffix(row: dict) -> str:

@@ -18,6 +18,10 @@ the paper's generation circuit as dense operators (H on qubit 1, then
 CNOT(1, t) for t = 2..n, on |c>), the reference for the closed-form
 reveal states, ``RevealAgreement.reveals``. The circuit uses
 nothing from ``qbcsim``.
+
+Last, ``figure_laws`` is the table of closed-form laws that every exact
+figure of an analysis report meets, written from the scheme's n, m and
+masks alone, with nothing from ``qbcsim.analysis``.
 """
 
 from __future__ import annotations
@@ -240,3 +244,52 @@ def generation_circuit(n: int, choice: int) -> np.ndarray:
     for target in range(2, n + 1):
         state = cnot_operator(n, target) @ state
     return state
+
+
+def support_size(params: SchemeParams) -> int:
+    """|supp S|: the Hadamard indices y at which the average set mixture S
+    is nonzero, the y with sum_c W[d_c, y] > -m, counted with
+    W[d, y] = (-1)^popcount(d AND y)."""
+    masks, m = params.masks, params.num_choices
+    return sum(1 for y in range(2 ** (params.num_bob_qubits + 1))
+               if sum((-1) ** bin(d & y).count("1") for d in masks) > -m)
+
+
+def figure_laws(params: SchemeParams) -> dict:
+    """Each exact figure of ``run_full_analysis`` by its closed-form law,
+    keyed by report section (a callable of the row's parameters where the
+    figure varies along the section):
+
+    ============================================  =====================
+    figure                                        law
+    ============================================  =====================
+    valid mass, element of set c under reveal c'  (1 + delta_cc')/2
+    alice-cheat, c' != c                          1/2
+    block-cheat K                                 2^-K
+    declare-prior guess, and chance               1/m
+    update-on-reject                              3/(2m)
+    Helstrom, every pair                          3/4
+    square-root measurement (PGM)                 |supp S|/(m 2^n)
+    parent-S sweep at p_S                         p_S + (1 - p_S)/m
+    ============================================  =====================
+
+    Update-on-reject is right on accept when the guess is c (1/m of the
+    trials, accepted always) and otherwise, accepted half the time, right on
+    reject one time in m - 1: 1/m + ((m - 1)/m)(1/2)(1/(m - 1)). Under the
+    parent-S sweep an S state is measured onto its own index, and element k
+    of set c lands on x or x XOR d_c with 1/2 each, every index hit once over
+    the m elements, so the B branch succeeds with 1/m. Every law is a dyadic
+    number, so a report that meets it does so exactly.
+    """
+    n, m = params.num_bob_qubits, params.num_choices
+    return {
+        "wrong_coupling": lambda held, coupled: (1 + (held == coupled)) / 2,
+        "alice_cheat": 1 / 2,
+        "block_fidelity": lambda blocks: 2.0 ** -blocks,
+        "declare-prior-guess": 1 / m,
+        "update-on-reject": 3 / (2 * m),
+        "chance": 1 / m,
+        "helstrom_pairs": 3 / 4,
+        "pgm_uniform": support_size(params) / (m * 2**n),
+        "s_protocol": lambda p_s: p_s + (1 - p_s) / m,
+    }

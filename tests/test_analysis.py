@@ -47,6 +47,7 @@ from dense_oracle import (
     HermitianMatrix,
     dense_sets,
     ensemble_mixture,
+    figure_laws,
     flip_valid_mass_table,
     helstrom_bound,
     pgm_success,
@@ -163,6 +164,40 @@ def test_exact_masses_equal_closed_form(agreements):
         assert all(row["valid_mass"] == 0.5 for row in rows)
         for blocks in range(1, 9):
             assert block_cheat_report(agreement, blocks).exact == 2.0**-blocks
+
+
+LAW_SCHEMES = ([SchemeParams.default(n) for n in range(1, scheme.MAX_N + 1)]
+               + [SchemeParams.paper_cointoss()]
+               + [SchemeParams.random_masks(n, seed) for n in (1, 2, 3, 4) for seed in (0, 1, 2)])
+
+
+@pytest.mark.parametrize("params", LAW_SCHEMES, ids=lambda p: f"n{p.num_bob_qubits}-"
+                         + "-".join(map(hex, p.masks[:4])) + ("-..." if len(p.masks) > 4 else ""))
+def test_every_exact_figure_meets_its_law(params):
+    # each exact figure of the report equals its closed-form law to the last bit
+    agreement = build_reveal_agreement(params)
+    report = run_full_analysis(agreement)
+    law = figure_laws(params)
+    m = params.num_choices
+    masses = [[law["wrong_coupling"](c, claim) for claim in range(m)] for c in range(m)]
+    assert (agreement.valid_masses == np.array(masses)[:, None, :]).all()
+    wrong = report["wrong_coupling"]
+    assert len(wrong) == m * m * (m - 1)
+    assert all(row["valid_mass"] == masses[row["held_choice"]][row["coupled_choice"]]
+               for row in wrong)
+    assert len(report["alice_cheat"]) == m * (m - 1)
+    assert all(row["exact"] == law["alice_cheat"] for row in report["alice_cheat"])
+    assert [row["exact"] for row in report["block_fidelity"]] == \
+        [law["block_fidelity"](row["parameters"]["K"]) for row in report["block_fidelity"]]
+    assert {row["scenario"]: row["exact"] for row in report["strategies"]} == \
+        {strategy: law[strategy] for strategy in STRATEGIES}
+    disc = report["discrimination"]
+    assert disc["chance"] == law["chance"]
+    assert len(disc["helstrom_pairs"]) == m * (m - 1) // 2
+    assert all(row["bound"] == law["helstrom_pairs"] for row in disc["helstrom_pairs"])
+    assert disc["pgm_uniform"] == law["pgm_uniform"]
+    assert [row["exact"] for row in report["s_protocol"]] == \
+        [law["s_protocol"](row["parameters"]["p_S"]) for row in report["s_protocol"]]
 
 
 def count_valid_masses(monkeypatch, calls):

@@ -1,15 +1,20 @@
 """Tests for the command-line front end."""
 
 import argparse
+import collections
 import hashlib
 import io
 import json
+import math
 import socket
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbcsim import cli
 from qbcsim.analysis import run_full_analysis
@@ -391,6 +396,95 @@ def test_report_json_equals_json_dumps(trials):
     for params in schemes:
         report = run_full_analysis(build_reveal_agreement(params), trials, seed=11)
         assert report_json(report) == json.dumps(report, sort_keys=True, indent=2), params
+
+
+def hand_report(helstrom_pairs=(), **row_lists) -> dict:
+    """A report of ``run_full_analysis``'s layout whose row lists are the
+    ones given, the others empty."""
+    report = {
+        "scheme": {"n": 1, "choices": 2, "masks": ["0x1", "0x3"], "preset": None},
+        "seed": 0,
+        "trials": 0,
+        "discrimination": {"chance": 0.5, "helstrom_pairs": list(helstrom_pairs),
+                           "pgm_uniform": 1.0},
+    }
+    for key in ("alice_cheat", "block_fidelity", "s_protocol", "strategies", "wrong_coupling"):
+        report[key] = list(row_lists.get(key, ()))
+    return report
+
+
+def cheat_row(exact, **extra) -> dict:
+    return {"scenario": "s", "exact": exact, "trials": 0, "parameters": {"n": 1}, **extra}
+
+
+#: Hand-built reports at the writer's edges, by name.
+EDGE_REPORTS = {
+    "every list empty": hand_report(),
+    "two shapes in one list, in runs and alternating": hand_report(
+        alice_cheat=[cheat_row(0.5, estimate=0.25, stderr=0.125, consistent=False),
+                     cheat_row(0.5), cheat_row(0.5), cheat_row(1.0, estimate=1.0, stderr=0.0,
+                                                              consistent=True),
+                     cheat_row(0.5), cheat_row(0.5, estimate=0.5, stderr=0.0, consistent=True)],
+        strategies=[cheat_row(0.5), {"exact": 0.5}, cheat_row(0.5), {"exact": 0.25}]),
+    "0.0 beside -0.0": hand_report(block_fidelity=[
+        cheat_row(0.0), cheat_row(-0.0), cheat_row(0.5), cheat_row(-0.0)]),
+    "1, 1.0, True and False in one column": hand_report(wrong_coupling=[
+        {"held_choice": value, "element": 0, "coupled_choice": 1, "valid_mass": value}
+        for value in (1, 1.0, True, False, 0, 0.0, 1)]),
+    "None": hand_report(strategies=[cheat_row(None), cheat_row(0.5, parameters={"n": None})]),
+    "NaN and infinities": hand_report(
+        s_protocol=[cheat_row(math.nan), cheat_row(math.inf), cheat_row(-math.inf), cheat_row(0.5)],
+        helstrom_pairs=[{"a": 0, "b": 1, "bound": math.nan}, {"a": 0, "b": 2, "bound": math.nan}]),
+    "a float column of infinities alone": hand_report(
+        s_protocol=[cheat_row(math.inf), cheat_row(math.inf)]),
+    "strings to escape": hand_report(strategies=[
+        cheat_row(0.5, scenario=text) for text in
+        ('say "hi"', "back\\slash", "tab\tnew\nline\x00nul\x1f", "café π \U0001f600",
+         "%s %d %% \x000", "")]),
+    "keys to escape": hand_report(wrong_coupling=[
+        {"%d": 1, 'q"uote': 2, "café": 3, "\x000": 4}, {"%d": 5, 'q"uote': 6, "café": 7, "\x000": 8}]),
+    "ints past 2^63": hand_report(wrong_coupling=[
+        {"held_choice": 2**63 + k, "element": -(2**64), "coupled_choice": 10**30,
+         "valid_mass": 0.5} for k in range(3)]),
+    "empty parameters": hand_report(block_fidelity=[
+        cheat_row(0.5, parameters={}), cheat_row(0.25, parameters={}),
+        cheat_row(0.125, parameters={"K": 3})]),
+    "runs of one block of rows, and one row past it": hand_report(
+        wrong_coupling=[{"held_choice": k % 7, "element": k, "coupled_choice": 0,
+                         "valid_mass": 0.5 * (k % 3)} for k in range(cli._BLOCK_ROWS + 1)],
+        helstrom_pairs=[{"a": k, "b": k + 1, "bound": 0.75} for k in range(cli._BLOCK_ROWS)]),
+    "one distinct float, and many": hand_report(
+        helstrom_pairs=[{"a": a, "b": a + 1, "bound": 0.75} for a in range(5)],
+        block_fidelity=[cheat_row(0.5 ** k) for k in range(1, 9)] * 2),
+    "other leaves": hand_report(alice_cheat=[
+        cheat_row(np.float64(0.5)), cheat_row([1, [2.5, "x"], {}, {"b": None, "a": 1}]),
+        cheat_row(collections.OrderedDict(z=1, a=[True])), cheat_row((0.5, -0.0))]),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_REPORTS)
+def test_report_json_equals_json_dumps_at_the_edges(name):
+    report = EDGE_REPORTS[name]
+    assert report_json(report) == json.dumps(report, sort_keys=True, indent=2)
+
+
+leaf_values = st.one_of(
+    st.none(), st.booleans(), st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([0, 1, 0.0, -0.0, 1.0, 0.5]),
+    st.text(max_size=4))
+row_keys = st.sampled_from(["exact", "n", "%", "café", ""])
+rows = st.dictionaries(
+    row_keys, st.one_of(leaf_values, st.dictionaries(row_keys, leaf_values, max_size=3)),
+    max_size=4)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(lists=st.lists(st.lists(rows, max_size=5), min_size=6, max_size=6))
+def test_report_json_equals_json_dumps_on_drawn_rows(lists):
+    # rows drawn with few keys, so that shapes repeat and runs form
+    names = ("alice_cheat", "block_fidelity", "s_protocol", "strategies", "wrong_coupling")
+    report = hand_report(lists[0], **dict(zip(names, lists[1:])))
+    assert report_json(report) == json.dumps(report, sort_keys=True, indent=2)
 
 
 #: SHA-256 of ``report_json(run_full_analysis(...))``. The entries past
