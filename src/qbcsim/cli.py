@@ -9,9 +9,9 @@ Subcommands:
 * ``analyze``: the full security battery, human-readable or JSON to
   stdout and JSON to a file. The JSON is byte for byte
   ``json.dumps(report, sort_keys=True, indent=2)``, written by
-  ``report_json``: the standard encoder writes the report around its row
-  lists and one template per row shape, and each list is filled in from
-  its templates.
+  ``report_json``: the standard encoder writes the report with two
+  skeleton rows in place of each run of rows of one shape, and each run
+  is filled in from the row templates cut from that text.
 * ``session``: one side of a two-process TCP session.
 
 Exit codes (the README's copy of this table names the test or CI step
@@ -306,47 +306,49 @@ def cmd_audit(args: argparse.Namespace, out=None) -> int:
 
 # --- analyze -----------------------------------------------------------------
 
-#: The report's row lists, each by its keys from the top of the report.
-_ROW_LISTS = (("alice_cheat",), ("block_fidelity",), ("discrimination", "helstrom_pairs"),
-              ("s_protocol",), ("strategies",), ("wrong_coupling",))
-#: A marker "\0<i>" as the encoder writes it in a value; the encoder
-#: escapes NUL, so a marker matches no other string of a row or template.
-_MARKER = re.compile(r'(?<=: )"\\u0000(\d+)"')
+#: The report's row lists, each by its keys from the top of the report,
+#: sorted: the order ``sort_keys`` writes them in.
+_ROW_LISTS = tuple(sorted([("alice_cheat",), ("block_fidelity",), ("discrimination", "helstrom_pairs"),
+                           ("s_protocol",), ("strategies",), ("wrong_coupling",)]))
+#: The leaf of a skeleton row: a lone NUL, which the encoder escapes and
+#: which no value of a report is, so its text marks the skeletons' leaves.
+_LEAF = "\0"
+_LEAF_CUT = re.compile("(?<=: )" + re.escape(json.dumps(_LEAF)))
 
 
 def report_json(report: dict) -> str:
     """``json.dumps(report, sort_keys=True, indent=2)``, byte for byte.
 
     The pure-Python indenting encoder spends most of a report on its row
-    lists, so the encoder writes the report with a marker in place of each
-    list, and each list is written from templates spliced in at its marker.
-    A template is one row shape (its keys, and the keys of its dict values)
-    as the encoder writes it at the row's depth, cut at its leaves; it is
-    derived once per shape and depth in a call. A run of rows of one shape
-    is then one ``%`` over the run's leaves, column by column as the encoder
-    writes them: each distinct float's text is computed once per report.
+    lists. So each list is cut into runs of rows of one shape (its keys, and
+    the keys of its dict values), and the encoder writes the report with
+    each run replaced by two skeleton rows of its shape, whose leaves are
+    placeholders. Cut at its leaves, that text holds every template of a
+    run at the run's depth: its first row, after whatever precedes it, and
+    a row after one of its own shape. A run is then written from its
+    templates, one ``%`` per block of rows over its leaf columns, each
+    column formatted as the encoder formats it: each distinct float's text
+    is computed once per report.
     """
     marked = {**report, "discrimination": dict(report["discrimination"])}  # the report stays
-    lists = []
+    runs = []
     for *parents, key in _ROW_LISTS:
         node = functools.reduce(operator.getitem, parents, marked)
-        lists.append(node[key])
-        node[key] = f"\0{len(lists) - 1}"
-    pieces = _MARKER.split(json.dumps(marked, sort_keys=True, indent=2))
-    templates, floats, parts = {}, {}, pieces[:1]
-    for index, text in zip(map(int, pieces[1::2]), pieces[2::2]):
-        parts += _rows_json(lists[index], len(_ROW_LISTS[index]), templates, floats)
-        parts.append(text)
+        skeletons = []
+        for shape, count, columns in _runs(node[key], len(parents) + 2):
+            if columns:
+                runs.append((count, columns))
+            # a run with no leaves has no template: the encoder writes its rows
+            skeletons += [_skeleton(shape)] * (2 if columns else count)
+        node[key] = skeletons
+    pieces = iter(_LEAF_CUT.split(json.dumps(marked, sort_keys=True, indent=2)))
+    floats, parts = {}, []
+    for count, columns in runs:
+        first = [next(pieces) for _ in columns]
+        again = [next(pieces) for _ in columns]
+        parts += _run_json(first, again, count, columns, floats)
+    parts.append(next(pieces))
     return "".join(parts)
-
-
-def _encoded(value, level: int) -> str:
-    """``value`` as the encoder writes it ``level`` levels into a report,
-    from its first character: nested in ``level`` lists, with their lines cut."""
-    for _ in range(level):
-        value = [value]
-    text = json.dumps(value, sort_keys=True, indent=2)
-    return text.split("\n", level)[-1].rsplit("\n", level)[0][2 * level:]
 
 
 def _shape(row: dict) -> tuple:
@@ -355,17 +357,9 @@ def _shape(row: dict) -> tuple:
     return tuple((key, _shape(row[key]) if type(row[key]) is dict else None) for key in sorted(row))
 
 
-def _template(shape: tuple, level: int) -> tuple[list, list]:
-    """A row of ``shape`` as the encoder writes it ``level`` levels into a
-    report, indent included, cut at its leaves: the ``%``-escaped text around
-    the leaves, and the leaf at each cut, leaves numbered depth first."""
-    leaves = itertools.count()
-
-    def skeleton(shape):
-        return {key: f"\0{next(leaves)}" if sub is None else skeleton(sub) for key, sub in shape}
-
-    pieces = _MARKER.split("  " * level + _encoded(skeleton(shape), level))
-    return [piece.replace("%", "%%") for piece in pieces[::2]], list(map(int, pieces[1::2]))
+def _skeleton(shape: tuple) -> dict:
+    """A row of ``shape`` whose every leaf is ``_LEAF``."""
+    return {key: _LEAF if sub is None else _skeleton(sub) for key, sub in shape}
 
 
 def _columns(rows: list, shape: tuple, level: int) -> list | None:
@@ -391,8 +385,11 @@ def _columns(rows: list, shape: tuple, level: int) -> list | None:
 
 def _runs(rows: list, level: int):
     """(shape, row count, leaf columns) of each run of rows of one shape, in
-    order. Only a list whose rows differ in shape, as a sampled alice_cheat
-    list's first row does, takes the shape of every row."""
+    order, for rows ``level`` levels into a report. Only a list whose rows
+    differ in shape, as a sampled alice_cheat list's first row does, takes
+    the shape of every row."""
+    if not rows:
+        return
     shape = _shape(rows[0])
     columns = _columns(rows, shape, level)
     if columns is not None:
@@ -423,44 +420,42 @@ def _leaf_texts(types: set, values: list, level: int, floats: dict) -> tuple[str
             if len(distinct) == 1:
                 return floats[values[0]], None
             return "%s", list(map(floats.__getitem__, values))
-    return "%s", [_encoded(value, level) if isinstance(value, (dict, list, tuple))
-                  else json.dumps(value) for value in values]
+    # any other column: each value as the encoder writes it at the leaf's
+    # depth, every line of a container indented ``level`` steps further
+    newline = "\n" + "  " * level
+    return "%s", [json.dumps(value, sort_keys=True, indent=2).replace("\n", newline)
+                  if isinstance(value, (dict, list, tuple)) else json.dumps(value)
+                  for value in values]
 
 
-#: Rows per ``%``: a run's template is written out for this many rows, and
-#: longer runs are formatted a block of rows at a time.
+#: Rows per ``%``: longer runs are formatted a block of rows at a time.
 _BLOCK_ROWS = 1024
 
 
-def _rows_json(rows: list, level: int, templates: dict, floats: dict) -> list[str]:
-    """A row list as the encoder writes it ``level`` levels into a report,
-    in parts to be joined."""
-    if not rows:
-        return ["[]"]
-    parts = ["[\n"]
-    for shape, count, columns in _runs(rows, level + 1):
-        if (shape, level + 1) not in templates:
-            templates[shape, level + 1] = _template(shape, level + 1)
-        pieces, slots = templates[shape, level + 1]
-        specs, formatted = [], []
-        for leaf in slots:
-            spec, values = _leaf_texts(*columns[leaf], floats)
-            specs.append(spec)
-            if values is not None:
-                formatted.append(values)
-        row = "".join(itertools.chain.from_iterable(zip(pieces, specs))) + pieces[-1]
-        width, blocks = len(formatted), {}  # a template per block size
-        for start in range(0, count, _BLOCK_ROWS):
-            size = min(count - start, _BLOCK_ROWS)
-            if size not in blocks:
-                blocks[size] = ",\n".join([row] * size)
-            flat = [None] * (size * width)  # the block's values, row by row
-            for i, values in enumerate(formatted):
-                flat[i::width] = values[start:start + size]
-            if len(parts) > 1:
-                parts.append(",\n")
-            parts.append(blocks[size] % tuple(flat))
-    parts.append("\n" + "  " * level + "]")
+def _run_json(first: list, again: list, count: int, columns: list, floats: dict) -> list[str]:
+    """A run of ``count`` rows as the encoder writes them, in parts to be
+    joined, from the text before each leaf of its first row (``first``)
+    and of a row after one of its shape (``again``)."""
+    specs, formatted = [], []
+    for column in columns:
+        spec, values = _leaf_texts(*column, floats)
+        specs.append(spec)
+        if values is not None:
+            formatted.append(values)
+
+    def template(pieces):
+        return "".join(itertools.chain.from_iterable(
+            zip([piece.replace("%", "%%") for piece in pieces], specs)))
+
+    row, next_row = template(first), template(again)
+    width, parts = len(formatted), []
+    for start in range(0, count, _BLOCK_ROWS):
+        size = min(count - start, _BLOCK_ROWS)
+        flat = [None] * (size * width)  # the block's values, row by row
+        for i, values in enumerate(formatted):
+            flat[i::width] = values[start:start + size]
+        parts.append((row + next_row * (size - 1)) % tuple(flat))
+        row = next_row
     return parts
 
 

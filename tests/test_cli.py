@@ -478,7 +478,7 @@ rows = st.dictionaries(
     max_size=4)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(derandomize=True, max_examples=100, deadline=None)
 @given(lists=st.lists(st.lists(rows, max_size=5), min_size=6, max_size=6))
 def test_report_json_equals_json_dumps_on_drawn_rows(lists):
     # rows drawn with few keys, so that shapes repeat and runs form
@@ -524,7 +524,11 @@ REPORT_PINS = [
 ]
 
 
-@pytest.mark.parametrize("params, trials, seed, digest", REPORT_PINS)
+# ids from the scheme, trials and seed, so that a re-recorded digest keeps
+# its test's name
+@pytest.mark.parametrize("params, trials, seed, digest", REPORT_PINS, ids=[
+    f"n{params.num_bob_qubits}-{params.preset or 'masks'}-trials{trials}-seed{seed}"
+    for params, trials, seed, _ in REPORT_PINS])
 def test_report_bytes_pinned(params, trials, seed, digest):
     report = run_full_analysis(build_reveal_agreement(params), trials, seed)
     assert hashlib.sha256(report_json(report).encode()).hexdigest() == digest
@@ -617,7 +621,10 @@ AUDIT_PINS = [
 ]
 
 
-@pytest.mark.parametrize("flags, digest", AUDIT_PINS)
+# ids from the flags, a masks list by its first mask, so that a re-recorded
+# digest keeps its test's name
+@pytest.mark.parametrize("flags, digest", AUDIT_PINS, ids=[
+    "-".join(flag.removeprefix("--") for flag in flags[:4]) for flags, _ in AUDIT_PINS])
 def test_audit_stdout_pinned(flags, digest, capsys):
     assert main(["audit", *flags]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
