@@ -524,11 +524,7 @@ REPORT_PINS = [
 ]
 
 
-# ids from the scheme, trials and seed, so that a re-recorded digest keeps
-# its test's name
-@pytest.mark.parametrize("params, trials, seed, digest", REPORT_PINS, ids=[
-    f"n{params.num_bob_qubits}-{params.preset or 'masks'}-trials{trials}-seed{seed}"
-    for params, trials, seed, _ in REPORT_PINS])
+@pytest.mark.parametrize("params, trials, seed, digest", REPORT_PINS)
 def test_report_bytes_pinned(params, trials, seed, digest):
     report = run_full_analysis(build_reveal_agreement(params), trials, seed)
     assert hashlib.sha256(report_json(report).encode()).hexdigest() == digest
