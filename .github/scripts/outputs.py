@@ -10,11 +10,13 @@ Written, each CLI run as its stdout, then its stderr and exit code:
 
 * ``audit`` and ``analyze --json`` at n = 1..6, with ``--trials 0`` and
   ``--trials 2000``, and the n=3 text reports;
-* the seed-23 flagged run, which exits 1;
+* the seed-66 flagged run, which exits 1;
 * scripted coin tosses with their transcripts;
 * 960 seeded in-process sessions (n = 1, 3, 6; default and seeded random
   masks; parents B and S, honest and cheating) and 36 over TCP, each as
   its frames, verdict and ``VerificationResult``;
+* the bytes of every ``socket.sendall`` call of the TCP sessions, in
+  order and hellos included, as ``wire.txt``;
 * the five demos' stdout.
 
 Each TCP session is also run in process with the same seed and scripts;
@@ -25,6 +27,7 @@ non-zero, as the transports must give one transcript.
 import contextlib
 import io
 import runpy
+import socket
 import sys
 from pathlib import Path
 
@@ -48,7 +51,27 @@ def write_cli(out: Path, name: str, *argv: str) -> None:
     (out / name).write_text(f"{stdout}--- stderr\n{stderr}--- exit {code}\n")
 
 
-def session_lines(n: int, params: SchemeParams, seeds, transport: str):
+@contextlib.contextmanager
+def sends_written_to(wire, header: bytes):
+    """Write ``header``, then the bytes of every ``socket.sendall`` call
+    until exit, to ``wire``."""
+    sendall = socket.socket.sendall
+
+    def written(sock, data, *flags):
+        wire.write(data)
+        return sendall(sock, data, *flags)
+
+    wire.write(header)
+    socket.socket.sendall = written
+    try:
+        yield
+    finally:
+        socket.socket.sendall = sendall
+
+
+def session_lines(n: int, params: SchemeParams, seeds, transport: str, wire=None):
+    """Each session's lines for ``sessions.txt``; over TCP, what its
+    sockets send also goes to ``wire``."""
     agreement = build_reveal_agreement(params)
     m = agreement.num_choices
     for seed in seeds:
@@ -58,10 +81,12 @@ def session_lines(n: int, params: SchemeParams, seeds, transport: str):
                    "S honest": AliceScript(choice=c, parent=PARENT_S),
                    "S cheat": AliceScript(choice=c, parent=PARENT_S, reveal_choice=claim)}
         for label, script in scripts.items():
-            result = run_session(agreement, script, BobScript(), seed, transport)
+            header = f"# n={n} masks={params.masks} seed={seed} {label} {transport}\n"
+            with sends_written_to(wire, header.encode()) if wire else contextlib.nullcontext():
+                result = run_session(agreement, script, BobScript(), seed, transport)
             if transport == "tcp" and result != run_session(agreement, script, BobScript(), seed):
                 sys.exit(f"n={n} seed={seed} {label}: the TCP session differs from in process")
-            yield f"# n={n} masks={params.masks} seed={seed} {label} {transport}\n"
+            yield header
             yield from (frame.decode() for frame in result.transcript)
             yield f"{result.verdict!r}\n{result.verification!r}\n"
 
@@ -75,8 +100,8 @@ def main(out: Path) -> None:
                       "analyze", "--n", str(n), "--trials", trials, "--json")
     for trials in ("0", "2000"):
         write_cli(out, f"analyze-n3-trials{trials}.txt", "analyze", "--n", "3", "--trials", trials)
-    write_cli(out, "analyze-flagged-seed23.json",
-              "analyze", "--n", "1", "--trials", "2000", "--seed", "23", "--json")
+    write_cli(out, "analyze-flagged-seed66.json",
+              "analyze", "--n", "1", "--trials", "2000", "--seed", "66", "--json")
 
     for name, moves in (("honest", "toss=head\nguess=tail\n"),
                         ("cheat", "toss=head\nguess=head\nreveal=tail\n")):
@@ -86,12 +111,12 @@ def main(out: Path) -> None:
             write_cli(out, f"cointoss-{name}-seed{seed}.txt", "cointoss", "--seed", seed,
                       "--script", str(script), "--out", str(out / f"cointoss-{name}-seed{seed}.ndjson"))
 
-    with open(out / "sessions.txt", "w") as fh:
+    with open(out / "sessions.txt", "w") as fh, open(out / "wire.txt", "wb") as wire:
         for n in (1, 3, 6):
             for params in (SchemeParams.default(n), SchemeParams.random_masks(n, 5)):
                 fh.writelines(session_lines(n, params, range(40), "in-process"))
         for n in (1, 3, 6):
-            fh.writelines(session_lines(n, SchemeParams.default(n), range(3), "tcp"))
+            fh.writelines(session_lines(n, SchemeParams.default(n), range(3), "tcp", wire))
 
     for demo in sorted(DEMOS.glob("*.py")):
         stdout, _, _ = captured(lambda: runpy.run_path(str(demo), run_name="__main__"))

@@ -54,6 +54,7 @@ from .session import (
     Commit,
     Guess,
     HandshakeError,
+    Hello,
     Phase,
     Reveal,
     SessionResult,

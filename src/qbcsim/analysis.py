@@ -28,9 +28,9 @@ alive play the next block, and each parent-S point splits its trials by
 parent with one binomial draw. That sampler forms no outcome: u picks
 outcome c exactly when cdf[c-1] <= u < cdf[c], so its hits are counted
 from the uniforms; the rows past cdf[m-1] then draw guesses, in row order.
-A sampled row is consistent when its estimate lies within three plug-in
-standard errors of its exact value; an exact value of 0 or 1 has no
-spread, so there the estimate must equal it.
+A sampled row is consistent when its estimate lies within ``MC_FLAG_Z``
+standard errors of its exact value (the exact value's, not the plug-in
+``stderr`` the report shows), so an exact 0 or 1 needs an equal estimate.
 
 Discrimination bounds (two-hypothesis optimum and the square-root
 measurement) bound what any pre-reveal strategy could achieve, so the
@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,6 +87,15 @@ STRATEGY_DECLARE_PRIOR = "declare-prior-guess"
 STRATEGY_UPDATE_ON_REJECT = "update-on-reject"
 STRATEGIES = (STRATEGY_DECLARE_PRIOR, STRATEGY_UPDATE_ON_REJECT)
 
+#: Exact standard errors a sampled row may stray, about 3.84: the Sidak z for a
+#: report's 22 sampled rows at a family-wise 0.0027, the two-sided 3-sigma level.
+MC_FLAG_Z = statistics.NormalDist().inv_cdf(1 - (1 - (1 - 0.0027) ** (1 / 22)) / 2)
+
+
+def exact_stderr(exact: float, trials: int) -> float:
+    """Standard error of ``trials`` Bernoulli trials of success rate ``exact``."""
+    return math.sqrt(exact * (1.0 - exact) / trials)
+
 
 @dataclass(frozen=True)
 class CheatReport:
@@ -99,15 +109,10 @@ class CheatReport:
     parameters: dict = field(default_factory=dict)
 
     def consistent(self) -> bool:
-        """Estimate within three standard errors of exact (True if exact-only).
-
-        An exact value of 0 or 1 has no spread, so its estimate must equal it.
-        """
-        if self.trials == 0:
-            return True
-        if self.exact in (0.0, 1.0):
-            return self.estimate == self.exact
-        return bool(abs(self.exact - self.estimate) <= 3.0 * self.stderr)
+        """Estimate within ``MC_FLAG_Z`` exact standard errors of the exact
+        value (True if exact-only), so equal to an exact 0 or 1."""
+        return self.trials == 0 or bool(
+            abs(self.exact - self.estimate) <= MC_FLAG_Z * exact_stderr(self.exact, self.trials))
 
     def as_dict(self) -> dict:
         out = {

@@ -26,12 +26,14 @@ code when
 1    ``session``: the reveal is rejected, on both sides
 1    ``audit``: a check fails, ``mask-validity`` included when the
      scheme flags name no valid scheme
-1    ``analyze``: a Monte Carlo flag, an estimate more than three
-     standard errors from its exact value, or off an exact 0 or 1; the
-     flagged rows are named on stderr and stdout keeps the whole report
+1    ``analyze``: a Monte Carlo flag, an estimate further from its exact
+     value than ``analysis.MC_FLAG_Z`` (about 3.84) standard errors of that
+     exact value, which at an exact 0 or 1 is any miss; the flagged rows
+     are named on stderr and stdout keeps the whole report
 2    usage: a line ``qbcsim: error: ...`` on stderr and nothing on
      stdout (the cases are listed below)
-2    handshake: the peers' scheme hashes differ
+2    handshake: the peers' scheme hashes differ, or the first line is not
+     a valid hello (malformed, of another kind, or cut before its newline)
 2    wire: a malformed frame, a frame line over the limit, a frame of
      another kind than the phase expects (as a guess where a commit is
      due), a choice outside 0..2^n - 1, or a commit that is not a valid

@@ -13,15 +13,17 @@ outcomes (on Alice's register, read from the set's pairs, see
 ``bob_verify``). Both endpoints name the agreement by its
 ``descriptor_hash``, computed once per agreement.
 
-Messages travel as newline-delimited JSON frames: a frame is one line
-ending in a newline, and a line cut off at end of stream is a
-FramingError. The quantum channel is simulated by serializing the full
-amplitude vector into the commit frame; a physical run would transmit
-qubits instead. The commit frame carries no choice, element, or parent
-fields -- those appear on the wire only from the reveal frame onward.
-Every message, made locally or received, passes one gate,
-``SessionState.record``, so no protocol step makes a message that a
-verifier refuses, and an endpoint adds only the byte-level checks.
+Messages travel as newline-delimited JSON frames, every one written by
+``encode_message`` and read by ``decode_message``, which refuses a line
+cut off before its newline with a FramingError. The hello that opens a
+session and names the agreement is one more frame, of kind ``hello``,
+never part of the transcript. The quantum channel is simulated by
+serializing the full amplitude vector into the commit frame; a physical
+run would transmit qubits instead. The commit frame carries no choice,
+element, or parent fields -- those appear on the wire only from the
+reveal frame onward. Every message, made locally or received, passes one
+gate, ``SessionState.record``, so no protocol step makes a message that a
+verifier refuses.
 
 One driver runs the handshake and the protocol steps, in the calling
 thread, for whichever endpoints run in this process, over in-memory
@@ -93,7 +95,7 @@ class PhaseError(RuntimeError):
 
 
 class HandshakeError(RuntimeError):
-    """Endpoints disagree on the scheme descriptor."""
+    """The peer's first frame is not a valid hello of this agreement."""
 
 
 class Phase(enum.Enum):
@@ -106,6 +108,11 @@ class Phase(enum.Enum):
 
 
 # --- messages ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Hello:
+    """Opens a session; the frame's scheme hash names the agreement."""
 
 
 @dataclass(frozen=True)
@@ -130,13 +137,15 @@ class Verdict:
     recovered_element: int | None
 
 
-Message = Commit | Guess | Reveal | Verdict
+Message = Hello | Commit | Guess | Reveal | Verdict
 
 
 def encode_message(message: Message, scheme_hash_hex: str) -> bytes:
     """Serialize a message into one JSON frame line."""
     frame: dict = {"v": WIRE_VERSION, "scheme_hash": scheme_hash_hex}
-    if isinstance(message, Commit):
+    if isinstance(message, Hello):
+        frame["kind"] = "hello"
+    elif isinstance(message, Commit):
         frame["kind"] = "commit"
         frame["state"] = state_to_text(message.state)
     elif isinstance(message, Guess):
@@ -164,16 +173,18 @@ def _typed_field(frame: dict, key: str, kind: type, optional: bool = False):
 
 
 def decode_message(data: bytes, expected_scheme_hash: str | None = None) -> Message:
-    """Parse one frame line back into a message.
+    """Parse one frame line, ending in a newline, back into a message.
 
     The version, choice and recovered fields must be JSON integers, the
     commit state a JSON string and ``accept`` a JSON bool. Raises
     FramingError / VersionMismatchError / AmplitudeCountError /
     SchemeMismatchError on malformed, stale, or foreign frames.
     """
+    if not data.endswith(b"\n"):  # a line cut off at end of stream
+        raise FramingError("frame does not end in a newline")
     try:
         frame = json.loads(data.decode())
-    except ValueError as exc:  # bad UTF-8 or JSON, or an integer past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too many digits or too deep
         raise FramingError(f"frame is not a JSON line: {exc}") from None
     if not isinstance(frame, dict) or "kind" not in frame or "v" not in frame:
         raise FramingError("frame lacks 'v' or 'kind'")
@@ -183,6 +194,8 @@ def decode_message(data: bytes, expected_scheme_hash: str | None = None) -> Mess
         raise SchemeMismatchError("frame scheme hash does not match this agreement")
     kind = frame["kind"]
     try:
+        if kind == "hello":
+            return Hello()
         if kind == "commit":
             text = _typed_field(frame, "state", str)
             try:
@@ -203,25 +216,6 @@ def decode_message(data: bytes, expected_scheme_hash: str | None = None) -> Mess
     except KeyError as exc:
         raise FramingError(f"frame missing field {exc}") from None
     raise FramingError(f"unknown frame kind {kind!r}")
-
-
-def hello_frame(scheme_hash_hex: str) -> bytes:
-    """Handshake frame; transport-level, never part of the transcript."""
-    frame = {"v": WIRE_VERSION, "kind": "hello", "scheme_hash": scheme_hash_hex}
-    return json.dumps(frame, sort_keys=True, separators=(",", ":")).encode() + b"\n"
-
-
-def parse_hello(data: bytes) -> str:
-    if not data.endswith(b"\n"):  # as every protocol frame must
-        raise HandshakeError("hello frame does not end in a newline")
-    try:
-        frame = json.loads(data.decode())
-        if (frame["kind"] != "hello" or type(frame["v"]) is not int or frame["v"] != WIRE_VERSION
-                or type(frame["scheme_hash"]) is not str):
-            raise KeyError("kind")
-        return frame["scheme_hash"]
-    except (ValueError, KeyError, TypeError):  # ValueError: bad UTF-8 or JSON, or too many digits
-        raise HandshakeError("peer did not send a valid hello frame") from None
 
 
 # --- session state, its one gate, and the protocol steps -----------------
@@ -416,12 +410,9 @@ class _Endpoint:
     def _receive(self, frame: bytes, kind: type) -> Message:
         """Decode a frame that must carry a ``kind`` message, and record it.
         PhaseError, before anything is decoded, unless a ``kind`` message is
-        next, then FramingError unless the frame is one line ending in a
-        newline; nothing is recorded on any error."""
+        next; nothing is recorded on any error."""
         state = SessionState(self.agreement) if self.state is None else self.state
         state.expect(kind)
-        if not frame.endswith(b"\n"):  # a line cut off at end of stream
-            raise FramingError("frame does not end in a newline")
         message = decode_message(frame, self.agreement.descriptor_hash)
         if not isinstance(message, kind):
             raise FramingError(f"expected a {kind.__name__.lower()} frame")
@@ -504,10 +495,13 @@ def _drive(alice: AliceEndpoint | None = None, alice_link: _Link | None = None,
     for the endpoints that run in this process (None for a remote peer)."""
     local = [(end, link) for end, link in ((alice, alice_link), (bob, bob_link)) if end]
     for endpoint, link in local:
-        link.send(hello_frame(endpoint.agreement.descriptor_hash))
+        link.send(encode_message(Hello(), endpoint.agreement.descriptor_hash))
     for endpoint, link in local:
-        if parse_hello(link.read()) != endpoint.agreement.descriptor_hash:
-            raise HandshakeError("scheme descriptor hashes differ")
+        try:
+            if not isinstance(decode_message(link.read(), endpoint.agreement.descriptor_hash), Hello):
+                raise FramingError("the first frame is not a hello")
+        except WireError as exc:
+            raise HandshakeError(f"peer sent no valid hello: {exc}") from None
     if alice:
         alice_link.send(alice.commit_frame())
     if bob:
@@ -585,17 +579,13 @@ def run_session(
     bob_script: BobScript,
     seed: int,
     transport: str = "in-process",
-    *,
-    bob_agreement: RevealAgreement | None = None,
 ) -> SessionResult:
     """Run both endpoints of one session through the driver, in the
     calling thread.
 
     ``transport`` is "in-process" (two frame queues) or "tcp" (a loopback
     socket pair; frames are at most ``frame_limit`` bytes, far below a
-    socket buffer, so no send waits for a read). ``bob_agreement`` lets
-    tests configure a mismatched verifier; the handshake then fails with
-    HandshakeError.
+    socket buffer, so no send waits for a read).
 
     Over TCP, Alice's end is closed first and abortively (SO_LINGER on,
     zero timeout, so the close sends RST), and the listener is bound to
@@ -610,7 +600,7 @@ def run_session(
     """
     alice_rng, bob_rng = session_rngs(seed)
     alice = AliceEndpoint(agreement, alice_script, alice_rng)
-    bob = BobEndpoint(bob_agreement or agreement, bob_script, bob_rng)
+    bob = BobEndpoint(agreement, bob_script, bob_rng)
     if transport == "in-process":
         to_alice, to_bob = deque(), deque()
         _drive(alice, _Link(to_bob.append, to_alice.popleft),

@@ -17,6 +17,7 @@ from test_analysis import (
     jacobi_eigenvalues,
 )
 from test_scheme import coupled, product_measurement
+from test_session import mismatched_session
 from dense_oracle import (
     EnsembleMixture,
     HermitianMatrix,
@@ -256,16 +257,10 @@ def test_criterion_7_transport_equivalence():
         local = run_session(agreement, *scripts, seed=seed)
         loop = run_session(agreement, *scripts, seed=seed, transport="tcp")
         identical = identical and local.transcript == loop.transcript
-    mismatch_caught = 0
+    # a verifier on another agreement, as two processes meet it: both sides abort
     other = build_reveal_agreement(SchemeParams.default(2))
-    for transport in ("in-process", "tcp"):
-        try:
-            run_session(
-                agreement, AliceScript(choice=0), BobScript(), seed=1,
-                transport=transport, bob_agreement=other,
-            )
-        except HandshakeError:
-            mismatch_caught += 1
+    errors = mismatched_session(agreement, other)
+    mismatch_caught = sum(isinstance(error, HandshakeError) for error in errors)
     elapsed = time.perf_counter() - start
     report(
         7,

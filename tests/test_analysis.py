@@ -27,6 +27,7 @@ from numpy.testing import assert_allclose
 
 from qbcsim import analysis
 from qbcsim.analysis import (
+    MC_FLAG_Z,
     STRATEGIES,
     STRATEGY_DECLARE_PRIOR,
     STRATEGY_UPDATE_ON_REJECT,
@@ -35,6 +36,7 @@ from qbcsim.analysis import (
     block_cheat_report,
     bob_premature_strategy,
     discrimination_bounds,
+    exact_stderr,
     run_full_analysis,
     s_protocol_sweep,
 )
@@ -524,6 +526,14 @@ def test_cheat_report_consistency_logic():
     d = good.as_dict()
     assert d["consistent"] is True and d["trials"] == 100
     assert "estimate" not in exact_only.as_dict()
+    # the bound is MC_FLAG_Z standard errors of the exact value, whatever the
+    # plug-in figure: no hit in 100 trials at an exact 2^-8 (plug-in 0) is no flag
+    assert CheatReport("s", 2**-8, 100, 0.0, 0.0).consistent()
+    bound = MC_FLAG_Z * exact_stderr(0.75, 2000)
+    assert CheatReport("s", 0.75, 2000, 0.75 - 0.999 * bound, 0.0).consistent()
+    assert not CheatReport("s", 0.75, 2000, 0.75 + 1.001 * bound, 0.0).consistent()
+    # the Sidak z: 22 rows, each two-sided, at a family-wise level of 0.0027
+    assert (1 - math.erfc(MC_FLAG_Z / math.sqrt(2))) ** 22 == pytest.approx(1 - 0.0027, abs=1e-12)
 
 
 def test_exact_zero_or_one_needs_an_equal_estimate():
@@ -919,7 +929,7 @@ def test_samplers_match_exact_distribution(n):
             if p in (0.0, 1.0):
                 assert estimate == p, (seed, row["scenario"])
             else:
-                pooled[family].append((p, (estimate - p) / math.sqrt(p * (1 - p) / trials)))
+                pooled[family].append((p, (estimate - p) / exact_stderr(p, trials)))
     assert set(pooled) == {"alice-cheat", "block-cheat", *STRATEGIES, "parent-S"}
     for family, values in pooled.items():
         p, z = np.array(values).T

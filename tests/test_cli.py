@@ -31,7 +31,7 @@ from qbcsim.cli import (
 from qbcsim.quantum import INV_SQRT2
 from qbcsim.scheme import PRESET_PAPER_COINTOSS, SchemeParams, build_reveal_agreement, scheme_hash
 from qbcsim.session import (
-    AliceScript, BobScript, Commit, Guess, Reveal, encode_message, frame_limit, hello_frame,
+    AliceScript, BobScript, Commit, Guess, Hello, Reveal, encode_message, frame_limit,
     run_session,
 )
 
@@ -531,17 +531,17 @@ def test_report_bytes_pinned(params, trials, seed, digest):
 
 
 def test_flagged_monte_carlo_keeps_stdout_one_json_document(capsys):
-    # seed 23 flags update-on-reject at 3 standard errors
-    assert main(["analyze", "--n", "1", "--trials", "2000", "--seed", "23", "--json"]) == 1
+    # seed 66 flags the parent-S point p_S = 0.6 at 5.0 exact standard errors
+    assert main(["analyze", "--n", "1", "--trials", "2000", "--seed", "66", "--json"]) == 1
     captured = capsys.readouterr()
-    report = run_full_analysis(build_reveal_agreement(SchemeParams.default(1)), 2000, 23)
+    report = run_full_analysis(build_reveal_agreement(SchemeParams.default(1)), 2000, 66)
     assert captured.out == report_json(report) + "\n"
-    assert captured.err == "inconsistent monte carlo: update-on-reject\n"
+    assert captured.err == "inconsistent monte carlo: assume-parent-S p_S=0.6\n"
     # the human-readable table keeps the line off stdout as well
-    assert main(["analyze", "--n", "1", "--trials", "2000", "--seed", "23"]) == 1
+    assert main(["analyze", "--n", "1", "--trials", "2000", "--seed", "66"]) == 1
     captured = capsys.readouterr()
     assert "inconsistent" not in captured.out
-    assert captured.err == "inconsistent monte carlo: update-on-reject\n"
+    assert captured.err == "inconsistent monte carlo: assume-parent-S p_S=0.6\n"
 
 
 def test_parser_is_built_once_and_leaks_no_state(capsys, monkeypatch):
@@ -816,7 +816,7 @@ def _bob_last_line_after(*frames: bytes) -> str:
     with socket.create_connection(("127.0.0.1", port), timeout=30) as conn:
         reader = conn.makefile("rb")
         reader.readline()  # bob's hello
-        conn.sendall(hello_frame(digest) + frames[0])
+        conn.sendall(encode_message(Hello(), digest) + frames[0])
         for frame in frames[1:]:
             reader.readline()  # bob's answer to the frame before
             conn.sendall(frame)

@@ -10,7 +10,7 @@ README = Path(__file__).parent.parent / "README.md"
 
 PUBLIC_NAMES = [
     "ATOL", "AliceScript", "AuditCheck", "BobScript", "CheatReport", "Commit",
-    "Guess", "HandshakeError", "INV_SQRT2", "MAX_N",
+    "Guess", "HandshakeError", "Hello", "INV_SQRT2", "MAX_N",
     "MeasurementBasis", "PRESET_DEFAULT_MASKS", "PRESET_PAPER_COINTOSS", "Phase",
     "Reveal", "RevealAgreement", "STRATEGIES", "STRATEGY_DECLARE_PRIOR",
     "STRATEGY_UPDATE_ON_REJECT", "SchemeParams", "SessionResult",

@@ -38,6 +38,7 @@ from qbcsim.session import (
     FramingError,
     Guess,
     HandshakeError,
+    Hello,
     Phase,
     PhaseError,
     Reveal,
@@ -53,8 +54,6 @@ from qbcsim.session import (
     decode_message,
     encode_message,
     frame_limit,
-    hello_frame,
-    parse_hello,
     run_session,
     serve_session,
     session_rngs,
@@ -64,6 +63,16 @@ from test_quantum import ket, random_state
 from test_scheme import set_measurement
 
 HASH = "0" * 64
+
+
+def bad_hellos(digest: str) -> list[bytes]:
+    """Hellos that a lax reader would take: a version that is not the JSON
+    integer 1 (a float, a bool, an integer past Python's digit limit) or a
+    scheme hash that is not a JSON string."""
+    cases = (("1.0", f'"{digest}"'), ("true", f'"{digest}"'), ("1", "[1]"), ("1", "null"),
+             ("9" * 4400, f'"{digest}"'))
+    return [b'{"kind":"hello","v":%s,"scheme_hash":%s}\n' % (v.encode(), h.encode())
+            for v, h in cases]
 
 
 def test_message_round_trips(cointoss_agreement):
@@ -112,6 +121,10 @@ def test_decode_rejects_malformed_frames():
         decode_message(b'{"v":%s,"kind":"guess","choice":0}\n' % digits)
     with pytest.raises(FramingError):
         decode_message(b'{"v":1,"kind":"guess","choice":%s}\n' % digits)
+    # nesting past the recursion limit, which fits in a frame line, is a framing error
+    for opener in (b"[", b'{"a":'):
+        with pytest.raises(FramingError):
+            decode_message(opener * 1500 + b"\n")
     # a huge qubit count in the header is refused before 2^n is formed
     huge = b'{"v":1,"kind":"commit","scheme_hash":"x","state":"qubits=100000000\\n1 0\\n"}\n'
     began = time.perf_counter()
@@ -138,16 +151,21 @@ def test_decode_rejects_malformed_frames():
             decode_message(
                 b'{"v":1,"kind":"verdict","accept":%s,"recovered":null}\n' % accept.encode()
             )
+    # a hello's v must be the JSON integer 1 and its hash this agreement's string
+    assert decode_message(encode_message(Hello(), HASH), HASH) == Hello()
+    for frame in bad_hellos(HASH):
+        with pytest.raises(WireError):
+            decode_message(frame, HASH)
 
 
-def test_parse_hello_is_as_strict_as_decode():
-    assert parse_hello(hello_frame(HASH)) == HASH
-    # v must be the JSON integer 1 and the hash a JSON string: no coercion
-    for v, digest in (("1.0", '"%s"' % HASH), ("true", '"%s"' % HASH), ("1", "[1]"),
-                      ("1", "null"), ("9" * 4400, '"%s"' % HASH)):
-        frame = '{"kind":"hello","v":%s,"scheme_hash":%s}\n' % (v, digest)
-        with pytest.raises(HandshakeError):
-            parse_hello(frame.encode())
+def test_parse_hello_is_as_strict_as_decode(cointoss_agreement):
+    # the hello goes through the one decoder, so a verifier served a bad
+    # hello fails the handshake before it reads a commit
+    for frame in bad_hellos(cointoss_agreement.descriptor_hash):
+        bob = BobEndpoint(cointoss_agreement, BobScript(), 0)
+        error = _serve_raw_peer(bob, frame)
+        assert isinstance(error, HandshakeError) and "hello" in str(error), frame[:40]
+        assert bob.frames == [] and bob.state is None
 
 
 def test_decode_rejects_foreign_scheme():
@@ -736,9 +754,21 @@ def test_sessions_past_n4(n):
     assert abs(accepted / cheats - 0.5) <= 5 * np.sqrt(0.25 / cheats)
 
 
-def _serve_raw_peer(bob, payload: bytes) -> Exception:
-    """Run ``serve_session`` for a raw-socket peer that sends ``payload``
-    and stops writing; return what the verifier raised."""
+def _send_all(conn: socket.socket, chunks) -> None:
+    """Send ``chunks``, one ``sendall`` each, and stop writing; an endpoint
+    that refuses the stream may hang up first, and then the rest is lost."""
+    try:
+        for chunk in chunks:
+            conn.sendall(chunk)
+        conn.shutdown(socket.SHUT_WR)
+    except OSError:
+        pass
+
+
+def _serve_raw_peer(bob, *chunks: bytes) -> Exception | None:
+    """Run ``serve_session`` for a raw-socket peer that sends ``chunks``,
+    one ``sendall`` each, and stops writing; return what the verifier
+    raised, or None."""
     listener = socket.create_server(("127.0.0.1", 0))
     errors = []
 
@@ -751,15 +781,100 @@ def _serve_raw_peer(bob, payload: bytes) -> Exception:
     thread = threading.Thread(target=serve)
     thread.start()
     with socket.create_connection(listener.getsockname(), timeout=30) as conn:
-        conn.sendall(payload)
-        conn.shutdown(socket.SHUT_WR)
+        _send_all(conn, chunks)
         thread.join(timeout=30)
-    assert not thread.is_alive() and len(errors) == 1
-    return errors[0]
+    assert not thread.is_alive()
+    return errors[0] if errors else None
+
+
+def _connect_raw_peer(alice, *chunks: bytes) -> tuple[Exception | None, bytes]:
+    """Run ``connect_session`` against a raw-socket verifier that sends
+    ``chunks``, one ``sendall`` each, stops writing and reads until Alice
+    closes; return what Alice raised, or None, and the bytes she sent."""
+    sent = bytearray()
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        def raw_bob():
+            conn, _ = listener.accept()
+            with conn:
+                _send_all(conn, chunks)
+                while data := conn.recv(1 << 16):
+                    sent.extend(data)
+
+        thread = threading.Thread(target=raw_bob)
+        thread.start()
+        error = None
+        try:
+            connect_session(alice, *listener.getsockname())
+        except Exception as exc:
+            error = exc
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    return error, bytes(sent)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("side", ["bob", "alice"])
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_hostile_byte_streams_are_sessions_or_wire_errors(agreements, side, n, data):
+    # the honest stream a peer sends in a seeded session (Alice's hello,
+    # commit and reveal, or Bob's hello, guess and verdict), in chunks of
+    # drawn sizes, whole, cut short or with drawn bytes put in. The endpoint
+    # either takes it, its frames those of the in-process session when the
+    # stream is whole, or raises a wire or handshake error with no verdict
+    agreement = agreements[n]
+    transcript = run_session(agreement, AliceScript(), BobScript(), seed=n).transcript
+    sent = transcript[0::2] if side == "bob" else transcript[1::2]
+    stream = encode_message(Hello(), agreement.descriptor_hash) + b"".join(sent)
+    how = data.draw(st.sampled_from(["whole", "cut", "insert"]))
+    if how == "cut":
+        stream = stream[:data.draw(st.integers(0, len(stream) - 1))]
+    elif how == "insert":
+        at = data.draw(st.integers(0, len(stream)))
+        # any bytes, or JSON's openers, nested past the recursion limit when repeated
+        piece = data.draw(st.binary(min_size=1, max_size=4) | st.sampled_from([b"[", b'{"a":']))
+        piece *= data.draw(st.integers(1, frame_limit(agreement.params)))
+        stream = stream[:at] + piece + stream[at:]
+    chunks, rest = [], stream
+    for size in data.draw(st.lists(st.integers(1, 200), max_size=8)):
+        chunks.append(rest[:size])
+        rest = rest[size:]
+    alice_rng, bob_rng = session_rngs(n)
+    if side == "bob":
+        endpoint = BobEndpoint(agreement, BobScript(), bob_rng)
+        error = _serve_raw_peer(endpoint, *chunks, rest)
+        outcome = endpoint.result
+    else:
+        endpoint = AliceEndpoint(agreement, AliceScript(), alice_rng)
+        error, _ = _connect_raw_peer(endpoint, *chunks, rest)
+        outcome = endpoint.verdict
+    if error is not None:
+        assert isinstance(error, (WireError, HandshakeError)), error
+        assert outcome is None
+        return
+    assert outcome is not None
+    # the endpoint read the stream as sent: a hello line, then its peer's
+    # frames verbatim (bytes after the last frame are never read)
+    received = b"".join(endpoint.frames[0::2] if side == "bob" else endpoint.frames[1::2])
+    hello = stream[:stream.index(b"\n") + 1]
+    assert isinstance(decode_message(hello, agreement.descriptor_hash), Hello)
+    assert stream.startswith(hello + received)
+    if how == "whole":
+        assert tuple(endpoint.frames) == transcript
+
+
+def test_hello_bytes_are_pinned(cointoss_agreement):
+    # the first line a committing side writes, which no transcript holds; the
+    # raw verifier sends no hello back, so the hello is all that Alice sends
+    alice = AliceEndpoint(cointoss_agreement, AliceScript(choice=0), 1)
+    error, sent = _connect_raw_peer(alice)
+    assert isinstance(error, HandshakeError)
+    digest = "dfd58680031ea4471022fee4b4fb54aeefae2a02416d94d38a931d8f4fdfea4d"
+    assert sent == b'{"kind":"hello","scheme_hash":"%s","v":1}\n' % digest.encode()
 
 
 def test_unterminated_frame_over_limit_is_framing_error(cointoss_agreement):
-    hello = hello_frame(scheme_hash(cointoss_agreement.params))
+    hello = encode_message(Hello(), scheme_hash(cointoss_agreement.params))
     limit = frame_limit(cointoss_agreement.params)
     assert limit == 128 * 4 + 1024 == 1536
     bob = BobEndpoint(cointoss_agreement, BobScript(), 0)
@@ -802,7 +917,7 @@ def test_trickling_alice_meets_the_session_deadline(monkeypatch, cointoss_agreem
     stop = threading.Event()
     listener = socket.create_server(("127.0.0.1", 0))
     with socket.create_connection(listener.getsockname(), timeout=5) as conn:
-        hello = hello_frame(scheme_hash(cointoss_agreement.params))
+        hello = encode_message(Hello(), scheme_hash(cointoss_agreement.params))
         thread = threading.Thread(target=_trickle, args=(conn, hello, stop))
         thread.start()
         start = time.monotonic()
@@ -826,7 +941,7 @@ def test_trickling_bob_meets_the_session_deadline(monkeypatch, cointoss_agreemen
         def trickling_bob():
             conn, _ = listener.accept()
             with conn:
-                _trickle(conn, hello_frame(scheme_hash(cointoss_agreement.params)), stop)
+                _trickle(conn, encode_message(Hello(), scheme_hash(cointoss_agreement.params)), stop)
 
         thread = threading.Thread(target=trickling_bob)
         thread.start()
@@ -845,13 +960,13 @@ def test_trickling_bob_meets_the_session_deadline(monkeypatch, cointoss_agreemen
 def test_hello_cut_before_newline_is_handshake_error(cointoss_agreement):
     # a peer that sends its hello without the newline and stops writing
     # fails the handshake, not the commit read after it
-    hello = hello_frame(scheme_hash(cointoss_agreement.params))
+    hello = encode_message(Hello(), scheme_hash(cointoss_agreement.params))
     bob = BobEndpoint(cointoss_agreement, BobScript(), 0)
     error = _serve_raw_peer(bob, hello[:-1])
     assert isinstance(error, HandshakeError) and "hello" in str(error)
     assert bob.frames == [] and bob.state is None
-    with pytest.raises(HandshakeError, match="hello frame does not end in a newline"):
-        parse_hello(hello[:-1])
+    with pytest.raises(FramingError, match="newline"):
+        decode_message(hello[:-1])
 
 
 @pytest.mark.parametrize("kind", ["commit", "guess", "reveal", "verdict"])
@@ -876,7 +991,7 @@ def test_served_reveal_cut_before_newline_is_framing_error(cointoss_agreement):
     guess = twin.handle_commit(commit)
     reveal = alice.handle_guess(guess)
     bob = BobEndpoint(agreement, BobScript(guess=0), 2)
-    hello = hello_frame(scheme_hash(agreement.params))
+    hello = encode_message(Hello(), scheme_hash(agreement.params))
     assert isinstance(_serve_raw_peer(bob, hello + commit + reveal[:-1]), FramingError)
     assert bob.frames == [commit, guess] and bob.result is None
     assert bob.state.phase is Phase.GUESSED
@@ -935,20 +1050,43 @@ def loopback_time_waits() -> int:
                for row in rows)
 
 
+def mismatched_session(alice_agreement, bob_agreement) -> list:
+    """What each side of a TCP session raised, Alice's error then Bob's
+    (None if it raised nothing), the verifier served in a thread on
+    ``bob_agreement`` as a two-process session serves it."""
+    bob = BobEndpoint(bob_agreement, BobScript(), 2)
+    listener = socket.create_server(("127.0.0.1", 0))
+    address = listener.getsockname()
+    errors = [None, None]
+
+    def run(side: int, call) -> None:
+        try:
+            call()
+        except Exception as exc:
+            errors[side] = exc
+
+    thread = threading.Thread(target=run, args=(1, lambda: serve_session(bob, listener)))
+    thread.start()
+    alice = AliceEndpoint(alice_agreement, AliceScript(choice=0), 1)
+    run(0, lambda: connect_session(alice, *address))
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    return errors
+
+
 def test_handshake_mismatch_aborts(cointoss_agreement):
+    # a verifier on another agreement: both sides fail the handshake
     other = build_reveal_agreement(SchemeParams.default(2))
+    for error in mismatched_session(cointoss_agreement, other):
+        assert isinstance(error, HandshakeError) and "hello" in str(error), error
+    # a session that aborts in `_drive` after the hellos (here on a choice
+    # out of range) ends over TCP in a reset too, with no TIME_WAIT left
+    m = cointoss_agreement.num_choices
     before = loopback_time_waits() if PROC_NET_TCP.exists() else None
     for transport in ["in-process"] + ["tcp"] * 25:
-        with pytest.raises(HandshakeError):
-            run_session(
-                cointoss_agreement,
-                AliceScript(choice=0),
-                BobScript(),
-                seed=1,
-                transport=transport,
-                bob_agreement=other,
-            )
-    # an aborted TCP session ends in a reset too, with no TIME_WAIT left
+        with pytest.raises(ChoiceRangeError):
+            run_session(cointoss_agreement, AliceScript(choice=m), BobScript(), seed=1,
+                        transport=transport)
     if before is not None:
         assert loopback_time_waits() - before < 20
 
